@@ -289,7 +289,10 @@ def _cmd_ablate(resolved: dict) -> int:
     path = layout["reports"] / f"ablation_{resolved['suite']}.csv"
     _write_lines(path, report.to_lines())
     for cond in report.conditions:
-        print(f"{cond.name}: mean WA {cond.mean_wa:.4f} UA {cond.mean_ua:.4f}")
+        print(
+            f"{cond.name}: mean WA {evalkit.format_mean(cond.mean_wa, '.4f')} "
+            f"UA {evalkit.format_mean(cond.mean_ua, '.4f')}"
+        )
     print(f"wrote {path}")
     return 0
 
@@ -317,7 +320,10 @@ def _cmd_sweep_k(resolved: dict) -> int:
     path = layout["reports"] / f"sweep_{resolved['sweep_modality']}.csv"
     _write_lines(path, evalkit.sweep_to_lines(points))
     for p in points:
-        print(f"k={p.k}: mean WA {p.mean_wa:.4f} UA {p.mean_ua:.4f}")
+        print(
+            f"k={p.k}: mean WA {evalkit.format_mean(p.mean_wa, '.4f')} "
+            f"UA {evalkit.format_mean(p.mean_ua, '.4f')}"
+        )
     print(f"wrote {path}")
     return 0
 

@@ -1,16 +1,25 @@
 """Reverse-mode differentiation over dense 2-D float64 matrices.
 
-The op set is closed and small: matrix product, transpose, elementwise add,
-scalar scale, row softmax, row L2 normalisation, mean/max pooling, column
-concatenation, cross entropy and mean squared error. Every objective in the
-package composes from these, so a single central finite-difference checker
-(`grad_check`) can certify the whole backward implementation.
+The op set is closed and small: matrix product, transpose, row gather,
+elementwise add, scalar scale, row softmax, row L2 normalisation, mean/max
+pooling, column concatenation, cross entropy and mean squared error. Every
+objective in the package composes from these, so a single central
+finite-difference checker (`grad_check`) can certify the whole backward
+implementation.
 
 Graphs are built eagerly. Each operation returns a `Node` holding the
 computed `Matrix` plus a closure that maps the gradient arriving at the node
 to one gradient array per parent. Matrices are immutable after construction
 and may be shared freely; graphs are built and differentiated on a single
 thread.
+
+Finiteness is checked at the boundaries, not inside every op: the public
+`Matrix(...)` constructor (parameters, corpora, checkpoints, tests) rejects
+NaN and infinity, and so does every leaf gradient `backward` stores. Op
+outputs take their freshly computed arrays without a copy or a scan; the
+trainer checks the loss root before `backward` and every Adam-updated
+parameter, and prediction checks its logits, so a non-finite intermediate
+surfaces as a `NonFiniteError` at one of those points.
 """
 
 from __future__ import annotations
@@ -39,6 +48,17 @@ class Matrix:
             raise NonFiniteError("matrix entries must be finite")
         a.setflags(write=False)
         self._a = a
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "Matrix":
+        """Wrap a C-ordered 2-D float64 array an op computed and nothing writes to.
+
+        No copy and no finiteness scan; the array is only made read-only.
+        """
+        a.setflags(write=False)
+        m = cls.__new__(cls)
+        m._a = a
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -97,8 +117,9 @@ class Node:
     """A value in the computation graph.
 
     `backward_fn` receives the gradient of the scalar objective with respect
-    to this node's value (an ndarray) and returns one gradient array per
-    parent. `grad` stays None until a backward pass deposits into it;
+    to this node's value (an ndarray) and returns one gradient array (or
+    None, for a parent that takes no gradient) per parent. Only leaves keep
+    a `grad`: it stays None until a backward pass deposits into it, and
     deposits accumulate across backward calls until `zero_grad`.
     """
 
@@ -114,9 +135,14 @@ class Node:
     ) -> None:
         self.value = value
         self.op = op
-        self.parents = tuple(parents)
+        self.parents = parents = tuple(parents)
         self.backward_fn = backward_fn
-        self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
+        if not requires_grad:
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self.grad: Matrix | None = None
 
     def zero_grad(self) -> None:
@@ -141,53 +167,58 @@ def parameter(values) -> Node:
 def _topo_order(root: Node) -> list[Node]:
     """Nodes on gradient-carrying paths, parents before children."""
     order: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if p.requires_grad and id(p) not in seen:
+            if p.requires_grad and p not in seen:
                 stack.append((p, False))
     return order
 
 
 def backward(root: Node) -> None:
-    """Accumulate gradients of a scalar root into every contributing node.
+    """Accumulate gradients of a scalar root into every contributing leaf.
 
     Visits each node exactly once; fan-out gradients are summed before the
-    node's own backward rule runs.
+    node's own backward rule runs. Intermediate gradients live only for the
+    pass; each leaf's stored `grad` must be finite (`NonFiniteError`).
     """
     if root.value.shape != (1, 1):
         raise ContractError(
             f"backward requires a 1x1 scalar root, got {root.value.rows}x{root.value.cols}"
         )
-    pending: dict[int, np.ndarray] = {id(root): np.ones((1, 1))}
+    pending: dict[Node, np.ndarray] = {root: np.ones((1, 1))}
     for node in reversed(_topo_order(root)):
-        g = pending.pop(id(node), None)
+        g = pending.pop(node, None)
         if g is None:
             continue
-        node.grad = Matrix(g) if node.grad is None else Matrix(node.grad.array + g)
         if node.backward_fn is None:
+            node.grad = Matrix(g) if node.grad is None else Matrix(node.grad.array + g)
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             if not parent.requires_grad or pg is None:
                 continue
-            if id(parent) in pending:
-                pending[id(parent)] = pending[id(parent)] + pg
+            if parent in pending:
+                pending[parent] = pending[parent] + pg
             else:
-                pending[id(parent)] = pg
+                pending[parent] = pg
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+
+def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Node:
+    return Node(Matrix._adopt(out), op, parents, backward_fn)
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -197,19 +228,40 @@ def matmul(a: Node, b: Node) -> Node:
             f"{b.value.rows}x{b.value.cols}"
         )
     av, bv = a.value.array, b.value.array
-    out = Matrix(av @ bv)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward_fn(g: np.ndarray):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if need_a else None, av.T @ g if need_b else None)
 
-    return Node(out, "matmul", (a, b), backward_fn)
+    return _op(av @ bv, "matmul", (a, b), backward_fn)
 
 
 def transpose(a: Node) -> Node:
     def backward_fn(g: np.ndarray):
         return (g.T,)
 
-    return Node(Matrix(a.value.array.T), "transpose", (a,), backward_fn)
+    return _op(np.ascontiguousarray(a.value.array.T), "transpose", (a,), backward_fn)
+
+
+def gather(table: Node, ids: Sequence[int], what: str = "id") -> Node:
+    """One row of `table` per id, in order: an embedding lookup.
+
+    Ids must lie in [0, rows); `what` names them in the IndexError. The
+    backward scatter-adds each output row's gradient into its table row.
+    """
+    t = table.value.array
+    vocab = t.shape[0]
+    idx = np.asarray(ids, dtype=np.intp)
+    bad = np.flatnonzero((idx < 0) | (idx >= vocab))
+    if bad.size:
+        raise IndexError(f"{what} {int(idx[bad[0]])} out of range for vocabulary of size {vocab}")
+
+    def backward_fn(g: np.ndarray):
+        gt = np.zeros(t.shape)
+        np.add.at(gt, idx, g)
+        return (gt,)
+
+    return _op(t[idx], "gather", (table,), backward_fn)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -222,7 +274,7 @@ def add(a: Node, b: Node) -> Node:
     def backward_fn(g: np.ndarray):
         return g, g
 
-    return Node(Matrix(a.value.array + b.value.array), "add", (a, b), backward_fn)
+    return _op(a.value.array + b.value.array, "add", (a, b), backward_fn)
 
 
 def scale(a: Node, factor: float) -> Node:
@@ -231,7 +283,7 @@ def scale(a: Node, factor: float) -> Node:
     def backward_fn(g: np.ndarray):
         return (g * factor,)
 
-    return Node(Matrix(a.value.array * factor), "scale", (a,), backward_fn)
+    return _op(a.value.array * factor, "scale", (a,), backward_fn)
 
 
 def row_softmax(a: Node) -> Node:
@@ -245,7 +297,7 @@ def row_softmax(a: Node) -> Node:
         inner = (g * s).sum(axis=1, keepdims=True)
         return ((g - inner) * s,)
 
-    return Node(Matrix(s), "row_softmax", (a,), backward_fn)
+    return _op(s, "row_softmax", (a,), backward_fn)
 
 
 def row_l2_normalize(a: Node) -> Node:
@@ -261,7 +313,7 @@ def row_l2_normalize(a: Node) -> Node:
         inner = (g * y).sum(axis=1, keepdims=True)
         return ((g - y * inner) / norms,)
 
-    return Node(Matrix(y), "row_l2_normalize", (a,), backward_fn)
+    return _op(y, "row_l2_normalize", (a,), backward_fn)
 
 
 def pool(a: Node, axis: str, kind: str) -> Node:
@@ -298,7 +350,7 @@ def pool(a: Node, axis: str, kind: str) -> Node:
                 gx[np.arange(rows), winners] = g[:, 0]
             return (gx,)
 
-    return Node(Matrix(out), f"pool_{kind}_{axis}", (a,), backward_fn)
+    return _op(out, f"pool_{kind}_{axis}", (a,), backward_fn)
 
 
 def concat_cols(a: Node, b: Node) -> Node:
@@ -313,7 +365,7 @@ def concat_cols(a: Node, b: Node) -> Node:
         return g[:, :split], g[:, split:]
 
     merged = np.concatenate([a.value.array, b.value.array], axis=1)
-    return Node(Matrix(merged), "concat_cols", (a, b), backward_fn)
+    return _op(merged, "concat_cols", (a, b), backward_fn)
 
 
 def cross_entropy(logits: Node, target_class: int) -> Node:
@@ -335,7 +387,8 @@ def cross_entropy(logits: Node, target_class: int) -> Node:
         d[target_class] -= 1.0
         return (g[0, 0] * d.reshape(1, n_classes),)
 
-    return Node(Matrix([[log_norm - x[target_class]]]), "cross_entropy", (logits,), backward_fn)
+    out = np.array([[log_norm - x[target_class]]])
+    return _op(out, "cross_entropy", (logits,), backward_fn)
 
 
 def mse(a: Node, b: Node) -> Node:
@@ -353,7 +406,7 @@ def mse(a: Node, b: Node) -> Node:
         d = (2.0 / count) * diff * g[0, 0]
         return d, -d
 
-    return Node(Matrix([[val]]), "mse", (a, b), backward_fn)
+    return _op(np.array([[val]]), "mse", (a, b), backward_fn)
 
 
 def sum_all(a: Node) -> Node:
@@ -535,5 +588,10 @@ def run_op_grad_suite(
         "mse",
         lambda: [_random_matrix(rng, 3, 4), _random_matrix(rng, 3, 4)],
         lambda a, b: mse(a, b),
+    )
+    run(
+        "gather",
+        lambda: [_random_matrix(rng, 5, 3)],
+        lambda a: sum_all(matmul(gather(a, [3, 0, 3, 4]), transpose(a))),
     )
     return reports

@@ -16,7 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Matrix, Node, add, constant, matmul, parameter, row_softmax, scale, transpose
+from .diffcore import (
+    Matrix,
+    Node,
+    add,
+    constant,
+    gather,
+    matmul,
+    parameter,
+    row_softmax,
+    scale,
+    transpose,
+)
 
 EMBED_INIT_STD = 0.02
 DEFAULT_DIM = 16
@@ -101,16 +112,6 @@ def init_params(
     )
 
 
-def one_hot(ids: Sequence[int], vocab: int, what: str = "id") -> Matrix:
-    """Indicator matrix with one row per id; lookup becomes a matmul."""
-    out = np.zeros((len(ids), vocab))
-    for row, idx in enumerate(ids):
-        if not 0 <= idx < vocab:
-            raise IndexError(f"{what} {idx} out of range for vocabulary of size {vocab}")
-        out[row, idx] = 1.0
-    return Matrix(out)
-
-
 def _self_mix(embedded: Node, query_w: Node, key_w: Node, value_w: Node) -> Node:
     dim = embedded.value.cols
     queries = matmul(embedded, query_w)
@@ -122,14 +123,12 @@ def _self_mix(embedded: Node, query_w: Node, key_w: Node, value_w: Node) -> Node
 
 def text_encode(tokens: Sequence[int], params: TextEncoderParams) -> Node:
     """Sequence representation, one row per token."""
-    lookup = constant(one_hot(tokens, params.vocab, "token id"))
-    embedded = matmul(lookup, params.embedding)
+    embedded = gather(params.embedding, tokens, "token id")
     return _self_mix(embedded, params.query_w, params.key_w, params.value_w)
 
 
 def speech_encode(codes: Sequence[int], params: SpeechEncoderParams) -> Node:
     """Frame representation, one row per code, from the frozen codebook."""
-    lookup = constant(one_hot(codes, params.vocab, "code id"))
-    embedded = matmul(lookup, params.codebook)
+    embedded = gather(params.codebook, codes, "code id")
     mixed = _self_mix(embedded, params.query_w, params.key_w, params.value_w)
     return add(mixed, matmul(mixed, params.post_w))

@@ -55,7 +55,7 @@ class ConfigError(LabelFuseError, ValueError):
 
 
 class DivergenceError(LabelFuseError, RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite value or a zero-norm row it must normalise."""
 
 
 class CheckpointIntegrityError(LabelFuseError, ValueError):

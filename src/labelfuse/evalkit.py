@@ -78,12 +78,26 @@ class ConditionResult:
     failures: tuple[tuple[int, str], ...]
 
     @property
-    def mean_wa(self) -> float:
-        return float(np.mean([r.weighted_accuracy for _, r in self.per_seed]))
+    def mean_wa(self) -> float | None:
+        """Mean WA over the seeds that trained; None when every seed failed."""
+        return _mean([r.weighted_accuracy for _, r in self.per_seed])
 
     @property
-    def mean_ua(self) -> float:
-        return float(np.mean([r.unweighted_accuracy for _, r in self.per_seed]))
+    def mean_ua(self) -> float | None:
+        """Mean UA over the seeds that trained; None when every seed failed."""
+        return _mean([r.unweighted_accuracy for _, r in self.per_seed])
+
+
+ALL_FAILED = "all-failed"
+
+
+def _mean(values: Sequence[float]) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
+def format_mean(value: float | None, spec: str = ".12g") -> str:
+    """A condition mean for reports; ALL_FAILED when no seed produced one."""
+    return ALL_FAILED if value is None else format(value, spec)
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,7 @@ class AblationReport:
                 )
             for seed, message in cond.failures:
                 lines.append(f"{cond.name},{seed},diverged,{message}")
-            lines.append(f"{cond.name},mean,{cond.mean_wa:.12g},{cond.mean_ua:.12g}")
+            lines.append(f"{cond.name},mean,{format_mean(cond.mean_wa)},{format_mean(cond.mean_ua)}")
         return lines
 
 
@@ -187,8 +201,8 @@ def guidance_conditions(base: "TrainConfig") -> dict[str, "TrainConfig"]:
 @dataclass(frozen=True)
 class SweepPoint:
     k: int
-    mean_wa: float
-    mean_ua: float
+    mean_wa: float | None  # None when every seed failed
+    mean_ua: float | None
     per_seed: tuple[tuple[int, EvalResult], ...]
 
 
@@ -230,7 +244,7 @@ def sweep_k(
 def sweep_to_lines(points: Sequence[SweepPoint]) -> list[str]:
     lines = ["k,mean_wa,mean_ua"]
     for p in points:
-        lines.append(f"{p.k},{p.mean_wa:.12g},{p.mean_ua:.12g}")
+        lines.append(f"{p.k},{format_mean(p.mean_wa)},{format_mean(p.mean_ua)}")
     return lines
 
 

@@ -52,7 +52,7 @@ from .encoders import (
     speech_encode,
     text_encode,
 )
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 from .labelkit import LabelBank
 
 DEFAULT_LOSS_WEIGHTS = (1.0, 0.5, 0.2, 0.2)
@@ -277,6 +277,13 @@ def score_fusion(logits_text: Matrix, logits_speech: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_logits(logits: Node) -> Matrix:
+    """The 1 x c logits of a prediction, which must be finite."""
+    if not np.isfinite(logits.value.array).all():
+        raise NonFiniteError("predicted logits are not finite")
+    return logits.value
+
+
 @dataclass
 class ForwardResult:
     logits: Node  # 1 x classes
@@ -399,7 +406,10 @@ def predict_logits(
     mode: FusionMode,
     normalize_label_attention: bool = False,
 ) -> Matrix:
-    """Label-free logits path for evaluation; mirrors forward exactly."""
+    """Label-free logits path for evaluation; mirrors forward exactly.
+
+    Raises NonFiniteError when the logits are not finite.
+    """
     h_text = text_encode(utterance.text_tokens, params.text)
     h_speech = speech_encode(utterance.frame_codes, params.speech)
     if mode is FusionMode.ONLY_VANILLA or mode is FusionMode.CONSTRAINT:
@@ -418,10 +428,11 @@ def predict_logits(
     merged = concat_cols(h_text, aligned_speech(align, h_speech))
     pooled = pool(merged, "rows", "max")
     logits = add(matmul(pooled, params.fusion.classifier_w), params.fusion.classifier_b)
-    return logits.value
+    return _finite_logits(logits)
 
 
 def unimodal_logits(utterance: Utterance, modality: str, params: ModelParams) -> Matrix:
+    """Single-tower logits for evaluation; NonFiniteError when not finite."""
     if modality == "text":
         h = text_encode(utterance.text_tokens, params.text)
         head_w, head_b = params.fusion.text_head_w, params.fusion.text_head_b
@@ -430,7 +441,7 @@ def unimodal_logits(utterance: Utterance, modality: str, params: ModelParams) ->
         head_w, head_b = params.fusion.speech_head_w, params.fusion.speech_head_b
     else:
         raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-    return add(matmul(pool(h, "rows", "max"), head_w), head_b).value
+    return _finite_logits(add(matmul(pool(h, "rows", "max"), head_w), head_b))
 
 
 def predict(utterance: Utterance, params: ModelParams, mode: FusionMode, **kwargs) -> int:

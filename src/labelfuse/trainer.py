@@ -24,8 +24,10 @@ from .encoders import DEFAULT_DIM
 from .errors import (
     CheckpointIntegrityError,
     ConfigError,
+    DegenerateRowError,
     DivergenceError,
     DimensionError,
+    LabelFuseError,
     NonFiniteError,
     UnsupportedVersionError,
 )
@@ -307,7 +309,9 @@ def train(
 
     Deterministic: identical (config, corpora) give bitwise-identical logs
     and checkpoints. Resuming from an intermediate checkpoint continues the
-    exact trajectory of an uninterrupted run.
+    exact trajectory of an uninterrupted run. A non-finite loss, gradient,
+    parameter or logit, or a zero-norm row where a direction is needed,
+    raises DivergenceError naming the epoch and the batch (or evaluation).
     """
     config.validate()
     if not len(train_corpus) or not len(heldout_corpus):
@@ -333,24 +337,27 @@ def train(
     for epoch in range(start_epoch, config.epochs):
         order = np.random.default_rng([config.seed, 1000 + epoch]).permutation(len(train_corpus))
         sums = np.zeros(5)
-        for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = order[start : start + config.batch_size]
-            for _, node in params:
-                node.zero_grad()
-            for idx in batch:
-                utt = train_corpus.utterances[int(idx)]
-                try:
+        stage = "evaluation"
+        try:
+            for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
+                stage = f"batch {batch_no}"
+                batch = order[start : start + config.batch_size]
+                for _, node in params:
+                    node.zero_grad()
+                for idx in batch:
+                    utt = train_corpus.utterances[int(idx)]
                     loss, parts = _utterance_loss(utt, model, config)
+                    if not np.isfinite(loss.value.array[0, 0]):
+                        raise NonFiniteError("loss is not finite")
                     backward(loss)
-                except NonFiniteError as exc:
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_no}: {exc}"
-                    ) from exc
-                sums += np.array(parts)
-            optimizer.step(params, grad_scale=1.0 / len(batch))
+                    sums += np.array(parts)
+                optimizer.step(params, grad_scale=1.0 / len(batch))
+            stage = "evaluation"
+            train_eval = evalkit.evaluate(model_predictor(model, config), train_corpus)
+            heldout_eval = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
+        except (NonFiniteError, DegenerateRowError) as exc:
+            raise DivergenceError(f"training diverged at epoch {epoch}, {stage}: {exc}") from exc
         averages = sums / len(order)
-        train_eval = evalkit.evaluate(model_predictor(model, config), train_corpus)
-        heldout_eval = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
         log.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -552,12 +559,24 @@ def load_checkpoint(path) -> Checkpoint:
     except json.JSONDecodeError as exc:
         raise CheckpointIntegrityError(f"corrupted manifest: {exc.msg}") from None
 
+    if not isinstance(manifest, dict):
+        raise CheckpointIntegrityError("corrupted manifest: not a JSON object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(
             f"checkpoint format version {version} is not supported (expected {CHECKPOINT_VERSION})"
         )
-    blob = data[manifest_end:]
+    try:
+        return _checkpoint_from_manifest(manifest, data[manifest_end:])
+    except CheckpointIntegrityError:
+        raise
+    except KeyError as exc:
+        raise CheckpointIntegrityError(f"manifest is missing field {exc}") from None
+    except (LabelFuseError, TypeError, ValueError) as exc:
+        raise CheckpointIntegrityError(f"invalid checkpoint content: {exc}") from None
+
+
+def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
     arrays: dict[str, Matrix] = {}
     for entry in manifest["arrays"]:
         size = entry["rows"] * entry["cols"] * 8
@@ -569,11 +588,11 @@ def load_checkpoint(path) -> Checkpoint:
         values = np.frombuffer(chunk, dtype="<f8").reshape(entry["rows"], entry["cols"])
         arrays[entry["name"]] = Matrix(values)
 
-    cfg = dict(manifest["config"])
-    config = TrainConfig(**cfg)
+    config = TrainConfig(**manifest["config"])
+    config.validate()
     records = tuple(EpochRecord(**r) for r in manifest["log_records"])
     return Checkpoint(
-        format_version=version,
+        format_version=manifest["format_version"],
         config=config,
         epoch=manifest["epoch"],
         arrays=arrays,

@@ -196,6 +196,46 @@ class TestConcatCols:
         assert rep.max_relative_error <= FD_TOL
 
 
+class TestGather:
+    def test_rows_in_id_order(self):
+        table = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = dc.gather(dc.constant(table), [2, 0, 2])
+        assert out.value == Matrix([[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_raises(self, bad):
+        # numpy indexing would silently wrap -1 to the last row
+        table = dc.constant(Matrix.zeros(3, 2))
+        with pytest.raises(IndexError, match=rf"token id {bad} out of range for vocabulary of size 3"):
+            dc.gather(table, [0, bad, 1], "token id")
+
+    def test_repeated_ids_scatter_add(self):
+        x = dc.parameter([[1.0, 2.0], [3.0, 4.0]])
+        dc.backward(dc.sum_all(dc.gather(x, [1, 1, 1])))
+        assert x.grad == Matrix([[0.0, 0.0], [3.0, 3.0]])
+
+    def test_matches_dense_one_hot_product(self):
+        rng = np.random.default_rng(15)
+        ids = [3, 0, 3, 5, 3, 1]
+        one_hot = np.zeros((len(ids), 6))
+        one_hot[np.arange(len(ids)), ids] = 1.0
+        table = dc.parameter(rand(rng, 6, 4))
+        out = dc.gather(table, ids)
+        assert np.array_equal(out.value.array, one_hot @ table.value.array)
+        g = rng.normal(size=(len(ids), 4))
+        (grad,) = out.backward_fn(g)
+        assert np.allclose(grad, one_hot.T @ g, rtol=0.0, atol=1e-12)
+
+    def test_gradient_vs_fd(self):
+        rng = np.random.default_rng(13)
+        rep = dc.grad_check(
+            lambda a: dc.sum_all(dc.matmul(dc.gather(a, [4, 1, 4, 0]), dc.transpose(a))),
+            [rand(rng, 5, 3)],
+            step=STEP,
+        )
+        assert rep.max_relative_error <= FD_TOL
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         out = dc.cross_entropy(dc.constant([[0.0, 0.0, 0.0, 0.0]]), 1)
@@ -306,6 +346,68 @@ class TestBackwardMechanics:
         assert s1 == s2
 
 
+class TestLeanTape:
+    def op_outputs(self):
+        rng = np.random.default_rng(14)
+        a, b = dc.parameter(rand(rng, 3, 4)), dc.parameter(rand(rng, 3, 4))
+        row, col = dc.parameter(rand(rng, 1, 4)), dc.parameter(rand(rng, 3, 1))
+        return {
+            "matmul": dc.matmul(a, dc.transpose(b)),
+            "transpose": dc.transpose(a),
+            "transpose_row": dc.transpose(row),
+            "transpose_col": dc.transpose(col),
+            "gather": dc.gather(a, [2, 0, 2]),
+            "add": dc.add(a, b),
+            "scale": dc.scale(a, 0.5),
+            "row_softmax": dc.row_softmax(a),
+            "row_l2_normalize": dc.row_l2_normalize(a),
+            "pool_mean_rows": dc.pool(a, "rows", "mean"),
+            "pool_max_cols": dc.pool(a, "cols", "max"),
+            "concat_cols": dc.concat_cols(a, b),
+            "cross_entropy": dc.cross_entropy(row, 1),
+            "mse": dc.mse(a, b),
+        }
+
+    def test_op_outputs_read_only_and_c_contiguous(self):
+        for name, node in self.op_outputs().items():
+            flags = node.value.array.flags
+            assert not flags.writeable, name
+            assert flags.c_contiguous, name
+            assert node.value.array.dtype == np.float64, name
+
+    def test_intermediate_nodes_hold_no_grad(self):
+        a = dc.parameter([[1.0, 2.0], [3.0, -1.0]])
+        c = dc.constant([[0.5, 0.25], [1.0, 2.0]])
+        product = dc.matmul(a, c)
+        soft = dc.row_softmax(product)
+        root = dc.sum_all(dc.add(soft, dc.transpose(product)))
+        dc.backward(root)
+        assert a.grad is not None
+        assert c.grad is None
+        for node in (product, soft, root):
+            assert node.grad is None
+
+    def test_matmul_backward_skips_constant_parent(self):
+        a = dc.parameter([[1.0, 2.0]])
+        table = dc.constant([[1.0], [2.0]])
+        grads = dc.matmul(a, table).backward_fn(np.ones((1, 1)))
+        assert grads[1] is None
+        assert np.array_equal(grads[0], [[1.0, 2.0]])
+
+    def test_ops_leave_finiteness_to_the_boundaries(self):
+        big = dc.constant([[1e200]])
+        with np.errstate(over="ignore"):
+            product = dc.matmul(big, big)
+        assert product.value.array[0, 0] == np.inf
+        with pytest.raises(NonFiniteError):
+            Matrix(product.value.array)
+
+    def test_non_finite_leaf_gradient_rejected(self):
+        x = dc.parameter([[1e200]])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            dc.backward(dc.mse(dc.scale(x, 1e200), dc.constant([[0.0]])))
+
+
 class TestGradCheck:
     def test_rejects_non_scalar_builder(self):
         with pytest.raises(ContractError):
@@ -340,3 +442,10 @@ class TestOpSuite:
         reports = dc.run_op_grad_suite(probes_per_op=10, seed=0)
         for rep in reports:
             assert rep.max_relative_error <= 1e-4, rep
+
+    def test_suite_covers_gather(self):
+        reports = dc.run_op_grad_suite(probes_per_op=10, seed=0)
+        gather = [rep for rep in reports if rep.op_name == "gather"]
+        assert len(gather) == 1
+        assert gather[0].probe_count == 10 * 15
+        assert gather[0].max_relative_error <= 1e-4

@@ -63,6 +63,8 @@ class TestTextEncode:
         text, _ = enc.init_params(10, 12, 4, 4, seed=0)
         with pytest.raises(IndexError, match="token id 10"):
             enc.text_encode([10], text)
+        with pytest.raises(IndexError, match="token id -1 out of range"):
+            enc.text_encode([3, -1], text)
 
     def test_deterministic(self):
         text, _ = enc.init_params(10, 12, 4, 4, seed=0)
@@ -91,6 +93,8 @@ class TestSpeechEncode:
         _, speech = enc.init_params(10, 12, 4, 4, seed=0)
         with pytest.raises(IndexError, match="code id 12"):
             enc.speech_encode([12], speech)
+        with pytest.raises(IndexError, match="code id -1 out of range"):
+            enc.speech_encode([-1], speech)
 
     def test_codebook_gets_no_gradient(self):
         _, speech = enc.init_params(10, 12, 4, 4, seed=1)

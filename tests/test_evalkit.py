@@ -1,5 +1,6 @@
 """Tests for metrics, the ablation/sweep harnesses, and attention export."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
+from labelfuse.diffcore import Matrix
 from labelfuse.errors import ConfigError, EvaluationError
 
 
@@ -35,6 +37,21 @@ def tiny_setup(seed=5, n=40):
         epochs=1, batch_size=8, text_dim=8, speech_dim=8, top_k_text=3, top_k_speech=5, seed=1
     )
     return spec, config
+
+
+def zero_text_label_row_for_random_init(monkeypatch):
+    """Runs with text_label_init="random" get a zero text-label row, which cannot be normalised."""
+    original = tr.build_label_bank
+
+    def patched(train_corpus, config, codebook, embedding_table):
+        bank = original(train_corpus, config, codebook, embedding_table)
+        if config.text_label_init != "random":
+            return bank
+        rows = bank.text_labels.array.copy()
+        rows[0] = 0.0
+        return replace(bank, text_labels=Matrix(rows))
+
+    monkeypatch.setattr(tr, "build_label_bank", patched)
 
 
 class TestEvaluate:
@@ -153,6 +170,32 @@ class TestRunAblation:
         assert lines[0] == "condition,seed,wa,ua"
         assert any(line.startswith("base,mean,") for line in lines)
 
+    def test_degenerate_run_recorded_and_grid_continues(self, monkeypatch):
+        zero_text_label_row_for_random_init(monkeypatch)
+        spec, config = tiny_setup()
+        conditions = {"broken": replace(config, text_label_init="random"), "ok": config}
+        report = ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1, 2])
+        broken, ok = report.condition("broken"), report.condition("ok")
+        assert [seed for seed, _ in broken.failures] == [1, 2]
+        assert all("near-zero norm" in message for _, message in broken.failures)
+        assert [seed for seed, _ in ok.per_seed] == [1, 2]
+        assert not ok.failures
+
+    def test_all_failed_condition_reported_explicitly(self, monkeypatch):
+        zero_text_label_row_for_random_init(monkeypatch)
+        spec, config = tiny_setup()
+        conditions = {"broken": replace(config, text_label_init="random"), "ok": config}
+        report = ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1])
+        broken = report.condition("broken")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert broken.mean_wa is None and broken.mean_ua is None
+            lines = report.to_lines()
+        assert "broken,mean,all-failed,all-failed" in lines
+        assert not any("nan" in line for line in lines)
+        ok_mean = report.condition("ok").mean_wa
+        assert any(line.startswith(f"ok,mean,{ok_mean:.12g},") for line in lines)
+
     def test_requires_conditions_and_seeds(self):
         spec, config = tiny_setup()
         with pytest.raises(ConfigError):
@@ -177,6 +220,10 @@ class TestSweepK:
         assert [p.k for p in points] == [2, 3, 4]
         lines = ev.sweep_to_lines(points)
         assert len(lines) == 4
+
+    def test_all_failed_point_reported_explicitly(self):
+        point = ev.SweepPoint(k=3, mean_wa=None, mean_ua=None, per_seed=())
+        assert ev.sweep_to_lines([point])[1] == "3,all-failed,all-failed"
 
     def test_k_beyond_vocabulary_rejected(self):
         spec, config = tiny_setup()

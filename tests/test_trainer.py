@@ -1,6 +1,8 @@
 """Tests for Adam, the training loop, and checkpoint persistence."""
 
+import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +15,11 @@ from labelfuse.errors import (
     CheckpointIntegrityError,
     ConfigError,
     DimensionError,
+    DivergenceError,
+    NonFiniteError,
     UnsupportedVersionError,
 )
-from labelfuse.fusion import FusionMode, forward
+from labelfuse.fusion import FusionMode, forward, predict, unimodal_logits
 
 
 def tiny_corpus(seed=5, n=40):
@@ -31,6 +35,33 @@ def tiny_config(**overrides):
         epochs=2, batch_size=8, text_dim=8, speech_dim=8, top_k_text=3, top_k_speech=5, seed=1
     )
     return replace(base, **overrides)
+
+
+def rewrite_manifest(path, mutate):
+    """Apply `mutate` to a saved checkpoint's manifest; array bytes and CRCs stay valid."""
+    raw = path.read_bytes()
+    header_end = len(tr._CHECKPOINT_MAGIC) + 8
+    (length,) = struct.unpack("<Q", raw[len(tr._CHECKPOINT_MAGIC) : header_end])
+    manifest = json.loads(raw[header_end : header_end + length])
+    mutate(manifest)
+    payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        tr._CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload
+        + raw[header_end + length :]
+    )
+
+
+def zero_first_text_label(monkeypatch):
+    """Make build_model hand out a zero text-label row, which cannot be normalised."""
+    original = tr.build_label_bank
+
+    def patched(train_corpus, config, codebook, embedding_table):
+        bank = original(train_corpus, config, codebook, embedding_table)
+        rows = bank.text_labels.array.copy()
+        rows[0] = 0.0
+        return replace(bank, text_labels=Matrix(rows))
+
+    monkeypatch.setattr(tr, "build_label_bank", patched)
 
 
 class TestAdamUpdate:
@@ -169,6 +200,39 @@ class TestTrain:
             tr.train(train_c, held_c, tiny_config(epochs=-1))
 
 
+class TestDivergence:
+    def blown_up_checkpoint(self, **overrides):
+        """A 1-epoch checkpoint whose text embedding is scaled to about 1e200."""
+        train_c, held_c = tiny_corpus()
+        config = tiny_config(epochs=1, **overrides)
+        _, _, ckpt = tr.train(train_c, held_c, config)
+        ckpt.arrays["text.embedding"] = Matrix(ckpt.arrays["text.embedding"].array * 1e200)
+        return train_c, held_c, config, ckpt
+
+    def test_huge_parameter_makes_train_diverge(self):
+        train_c, held_c, config, ckpt = self.blown_up_checkpoint()
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 1, batch 0"):
+            tr.train(train_c, held_c, replace(config, epochs=2), resume_from=ckpt)
+
+    def test_huge_parameter_makes_predict_raise(self):
+        _, held_c, config, ckpt = self.blown_up_checkpoint()
+        model = tr.model_from_checkpoint(ckpt)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            predict(held_c.utterances[0], model, FusionMode(config.fusion_mode))
+
+    def test_huge_parameter_makes_unimodal_logits_raise(self):
+        _, held_c, _, ckpt = self.blown_up_checkpoint(modality="text")
+        model = tr.model_from_checkpoint(ckpt)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            unimodal_logits(held_c.utterances[0], "text", model)
+
+    def test_zero_norm_label_row_is_divergence(self, monkeypatch):
+        zero_first_text_label(monkeypatch)
+        train_c, held_c = tiny_corpus()
+        with pytest.raises(DivergenceError, match="near-zero norm"):
+            tr.train(train_c, held_c, tiny_config(epochs=1))
+
+
 class TestCheckpointing:
     def test_roundtrip_probe_logits_bitwise(self, tmp_path):
         train_c, held_c = tiny_corpus()
@@ -227,6 +291,24 @@ class TestCheckpointing:
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"hello world")
         with pytest.raises(CheckpointIntegrityError, match="magic"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m["config"].update(no_such_option=1),
+            lambda m: m.pop("epoch"),
+            lambda m: m["config"].update(fusion_mode="nope"),
+        ],
+        ids=["unknown-config-key", "missing-epoch", "invalid-fusion-mode"],
+    )
+    def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
+        train_c, held_c = tiny_corpus()
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1))
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(path, ckpt)
+        rewrite_manifest(path, mutate)
+        with pytest.raises(CheckpointIntegrityError):
             tr.load_checkpoint(path)
 
     def test_resume_equals_uninterrupted(self, tmp_path):
