@@ -521,7 +521,7 @@ def main(argv=None) -> int:
     except LabelFuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IndexError) as exc:
+    except (OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

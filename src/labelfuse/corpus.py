@@ -205,8 +205,15 @@ def _parse_id_list(field: str, line_no: int, what: str) -> tuple[int, ...]:
 
 
 def load(path) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusParseError(
+            f"line {line_no}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
     if not lines:
         raise CorpusParseError("line 1: missing header")
     try:

@@ -64,15 +64,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(np.zeros((rows, cols)))
 
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, data: Sequence[float]) -> "Matrix":
-        flat = np.asarray(data, dtype=np.float64)
-        if flat.size != rows * cols:
-            raise DimensionError(
-                f"need {rows * cols} values for a {rows}x{cols} matrix, got {flat.size}"
-            )
-        return cls(flat.reshape(rows, cols))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -89,11 +80,6 @@ class Matrix:
     def array(self) -> np.ndarray:
         """Read-only 2-D view of the entries."""
         return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only row-major flat view of the entries."""
-        return self._a.reshape(-1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):

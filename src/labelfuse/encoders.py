@@ -6,110 +6,23 @@ self-attention layer with a residual connection; the speech side adds a
 residual linear post-projection on top of a frozen codebook. There is no
 positional encoding, so the encoders are permutation equivariant; the
 attention machinery downstream is position-agnostic anyway.
+
+The encoders own no parameters: they read their matrices from the model
+registry (`fusion.ModelParams`), whose table `fusion.PARAMETERS` names every
+matrix and whose `fusion.init_model` draws them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .diffcore import Node, add, gather, matmul, row_softmax, scale, transpose
 
-from .diffcore import (
-    Matrix,
-    Node,
-    add,
-    constant,
-    gather,
-    matmul,
-    parameter,
-    row_softmax,
-    scale,
-    transpose,
-)
+if TYPE_CHECKING:
+    from .fusion import ModelParams
 
-EMBED_INIT_STD = 0.02
 DEFAULT_DIM = 16
-
-
-@dataclass
-class TextEncoderParams:
-    embedding: Node  # vocab x dim, trainable
-    query_w: Node  # dim x dim
-    key_w: Node
-    value_w: Node
-
-    @property
-    def dim(self) -> int:
-        return self.embedding.value.cols
-
-    @property
-    def vocab(self) -> int:
-        return self.embedding.value.rows
-
-
-@dataclass
-class SpeechEncoderParams:
-    codebook: Node  # vocab x dim, frozen
-    query_w: Node  # dim x dim
-    key_w: Node
-    value_w: Node
-    post_w: Node  # dim x dim, residual projection after mixing
-
-    @property
-    def dim(self) -> int:
-        return self.codebook.value.cols
-
-    @property
-    def vocab(self) -> int:
-        return self.codebook.value.rows
-
-
-def _mix_weight(rng: np.random.Generator, dim: int) -> Matrix:
-    return Matrix(rng.normal(0.0, 1.0 / math.sqrt(dim), size=(dim, dim)))
-
-
-def init_text_encoder(
-    vocab: int, dim: int, rng: np.random.Generator, embedding: Matrix | None = None
-) -> TextEncoderParams:
-    if embedding is None:
-        embedding = Matrix(rng.normal(0.0, EMBED_INIT_STD, size=(vocab, dim)))
-    return TextEncoderParams(
-        embedding=parameter(embedding),
-        query_w=parameter(_mix_weight(rng, dim)),
-        key_w=parameter(_mix_weight(rng, dim)),
-        value_w=parameter(_mix_weight(rng, dim)),
-    )
-
-
-def init_speech_encoder(
-    vocab: int, dim: int, rng: np.random.Generator, codebook: Matrix | None = None
-) -> SpeechEncoderParams:
-    if codebook is None:
-        codebook = Matrix(rng.normal(0.0, EMBED_INIT_STD, size=(vocab, dim)))
-    return SpeechEncoderParams(
-        codebook=constant(codebook),
-        query_w=parameter(_mix_weight(rng, dim)),
-        key_w=parameter(_mix_weight(rng, dim)),
-        value_w=parameter(_mix_weight(rng, dim)),
-        post_w=parameter(_mix_weight(rng, dim)),
-    )
-
-
-def init_params(
-    vocab_text: int,
-    vocab_speech: int,
-    text_dim: int = DEFAULT_DIM,
-    speech_dim: int = DEFAULT_DIM,
-    seed: int = 0,
-) -> tuple[TextEncoderParams, SpeechEncoderParams]:
-    """Seeded initialisation of both encoders."""
-    rng = np.random.default_rng([seed, 2])
-    return (
-        init_text_encoder(vocab_text, text_dim, rng),
-        init_speech_encoder(vocab_speech, speech_dim, rng),
-    )
 
 
 def _self_mix(embedded: Node, query_w: Node, key_w: Node, value_w: Node) -> Node:
@@ -121,14 +34,14 @@ def _self_mix(embedded: Node, query_w: Node, key_w: Node, value_w: Node) -> Node
     return add(embedded, matmul(row_softmax(scores), values))
 
 
-def text_encode(tokens: Sequence[int], params: TextEncoderParams) -> Node:
+def text_encode(tokens: Sequence[int], params: ModelParams) -> Node:
     """Sequence representation, one row per token."""
-    embedded = gather(params.embedding, tokens, "token id")
-    return _self_mix(embedded, params.query_w, params.key_w, params.value_w)
+    embedded = gather(params.text_embedding, tokens, "token id")
+    return _self_mix(embedded, params.text_query_w, params.text_key_w, params.text_value_w)
 
 
-def speech_encode(codes: Sequence[int], params: SpeechEncoderParams) -> Node:
+def speech_encode(codes: Sequence[int], params: ModelParams) -> Node:
     """Frame representation, one row per code, from the frozen codebook."""
-    embedded = gather(params.codebook, codes, "code id")
-    mixed = _self_mix(embedded, params.query_w, params.key_w, params.value_w)
-    return add(mixed, matmul(mixed, params.post_w))
+    embedded = gather(params.speech_codebook, codes, "code id")
+    mixed = _self_mix(embedded, params.speech_query_w, params.speech_key_w, params.speech_value_w)
+    return add(mixed, matmul(mixed, params.speech_post_w))

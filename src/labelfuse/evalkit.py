@@ -258,10 +258,10 @@ def attention_profiles(model, utterance: Utterance) -> tuple[tuple[float, ...], 
     from .encoders import speech_encode, text_encode
 
     text_profile = label_attention(
-        text_encode(utterance.text_tokens, model.text), model.text_labels
+        text_encode(utterance.text_tokens, model), model.labels_text
     ).value
     speech_profile = label_attention(
-        speech_encode(utterance.frame_codes, model.speech), model.speech_labels
+        speech_encode(utterance.frame_codes, model), model.labels_speech
     ).value
     return class_averaged_attention(text_profile), class_averaged_attention(speech_profile)
 

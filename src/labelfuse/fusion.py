@@ -18,12 +18,21 @@ The pieces, per utterance:
 
 The total objective is the weighted sum of the fused classification loss,
 the constraint penalty, and the two guidance losses.
+
+Every matrix of the model is named once, in `PARAMETERS`, with its shape
+and init rule. `ModelParams` is the registry over those names, and
+`init_model` is the only place a model is drawn: the embedding table and
+the codebook come from `default_rng([seed, 3])`, every weight from
+`default_rng([seed, 2])`, in table order; biases are zero and the label rows
+come from a `LabelBank`. Checkpoints, the optimizer and the grad check read
+the names from the registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -32,9 +41,11 @@ from .diffcore import (
     Matrix,
     Node,
     add,
+    backward,
     concat_cols,
     constant,
     cross_entropy,
+    grad_check,
     matmul,
     mse,
     parameter,
@@ -44,18 +55,12 @@ from .diffcore import (
     scale,
     transpose,
 )
-from .encoders import (
-    SpeechEncoderParams,
-    TextEncoderParams,
-    init_speech_encoder,
-    init_text_encoder,
-    speech_encode,
-    text_encode,
-)
+from .encoders import speech_encode, text_encode
 from .errors import DimensionError, NonFiniteError
 from .labelkit import LabelBank
 
 DEFAULT_LOSS_WEIGHTS = (1.0, 0.5, 0.2, 0.2)
+EMBED_INIT_STD = 0.02
 
 
 class FusionMode(Enum):
@@ -103,105 +108,120 @@ class AttentionBundle:
         return lines
 
 
-@dataclass
-class FusionParams:
-    cross_map: Node  # speech_dim x text_dim bilinear map
-    classifier_w: Node  # (text_dim + speech_dim) x classes
-    classifier_b: Node  # 1 x classes
-    text_head_w: Node  # text_dim x classes, unimodal head
-    text_head_b: Node
-    speech_head_w: Node  # speech_dim x classes
-    speech_head_b: Node
+# ---------------------------------------------------------------------------
+# Parameters
+# ---------------------------------------------------------------------------
+
+# Every matrix of the model: name -> (rows, cols, init rule), in draw order.
+# "table" and "frozen table" draw from default_rng([seed, 3]) with std
+# EMBED_INIT_STD; "weight" draws from default_rng([seed, 2]) with std
+# 1/sqrt(rows); "zeros" draws nothing; "text_labels" and "speech_labels" take
+# that field of the LabelBank. The unimodal heads come last, so the fused
+# objective's matrices lead the grad check's single draw stream.
+PARAMETERS = {
+    "text.embedding": ("vocab_text", "text_dim", "table"),
+    "speech.codebook": ("vocab_speech", "speech_dim", "frozen table"),
+    "text.query_w": ("text_dim", "text_dim", "weight"),
+    "text.key_w": ("text_dim", "text_dim", "weight"),
+    "text.value_w": ("text_dim", "text_dim", "weight"),
+    "speech.query_w": ("speech_dim", "speech_dim", "weight"),
+    "speech.key_w": ("speech_dim", "speech_dim", "weight"),
+    "speech.value_w": ("speech_dim", "speech_dim", "weight"),
+    "speech.post_w": ("speech_dim", "speech_dim", "weight"),
+    "fusion.cross_map": ("speech_dim", "text_dim", "weight"),
+    "fusion.classifier_w": ("fused_dim", "classes", "weight"),
+    "fusion.classifier_b": ("one", "classes", "zeros"),
+    "labels.text": ("classes", "text_dim", "text_labels"),
+    "labels.speech": ("classes", "speech_dim", "speech_labels"),
+    "fusion.text_head_w": ("text_dim", "classes", "weight"),
+    "fusion.text_head_b": ("one", "classes", "zeros"),
+    "fusion.speech_head_w": ("speech_dim", "classes", "weight"),
+    "fusion.speech_head_b": ("one", "classes", "zeros"),
+}
+
+# Registry attribute of each name: `params.text_query_w` is "text.query_w".
+_ATTRIBUTES = {name: name.replace(".", "_") for name in PARAMETERS}
 
 
-@dataclass
+def _shapes(dims: Mapping[str, int]) -> dict[str, tuple[int, int]]:
+    """Shape of every matrix, from vocab_text, vocab_speech, text_dim, speech_dim, classes."""
+    sizes = {**dims, "fused_dim": dims["text_dim"] + dims["speech_dim"], "one": 1}
+    return {name: (sizes[rows], sizes[cols]) for name, (rows, cols, _) in PARAMETERS.items()}
+
+
 class ModelParams:
-    text: TextEncoderParams
-    speech: SpeechEncoderParams
-    fusion: FusionParams
-    text_labels: Node  # classes x text_dim
-    speech_labels: Node  # classes x speech_dim
-    labels_trainable: bool
+    """Ordered name -> Node registry over `PARAMETERS`.
+
+    Each node also reads as an attribute named after it with "." replaced
+    by "_": `params.text_embedding` is the node named "text.embedding".
+    """
+
+    __slots__ = tuple(_ATTRIBUTES.values())
+
+    def __init__(self, nodes: Mapping[str, Node]) -> None:
+        for name, node in nodes.items():
+            setattr(self, _ATTRIBUTES[name], node)
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, Matrix], labels_trainable: bool) -> "ModelParams":
+        """Wrap each named matrix as a parameter, or a constant when frozen.
+
+        The codebook is always frozen, the label rows unless labels_trainable.
+        Raises KeyError naming the first matrix `arrays` lacks.
+        """
+        nodes = {}
+        for name, (_, _, rule) in PARAMETERS.items():
+            frozen = rule == "frozen table" or (rule.endswith("_labels") and not labels_trainable)
+            nodes[name] = (constant if frozen else parameter)(arrays[name])
+        return cls(nodes)
+
+    @property
+    def nodes(self) -> dict[str, Node]:
+        return {name: getattr(self, attr) for name, attr in _ATTRIBUTES.items()}
 
     @property
     def classes(self) -> int:
-        return self.text_labels.value.rows
+        return self.labels_text.value.rows
 
     def named_trainable(self) -> list[tuple[str, Node]]:
-        """Trainable parameters in a fixed, documented order."""
-        pairs = [
-            ("text.embedding", self.text.embedding),
-            ("text.query_w", self.text.query_w),
-            ("text.key_w", self.text.key_w),
-            ("text.value_w", self.text.value_w),
-            ("speech.query_w", self.speech.query_w),
-            ("speech.key_w", self.speech.key_w),
-            ("speech.value_w", self.speech.value_w),
-            ("speech.post_w", self.speech.post_w),
-            ("fusion.cross_map", self.fusion.cross_map),
-            ("fusion.classifier_w", self.fusion.classifier_w),
-            ("fusion.classifier_b", self.fusion.classifier_b),
-            ("fusion.text_head_w", self.fusion.text_head_w),
-            ("fusion.text_head_b", self.fusion.text_head_b),
-            ("fusion.speech_head_w", self.fusion.speech_head_w),
-            ("fusion.speech_head_b", self.fusion.speech_head_b),
-        ]
-        if self.labels_trainable:
-            pairs.append(("labels.text", self.text_labels))
-            pairs.append(("labels.speech", self.speech_labels))
-        return pairs
+        """Matrices that receive gradients, in registry order."""
+        return [(name, node) for name, node in self.nodes.items() if node.requires_grad]
 
     def named_arrays(self) -> list[tuple[str, Node]]:
         """Every matrix that defines the model, frozen ones included."""
-        pairs = self.named_trainable()
-        pairs.append(("speech.codebook", self.speech.codebook))
-        if not self.labels_trainable:
-            pairs.append(("labels.text", self.text_labels))
-            pairs.append(("labels.speech", self.speech_labels))
-        return pairs
-
-
-def init_fusion_params(
-    text_dim: int, speech_dim: int, classes: int, rng: np.random.Generator
-) -> FusionParams:
-    def weight(rows: int, cols: int) -> Node:
-        return parameter(Matrix(rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols))))
-
-    return FusionParams(
-        cross_map=weight(speech_dim, text_dim),
-        classifier_w=weight(text_dim + speech_dim, classes),
-        classifier_b=parameter(Matrix.zeros(1, classes)),
-        text_head_w=weight(text_dim, classes),
-        text_head_b=parameter(Matrix.zeros(1, classes)),
-        speech_head_w=weight(speech_dim, classes),
-        speech_head_b=parameter(Matrix.zeros(1, classes)),
-    )
+        return list(self.nodes.items())
 
 
 def init_model(
-    vocab_text: int,
-    vocab_speech: int,
-    text_dim: int,
-    speech_dim: int,
-    label_bank: LabelBank,
+    dims: Mapping[str, int],
     seed: int,
-    codebook: Matrix | None = None,
-    embedding_table: Matrix | None = None,
+    label_bank: Callable[[Matrix, Matrix], LabelBank],
 ) -> ModelParams:
-    """Seeded model; label rows come from the bank and may be frozen."""
-    rng = np.random.default_rng([seed, 2])
-    text = init_text_encoder(vocab_text, text_dim, rng, embedding=embedding_table)
-    speech = init_speech_encoder(vocab_speech, speech_dim, rng, codebook=codebook)
-    fusion = init_fusion_params(text_dim, speech_dim, label_bank.text_labels.rows, rng)
-    wrap = parameter if label_bank.trainable else constant
-    return ModelParams(
-        text=text,
-        speech=speech,
-        fusion=fusion,
-        text_labels=wrap(label_bank.text_labels),
-        speech_labels=wrap(label_bank.speech_labels),
-        labels_trainable=label_bank.trainable,
-    )
+    """The seeded model: every matrix of `PARAMETERS`, drawn in table order.
+
+    dims gives vocab_text, vocab_speech, text_dim, speech_dim and classes.
+    `label_bank(embedding, codebook)` builds the label rows from the two drawn
+    tables, so label modes that average table rows see the very rows the
+    encoders use; the bank's `trainable` flag decides whether they train.
+    """
+    table_rng = np.random.default_rng([seed, 3])
+    weight_rng = np.random.default_rng([seed, 2])
+    arrays: dict[str, Matrix] = {}
+    tables: list[Matrix] = []
+    bank = None
+    for name, shape in _shapes(dims).items():
+        rule = PARAMETERS[name][2]
+        if rule.endswith("table"):
+            arrays[name] = Matrix(table_rng.normal(0.0, EMBED_INIT_STD, size=shape))
+            tables.append(arrays[name])
+        elif rule == "weight":
+            arrays[name] = Matrix(weight_rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape))
+        elif rule == "zeros":
+            arrays[name] = Matrix.zeros(*shape)
+        else:
+            bank = bank or label_bank(*tables)
+            arrays[name] = getattr(bank, rule)
+    return ModelParams.from_arrays(arrays, bank.trainable)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +232,6 @@ def init_model(
 def label_attention(sequence: Node, labels: Node) -> Node:
     """Cosine similarity of every sequence row against every label row."""
     return matmul(row_l2_normalize(sequence), transpose(row_l2_normalize(labels)))
-
-
-# The text and speech sides share one contract; the aliases keep call sites
-# readable next to the shapes they carry.
-label_token_attention = label_attention
-label_frame_attention = label_attention
-
-
-def guidance_logits(profile: Node) -> Node:
-    """Class distribution from the sequence-mean of a cosine profile."""
-    return row_softmax(pool(profile, "rows", "mean"))
 
 
 def guidance_loss(profile: Node, label: int) -> Node:
@@ -284,6 +293,45 @@ def _finite_logits(logits: Node) -> Matrix:
     return logits.value
 
 
+def _fused_pass(
+    utterance: Utterance,
+    params: ModelParams,
+    mode: FusionMode,
+    normalize_label_attention: bool,
+    training: bool,
+) -> tuple[Node, tuple[Node, Node] | None, Node | None, Node | None]:
+    """Encoders, alignment and fused logits: (logits, profiles, vanilla, guided).
+
+    Training builds every map, because the guidance losses read the class
+    profiles and the constraint reads both alignments. Prediction builds only
+    what the mode's alignment uses and returns None for the rest.
+    """
+    h_text = text_encode(utterance.text_tokens, params)
+    h_speech = speech_encode(utterance.frame_codes, params)
+    profiles = vanilla = guided = None
+    if training or mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
+        profiles = (
+            label_attention(h_text, params.labels_text),
+            label_attention(h_speech, params.labels_speech),
+        )
+        guided = label_guided_attention(*profiles)
+        if normalize_label_attention:
+            guided = row_softmax(guided)
+    if training or mode is not FusionMode.ONLY_LABEL:
+        vanilla = vanilla_cross_attention(h_text, h_speech, params.fusion_cross_map)
+
+    if mode is FusionMode.SUM:
+        align = add(vanilla, guided)
+    elif mode is FusionMode.ONLY_LABEL:
+        align = guided
+    else:
+        align = vanilla
+    merged = concat_cols(h_text, aligned_speech(align, h_speech))
+    pooled = pool(merged, "rows", "max")
+    logits = add(matmul(pooled, params.fusion_classifier_w), params.fusion_classifier_b)
+    return logits, profiles, vanilla, guided
+
+
 @dataclass
 class ForwardResult:
     logits: Node  # 1 x classes
@@ -304,32 +352,15 @@ def forward(
     normalize_label_attention applies a row softmax to the label-guided
     alignment before use; off by default, documented as an extension.
     """
-    h_text = text_encode(utterance.text_tokens, params.text)
-    h_speech = speech_encode(utterance.frame_codes, params.speech)
-
-    profile_text = label_attention(h_text, params.text_labels)
-    profile_speech = label_attention(h_speech, params.speech_labels)
+    logits, (profile_text, profile_speech), vanilla, guided = _fused_pass(
+        utterance, params, mode, normalize_label_attention, training=True
+    )
     loss_guide_text = guidance_loss(profile_text, utterance.label)
     loss_guide_speech = guidance_loss(profile_speech, utterance.label)
-
-    vanilla = vanilla_cross_attention(h_text, h_speech, params.fusion.cross_map)
-    guided = label_guided_attention(profile_text, profile_speech)
-    if normalize_label_attention:
-        guided = row_softmax(guided)
-
-    zero = constant([[0.0]])
     if mode is FusionMode.CONSTRAINT:
-        align, loss_constraint = vanilla, mse(guided, vanilla)
-    elif mode is FusionMode.SUM:
-        align, loss_constraint = add(vanilla, guided), zero
-    elif mode is FusionMode.ONLY_LABEL:
-        align, loss_constraint = guided, zero
+        loss_constraint = mse(guided, vanilla)
     else:
-        align, loss_constraint = vanilla, zero
-
-    merged = concat_cols(h_text, aligned_speech(align, h_speech))
-    pooled = pool(merged, "rows", "max")
-    logits = add(matmul(pooled, params.fusion.classifier_w), params.fusion.classifier_b)
+        loss_constraint = constant([[0.0]])
     loss_main = cross_entropy(logits, utterance.label)
 
     w_main, w_constraint, w_gt, w_gs = (float(w) for w in weights)
@@ -358,6 +389,43 @@ def forward(
     return ForwardResult(logits=logits, loss=total, breakdown=breakdown, attention=bundle)
 
 
+def predict_logits(
+    utterance: Utterance,
+    params: ModelParams,
+    mode: FusionMode,
+    normalize_label_attention: bool = False,
+) -> Matrix:
+    """Label-free logits of the same pass as forward, for evaluation.
+
+    Raises NonFiniteError when the logits are not finite.
+    """
+    return _finite_logits(
+        _fused_pass(utterance, params, mode, normalize_label_attention, training=False)[0]
+    )
+
+
+def predict(utterance: Utterance, params: ModelParams, mode: FusionMode, **kwargs) -> int:
+    logits = predict_logits(utterance, params, mode, **kwargs)
+    return int(np.argmax(logits.array[0]))
+
+
+def _tower(utterance: Utterance, modality: str, params: ModelParams) -> tuple[Node, Node, Node]:
+    """One modality's sequence rows, its label rows and its pooled-head logits."""
+    if modality == "text":
+        h = text_encode(utterance.text_tokens, params)
+        labels, head_w, head_b = (
+            params.labels_text, params.fusion_text_head_w, params.fusion_text_head_b
+        )
+    elif modality == "speech":
+        h = speech_encode(utterance.frame_codes, params)
+        labels, head_w, head_b = (
+            params.labels_speech, params.fusion_speech_head_w, params.fusion_speech_head_b
+        )
+    else:
+        raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
+    return h, labels, add(matmul(pool(h, "rows", "max"), head_w), head_b)
+
+
 @dataclass
 class UnimodalResult:
     logits: Node
@@ -377,18 +445,8 @@ def unimodal_forward(
     The guidance weight is the text one for the text tower and the speech
     one for the speech tower; zero reduces to a plain encoder + classifier.
     """
-    if modality == "text":
-        h = text_encode(utterance.text_tokens, params.text)
-        labels, head_w, head_b = params.text_labels, params.fusion.text_head_w, params.fusion.text_head_b
-        guide_weight = float(weights[2])
-    elif modality == "speech":
-        h = speech_encode(utterance.frame_codes, params.speech)
-        labels, head_w, head_b = params.speech_labels, params.fusion.speech_head_w, params.fusion.speech_head_b
-        guide_weight = float(weights[3])
-    else:
-        raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-
-    logits = add(matmul(pool(h, "rows", "max"), head_w), head_b)
+    h, labels, logits = _tower(utterance, modality, params)
+    guide_weight = float(weights[2] if modality == "text" else weights[3])
     loss_main = cross_entropy(logits, utterance.label)
     guide = guidance_loss(label_attention(h, labels), utterance.label)
     loss = add(loss_main, scale(guide, guide_weight))
@@ -400,53 +458,9 @@ def unimodal_forward(
     )
 
 
-def predict_logits(
-    utterance: Utterance,
-    params: ModelParams,
-    mode: FusionMode,
-    normalize_label_attention: bool = False,
-) -> Matrix:
-    """Label-free logits path for evaluation; mirrors forward exactly.
-
-    Raises NonFiniteError when the logits are not finite.
-    """
-    h_text = text_encode(utterance.text_tokens, params.text)
-    h_speech = speech_encode(utterance.frame_codes, params.speech)
-    if mode is FusionMode.ONLY_VANILLA or mode is FusionMode.CONSTRAINT:
-        align = vanilla_cross_attention(h_text, h_speech, params.fusion.cross_map)
-    else:
-        profile_text = label_attention(h_text, params.text_labels)
-        profile_speech = label_attention(h_speech, params.speech_labels)
-        guided = label_guided_attention(profile_text, profile_speech)
-        if normalize_label_attention:
-            guided = row_softmax(guided)
-        if mode is FusionMode.SUM:
-            vanilla = vanilla_cross_attention(h_text, h_speech, params.fusion.cross_map)
-            align = add(vanilla, guided)
-        else:
-            align = guided
-    merged = concat_cols(h_text, aligned_speech(align, h_speech))
-    pooled = pool(merged, "rows", "max")
-    logits = add(matmul(pooled, params.fusion.classifier_w), params.fusion.classifier_b)
-    return _finite_logits(logits)
-
-
 def unimodal_logits(utterance: Utterance, modality: str, params: ModelParams) -> Matrix:
     """Single-tower logits for evaluation; NonFiniteError when not finite."""
-    if modality == "text":
-        h = text_encode(utterance.text_tokens, params.text)
-        head_w, head_b = params.fusion.text_head_w, params.fusion.text_head_b
-    elif modality == "speech":
-        h = speech_encode(utterance.frame_codes, params.speech)
-        head_w, head_b = params.fusion.speech_head_w, params.fusion.speech_head_b
-    else:
-        raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-    return _finite_logits(add(matmul(pool(h, "rows", "max"), head_w), head_b))
-
-
-def predict(utterance: Utterance, params: ModelParams, mode: FusionMode, **kwargs) -> int:
-    logits = predict_logits(utterance, params, mode, **kwargs)
-    return int(np.argmax(logits.array[0]))
+    return _finite_logits(_tower(utterance, modality, params)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -463,50 +477,33 @@ def full_loss_grad_check(
 ):
     """Finite-difference check of the complete objective on a tiny instance.
 
-    Perturbs every entry of every trainable matrix (3 tokens, 5 frames,
-    4 classes, width 8) and compares against the backward pass.
+    3 tokens, 5 frames, 4 classes, width 8. Every matrix is drawn from one
+    stream with std 0.5, the frozen codebook first and the rest in table
+    order. Every entry of every trainable matrix the fused pass reads (all
+    but the unimodal heads) is perturbed and compared against the backward
+    pass.
     """
-    from .diffcore import grad_check
-
     rng = np.random.default_rng([seed, 9])
-    vocab_text, vocab_speech, dim, classes = 12, 15, 8, 4
+    dims = {"vocab_text": 12, "vocab_speech": 15, "text_dim": 8, "speech_dim": 8, "classes": 4}
     utt = Utterance(
-        tuple(int(t) for t in rng.integers(0, vocab_text, size=3)),
-        tuple(int(c) for c in rng.integers(0, vocab_speech, size=5)),
-        int(rng.integers(0, classes)),
+        tuple(int(t) for t in rng.integers(0, dims["vocab_text"], size=3)),
+        tuple(int(c) for c in rng.integers(0, dims["vocab_speech"], size=5)),
+        int(rng.integers(0, dims["classes"])),
     )
-    codebook = Matrix(rng.normal(0.0, 0.5, size=(vocab_speech, dim)))
-    shapes = [
-        (vocab_text, dim),  # text embedding
-        (dim, dim), (dim, dim), (dim, dim),  # text mix weights
-        (dim, dim), (dim, dim), (dim, dim), (dim, dim),  # speech mix + post
-        (dim, dim),  # cross map
-        (2 * dim, classes), (1, classes),  # fused classifier
-        (classes, dim), (classes, dim),  # label rows
-    ]
-    inputs = [Matrix(rng.normal(0.0, 0.5, size=shape)) for shape in shapes]
-    frozen_head = Matrix.zeros(dim, classes)
-    frozen_bias = Matrix.zeros(1, classes)
+    shapes = _shapes(dims)
+    order = sorted(shapes, key=lambda name: PARAMETERS[name][2] != "frozen table")
+    model = ModelParams.from_arrays(
+        {name: Matrix(rng.normal(0.0, 0.5, size=shapes[name])) for name in order},
+        labels_trainable=True,
+    )
+    # The constraint objective sends a gradient to every matrix any mode reads.
+    backward(forward(utt, model, FusionMode.CONSTRAINT).loss)
+    nodes = model.nodes
+    names = [name for name, node in nodes.items() if node.grad is not None]
 
-    def builder(emb, tq, tk, tv, sq, sk, sv, sp, cm, cw, cb, lt, ls):
-        params = ModelParams(
-            text=TextEncoderParams(embedding=emb, query_w=tq, key_w=tk, value_w=tv),
-            speech=SpeechEncoderParams(
-                codebook=constant(codebook), query_w=sq, key_w=sk, value_w=sv, post_w=sp
-            ),
-            fusion=FusionParams(
-                cross_map=cm,
-                classifier_w=cw,
-                classifier_b=cb,
-                text_head_w=constant(frozen_head),
-                text_head_b=constant(frozen_bias),
-                speech_head_w=constant(frozen_head),
-                speech_head_b=constant(frozen_bias),
-            ),
-            text_labels=lt,
-            speech_labels=ls,
-            labels_trainable=True,
-        )
+    def builder(*leaves):
+        params = ModelParams({**nodes, **dict(zip(names, leaves))})
         return forward(utt, params, mode, weights, normalize_label_attention).loss
 
+    inputs = [nodes[name].value for name in names]
     return grad_check(builder, inputs, step=step, op_name=f"total_loss[{mode.value}]")

@@ -5,6 +5,13 @@ construction, per-epoch shuffling and the optimizer state all derive from
 the config seed, so identical inputs reproduce identical logs, parameters
 and checkpoint bytes. Batch gradients are averaged, not summed, keeping
 the learning rate insensitive to batch size.
+
+Parameter names live in one table, `fusion.PARAMETERS`; the optimizer state,
+checkpoints and `model_from_checkpoint` all loop over the registry built from
+it. RNG streams, each a `default_rng([config.seed, n])`: n = 3 draws the
+embedding table and the codebook, n = 2 the weights (both in
+`fusion.init_model`), n = 1000 + epoch shuffles each epoch; the random label
+modes use seed + 101 and seed + 202.
 """
 
 from __future__ import annotations
@@ -250,32 +257,20 @@ def build_label_bank(train_corpus: Corpus, config: TrainConfig, codebook: Matrix
 
 
 def build_model(train_corpus: Corpus, config: TrainConfig) -> ModelParams:
-    """Seeded model with label rows initialised from the train split.
-
-    The embedding table and codebook are drawn first on their own stream, so
-    tfidf/codebook label modes average the very rows the encoders use.
-    """
+    """Seeded model (`fusion.init_model`) with label rows from the train split."""
     config.validate()
     spec = train_corpus.spec
-    from .encoders import EMBED_INIT_STD
-
-    table_rng = np.random.default_rng([config.seed, 3])
-    embedding_table = Matrix(
-        table_rng.normal(0.0, EMBED_INIT_STD, size=(spec.vocab_text, config.text_dim))
-    )
-    codebook = Matrix(
-        table_rng.normal(0.0, EMBED_INIT_STD, size=(spec.vocab_speech, config.speech_dim))
-    )
-    bank = build_label_bank(train_corpus, config, codebook, embedding_table)
+    dims = {
+        "vocab_text": spec.vocab_text,
+        "vocab_speech": spec.vocab_speech,
+        "text_dim": config.text_dim,
+        "speech_dim": config.speech_dim,
+        "classes": spec.classes,
+    }
     return init_model(
-        spec.vocab_text,
-        spec.vocab_speech,
-        config.text_dim,
-        config.speech_dim,
-        bank,
-        seed=config.seed,
-        codebook=codebook,
-        embedding_table=embedding_table,
+        dims,
+        config.seed,
+        lambda embedding, codebook: build_label_bank(train_corpus, config, codebook, embedding),
     )
 
 
@@ -466,45 +461,10 @@ def restore_into_optimizer(checkpoint: Checkpoint, optimizer: Adam) -> None:
 
 def model_from_checkpoint(checkpoint: Checkpoint) -> ModelParams:
     """Self-contained model rebuild; shapes and values come from the arrays."""
-    from .diffcore import constant, parameter
-    from .encoders import SpeechEncoderParams, TextEncoderParams
-    from .fusion import FusionParams
-
-    a = checkpoint.arrays
-
-    def need(name: str) -> Matrix:
-        if name not in a:
-            raise CheckpointIntegrityError(f"checkpoint is missing array {name!r}")
-        return a[name]
-
-    wrap = parameter if checkpoint.config.labels_trainable else constant
-    return ModelParams(
-        text=TextEncoderParams(
-            embedding=parameter(need("text.embedding")),
-            query_w=parameter(need("text.query_w")),
-            key_w=parameter(need("text.key_w")),
-            value_w=parameter(need("text.value_w")),
-        ),
-        speech=SpeechEncoderParams(
-            codebook=constant(need("speech.codebook")),
-            query_w=parameter(need("speech.query_w")),
-            key_w=parameter(need("speech.key_w")),
-            value_w=parameter(need("speech.value_w")),
-            post_w=parameter(need("speech.post_w")),
-        ),
-        fusion=FusionParams(
-            cross_map=parameter(need("fusion.cross_map")),
-            classifier_w=parameter(need("fusion.classifier_w")),
-            classifier_b=parameter(need("fusion.classifier_b")),
-            text_head_w=parameter(need("fusion.text_head_w")),
-            text_head_b=parameter(need("fusion.text_head_b")),
-            speech_head_w=parameter(need("fusion.speech_head_w")),
-            speech_head_b=parameter(need("fusion.speech_head_b")),
-        ),
-        text_labels=wrap(need("labels.text")),
-        speech_labels=wrap(need("labels.speech")),
-        labels_trainable=checkpoint.config.labels_trainable,
-    )
+    try:
+        return ModelParams.from_arrays(checkpoint.arrays, checkpoint.config.labels_trainable)
+    except KeyError as exc:
+        raise CheckpointIntegrityError(f"checkpoint is missing array {exc.args[0]!r}") from None
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
@@ -555,7 +515,9 @@ def load_checkpoint(path) -> Checkpoint:
     if len(data) < manifest_end:
         raise CheckpointIntegrityError("truncated checkpoint manifest")
     try:
-        manifest = json.loads(data[header_end:manifest_end])
+        manifest = json.loads(data[header_end:manifest_end].decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CheckpointIntegrityError("corrupted manifest: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise CheckpointIntegrityError(f"corrupted manifest: {exc.msg}") from None
 

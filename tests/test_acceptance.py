@@ -200,9 +200,14 @@ def test_criterion_3_structural_invariants():
             text_mode="random",
             speech_mode="random",
         )
-        model = fu.init_model(
-            vocab_text, vocab_speech, dim, dim, bank, seed=int(rng.integers(1 << 30))
-        )
+        dims = {
+            "vocab_text": vocab_text,
+            "vocab_speech": vocab_speech,
+            "text_dim": dim,
+            "speech_dim": dim,
+            "classes": c,
+        }
+        model = fu.init_model(dims, int(rng.integers(1 << 30)), lambda embedding, codebook: bank)
         utt = cp.Utterance(
             tuple(int(t) for t in rng.integers(0, vocab_text, size=rng.integers(1, 6))),
             tuple(int(s) for s in rng.integers(0, vocab_speech, size=rng.integers(1, 8))),

@@ -58,6 +58,38 @@ class TestUsage:
         assert "error:" in capsys.readouterr().err
 
 
+class TestFilesystemErrors:
+    """An unusable path gives a one-line error and exit 1, not a traceback."""
+
+    def assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_directory_as_corpus_file_exits_1(self, out, tmp_path, capsys):
+        rc = cli.main(["train", "--out-dir", str(out), "--corpus-file", str(tmp_path)])
+        assert rc == 1
+        self.assert_one_line_error(capsys)
+
+    def test_directory_as_checkpoint_exits_1(self, out, corpus_file, tmp_path, capsys):
+        capsys.readouterr()
+        rc = cli.main([
+            "evaluate", "--out-dir", str(out), "--checkpoint", str(tmp_path),
+            "--corpus-file", str(corpus_file),
+        ])
+        assert rc == 1
+        self.assert_one_line_error(capsys)
+
+    def test_out_dir_is_regular_file_exits_1(self, corpus_file, tmp_path, capsys):
+        capsys.readouterr()
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("x")
+        rc = cli.main([
+            "extract-labels", "--out-dir", str(blocker), "--corpus-file", str(corpus_file),
+        ])
+        assert rc == 1
+        self.assert_one_line_error(capsys)
+
+
 class TestGenCorpus:
     def test_writes_loadable_corpus(self, out, corpus_file):
         corpus = cp.load(corpus_file)

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from labelfuse import corpus as cp
@@ -11,6 +12,7 @@ from labelfuse.errors import (
     CorpusParseError,
     CorpusSpecError,
     CorpusValidationError,
+    LabelFuseError,
     StratificationError,
 )
 
@@ -162,6 +164,31 @@ class TestSaveLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusParseError, match="line 3.*non-integer"):
             cp.load(path)
+
+    def test_invalid_utf8_byte(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(), 5), path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"\n") + 3] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorpusParseError, match="line 2: invalid UTF-8 byte 0xff"):
+            cp.load(path)
+
+    def test_byte_mutations_and_truncations_raise_only_typed_errors(self, tmp_path):
+        source = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(), 12), source)
+        raw = source.read_bytes()
+        rng = np.random.default_rng(20)
+        variants = [raw[:n] for n in rng.integers(0, len(raw), size=60)]
+        for pos, value in zip(rng.integers(0, len(raw), size=400), rng.integers(0, 256, size=400)):
+            variants.append(raw[:pos] + bytes([value]) + raw[pos + 1 :])
+        path = tmp_path / "mutated.txt"
+        for data in variants:
+            path.write_bytes(data)
+            try:
+                cp.load(path)
+            except LabelFuseError:
+                pass
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "corpus.txt"

@@ -26,15 +26,8 @@ class TestMatrix:
     def test_shape_and_data_layout(self):
         m = Matrix([[1.0, 2.0], [3.0, 4.0]])
         assert (m.rows, m.cols) == (2, 2)
-        assert list(m.data) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_from_flat_roundtrip(self):
-        m = Matrix.from_flat(2, 3, [1, 2, 3, 4, 5, 6])
-        assert m == Matrix([[1, 2, 3], [4, 5, 6]])
-
-    def test_from_flat_wrong_length(self):
-        with pytest.raises(DimensionError):
-            Matrix.from_flat(2, 2, [1, 2, 3])
+        assert m.array.flags.c_contiguous
+        assert list(m.array.ravel()) == [1.0, 2.0, 3.0, 4.0]
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):

@@ -13,7 +13,6 @@ from labelfuse import diffcore as dc
 from labelfuse import fusion as fu
 from labelfuse.corpus import Utterance
 from labelfuse.diffcore import Matrix
-from labelfuse.encoders import SpeechEncoderParams, TextEncoderParams
 from labelfuse.errors import DegenerateRowError, DimensionError
 from labelfuse.labelkit import LabelBank
 
@@ -44,13 +43,20 @@ def tiny_model(rng, vocab_text=10, vocab_speech=12, dim=6, classes=3, trainable=
         text_mode="random",
         speech_mode="random",
     )
-    return fu.init_model(vocab_text, vocab_speech, dim, dim, bank, seed=int(rng.integers(1 << 30)))
+    dims = {
+        "vocab_text": vocab_text,
+        "vocab_speech": vocab_speech,
+        "text_dim": dim,
+        "speech_dim": dim,
+        "classes": classes,
+    }
+    return fu.init_model(dims, int(rng.integers(1 << 30)), lambda embedding, codebook: bank)
 
 
 def tiny_utterance(rng, model):
     return Utterance(
-        tuple(int(t) for t in rng.integers(0, model.text.vocab, size=4)),
-        tuple(int(c) for c in rng.integers(0, model.speech.vocab, size=6)),
+        tuple(int(t) for t in rng.integers(0, model.text_embedding.value.rows, size=4)),
+        tuple(int(c) for c in rng.integers(0, model.speech_codebook.value.rows, size=6)),
         int(rng.integers(0, model.classes)),
     )
 
@@ -88,29 +94,29 @@ class TestLabelAttention:
         other = fu.label_attention(dc.constant(Matrix(scaled)), dc.constant(labels)).value
         assert base.allclose(other, atol=1e-12)
 
-    def test_frame_alias_is_same_contract(self):
-        assert fu.label_frame_attention is fu.label_token_attention
-
 
 class TestGuidance:
     def test_constant_profile_gives_uniform(self):
+        # Every class gets probability 1/4, so every label costs log 4.
         g = dc.constant(np.full((5, 4), 0.3))
-        out = fu.guidance_logits(g)
-        assert out.value.allclose(Matrix([[0.25] * 4]), atol=1e-12)
+        for label in range(4):
+            loss = fu.guidance_loss(g, label).value.array[0, 0]
+            assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_single_row_is_softmax_of_row(self):
         g = dc.constant([[math.log(2.0), 0.0]])
-        out = fu.guidance_logits(g)
-        assert out.value.allclose(Matrix([[2.0 / 3.0, 1.0 / 3.0]]), atol=1e-12)
+        for label, prob in ((0, 2.0 / 3.0), (1, 1.0 / 3.0)):
+            loss = fu.guidance_loss(g, label).value.array[0, 0]
+            assert loss == pytest.approx(-math.log(prob), abs=1e-12)
 
     def test_matches_mean_then_softmax_oracle(self):
         rng = np.random.default_rng(23)
         g = rand(rng, 5, 4)
-        got = fu.guidance_logits(dc.constant(g)).value.array[0]
         means = [sum(g.array[i, k] for i in range(5)) / 5 for k in range(4)]
         exps = [math.exp(v - max(means)) for v in means]
-        want = [e / sum(exps) for e in exps]
-        assert np.abs(got - np.array(want)).max() <= 1e-12
+        for label in range(4):
+            got = fu.guidance_loss(dc.constant(g), label).value.array[0, 0]
+            assert abs(got + math.log(exps[label] / sum(exps))) <= 1e-12
 
     def test_constant_profile_loss_is_log_classes(self):
         g = dc.constant(np.full((6, 4), 0.9))
@@ -347,13 +353,13 @@ class TestForward:
 
         from labelfuse.encoders import speech_encode, text_encode
 
-        h_text = text_encode(utt.text_tokens, model.text)
-        h_speech = speech_encode(utt.frame_codes, model.speech)
-        scores = dc.matmul(h_text, dc.transpose(dc.matmul(h_speech, model.fusion.cross_map)))
+        h_text = text_encode(utt.text_tokens, model)
+        h_speech = speech_encode(utt.frame_codes, model)
+        scores = dc.matmul(h_text, dc.transpose(dc.matmul(h_speech, model.fusion_cross_map)))
         align = dc.row_softmax(scores)
         merged = dc.concat_cols(h_text, dc.matmul(align, h_speech))
         pooled = dc.pool(merged, "rows", "max")
-        logits = dc.add(dc.matmul(pooled, model.fusion.classifier_w), model.fusion.classifier_b)
+        logits = dc.add(dc.matmul(pooled, model.fusion_classifier_w), model.fusion_classifier_b)
         plain_loss = dc.cross_entropy(logits, utt.label).value.array[0, 0]
 
         result = fu.forward(utt, model, fu.FusionMode.ONLY_VANILLA, weights=(1.0, 0.0, 0.0, 0.0))
@@ -372,12 +378,17 @@ class TestForward:
 
     def test_predict_logits_matches_forward(self):
         rng = np.random.default_rng(40)
-        for mode in fu.FusionMode:
-            model = tiny_model(rng)
-            utt = tiny_utterance(rng, model)
-            via_forward = fu.forward(utt, model, mode).logits.value
-            via_predict = fu.predict_logits(utt, model, mode)
-            assert via_forward == via_predict
+        for normalize in (False, True):
+            for mode in fu.FusionMode:
+                model = tiny_model(rng)
+                utt = tiny_utterance(rng, model)
+                via_forward = fu.forward(
+                    utt, model, mode, normalize_label_attention=normalize
+                ).logits.value
+                via_predict = fu.predict_logits(
+                    utt, model, mode, normalize_label_attention=normalize
+                )
+                assert via_forward == via_predict
 
 
 class TestUnimodalForward:
@@ -421,28 +432,32 @@ class TestUnimodalForward:
         labels = rand(rng, classes, dim, 0.5)
 
         def builder(emb, qw, kw, vw, hw, hb, lab):
-            model = fu.ModelParams(
-                text=TextEncoderParams(embedding=emb, query_w=qw, key_w=kw, value_w=vw),
-                speech=SpeechEncoderParams(
-                    codebook=dc.constant(Matrix.zeros(2, dim)),
-                    query_w=dc.constant(Matrix.zeros(dim, dim)),
-                    key_w=dc.constant(Matrix.zeros(dim, dim)),
-                    value_w=dc.constant(Matrix.zeros(dim, dim)),
-                    post_w=dc.constant(Matrix.zeros(dim, dim)),
-                ),
-                fusion=fu.FusionParams(
-                    cross_map=dc.constant(Matrix.zeros(dim, dim)),
-                    classifier_w=dc.constant(Matrix.zeros(2 * dim, classes)),
-                    classifier_b=dc.constant(Matrix.zeros(1, classes)),
-                    text_head_w=hw,
-                    text_head_b=hb,
-                    speech_head_w=dc.constant(Matrix.zeros(dim, classes)),
-                    speech_head_b=dc.constant(Matrix.zeros(1, classes)),
-                ),
-                text_labels=lab,
-                speech_labels=dc.constant(labels),
-                labels_trainable=True,
-            )
+            frozen = {
+                name: dc.constant(Matrix.zeros(*shape))
+                for name, shape in (
+                    ("speech.codebook", (2, dim)),
+                    ("speech.query_w", (dim, dim)),
+                    ("speech.key_w", (dim, dim)),
+                    ("speech.value_w", (dim, dim)),
+                    ("speech.post_w", (dim, dim)),
+                    ("fusion.cross_map", (dim, dim)),
+                    ("fusion.classifier_w", (2 * dim, classes)),
+                    ("fusion.classifier_b", (1, classes)),
+                    ("fusion.speech_head_w", (dim, classes)),
+                    ("fusion.speech_head_b", (1, classes)),
+                )
+            }
+            model = fu.ModelParams({
+                **frozen,
+                "text.embedding": emb,
+                "text.query_w": qw,
+                "text.key_w": kw,
+                "text.value_w": vw,
+                "fusion.text_head_w": hw,
+                "fusion.text_head_b": hb,
+                "labels.text": lab,
+                "labels.speech": dc.constant(labels),
+            })
             return fu.unimodal_forward(utt, "text", model).loss
 
         rep = dc.grad_check(

@@ -16,6 +16,7 @@ from labelfuse.errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
+    LabelFuseError,
     NonFiniteError,
     UnsupportedVersionError,
 )
@@ -174,14 +175,14 @@ class TestTrain:
         config = tiny_config(labels_trainable=False)
         model, _, _ = tr.train(train_c, held_c, config)
         fresh = tr.build_model(train_c, config)
-        assert model.text_labels.value == fresh.text_labels.value
-        assert model.speech_labels.value == fresh.speech_labels.value
+        assert model.labels_text.value == fresh.labels_text.value
+        assert model.labels_speech.value == fresh.labels_speech.value
 
     def test_codebook_stays_constant(self):
         train_c, held_c = tiny_corpus()
         model, _, _ = tr.train(train_c, held_c, tiny_config())
         fresh = tr.build_model(train_c, tiny_config())
-        assert model.speech.codebook.value == fresh.speech.codebook.value
+        assert model.speech_codebook.value == fresh.speech_codebook.value
 
     def test_unimodal_modalities_train(self):
         train_c, held_c = tiny_corpus()
@@ -231,6 +232,43 @@ class TestDivergence:
         train_c, held_c = tiny_corpus()
         with pytest.raises(DivergenceError, match="near-zero norm"):
             tr.train(train_c, held_c, tiny_config(epochs=1))
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("labels_trainable", [False, True])
+    def test_checkpoint_round_trip_matches_build_model(self, labels_trainable):
+        train_c, _ = tiny_corpus()
+        config = tiny_config(labels_trainable=labels_trainable)
+        model = tr.build_model(train_c, config)
+        optimizer = tr.Adam(config)
+        trainable = model.named_trainable()
+        for _, node in trainable:
+            node.grad = Matrix(np.zeros(node.value.shape))
+        optimizer.step(trainable)  # a zero-gradient step fills the moments, values stay
+        ckpt = tr.make_checkpoint(model, optimizer, config, 0, tr.TrainLog(), {})
+
+        names = [name for name, _ in model.named_arrays()]
+        moments = [f"adam.{k}.{name}" for name, _ in trainable for k in ("m", "v")]
+        assert sorted(ckpt.arrays) == sorted(names + moments)
+        frozen = {name for name, node in model.named_arrays() if not node.requires_grad}
+        expected_frozen = {"speech.codebook"}
+        if not labels_trainable:
+            expected_frozen |= {"labels.text", "labels.speech"}
+        assert frozen == expected_frozen
+
+        fresh = tr.build_model(train_c, config)
+        restored = tr.model_from_checkpoint(ckpt)
+        assert [name for name, _ in restored.named_arrays()] == names
+        for (name, node), (_, want) in zip(restored.named_arrays(), fresh.named_arrays()):
+            assert node.value == want.value, name
+            assert node.requires_grad == want.requires_grad, name
+
+    def test_missing_array_is_integrity_error(self):
+        train_c, held_c = tiny_corpus()
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=0))
+        del ckpt.arrays["fusion.cross_map"]
+        with pytest.raises(CheckpointIntegrityError, match="fusion.cross_map"):
+            tr.model_from_checkpoint(ckpt)
 
 
 class TestCheckpointing:
@@ -286,6 +324,35 @@ class TestCheckpointing:
         tr.save_checkpoint(path, ckpt)
         with pytest.raises(UnsupportedVersionError, match="99"):
             tr.load_checkpoint(path)
+
+    def test_invalid_utf8_in_manifest(self, tmp_path):
+        train_c, held_c = tiny_corpus()
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=0))
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(path, ckpt)
+        raw = bytearray(path.read_bytes())
+        raw[len(tr._CHECKPOINT_MAGIC) + 8 + 2] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointIntegrityError, match="not UTF-8"):
+            tr.load_checkpoint(path)
+
+    def test_byte_mutations_and_truncations_raise_only_typed_errors(self, tmp_path):
+        train_c, held_c = tiny_corpus()
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1, text_dim=4, speech_dim=4))
+        source = tmp_path / "model.ckpt"
+        tr.save_checkpoint(source, ckpt)
+        raw = source.read_bytes()
+        rng = np.random.default_rng(21)
+        variants = [raw[:n] for n in rng.integers(0, len(raw), size=60)]
+        for pos, value in zip(rng.integers(0, len(raw), size=400), rng.integers(0, 256, size=400)):
+            variants.append(raw[:pos] + bytes([value]) + raw[pos + 1 :])
+        path = tmp_path / "mutated.ckpt"
+        for data in variants:
+            path.write_bytes(data)
+            try:
+                tr.load_checkpoint(path)
+            except LabelFuseError:
+                pass
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
