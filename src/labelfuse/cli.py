@@ -91,6 +91,10 @@ TRAIN_KEYS = [
     ("seed", int, 0, "model init / shuffling seed"),
 ]
 
+# Its default varies by machine; the reports do not depend on it.
+JOBS_KEY = ("jobs", int, None, "processes running the (seed x condition) grid "
+            "(default every usable core)")
+
 SPLIT_KEYS = [
     ("train_fraction", float, 0.8, "per-class fraction assigned to the train side"),
     ("split_seed", int, 0, "seed of the stratified split"),
@@ -131,8 +135,9 @@ class Subcommand:
         parser.add_argument("--out-dir", dest="out_dir", help="output directory root")
         for key, parse, default, help_text in self.keys:
             flag = "--" + key.replace("_", "-")
-            parser.add_argument(flag, dest=key, type=parse, default=None,
-                                help=f"{help_text} (default {default})")
+            if default is not None:
+                help_text = f"{help_text} (default {default})"
+            parser.add_argument(flag, dest=key, type=parse, default=None, help=help_text)
         parser.set_defaults(_subcommand=self)
 
     def resolve(self, args: argparse.Namespace) -> dict:
@@ -285,6 +290,7 @@ def _cmd_ablate(resolved: dict) -> int:
         resolved["n"],
         resolved["train_fraction"],
         resolved["seeds"],
+        resolved["jobs"],
     )
     path = layout["reports"] / f"ablation_{resolved['suite']}.csv"
     _write_lines(path, report.to_lines())
@@ -316,6 +322,7 @@ def _cmd_sweep_k(resolved: dict) -> int:
         resolved["n"],
         resolved["train_fraction"],
         resolved["seeds"],
+        resolved["jobs"],
     )
     path = layout["reports"] / f"sweep_{resolved['sweep_modality']}.csv"
     _write_lines(path, evalkit.sweep_to_lines(points))
@@ -446,6 +453,7 @@ SUBCOMMANDS = [
             ("suite", str, "fusion-modes", "fusion-modes | label-inits | guidance"),
             ("n", int, 400, "corpus size per seed"),
             ("seeds", _parse_int_list, [0, 1, 2, 3, 4], "comma-separated seeds"),
+            JOBS_KEY,
         ],
         _cmd_ablate,
     ),
@@ -458,6 +466,7 @@ SUBCOMMANDS = [
              "comma-separated k values (default 3,6,9,15,30 text / 25,50,100,200 speech)"),
             ("n", int, 400, "corpus size per seed"),
             ("seeds", _parse_int_list, [0], "comma-separated seeds"),
+            JOBS_KEY,
         ],
         _cmd_sweep_k,
     ),

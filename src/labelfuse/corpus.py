@@ -220,6 +220,8 @@ def load(path) -> Corpus:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorpusParseError(f"line 1: malformed header ({exc.msg})") from None
+    if not isinstance(header, dict):
+        raise CorpusParseError(f"line 1: header must be a JSON object, got {type(header).__name__}")
 
     try:
         planted_tokens = tuple(tuple(int(s) for s in g) for g in header.pop("planted_tokens"))
@@ -227,9 +229,16 @@ def load(path) -> Corpus:
         header["text_len"] = tuple(header["text_len"])
         header["speech_len"] = tuple(header["speech_len"])
         spec = CorpusSpec(**header)
-    except (KeyError, TypeError) as exc:
-        raise CorpusParseError(f"line 1: header missing or unknown field ({exc})") from None
-    spec.validate()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusParseError(
+            f"line 1: header field missing, unknown or malformed ({exc})"
+        ) from None
+    try:
+        spec.validate()
+    except CorpusSpecError:
+        raise
+    except (TypeError, ValueError) as exc:  # a field of the wrong type, e.g. "classes": "2"
+        raise CorpusParseError(f"line 1: header field of the wrong type ({exc})") from None
 
     utterances = []
     for line_no, line in enumerate(lines[1:], start=2):

@@ -4,11 +4,13 @@ Weighted accuracy is the overall correct rate (confusion trace over n);
 unweighted accuracy is the mean per-class recall, with zero-support classes
 excluded from the mean. The ablation harness trains every named condition
 on identical generated splits per seed, so conditions differ only in their
-config.
+config; it may spread the runs over processes, and its report is the same
+for any number of them.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -125,39 +127,58 @@ class AblationReport:
         return lines
 
 
+def _usable_cores() -> int:
+    """CPU cores this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_ablation(
     conditions: Mapping[str, "TrainConfig"],
     corpus_spec: CorpusSpec,
     corpus_size: int,
     train_fraction: float,
     seeds: Sequence[int],
+    jobs: int | None = None,
 ) -> AblationReport:
     """Train and evaluate every condition on identical splits per seed.
 
     A diverging run is recorded for its condition and the harness continues.
+    Runs are spread over `jobs` processes (default: every usable core; 1 runs
+    them in this process). Each run is a pure function of its split and
+    seeded config and results are merged in serial order (seed, then
+    condition), so the report does not depend on `jobs`. Any other error
+    surfaces as that of the first failing run in serial order.
     """
-    from .trainer import train
-
     if not conditions:
         raise ConfigError("need at least one ablation condition")
     if not seeds:
         raise ConfigError("need at least one seed")
+    if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1):
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+    runs = [(seed, name, replace(config, seed=seed))
+            for seed in seeds for name, config in conditions.items()]
+    for _, _, config in runs:
+        config.validate()
+    splits = {
+        seed: split(generate(replace(corpus_spec, seed=seed), corpus_size), train_fraction, seed)
+        for seed in seeds
+    }
+    tasks = [(*splits[seed], config) for seed, _, config in runs]
+    if jobs is None:
+        jobs = _usable_cores()
+    if not hasattr(os, "fork"):  # the pool forks its workers
+        jobs = 1
+    outcomes = _run_tasks(tasks, min(jobs, len(tasks)))
 
     per_condition: dict[str, list] = {name: [] for name in conditions}
     per_failures: dict[str, list] = {name: [] for name in conditions}
-    for seed in seeds:
-        corpus = generate(replace(corpus_spec, seed=seed), corpus_size)
-        train_split, heldout_split = split(corpus, train_fraction, seed=seed)
-        for name, config in conditions.items():
-            seeded = replace(config, seed=seed)
-            try:
-                model, _, _ = train(train_split, heldout_split, seeded)
-            except DivergenceError as exc:
-                per_failures[name].append((seed, str(exc)))
-                continue
-            from .trainer import model_predictor
-
-            result = evaluate(model_predictor(model, seeded), heldout_split)
+    for (seed, name, _), (result, message) in zip(runs, outcomes):
+        if result is None:
+            per_failures[name].append((seed, message))
+        else:
             per_condition[name].append((seed, result))
 
     return AblationReport(
@@ -167,6 +188,56 @@ def run_ablation(
         ),
         seeds=tuple(seeds),
     )
+
+
+def _run_one(train_split: Corpus, heldout_split: Corpus, config: "TrainConfig"):
+    """One ablation run: (heldout EvalResult, None), or (None, message) if it diverged."""
+    from .trainer import model_predictor, train
+
+    try:
+        model, _, _ = train(train_split, heldout_split, config)
+    except DivergenceError as exc:
+        return None, str(exc)
+    return evaluate(model_predictor(model, config), heldout_split), None
+
+
+def _run_tasks(tasks: list, jobs: int) -> list:
+    """`_run_one` over every task, on `jobs` processes; outcomes in task order.
+
+    This process runs tasks 0, jobs, 2*jobs, ... itself, so `jobs` cores keep
+    `jobs` processes busy, and a forked pool of jobs - 1 workers runs the
+    rest. Forked workers inherit the imported package (and any patch applied
+    to it) and start in milliseconds; the pool forks them all before it
+    starts its own thread. An exception other than DivergenceError
+    propagates from the first failing task in task order, whichever process
+    ran it.
+    """
+    if jobs == 1:
+        return [_run_one(*task) for task in tasks]
+    # Imported here: a serial run (and train, serve) should not pay their memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    outcomes: list = [None] * len(tasks)
+    with ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            futures = {i: pool.submit(_run_one, *task)
+                       for i, task in enumerate(tasks) if i % jobs}
+            failed_at, error = len(tasks), None
+            for i in range(0, len(tasks), jobs):
+                try:
+                    outcomes[i] = _run_one(*tasks[i])
+                except Exception as exc:
+                    failed_at, error = i, exc
+                    break
+            for i, future in futures.items():  # insertion order is task order
+                if i < failed_at:
+                    outcomes[i] = future.result()
+            if error is not None:
+                raise error
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return outcomes
 
 
 def fusion_mode_conditions(base: "TrainConfig") -> dict[str, "TrainConfig"]:
@@ -214,8 +285,13 @@ def sweep_k(
     corpus_size: int,
     train_fraction: float,
     seeds: Sequence[int],
+    jobs: int | None = None,
 ) -> list[SweepPoint]:
-    """One train/eval per (top-k value, seed); returns the mean curve."""
+    """One train/eval per (top-k value, seed), run as one ablation grid; the mean curve.
+
+    `jobs` is passed to `run_ablation`. A repeated k value is trained once and
+    reported at each of its positions.
+    """
     if not values:
         raise ConfigError("sweep needs at least one k value")
     if modality not in ("text", "speech"):
@@ -226,16 +302,17 @@ def sweep_k(
             raise ConfigError(f"top-k value {k} outside 1..{vocab}")
 
     key = "top_k_text" if modality == "text" else "top_k_speech"
+    report = run_ablation(
+        {f"k={k}": replace(base_config, **{key: k}) for k in values},
+        corpus_spec,
+        corpus_size,
+        train_fraction,
+        seeds,
+        jobs,
+    )
     points = []
     for k in values:
-        report = run_ablation(
-            {f"k={k}": replace(base_config, **{key: k})},
-            corpus_spec,
-            corpus_size,
-            train_fraction,
-            seeds,
-        )
-        cond = report.conditions[0]
+        cond = report.condition(f"k={k}")
         points.append(SweepPoint(k=k, mean_wa=cond.mean_wa, mean_ua=cond.mean_ua,
                                  per_seed=cond.per_seed))
     return points

@@ -212,6 +212,32 @@ class TestHarnessCommands:
         assert lines[0] == "k,mean_wa,mean_ua"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("subcommand, report", [
+        ("ablate", "ablation_fusion-modes.csv"), ("sweep-k", "sweep_text.csv"),
+    ])
+    def test_report_identical_for_any_jobs(self, tmp_path, subcommand, report):
+        args = [subcommand, *SMALL_CORPUS, *SMALL_TRAIN, "--seeds", "0,1"]
+        if subcommand == "sweep-k":
+            args += ["--sweep-modality", "text", "--k-values", "2,3"]
+        outputs = []
+        for jobs in ("1", "2", None):
+            out = tmp_path / f"jobs-{jobs}"
+            extra = ["--jobs", jobs] if jobs else []
+            assert cli.main([*args, "--out-dir", str(out), *extra]) == 0
+            outputs.append((out / "reports" / report).read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("subcommand", ["ablate", "sweep-k"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, out, capsys, subcommand, jobs):
+        args = [subcommand, "--out-dir", str(out), *SMALL_CORPUS, *SMALL_TRAIN, "--seeds", "0"]
+        if subcommand == "sweep-k":
+            args += ["--sweep-modality", "text", "--k-values", "2"]
+        rc = cli.main([*args, "--jobs", jobs])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "jobs" in err and err.count("\n") == 1
+
     def test_default_grids_contain_reference_anchors(self):
         assert 9 in cli.DEFAULT_K_GRID["text"]
         assert 100 in cli.DEFAULT_K_GRID["speech"]

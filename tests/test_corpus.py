@@ -1,5 +1,6 @@
 """Tests for synthetic corpus generation, persistence and splitting."""
 
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -189,6 +190,29 @@ class TestSaveLoad:
                 cp.load(path)
             except LabelFuseError:
                 pass
+
+    def rewrite_header(self, tmp_path, header: str) -> Path:
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(), 5), path)
+        lines = path.read_text().splitlines()
+        lines[0] = header
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("header", ["5", '"x"', "[1, 2]", "null"])
+    def test_header_not_an_object(self, tmp_path, header):
+        path = self.rewrite_header(tmp_path, header)
+        with pytest.raises(CorpusParseError, match="line 1: header must be a JSON object"):
+            cp.load(path)
+
+    def test_header_field_of_wrong_type(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(), 5), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        header["classes"] = "2"
+        path = self.rewrite_header(tmp_path, json.dumps(header))
+        with pytest.raises(CorpusParseError, match="line 1: header field of the wrong type"):
+            cp.load(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "corpus.txt"

@@ -10,7 +10,7 @@ from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
 from labelfuse.diffcore import Matrix
-from labelfuse.errors import ConfigError, EvaluationError
+from labelfuse.errors import ConfigError, EvaluationError, LabelBuildError
 
 
 def make_corpus(labels, classes=2):
@@ -204,6 +204,76 @@ class TestRunAblation:
             ev.run_ablation({"base": config}, spec, 40, 0.7, seeds=[])
 
 
+def benchmark_grid(config):
+    """The 8 conditions of the benchmark's ablation workload."""
+    conditions = ev.fusion_mode_conditions(config)
+    conditions["text-init-label-words"] = replace(config, text_label_init="label-words")
+    conditions["speech-init-text-embedding"] = replace(config, speech_label_init="text-embedding")
+    conditions["text-only"] = replace(config, modality="text")
+    conditions["speech-only"] = replace(config, modality="speech")
+    return conditions
+
+
+def fail_for_top_k(monkeypatch, failing):
+    """Runs whose top_k_text is in `failing` raise LabelBuildError("k=<value>")."""
+    original = tr.build_label_bank
+
+    def patched(train_corpus, config, codebook, embedding_table):
+        if config.top_k_text in failing:
+            raise LabelBuildError(f"k={config.top_k_text}")
+        return original(train_corpus, config, codebook, embedding_table)
+
+    monkeypatch.setattr(tr, "build_label_bank", patched)
+
+
+class TestParallelGrid:
+    """The report and any error are the same whatever the number of processes."""
+
+    def test_benchmark_grid_identical_for_any_jobs(self):
+        spec, config = tiny_setup()
+        conditions = benchmark_grid(config)
+        reports = [ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1, 2], jobs=jobs)
+                   for jobs in (1, 2, 3)]
+        assert reports[0].to_lines() == reports[1].to_lines() == reports[2].to_lines()
+        assert reports[0] == reports[1] == reports[2]
+        assert len(reports[0].to_lines()) == 1 + 8 * 3
+
+    def test_diverged_runs_identical_for_any_jobs(self, monkeypatch):
+        zero_text_label_row_for_random_init(monkeypatch)
+        spec, config = tiny_setup()
+        conditions = {"broken": replace(config, text_label_init="random"), "ok": config,
+                      "sum": replace(config, fusion_mode="sum")}
+        lines = [ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1, 2], jobs=jobs).to_lines()
+                 for jobs in (1, 2, 3)]
+        assert lines[0] == lines[1] == lines[2]
+        assert sum(",diverged," in line for line in lines[0]) == 2
+
+    @pytest.mark.parametrize("failing, first", [({2, 3}, 2), ({3, 4}, 3), ({4}, 4), ({1, 4}, 1)])
+    def test_first_error_in_serial_order_for_any_jobs(self, monkeypatch, failing, first):
+        # Tasks run in condition order k=1..4 for one seed; with 2 or 3 jobs
+        # the failing runs are split between this process and its workers.
+        fail_for_top_k(monkeypatch, failing)
+        spec, config = tiny_setup()
+        conditions = {f"k={k}": replace(config, top_k_text=k) for k in (1, 2, 3, 4)}
+        for jobs in (1, 2, 3):
+            with pytest.raises(LabelBuildError, match=f"^k={first}$"):
+                ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1], jobs=jobs)
+
+    def test_configs_validated_before_first_run(self, monkeypatch):
+        monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a run started"))
+        spec, config = tiny_setup()
+        conditions = {"ok": config, "bad": replace(config, fusion_mode="bogus")}
+        for jobs in (1, 2):
+            with pytest.raises(ConfigError, match="bogus"):
+                ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1], jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True, "2"])
+    def test_invalid_jobs_rejected(self, jobs):
+        spec, config = tiny_setup()
+        with pytest.raises(ConfigError, match="jobs"):
+            ev.run_ablation({"base": config}, spec, 40, 0.7, seeds=[1], jobs=jobs)
+
+
 class TestSweepK:
     def test_single_value_matches_ablation(self):
         spec, config = tiny_setup()
@@ -220,6 +290,25 @@ class TestSweepK:
         assert [p.k for p in points] == [2, 3, 4]
         lines = ev.sweep_to_lines(points)
         assert len(lines) == 4
+
+    def test_output_identical_for_any_jobs(self):
+        spec, config = tiny_setup()
+        lines = [
+            ev.sweep_to_lines(ev.sweep_k([2, 4, 2], "text", config, spec, 40, 0.7,
+                                         seeds=[1, 2], jobs=jobs))
+            for jobs in (1, 2, 3)
+        ]
+        assert lines[0] == lines[1] == lines[2]
+        assert [line.split(",")[0] for line in lines[0]] == ["k", "2", "4", "2"]
+        assert lines[0][1] == lines[0][3]
+
+    def test_matches_one_run_per_value(self):
+        spec, config = tiny_setup()
+        points = ev.sweep_k([2, 4], "text", config, spec, 40, 0.7, seeds=[1, 2])
+        for point in points:
+            report = ev.run_ablation({"k": replace(config, top_k_text=point.k)}, spec, 40, 0.7,
+                                     seeds=[1, 2], jobs=1)
+            assert point.per_seed == report.condition("k").per_seed
 
     def test_all_failed_point_reported_explicitly(self):
         point = ev.SweepPoint(k=3, mean_wa=None, mean_ua=None, per_seed=())
