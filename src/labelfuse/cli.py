@@ -336,22 +336,22 @@ def _cmd_sweep_k(resolved: dict) -> int:
 
 
 def _cmd_score_fusion(resolved: dict) -> int:
+    base = _train_config_from(resolved)
+    if base.epochs < 1:  # each tower's row is its last epoch's heldout evaluation
+        raise ConfigError(f"score-fusion needs epochs >= 1, got {base.epochs}")
     layout = _out_layout(resolved, "score-fusion")
     _, train_c, heldout_c = _load_split(resolved)
-    base = _train_config_from(resolved)
-    text_model, _, _ = trainer.train(train_c, heldout_c, replace(base, modality="text"))
-    speech_model, _, _ = trainer.train(train_c, heldout_c, replace(base, modality="speech"))
-    text_eval = evalkit.evaluate(
-        trainer.model_predictor(text_model, replace(base, modality="text")), heldout_c
-    )
-    speech_eval = evalkit.evaluate(
-        trainer.model_predictor(speech_model, replace(base, modality="speech")), heldout_c
+    text_model, text_log, _ = trainer.train(train_c, heldout_c, replace(base, modality="text"))
+    speech_model, speech_log, _ = trainer.train(
+        train_c, heldout_c, replace(base, modality="speech")
     )
     fused_eval = evalkit.evaluate(
         evalkit.score_fusion_predictor(text_model, speech_model), heldout_c
     )
     lines = ["system,wa,ua"]
-    for name, result in (("text", text_eval), ("speech", speech_eval), ("score-fusion", fused_eval)):
+    for name, result in (
+        ("text", text_log.heldout), ("speech", speech_log.heldout), ("score-fusion", fused_eval)
+    ):
         lines.append(f"{name},{result.weighted_accuracy:.12g},{result.unweighted_accuracy:.12g}")
         print(f"{name}: WA {result.weighted_accuracy:.4f} UA {result.unweighted_accuracy:.4f}")
     path = layout["reports"] / "score_fusion.csv"

@@ -86,10 +86,6 @@ class Matrix:
             return NotImplemented
         return self.shape == other.shape and bool(np.array_equal(self._a, other._a))
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def allclose(self, other: "Matrix", atol: float = 1e-12) -> bool:
         return self.shape == other.shape and bool(
             np.allclose(self._a, other.array, rtol=0.0, atol=atol)

@@ -143,9 +143,11 @@ def run_ablation(
     seeds: Sequence[int],
     jobs: int | None = None,
 ) -> AblationReport:
-    """Train and evaluate every condition on identical splits per seed.
+    """Train every condition on identical splits per seed; score on the heldout split.
 
-    A diverging run is recorded for its condition and the harness continues.
+    A run's score is the heldout evaluation of its last epoch, so every
+    config needs epochs >= 1 (else ConfigError, before any run starts). A
+    diverging run is recorded for its condition and the harness continues.
     Runs are spread over `jobs` processes (default: every usable core; 1 runs
     them in this process). Each run is a pure function of its split and
     seeded config and results are merged in serial order (seed, then
@@ -162,6 +164,8 @@ def run_ablation(
             for seed in seeds for name, config in conditions.items()]
     for _, _, config in runs:
         config.validate()
+        if config.epochs < 1:  # a run reports its last epoch's heldout evaluation
+            raise ConfigError(f"ablation runs need epochs >= 1, got {config.epochs}")
     splits = {
         seed: split(generate(replace(corpus_spec, seed=seed), corpus_size), train_fraction, seed)
         for seed in seeds
@@ -191,25 +195,26 @@ def run_ablation(
 
 
 def _run_one(train_split: Corpus, heldout_split: Corpus, config: "TrainConfig"):
-    """One ablation run: (heldout EvalResult, None), or (None, message) if it diverged."""
-    from .trainer import model_predictor, train
+    """One run: (heldout EvalResult of its last epoch, None), or (None, message) if it diverged."""
+    from .trainer import train
 
     try:
-        model, _, _ = train(train_split, heldout_split, config)
+        _, log, _ = train(train_split, heldout_split, config)
     except DivergenceError as exc:
         return None, str(exc)
-    return evaluate(model_predictor(model, config), heldout_split), None
+    return log.heldout, None
 
 
 def _run_tasks(tasks: list, jobs: int) -> list:
     """`_run_one` over every task, on `jobs` processes; outcomes in task order.
 
-    This process runs tasks 0, jobs, 2*jobs, ... itself, so `jobs` cores keep
-    `jobs` processes busy, and a forked pool of jobs - 1 workers runs the
-    rest. Forked workers inherit the imported package (and any patch applied
+    A forked pool of jobs - 1 workers takes every task but 0, jobs, 2*jobs,
+    ...; then this process walks the tasks in order, running those itself and
+    collecting the workers' results, so `jobs` cores keep `jobs` processes
+    busy. Forked workers inherit the imported package (and any patch applied
     to it) and start in milliseconds; the pool forks them all before it
-    starts its own thread. An exception other than DivergenceError
-    propagates from the first failing task in task order, whichever process
+    starts its own thread. Walking in order, an exception other than
+    DivergenceError surfaces from the first failing task, whichever process
     ran it.
     """
     if jobs == 1:
@@ -218,26 +223,14 @@ def _run_tasks(tasks: list, jobs: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    outcomes: list = [None] * len(tasks)
     with ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
             futures = {i: pool.submit(_run_one, *task)
                        for i, task in enumerate(tasks) if i % jobs}
-            failed_at, error = len(tasks), None
-            for i in range(0, len(tasks), jobs):
-                try:
-                    outcomes[i] = _run_one(*tasks[i])
-                except Exception as exc:
-                    failed_at, error = i, exc
-                    break
-            for i, future in futures.items():  # insertion order is task order
-                if i < failed_at:
-                    outcomes[i] = future.result()
-            if error is not None:
-                raise error
+            return [futures[i].result() if i % jobs else _run_one(*task)
+                    for i, task in enumerate(tasks)]
         finally:
             pool.shutdown(cancel_futures=True)
-    return outcomes
 
 
 def fusion_mode_conditions(base: "TrainConfig") -> dict[str, "TrainConfig"]:

@@ -57,8 +57,6 @@ class LabelBank:
     text_labels: Matrix
     speech_labels: Matrix
     trainable: bool
-    text_mode: str
-    speech_mode: str
 
 
 def text_view(corpus: Corpus) -> list[list[Sequence[int]]]:

@@ -42,9 +42,12 @@ from .fusion import (
     DEFAULT_LOSS_WEIGHTS,
     FusionMode,
     ModelParams,
+    _shapes,
     forward,
     init_model,
+    predict,
     unimodal_forward,
+    unimodal_logits,
 )
 from .labelkit import (
     LabelBank,
@@ -135,7 +138,14 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
+    """Per-epoch records, and the final model's heldout evaluation.
+
+    `heldout` is the `EvalResult` of the last epoch's heldout evaluation,
+    None when no epoch ran; it is neither in `to_lines()` nor in checkpoints.
+    """
+
     records: list[EpochRecord] = field(default_factory=list)
+    heldout: evalkit.EvalResult | None = None
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -248,27 +258,27 @@ def build_label_bank(train_corpus: Corpus, config: TrainConfig, codebook: Matrix
         classes=spec.classes,
     )
     return LabelBank(
-        text_labels=text_labels,
-        speech_labels=speech_labels,
-        trainable=config.labels_trainable,
-        text_mode=config.text_label_init,
-        speech_mode=config.speech_label_init,
+        text_labels=text_labels, speech_labels=speech_labels, trainable=config.labels_trainable
     )
 
 
-def build_model(train_corpus: Corpus, config: TrainConfig) -> ModelParams:
-    """Seeded model (`fusion.init_model`) with label rows from the train split."""
-    config.validate()
+def _dims(train_corpus: Corpus, config: TrainConfig) -> dict[str, int]:
+    """The sizes `fusion.init_model` and `fusion._shapes` take, from corpus and config."""
     spec = train_corpus.spec
-    dims = {
+    return {
         "vocab_text": spec.vocab_text,
         "vocab_speech": spec.vocab_speech,
         "text_dim": config.text_dim,
         "speech_dim": config.speech_dim,
         "classes": spec.classes,
     }
+
+
+def build_model(train_corpus: Corpus, config: TrainConfig) -> ModelParams:
+    """Seeded model (`fusion.init_model`) with label rows from the train split."""
+    config.validate()
     return init_model(
-        dims,
+        _dims(train_corpus, config),
         config.seed,
         lambda embedding, codebook: build_label_bank(train_corpus, config, codebook, embedding),
     )
@@ -303,8 +313,11 @@ def train(
     """Train a model; returns (params, log, final checkpoint).
 
     Deterministic: identical (config, corpora) give bitwise-identical logs
-    and checkpoints. Resuming from an intermediate checkpoint continues the
-    exact trajectory of an uninterrupted run. A non-finite loss, gradient,
+    and checkpoints. Resuming rebuilds the model from an intermediate
+    checkpoint's arrays (DimensionError when a shape disagrees with the
+    corpus and config) and continues the exact trajectory of an
+    uninterrupted run. `log.heldout` is the last epoch's heldout evaluation
+    of the returned model. A non-finite loss, gradient,
     parameter or logit, or a zero-norm row where a direction is needed,
     raises DivergenceError naming the epoch and the batch (or evaluation).
     """
@@ -312,18 +325,25 @@ def train(
     if not len(train_corpus) or not len(heldout_corpus):
         raise ConfigError("both corpus splits must be non-empty")
 
-    model = build_model(train_corpus, config)
     optimizer = Adam(config)
     log = TrainLog()
     start_epoch = 0
-    if resume_from is not None:
+    if resume_from is None:
+        model = build_model(train_corpus, config)
+    else:
         if dataclasses.replace(resume_from.config, epochs=config.epochs) != config:
             raise ConfigError("checkpoint config differs from the resume config (beyond epochs)")
         if resume_from.epoch > config.epochs:
             raise ConfigError(
                 f"checkpoint already covers {resume_from.epoch} epochs, config asks for {config.epochs}"
             )
-        restore_into_model(resume_from, model)
+        model = model_from_checkpoint(resume_from)
+        stored = {name: node.value.shape for name, node in model.named_arrays()}
+        for name, shape in _shapes(_dims(train_corpus, config)).items():
+            if stored[name] != shape:
+                raise DimensionError(
+                    f"checkpoint array {name!r} has shape {stored[name]}, expected {shape}"
+                )
         restore_into_optimizer(resume_from, optimizer)
         log = TrainLog(list(resume_from.log_records))
         start_epoch = resume_from.epoch
@@ -349,7 +369,7 @@ def train(
                 optimizer.step(params, grad_scale=1.0 / len(batch))
             stage = "evaluation"
             train_eval = evalkit.evaluate(model_predictor(model, config), train_corpus)
-            heldout_eval = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
+            log.heldout = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
         except (NonFiniteError, DegenerateRowError) as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}, {stage}: {exc}") from exc
         averages = sums / len(order)
@@ -363,8 +383,8 @@ def train(
                 loss_total=float(averages[4]),
                 train_wa=train_eval.weighted_accuracy,
                 train_ua=train_eval.unweighted_accuracy,
-                heldout_wa=heldout_eval.weighted_accuracy,
-                heldout_ua=heldout_eval.unweighted_accuracy,
+                heldout_wa=log.heldout.weighted_accuracy,
+                heldout_ua=log.heldout.unweighted_accuracy,
             )
         )
 
@@ -380,8 +400,6 @@ def train(
 
 def model_predictor(model: ModelParams, config: TrainConfig):
     """Per-utterance class prediction matching the configured modality."""
-    from .fusion import predict, unimodal_logits
-
     if config.modality == "multimodal":
         mode = FusionMode(config.fusion_mode)
 
@@ -436,18 +454,6 @@ def make_checkpoint(
         log_records=tuple(log.records),
         metrics=dict(metrics),
     )
-
-
-def restore_into_model(checkpoint: Checkpoint, model: ModelParams) -> None:
-    for name, node in model.named_arrays():
-        stored = checkpoint.arrays.get(name)
-        if stored is None:
-            raise CheckpointIntegrityError(f"checkpoint is missing array {name!r}")
-        if stored.shape != node.value.shape:
-            raise DimensionError(
-                f"checkpoint array {name!r} has shape {stored.shape}, expected {node.value.shape}"
-            )
-        node.value = stored
 
 
 def restore_into_optimizer(checkpoint: Checkpoint, optimizer: Adam) -> None:

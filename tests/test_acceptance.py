@@ -197,8 +197,6 @@ def test_criterion_3_structural_invariants():
             text_labels=Matrix(rng.normal(0, 0.5, size=(c, dim))),
             speech_labels=Matrix(rng.normal(0, 0.5, size=(c, dim))),
             trainable=True,
-            text_mode="random",
-            speech_mode="random",
         )
         dims = {
             "vocab_text": vocab_text,

@@ -238,6 +238,18 @@ class TestHarnessCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "jobs" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("subcommand", ["ablate", "score-fusion"])
+    def test_zero_epochs_exits_1(self, out, corpus_file, capsys, subcommand):
+        capsys.readouterr()
+        if subcommand == "ablate":
+            args = [*SMALL_CORPUS, "--seeds", "0"]
+        else:
+            args = ["--corpus-file", str(corpus_file)]
+        rc = cli.main([subcommand, "--out-dir", str(out), *args, *SMALL_TRAIN, "--epochs", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epochs" in err and err.count("\n") == 1
+
     def test_default_grids_contain_reference_anchors(self):
         assert 9 in cli.DEFAULT_K_GRID["text"]
         assert 100 in cli.DEFAULT_K_GRID["speech"]

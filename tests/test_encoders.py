@@ -28,8 +28,6 @@ def make_model(vocab_text=10, vocab_speech=12, text_dim=4, speech_dim=4, seed=0)
         text_labels=Matrix(np.ones((2, text_dim))),
         speech_labels=Matrix(np.ones((2, speech_dim))),
         trainable=False,
-        text_mode="random",
-        speech_mode="random",
     )
     return fu.init_model(dims, seed, lambda embedding, codebook: bank)
 

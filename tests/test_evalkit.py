@@ -196,6 +196,27 @@ class TestRunAblation:
         ok_mean = report.condition("ok").mean_wa
         assert any(line.startswith(f"ok,mean,{ok_mean:.12g},") for line in lines)
 
+    def test_run_evaluates_heldout_once_per_epoch(self, monkeypatch):
+        spec, config = tiny_setup()
+        _, held_c = cp.split(cp.generate(replace(spec, seed=3), 40), 0.7, seed=3)
+        evaluated = []
+        original = ev.evaluate
+
+        def counting(predict, corpus):
+            evaluated.append(corpus)
+            return original(predict, corpus)
+
+        monkeypatch.setattr(ev, "evaluate", counting)
+        ev.run_ablation({"base": replace(config, epochs=3)}, spec, 40, 0.7, seeds=[3], jobs=1)
+        assert sum(corpus == held_c for corpus in evaluated) == 3
+
+    def test_zero_epochs_rejected_before_first_run(self, monkeypatch):
+        monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a run started"))
+        spec, config = tiny_setup()
+        conditions = {"ok": config, "untrained": replace(config, epochs=0)}
+        with pytest.raises(ConfigError, match="epochs"):
+            ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1])
+
     def test_requires_conditions_and_seeds(self):
         spec, config = tiny_setup()
         with pytest.raises(ConfigError):
@@ -320,6 +341,11 @@ class TestSweepK:
             ev.sweep_k([31], "text", config, spec, 40, 0.7, seeds=[1])
         with pytest.raises(ConfigError, match="top-k"):
             ev.sweep_k([0], "speech", config, spec, 40, 0.7, seeds=[1])
+
+    def test_zero_epochs_rejected(self):
+        spec, config = tiny_setup()
+        with pytest.raises(ConfigError, match="epochs"):
+            ev.sweep_k([2, 3], "text", replace(config, epochs=0), spec, 40, 0.7, seeds=[1])
 
     def test_unknown_modality_rejected(self):
         spec, config = tiny_setup()

@@ -40,8 +40,6 @@ def tiny_model(rng, vocab_text=10, vocab_speech=12, dim=6, classes=3, trainable=
         text_labels=rand(rng, classes, dim, 0.5),
         speech_labels=rand(rng, classes, dim, 0.5),
         trainable=trainable,
-        text_mode="random",
-        speech_mode="random",
     )
     dims = {
         "vocab_text": vocab_text,

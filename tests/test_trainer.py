@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from labelfuse import corpus as cp
+from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
 from labelfuse.diffcore import Matrix, backward, mse, parameter, constant
 from labelfuse.errors import (
@@ -400,6 +401,22 @@ class TestCheckpointing:
         tr.save_checkpoint(path_res, ckpt_res)
         assert path_full.read_bytes() == path_res.read_bytes()
 
+    def test_resume_builds_no_fresh_model(self, monkeypatch):
+        train_c, held_c = tiny_corpus()
+        _, log_full, _ = tr.train(train_c, held_c, tiny_config(epochs=2))
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1))
+        monkeypatch.setattr(tr, "build_model", lambda *args: pytest.fail("built a fresh model"))
+        _, log_res, _ = tr.train(train_c, held_c, tiny_config(epochs=2), resume_from=ckpt)
+        assert log_res.records == log_full.records
+
+    def test_resume_on_other_vocabulary_is_dimension_error(self):
+        train_c, held_c = tiny_corpus()
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1))
+        spec = replace(train_c.spec, vocab_text=train_c.spec.vocab_text + 5)
+        other_train, other_held = cp.split(cp.generate(spec, 40), 0.7, seed=5)
+        with pytest.raises(DimensionError, match="text.embedding"):
+            tr.train(other_train, other_held, tiny_config(epochs=2), resume_from=ckpt)
+
     def test_resume_rejects_mismatched_config(self, tmp_path):
         train_c, held_c = tiny_corpus()
         _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1))
@@ -407,6 +424,23 @@ class TestCheckpointing:
             tr.train(train_c, held_c, tiny_config(epochs=2, seed=99), resume_from=ckpt)
         with pytest.raises(ConfigError, match="covers"):
             tr.train(train_c, held_c, tiny_config(epochs=0), resume_from=ckpt)
+
+
+class TestTrainLogHeldout:
+    @pytest.mark.parametrize("modality", ["multimodal", "text"])
+    def test_is_final_model_heldout_evaluation(self, modality):
+        train_c, held_c = tiny_corpus()
+        config = tiny_config(modality=modality)
+        model, log, _ = tr.train(train_c, held_c, config)
+        assert log.heldout == ev.evaluate(tr.model_predictor(model, config), held_c)
+        assert (log.heldout.weighted_accuracy, log.heldout.unweighted_accuracy) == (
+            log.records[-1].heldout_wa, log.records[-1].heldout_ua
+        )
+
+    def test_none_without_epochs(self):
+        train_c, held_c = tiny_corpus()
+        _, log, _ = tr.train(train_c, held_c, tiny_config(epochs=0))
+        assert log.heldout is None
 
 
 class TestTrainLogExport:
