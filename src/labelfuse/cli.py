@@ -3,12 +3,17 @@
 Subcommands: gen-corpus, extract-labels, train, evaluate, ablate, sweep-k,
 score-fusion, export-attention, grad-check.
 
+Defaults live in the dataclasses: each `TrainConfig`/`CorpusSpec` field is
+an option with the field's name (or metadata "key"), type, default and help;
+a (min, max) range field is the two options <name>_min and <name>_max.
 Option precedence is flags > config file (--config, JSON) > defaults; a
-config file with a key the subcommand does not know is a usage error.
-Every successful run writes the fully resolved options to
-<out-dir>/config/<subcommand>.json, and feeding that file back through
---config reproduces the run. Outputs land in fixed subdirectories of the
-output dir: config/, checkpoints/, logs/, reports/, plots/.
+config file with a key the subcommand does not know is a usage error. Every
+value, from a flag or the config file, passes the one type rule of
+`valuetypes`, and the typed configs are built and validated before any work.
+A rejected run writes nothing. A run with results creates the fixed
+subdirectories of the output dir (config/, checkpoints/, logs/, reports/,
+plots/), replaces its files atomically and, last, writes the resolved options
+to <out-dir>/config/<subcommand>.json, which replays the run through --config.
 
 Exit codes: 0 success, 1 validation or runtime error, 2 usage error.
 """
@@ -16,9 +21,11 @@ Exit codes: 0 success, 1 validation or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +33,13 @@ from . import corpus as corpus_mod
 from . import evalkit
 from . import labelkit
 from . import trainer
+from .atomic import write_atomic
+from .corpus import CorpusSpec
+from .diffcore import run_op_grad_suite
 from .errors import ConfigError, LabelFuseError
+from .fusion import FusionMode, forward, full_loss_grad_check
+from .trainer import TrainConfig
+from .valuetypes import check_value, field_types
 
 ENV_OUT_DIR = "LABELFUSE_OUT"
 DEFAULT_OUT_DIR = "runs"
@@ -52,44 +65,39 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-# (key, type, default, help) per option group; None defaults mean required.
-CORPUS_KEYS = [
-    ("classes", int, 4, "number of classes"),
-    ("vocab_text", int, 120, "text vocabulary size"),
-    ("vocab_speech", int, 240, "speech code vocabulary size"),
-    ("text_len_min", int, 10, "minimum token sequence length"),
-    ("text_len_max", int, 30, "maximum token sequence length"),
-    ("speech_len_min", int, 40, "minimum frame sequence length"),
-    ("speech_len_max", int, 120, "maximum frame sequence length"),
-    ("salient_per_class", int, 6, "planted symbols per class per modality"),
-    ("salience_prob", float, 0.3, "probability a position carries a planted symbol"),
-    ("corpus_seed", int, 0, "corpus generation seed"),
-    ("context_utterances", int, 0, "same-class history utterances spliced into the text side"),
-]
+# Flag text -> value, per option type; other types parse with the type itself.
+FLAG_PARSERS = {bool: _parse_bool, list[int]: _parse_int_list}
 
-TRAIN_KEYS = [
-    ("epochs", int, 50, "training epochs"),
-    ("batch_size", int, 8, "utterances per optimizer step"),
-    ("learning_rate", float, 3e-4, "Adam learning rate"),
-    ("adam_beta1", float, 0.9, "Adam first-moment decay"),
-    ("adam_beta2", float, 0.999, "Adam second-moment decay"),
-    ("adam_epsilon", float, 1e-8, "Adam denominator epsilon"),
-    ("mu_main", float, 1.0, "weight of the fused classification loss"),
-    ("mu_constraint", float, 0.5, "weight of the alignment constraint loss"),
-    ("mu_guide_text", float, 0.2, "weight of the text guidance loss"),
-    ("mu_guide_speech", float, 0.2, "weight of the speech guidance loss"),
-    ("fusion_mode", str, "constraint", "constraint | sum | only-label | only-vanilla"),
-    ("modality", str, "multimodal", "multimodal | text | speech"),
-    ("text_label_init", str, "tfidf", "random | label-words | tfidf"),
-    ("speech_label_init", str, "codebook", "random | text-embedding | codebook"),
-    ("top_k_text", int, 9, "keywords per class for text labels"),
-    ("top_k_speech", int, 100, "key frames per class for speech labels"),
-    ("labels_trainable", _parse_bool, False, "whether label rows receive updates"),
-    ("normalize_label_attention", _parse_bool, False, "row-softmax the label-guided alignment"),
-    ("text_dim", int, 16, "text representation width"),
-    ("speech_dim", int, 16, "speech representation width"),
-    ("seed", int, 0, "model init / shuffling seed"),
-]
+_RANGE_ENDS = (("min", "minimum"), ("max", "maximum"))
+
+
+def _field_options(cls):
+    """Yield (field name, its options) per field of `cls`; option = (key, type, default, help)."""
+    types = field_types(cls)
+    for f in dataclasses.fields(cls):
+        key, kind, help_text = f.metadata.get("key", f.name), types[f.name], f.metadata["help"]
+        if typing.get_origin(kind) is tuple:
+            yield f.name, [
+                (f"{key}_{end}", part, bound, f"{word} {help_text}")
+                for (end, word), part, bound in zip(_RANGE_ENDS, typing.get_args(kind), f.default)
+            ]
+        else:
+            yield f.name, [(key, kind, f.default, help_text)]
+
+
+def _options(cls) -> list:
+    return [opt for _, opts in _field_options(cls) for opt in opts]
+
+
+def _build(cls, resolved: dict):
+    values = {}
+    for name, opts in _field_options(cls):
+        parts = tuple(resolved[key] for key, *_ in opts)
+        values[name] = parts if len(parts) > 1 else parts[0]  # a range field takes (min, max)
+    config = cls(**values)
+    config.validate()
+    return config
+
 
 # Its default varies by machine; the reports do not depend on it.
 JOBS_KEY = ("jobs", int, None, "processes running the (seed x condition) grid "
@@ -100,50 +108,43 @@ SPLIT_KEYS = [
     ("split_seed", int, 0, "seed of the stratified split"),
 ]
 
-
-def _spec_from(resolved: dict) -> corpus_mod.CorpusSpec:
-    return corpus_mod.CorpusSpec(
-        classes=resolved["classes"],
-        vocab_text=resolved["vocab_text"],
-        vocab_speech=resolved["vocab_speech"],
-        text_len=(resolved["text_len_min"], resolved["text_len_max"]),
-        speech_len=(resolved["speech_len_min"], resolved["speech_len_max"]),
-        salient_per_class=resolved["salient_per_class"],
-        salience_prob=resolved["salience_prob"],
-        seed=resolved["corpus_seed"],
-        context_utterances=resolved["context_utterances"],
-    )
-
-
-def _train_config_from(resolved: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(**{key: resolved[key] for key, _, _, _ in TRAIN_KEYS})
+CORPUS_FILE_KEY = ("corpus_file", str, None, "corpus file to read")
+CHECKPOINT_KEY = ("checkpoint", str, None, "checkpoint file")
 
 
 class Subcommand:
-    """Declarative key set plus handler for one subcommand."""
+    """One subcommand: its options, the typed configs it builds, and its handler.
 
-    def __init__(self, name, help_text, keys, handler, required=()):
+    `configs` maps a handler keyword to a config dataclass; the options of
+    its fields come before `keys`, and `resolve` hands the handler the
+    built, validated instance under that keyword.
+    """
+
+    def __init__(self, name, help_text, handler, configs, keys, required=()):
         self.name = name
         self.help_text = help_text
-        self.keys = keys
         self.handler = handler
+        self.configs = configs
+        self.keys = [opt for cls in configs.values() for opt in _options(cls)] + keys
         self.required = tuple(required)
 
     def register(self, subparsers) -> None:
         parser = subparsers.add_parser(self.name, help=self.help_text)
         parser.add_argument("--config", help="JSON file with option keys")
         parser.add_argument("--out-dir", dest="out_dir", help="output directory root")
-        for key, parse, default, help_text in self.keys:
+        for key, kind, default, help_text in self.keys:
             flag = "--" + key.replace("_", "-")
             if default is not None:
                 help_text = f"{help_text} (default {default})"
-            parser.add_argument(flag, dest=key, type=parse, default=None, help=help_text)
+            parser.add_argument(flag, dest=key, type=FLAG_PARSERS.get(kind, kind), default=None,
+                                help=help_text)
         parser.set_defaults(_subcommand=self)
 
-    def resolve(self, args: argparse.Namespace) -> dict:
-        resolved = {key: default for key, _, default, _ in self.keys}
-        resolved["out_dir"] = os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR)
-        known = set(resolved)
+    def resolve(self, args: argparse.Namespace) -> tuple[dict, dict]:
+        """The typed option values and the built configs, or a LabelFuseError."""
+        table = {key: (kind, default) for key, kind, default, _ in self.keys}
+        table["out_dir"] = (str, os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
+        resolved = {key: default for key, (_, default) in table.items()}
         if args.config:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -156,36 +157,40 @@ class Subcommand:
                 raise ConfigError("config file must hold a JSON object")
             from_file.pop("subcommand", None)  # snapshots carry their subcommand
             for key, value in from_file.items():
-                if key not in known:
+                if key not in table:
                     raise UnknownKeyError(f"unknown config key {key!r} for {self.name}")
                 resolved[key] = value
-        for key in known:
+        for key in table:
             value = getattr(args, key, None)
             if value is not None:
                 resolved[key] = value
+        for key, (kind, default) in table.items():
+            if resolved[key] is not None or default is not None:  # None means unset
+                resolved[key] = check_value(key, kind, resolved[key])
         for key in self.required:
-            if resolved.get(key) is None:
+            if resolved[key] is None:
                 raise ConfigError(f"{self.name} requires --{key.replace('_', '-')}")
-        return resolved
+        root = Path(resolved["out_dir"])
+        existing = next(p for p in (root, *root.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output dir {root}: {existing} is not a directory")
+        return resolved, {arg: _build(cls, resolved) for arg, cls in self.configs.items()}
 
 
-def _out_layout(resolved: dict, subcommand: str) -> dict[str, Path]:
+def _out_layout(resolved: dict) -> dict[str, Path]:
+    """Create the output skeleton; a handler calls this once it has results to write."""
     root = Path(resolved["out_dir"])
     layout = {name: root / name for name in ("config", "checkpoints", "logs", "reports", "plots")}
     for path in layout.values():
         path.mkdir(parents=True, exist_ok=True)
-    snapshot = dict(resolved)
-    snapshot["subcommand"] = subcommand
-    snapshot_path = layout["config"] / f"{subcommand}.json"
-    with open(snapshot_path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     return layout
 
 
-def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_snapshot(resolved: dict, subcommand: str) -> None:
+    """Written last, so a snapshot marks a finished run; --config replays it."""
+    path = _out_layout(resolved)["config"] / f"{subcommand}.json"
+    write_atomic(path, json.dumps({**resolved, "subcommand": subcommand}, sort_keys=True,
+                                  indent=2) + "\n")
 
 
 def _load_split(resolved: dict):
@@ -201,40 +206,38 @@ def _load_split(resolved: dict):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen_corpus(resolved: dict) -> int:
-    layout = _out_layout(resolved, "gen-corpus")
-    spec = _spec_from(resolved)
+def _cmd_gen_corpus(resolved: dict, spec: CorpusSpec) -> int:
     corpus = corpus_mod.generate(spec, resolved["n"])
-    target = resolved["corpus_file"] or str(layout["reports"].parent / "corpus.txt")
+    _out_layout(resolved)
+    target = resolved["corpus_file"] or str(Path(resolved["out_dir"]) / "corpus.txt")
     corpus_mod.save(corpus, target)
     print(f"wrote {len(corpus)} utterances to {target}")
     return 0
 
 
 def _cmd_extract_labels(resolved: dict) -> int:
-    layout = _out_layout(resolved, "extract-labels")
     corpus = corpus_mod.load(resolved["corpus_file"])
     text_desc = labelkit.tfidf_topk(labelkit.text_view(corpus), resolved["top_k_text"])
     speech_desc = labelkit.tfidf_topk(labelkit.speech_view(corpus), resolved["top_k_speech"])
+    layout = _out_layout(resolved)
     text_path = layout["reports"] / "labels_text.csv"
     speech_path = layout["reports"] / "labels_speech.csv"
-    _write_lines(text_path, text_desc.to_lines())
-    _write_lines(speech_path, speech_desc.to_lines())
+    write_atomic(text_path, "\n".join(text_desc.to_lines()) + "\n")
+    write_atomic(speech_path, "\n".join(speech_desc.to_lines()) + "\n")
     print(f"wrote {text_path} and {speech_path}")
     return 0
 
 
-def _cmd_train(resolved: dict) -> int:
-    layout = _out_layout(resolved, "train")
+def _cmd_train(resolved: dict, config: TrainConfig) -> int:
     _, train_c, heldout_c = _load_split(resolved)
-    config = _train_config_from(resolved)
     resume = None
-    if resolved.get("resume_from"):
+    if resolved["resume_from"]:
         resume = trainer.load_checkpoint(resolved["resume_from"])
     _, log, checkpoint = trainer.train(train_c, heldout_c, config, resume_from=resume)
+    layout = _out_layout(resolved)
     ckpt_path = layout["checkpoints"] / "model.ckpt"
     trainer.save_checkpoint(ckpt_path, checkpoint)
-    _write_lines(layout["logs"] / "train_log.csv", log.to_lines())
+    write_atomic(layout["logs"] / "train_log.csv", "\n".join(log.to_lines()) + "\n")
     if log.records:
         last = log.records[-1]
         print(
@@ -247,7 +250,6 @@ def _cmd_train(resolved: dict) -> int:
 
 
 def _cmd_evaluate(resolved: dict) -> int:
-    layout = _out_layout(resolved, "evaluate")
     checkpoint = trainer.load_checkpoint(resolved["checkpoint"])
     model = trainer.model_from_checkpoint(checkpoint)
     corpus, train_c, heldout_c = _load_split(resolved)
@@ -264,36 +266,29 @@ def _cmd_evaluate(resolved: dict) -> int:
     ]
     for true_cls, row in enumerate(result.confusion):
         lines.append(f"confusion_row_{true_cls}," + ";".join(str(v) for v in row))
-    _write_lines(layout["reports"] / "evaluation.csv", lines)
+    write_atomic(_out_layout(resolved)["reports"] / "evaluation.csv", "\n".join(lines) + "\n")
     print(f"WA {result.weighted_accuracy:.4f} UA {result.unweighted_accuracy:.4f} "
           f"on {result.sample_count} utterances ({resolved['split']})")
     return 0
 
 
-def _suite_conditions(suite: str, base: trainer.TrainConfig):
-    if suite == "fusion-modes":
-        return evalkit.fusion_mode_conditions(base)
-    if suite == "label-inits":
-        return evalkit.label_init_conditions(base)
-    if suite == "guidance":
-        return evalkit.guidance_conditions(base)
-    raise ConfigError(f"unknown ablation suite {suite!r}")
+SUITES = {
+    "fusion-modes": evalkit.fusion_mode_conditions,
+    "label-inits": evalkit.label_init_conditions,
+    "guidance": evalkit.guidance_conditions,
+}
 
 
-def _cmd_ablate(resolved: dict) -> int:
-    layout = _out_layout(resolved, "ablate")
-    base = _train_config_from(resolved)
-    conditions = _suite_conditions(resolved["suite"], base)
+def _cmd_ablate(resolved: dict, spec: CorpusSpec, config: TrainConfig) -> int:
+    if resolved["suite"] not in SUITES:
+        raise ConfigError(f"unknown ablation suite {resolved['suite']!r}")
+    conditions = SUITES[resolved["suite"]](config)
     report = evalkit.run_ablation(
-        conditions,
-        _spec_from(resolved),
-        resolved["n"],
-        resolved["train_fraction"],
-        resolved["seeds"],
+        conditions, spec, resolved["n"], resolved["train_fraction"], resolved["seeds"],
         resolved["jobs"],
     )
-    path = layout["reports"] / f"ablation_{resolved['suite']}.csv"
-    _write_lines(path, report.to_lines())
+    path = _out_layout(resolved)["reports"] / f"ablation_{resolved['suite']}.csv"
+    write_atomic(path, "\n".join(report.to_lines()) + "\n")
     for cond in report.conditions:
         print(
             f"{cond.name}: mean WA {evalkit.format_mean(cond.mean_wa, '.4f')} "
@@ -306,26 +301,19 @@ def _cmd_ablate(resolved: dict) -> int:
 DEFAULT_K_GRID = {"text": [3, 6, 9, 15, 30], "speech": [25, 50, 100, 200]}
 
 
-def _cmd_sweep_k(resolved: dict) -> int:
+def _cmd_sweep_k(resolved: dict, spec: CorpusSpec, config: TrainConfig) -> int:
     if resolved["k_values"] is None:
         resolved["k_values"] = DEFAULT_K_GRID.get(resolved["sweep_modality"])
         if resolved["k_values"] is None:
             raise ConfigError(
                 f"sweep modality must be 'text' or 'speech', got {resolved['sweep_modality']!r}"
             )
-    layout = _out_layout(resolved, "sweep-k")
     points = evalkit.sweep_k(
-        resolved["k_values"],
-        resolved["sweep_modality"],
-        _train_config_from(resolved),
-        _spec_from(resolved),
-        resolved["n"],
-        resolved["train_fraction"],
-        resolved["seeds"],
-        resolved["jobs"],
+        resolved["k_values"], resolved["sweep_modality"], config, spec, resolved["n"],
+        resolved["train_fraction"], resolved["seeds"], resolved["jobs"],
     )
-    path = layout["reports"] / f"sweep_{resolved['sweep_modality']}.csv"
-    _write_lines(path, evalkit.sweep_to_lines(points))
+    path = _out_layout(resolved)["reports"] / f"sweep_{resolved['sweep_modality']}.csv"
+    write_atomic(path, "\n".join(evalkit.sweep_to_lines(points)) + "\n")
     for p in points:
         print(
             f"k={p.k}: mean WA {evalkit.format_mean(p.mean_wa, '.4f')} "
@@ -335,15 +323,13 @@ def _cmd_sweep_k(resolved: dict) -> int:
     return 0
 
 
-def _cmd_score_fusion(resolved: dict) -> int:
-    base = _train_config_from(resolved)
-    if base.epochs < 1:  # each tower's row is its last epoch's heldout evaluation
-        raise ConfigError(f"score-fusion needs epochs >= 1, got {base.epochs}")
-    layout = _out_layout(resolved, "score-fusion")
+def _cmd_score_fusion(resolved: dict, config: TrainConfig) -> int:
+    if config.epochs < 1:  # each tower's row is its last epoch's heldout evaluation
+        raise ConfigError(f"score-fusion needs epochs >= 1, got {config.epochs}")
     _, train_c, heldout_c = _load_split(resolved)
-    text_model, text_log, _ = trainer.train(train_c, heldout_c, replace(base, modality="text"))
+    text_model, text_log, _ = trainer.train(train_c, heldout_c, replace(config, modality="text"))
     speech_model, speech_log, _ = trainer.train(
-        train_c, heldout_c, replace(base, modality="speech")
+        train_c, heldout_c, replace(config, modality="speech")
     )
     fused_eval = evalkit.evaluate(
         evalkit.score_fusion_predictor(text_model, speech_model), heldout_c
@@ -354,14 +340,13 @@ def _cmd_score_fusion(resolved: dict) -> int:
     ):
         lines.append(f"{name},{result.weighted_accuracy:.12g},{result.unweighted_accuracy:.12g}")
         print(f"{name}: WA {result.weighted_accuracy:.4f} UA {result.unweighted_accuracy:.4f}")
-    path = layout["reports"] / "score_fusion.csv"
-    _write_lines(path, lines)
+    path = _out_layout(resolved)["reports"] / "score_fusion.csv"
+    write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_export_attention(resolved: dict) -> int:
-    layout = _out_layout(resolved, "export-attention")
     checkpoint = trainer.load_checkpoint(resolved["checkpoint"])
     model = trainer.model_from_checkpoint(checkpoint)
     corpus = corpus_mod.load(resolved["corpus_file"])
@@ -369,29 +354,18 @@ def _cmd_export_attention(resolved: dict) -> int:
     if not 0 <= index < len(corpus):
         raise ConfigError(f"utterance index {index} outside corpus of size {len(corpus)}")
     utt = corpus.utterances[index]
-    from .fusion import FusionMode, forward
-
     cfg = checkpoint.config
     bundle = forward(utt, model, FusionMode(cfg.fusion_mode), cfg.loss_weights,
                      cfg.normalize_label_attention).attention
-    paths = evalkit.export_attention(
-        model,
-        utt,
-        corpus.planted_tokens[utt.label],
-        corpus.planted_codes[utt.label],
-        layout["plots"] / f"attention_{index}",
-        bundle=bundle,
-    )
+    prefix = _out_layout(resolved)["plots"] / f"attention_{index}"
+    paths = evalkit.export_attention(model, utt, corpus.planted_tokens[utt.label],
+                                     corpus.planted_codes[utt.label], prefix, bundle=bundle)
     for path in paths:
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_grad_check(resolved: dict) -> int:
-    from .diffcore import run_op_grad_suite
-    from .fusion import FusionMode, full_loss_grad_check
-
-    _out_layout(resolved, "grad-check")
     tolerance = resolved["tolerance"]
     reports = run_op_grad_suite(probes_per_op=resolved["probes_per_op"], seed=resolved["seed"])
     reports += [full_loss_grad_check(mode, seed=resolved["seed"]) for mode in FusionMode]
@@ -408,97 +382,81 @@ SUBCOMMANDS = [
     Subcommand(
         "gen-corpus",
         "generate a synthetic paired corpus and write it to a file",
-        CORPUS_KEYS + [
+        _cmd_gen_corpus, {"spec": CorpusSpec},
+        [
             ("n", int, 1000, "number of utterances"),
             ("corpus_file", str, None, "output corpus path (default <out-dir>/corpus.txt)"),
         ],
-        _cmd_gen_corpus,
     ),
     Subcommand(
         "extract-labels",
         "write per-class tf-idf keyword tables for both modalities",
-        [
-            ("corpus_file", str, None, "corpus file to read"),
-            ("top_k_text", int, 9, "keywords per class, text"),
-            ("top_k_speech", int, 100, "key frames per class, speech"),
-        ],
-        _cmd_extract_labels,
+        _cmd_extract_labels, {},
+        [CORPUS_FILE_KEY, *(o for o in _options(TrainConfig) if o[0].startswith("top_k_"))],
         required=["corpus_file"],
     ),
     Subcommand(
         "train",
         "train a model on a stratified split of a corpus file",
-        TRAIN_KEYS + SPLIT_KEYS + [
-            ("corpus_file", str, None, "corpus file to read"),
-            ("resume_from", str, None, "checkpoint to resume from"),
-        ],
-        _cmd_train,
+        _cmd_train, {"config": TrainConfig},
+        SPLIT_KEYS + [CORPUS_FILE_KEY, ("resume_from", str, None, "checkpoint to resume from")],
         required=["corpus_file"],
     ),
     Subcommand(
         "evaluate",
         "evaluate a checkpoint on a corpus split",
-        SPLIT_KEYS + [
-            ("checkpoint", str, None, "checkpoint file"),
-            ("corpus_file", str, None, "corpus file to read"),
-            ("split", str, "heldout", "train | heldout | all"),
-        ],
-        _cmd_evaluate,
+        _cmd_evaluate, {},
+        SPLIT_KEYS + [CHECKPOINT_KEY, CORPUS_FILE_KEY,
+                      ("split", str, "heldout", "train | heldout | all")],
         required=["checkpoint", "corpus_file"],
     ),
     Subcommand(
         "ablate",
         "train and evaluate a named condition suite across seeds",
-        CORPUS_KEYS + TRAIN_KEYS + SPLIT_KEYS + [
+        _cmd_ablate, {"spec": CorpusSpec, "config": TrainConfig},
+        SPLIT_KEYS + [
             ("suite", str, "fusion-modes", "fusion-modes | label-inits | guidance"),
             ("n", int, 400, "corpus size per seed"),
-            ("seeds", _parse_int_list, [0, 1, 2, 3, 4], "comma-separated seeds"),
+            ("seeds", list[int], [0, 1, 2, 3, 4], "comma-separated seeds"),
             JOBS_KEY,
         ],
-        _cmd_ablate,
     ),
     Subcommand(
         "sweep-k",
         "sweep the top-k label description size for one modality",
-        CORPUS_KEYS + TRAIN_KEYS + SPLIT_KEYS + [
+        _cmd_sweep_k, {"spec": CorpusSpec, "config": TrainConfig},
+        SPLIT_KEYS + [
             ("sweep_modality", str, "speech", "text | speech"),
-            ("k_values", _parse_int_list, None,
+            ("k_values", list[int], None,
              "comma-separated k values (default 3,6,9,15,30 text / 25,50,100,200 speech)"),
             ("n", int, 400, "corpus size per seed"),
-            ("seeds", _parse_int_list, [0], "comma-separated seeds"),
+            ("seeds", list[int], [0], "comma-separated seeds"),
             JOBS_KEY,
         ],
-        _cmd_sweep_k,
     ),
     Subcommand(
         "score-fusion",
         "train both unimodal towers and evaluate summed-logit predictions",
-        TRAIN_KEYS + SPLIT_KEYS + [
-            ("corpus_file", str, None, "corpus file to read"),
-        ],
-        _cmd_score_fusion,
+        _cmd_score_fusion, {"config": TrainConfig},
+        SPLIT_KEYS + [CORPUS_FILE_KEY],
         required=["corpus_file"],
     ),
     Subcommand(
         "export-attention",
         "export class-averaged attention tables and an SVG plot",
-        [
-            ("checkpoint", str, None, "checkpoint file"),
-            ("corpus_file", str, None, "corpus file to read"),
-            ("index", int, 0, "utterance index within the corpus"),
-        ],
-        _cmd_export_attention,
+        _cmd_export_attention, {},
+        [CHECKPOINT_KEY, CORPUS_FILE_KEY, ("index", int, 0, "utterance index within the corpus")],
         required=["checkpoint", "corpus_file"],
     ),
     Subcommand(
         "grad-check",
         "finite-difference check of every op and the full objective",
+        _cmd_grad_check, {},
         [
             ("probes_per_op", int, 100, "random instances per op"),
             ("tolerance", float, 1e-4, "maximum relative error accepted"),
             ("seed", int, 0, "probe seed"),
         ],
-        _cmd_grad_check,
     ),
 ]
 
@@ -522,8 +480,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     sub: Subcommand = args._subcommand
     try:
-        resolved = sub.resolve(args)
-        return sub.handler(resolved)
+        resolved, configs = sub.resolve(args)
+        status = sub.handler(resolved, **configs)
+        _write_snapshot(resolved, sub.name)
+        return status
     except UnknownKeyError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -22,12 +22,15 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (
+    ConfigError,
     CorpusParseError,
     CorpusSpecError,
     CorpusValidationError,
     StratificationError,
 )
+from .valuetypes import check_fields, option
 
 
 @dataclass(frozen=True)
@@ -41,19 +44,23 @@ class Utterance:
 class CorpusSpec:
     """Knobs that fully determine a generated corpus (together with n)."""
 
-    classes: int = 4
-    vocab_text: int = 120
-    vocab_speech: int = 240
-    text_len: tuple[int, int] = (10, 30)
-    speech_len: tuple[int, int] = (40, 120)
-    salient_per_class: int = 6
-    salience_prob: float = 0.3
-    seed: int = 0
+    classes: int = option(4, "number of classes")
+    vocab_text: int = option(120, "text vocabulary size")
+    vocab_speech: int = option(240, "speech code vocabulary size")
+    # A (min, max) range is the two options <name>_min and <name>_max.
+    text_len: tuple[int, int] = option((10, 30), "token sequence length")
+    speech_len: tuple[int, int] = option((40, 120), "frame sequence length")
+    salient_per_class: int = option(6, "planted symbols per class per modality")
+    salience_prob: float = option(0.3, "probability a position carries a planted symbol")
+    seed: int = option(0, "corpus generation seed", key="corpus_seed")
     # When > 0, tokens of up to this many earlier same-class utterances are
     # prepended to the text side, imitating spliced dialog history.
-    context_utterances: int = 0
+    context_utterances: int = option(
+        0, "same-class history utterances spliced into the text side"
+    )
 
     def validate(self) -> None:
+        check_fields(self)
         if self.classes < 1:
             raise CorpusSpecError("classes must be >= 1")
         if self.salient_per_class < 1:
@@ -187,12 +194,12 @@ def save(corpus: Corpus, path) -> None:
     header["speech_len"] = list(corpus.spec.speech_len)
     header["planted_tokens"] = [list(g) for g in corpus.planted_tokens]
     header["planted_codes"] = [list(g) for g in corpus.planted_codes]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for utt in corpus.utterances:
-            tokens = ",".join(str(t) for t in utt.text_tokens)
-            codes = ",".join(str(c) for c in utt.frame_codes)
-            fh.write(f"{utt.label}|{tokens}|{codes}\n")
+    lines = [json.dumps(header, sort_keys=True)]
+    for utt in corpus.utterances:
+        tokens = ",".join(str(t) for t in utt.text_tokens)
+        codes = ",".join(str(c) for c in utt.frame_codes)
+        lines.append(f"{utt.label}|{tokens}|{codes}")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_id_list(field: str, line_no: int, what: str) -> tuple[int, ...]:
@@ -235,9 +242,7 @@ def load(path) -> Corpus:
         ) from None
     try:
         spec.validate()
-    except CorpusSpecError:
-        raise
-    except (TypeError, ValueError) as exc:  # a field of the wrong type, e.g. "classes": "2"
+    except ConfigError as exc:  # a field of the wrong type, e.g. "classes": "2"
         raise CorpusParseError(f"line 1: header field of the wrong type ({exc})") from None
 
     utterances = []

@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import write_atomic
 from .corpus import Corpus, CorpusSpec, Utterance, generate, split
 from .errors import ConfigError, DivergenceError, EvaluationError
 from .fusion import class_averaged_attention, label_attention, score_fusion, unimodal_logits
@@ -360,21 +361,19 @@ def export_attention(
         ("speech", utterance.frame_codes, avg_speech, planted_code),
     ):
         path = f"{out_prefix}_{tag}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("position,symbol,attention,planted\n")
-            for pos, (sym, val) in enumerate(zip(symbols, values)):
-                fh.write(f"{pos},{sym},{val:.12g},{int(sym in planted)}\n")
+        rows = [f"{pos},{sym},{val:.12g},{int(sym in planted)}\n"
+                for pos, (sym, val) in enumerate(zip(symbols, values))]
+        write_atomic(path, "position,symbol,attention,planted\n" + "".join(rows))
         written.append(path)
 
     if bundle is not None:
         bundle_path = f"{out_prefix}_bundle.csv"
-        with open(bundle_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(bundle.to_lines()) + "\n")
+        write_atomic(bundle_path, "\n".join(bundle.to_lines()) + "\n")
         written.append(bundle_path)
 
     svg_path = f"{out_prefix}.svg"
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(_attention_svg(utterance, avg_text, avg_speech, planted_tok, planted_code))
+    svg = _attention_svg(utterance, avg_text, avg_speech, planted_tok, planted_code)
+    write_atomic(svg_path, svg)
     written.append(svg_path)
     return written
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evalkit
+from .atomic import write_atomic
 from .corpus import Corpus
 from .diffcore import Matrix, backward
 from .encoders import DEFAULT_DIM
@@ -59,6 +60,7 @@ from .labelkit import (
     text_view,
     tfidf_topk,
 )
+from .valuetypes import check_fields, option
 
 CHECKPOINT_VERSION = 1
 _CHECKPOINT_MAGIC = b"LABELFUSE-CKPT\n"
@@ -68,33 +70,34 @@ MODALITIES = ("multimodal", "text", "speech")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 8
-    learning_rate: float = 3e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    mu_main: float = DEFAULT_LOSS_WEIGHTS[0]
-    mu_constraint: float = DEFAULT_LOSS_WEIGHTS[1]
-    mu_guide_text: float = DEFAULT_LOSS_WEIGHTS[2]
-    mu_guide_speech: float = DEFAULT_LOSS_WEIGHTS[3]
-    fusion_mode: str = "constraint"
-    modality: str = "multimodal"
-    text_label_init: str = "tfidf"
-    speech_label_init: str = "codebook"
-    top_k_text: int = 9
-    top_k_speech: int = 100
-    labels_trainable: bool = False
-    normalize_label_attention: bool = False
-    text_dim: int = DEFAULT_DIM
-    speech_dim: int = DEFAULT_DIM
-    seed: int = 0
+    epochs: int = option(50, "training epochs")
+    batch_size: int = option(8, "utterances per optimizer step")
+    learning_rate: float = option(3e-4, "Adam learning rate")
+    adam_beta1: float = option(0.9, "Adam first-moment decay")
+    adam_beta2: float = option(0.999, "Adam second-moment decay")
+    adam_epsilon: float = option(1e-8, "Adam denominator epsilon")
+    mu_main: float = option(DEFAULT_LOSS_WEIGHTS[0], "weight of the fused classification loss")
+    mu_constraint: float = option(DEFAULT_LOSS_WEIGHTS[1], "weight of the alignment constraint loss")
+    mu_guide_text: float = option(DEFAULT_LOSS_WEIGHTS[2], "weight of the text guidance loss")
+    mu_guide_speech: float = option(DEFAULT_LOSS_WEIGHTS[3], "weight of the speech guidance loss")
+    fusion_mode: str = option("constraint", "constraint | sum | only-label | only-vanilla")
+    modality: str = option("multimodal", "multimodal | text | speech")
+    text_label_init: str = option("tfidf", "random | label-words | tfidf")
+    speech_label_init: str = option("codebook", "random | text-embedding | codebook")
+    top_k_text: int = option(9, "keywords per class for text labels")
+    top_k_speech: int = option(100, "key frames per class for speech labels")
+    labels_trainable: bool = option(False, "whether label rows receive updates")
+    normalize_label_attention: bool = option(False, "row-softmax the label-guided alignment")
+    text_dim: int = option(DEFAULT_DIM, "text representation width")
+    speech_dim: int = option(DEFAULT_DIM, "speech representation width")
+    seed: int = option(0, "model init / shuffling seed")
 
     @property
     def loss_weights(self) -> tuple[float, float, float, float]:
         return (self.mu_main, self.mu_constraint, self.mu_guide_text, self.mu_guide_speech)
 
     def validate(self) -> None:
+        check_fields(self)
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -501,11 +504,8 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         "arrays": entries,
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(bytes(blob))
+    header = _CHECKPOINT_MAGIC + struct.pack("<Q", len(payload))
+    write_atomic(path, b"".join((header, payload, blob)))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -1,0 +1,68 @@
+"""The one type rule for config values.
+
+Every value that sets a `TrainConfig` or `CorpusSpec` field, or a CLI
+option, passes the same rule, whether it came from a flag, a `--config`
+file, a checkpoint manifest or a corpus header:
+
+- a bool field takes only a bool, and a bool is valid nowhere else;
+- an int field takes an int;
+- a float field takes an int or a float, and stores it as a float;
+- a str field takes a str;
+- `tuple[...]` and `list[...]` take a tuple or list of such values.
+
+Anything else is a `ConfigError`.
+
+Fields are declared with `option`, so each default and help text lives in
+one place and the CLI derives its flags from `dataclasses.fields`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import numbers
+import typing
+
+from .errors import ConfigError
+
+
+def option(default, help_text: str, key: str | None = None):
+    """A dataclass field that is also a CLI option; `key` renames its flag and snapshot key."""
+    metadata = {"help": help_text} if key is None else {"help": help_text, "key": key}
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+def check_value(name: str, kind, value):
+    """Return `value` as a field of type `kind` stores it; ConfigError if it has another type."""
+    if not _fits(kind, value):
+        kind_name = kind.__name__ if isinstance(kind, type) else str(kind)
+        raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """Field name -> type of dataclass `cls`, with its string annotations evaluated."""
+    return typing.get_type_hints(cls)
+
+
+def check_fields(config) -> None:
+    """Apply `check_value` to every field of the dataclass instance `config`."""
+    types = field_types(type(config))
+    for f in dataclasses.fields(config):
+        check_value(f.name, types[f.name], getattr(config, f.name))
+
+
+def _fits(kind, value) -> bool:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_fits, args, value))
+    if origin is list:
+        return isinstance(value, list) and all(_fits(args[0], item) for item in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, kind)

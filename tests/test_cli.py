@@ -1,5 +1,6 @@
 """Tests for the command-line interface (in-process, via main)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from labelfuse import cli
 from labelfuse import corpus as cp
 from labelfuse import trainer as tr
+from labelfuse.errors import ConfigError, LabelFuseError
 
 SMALL_CORPUS = [
     "--classes", "3", "--vocab-text", "30", "--vocab-speech", "40",
@@ -323,3 +325,230 @@ class TestEnvDefaultOutDir:
         assert rc == 0
         assert (root / "corpus.txt").exists()
         assert (root / "config" / "gen-corpus.json").exists()
+
+
+def subcommand(name):
+    return next(sub for sub in cli.SUBCOMMANDS if sub.name == name)
+
+
+# Wrong-typed JSON values per option type; None is wrong only where the default is not None.
+WRONG_VALUES = {
+    int: ["3", [3], {"v": 3}, True, 3.0, None],
+    float: ["0.5", [0.5], {"v": 0.5}, True, None],
+    bool: ["false", [False], {"v": False}, 0, None],
+    str: [5, ["x"], {"v": "x"}, True, None],
+    list[int]: ["0,1", {"v": 0}, 3, [True], [1.0], ["1"], None],
+}
+
+
+def wrong_values(kind, default):
+    return [v for v in WRONG_VALUES[kind] if v is not None or default is not None]
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestTypedOptions:
+    """Flags and config-file values pass one type rule; a rejected run writes nothing."""
+
+    @pytest.mark.parametrize("name, key, kind, default", [
+        (sub.name, key, kind, default)
+        for sub in cli.SUBCOMMANDS for key, kind, default, _ in sub.keys
+    ])
+    def test_wrong_typed_config_value_exits_1(self, tmp_path, capsys, name, key, kind, default):
+        out = tmp_path / "out"
+        config = tmp_path / "conf.json"
+        parser = cli.build_parser()
+        for value in wrong_values(kind, default):
+            config.write_text(json.dumps({key: value}))
+            args = parser.parse_args([name, "--out-dir", str(out), "--config", str(config)])
+            with pytest.raises(ConfigError, match=key):
+                args._subcommand.resolve(args)
+            rc = cli.main([name, "--out-dir", str(out), "--config", str(config)])
+            assert rc == 1, (key, value)
+            assert key in one_error_line(capsys)
+            assert not out.exists()
+
+    def test_wrong_typed_out_dir_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "conf.json"
+        for value in (5, ["x"], True):
+            config.write_text(json.dumps({"out_dir": value}))
+            assert cli.main(["grad-check", "--config", str(config)]) == 1
+            assert "out_dir" in one_error_line(capsys)
+            assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
+
+    @pytest.mark.parametrize("name, key", [
+        (sub.name, key) for sub in cli.SUBCOMMANDS
+        for key, _, default, _ in sub.keys if default is None
+    ])
+    def test_null_is_unset_where_default_is_none(self, tmp_path, name, key):
+        def outcome(values):
+            config = tmp_path / "conf.json"
+            config.write_text(json.dumps(values))
+            args = cli.build_parser().parse_args([name, "--config", str(config)])
+            try:
+                return args._subcommand.resolve(args)
+            except LabelFuseError as exc:
+                return str(exc)
+
+        assert outcome({key: None}) == outcome({})
+
+    def test_int_in_float_field_matches_flag_bytes(self, corpus_file, tmp_path):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"mu_main": 1}))
+        common = ["train", "--corpus-file", str(corpus_file), *SMALL_TRAIN]
+        assert cli.main([*common, "--out-dir", str(tmp_path / "flag"), "--mu-main", "1"]) == 0
+        assert cli.main([*common, "--out-dir", str(tmp_path / "file"),
+                         "--config", str(config)]) == 0
+        for part in ("checkpoints/model.ckpt", "logs/train_log.csv"):
+            flag, file = (tmp_path / side / part for side in ("flag", "file"))
+            assert flag.read_bytes() == file.read_bytes()
+        snapshot = json.loads((tmp_path / "file" / "config" / "train.json").read_text())
+        assert snapshot["mu_main"] == 1.0 and isinstance(snapshot["mu_main"], float)
+
+    def test_snapshot_replays_to_same_bytes(self, corpus_file, tmp_path):
+        first = tmp_path / "first"
+        assert cli.main(["train", "--out-dir", str(first), "--corpus-file", str(corpus_file),
+                         *SMALL_TRAIN, "--labels-trainable", "true", "--mu-main", "1"]) == 0
+        replay = tmp_path / "replay"
+        assert cli.main(["train", "--config", str(first / "config" / "train.json"),
+                         "--out-dir", str(replay)]) == 0
+        for part in ("checkpoints/model.ckpt", "logs/train_log.csv"):
+            assert (first / part).read_bytes() == (replay / part).read_bytes()
+        assert tr.load_checkpoint(replay / "checkpoints" / "model.ckpt").config.labels_trainable
+
+    def test_train_help_shows_every_train_config_default(self, capsys):
+        assert cli.main(["train", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for f in dataclasses.fields(tr.TrainConfig):
+            assert f"--{f.name.replace('_', '-')}" in text
+            assert f"(default {f.default})" in text, f.name
+
+    def test_range_field_is_two_options(self):
+        keys = {key: default for key, _, default, _ in subcommand("gen-corpus").keys}
+        spec = cp.CorpusSpec()
+        assert (keys["text_len_min"], keys["text_len_max"]) == spec.text_len
+        assert (keys["speech_len_min"], keys["speech_len_max"]) == spec.speech_len
+        assert keys["corpus_seed"] == spec.seed and "seed" not in keys
+
+
+TRAIN_KEYS = {
+    "adam_beta1", "adam_beta2", "adam_epsilon", "batch_size", "epochs", "fusion_mode",
+    "labels_trainable", "learning_rate", "modality", "mu_constraint", "mu_guide_speech",
+    "mu_guide_text", "mu_main", "normalize_label_attention", "seed", "speech_dim",
+    "speech_label_init", "text_dim", "text_label_init", "top_k_speech", "top_k_text",
+}
+CORPUS_KEYS = {
+    "classes", "context_utterances", "corpus_seed", "salience_prob", "salient_per_class",
+    "speech_len_max", "speech_len_min", "text_len_max", "text_len_min", "vocab_speech",
+    "vocab_text",
+}
+SPLIT_KEYS = {"split_seed", "train_fraction"}
+RUN_KEYS = {"out_dir", "subcommand"}
+SNAPSHOT_KEYS = {
+    "gen-corpus": CORPUS_KEYS | {"corpus_file", "n"},
+    "extract-labels": {"corpus_file", "top_k_speech", "top_k_text"},
+    "train": TRAIN_KEYS | SPLIT_KEYS | {"corpus_file", "resume_from"},
+    "evaluate": SPLIT_KEYS | {"checkpoint", "corpus_file", "split"},
+    "ablate": CORPUS_KEYS | TRAIN_KEYS | SPLIT_KEYS | {"jobs", "n", "seeds", "suite"},
+    "sweep-k": CORPUS_KEYS | TRAIN_KEYS | SPLIT_KEYS
+    | {"jobs", "k_values", "n", "seeds", "sweep_modality"},
+    "score-fusion": TRAIN_KEYS | SPLIT_KEYS | {"corpus_file"},
+    "export-attention": {"checkpoint", "corpus_file", "index"},
+    "grad-check": {"probes_per_op", "seed", "tolerance"},
+}
+
+
+@pytest.fixture(scope="module")
+def every_subcommand_run(tmp_path_factory):
+    """One successful run of each subcommand, all into one output dir."""
+    out = tmp_path_factory.mktemp("runs")
+    corpus = str(out / "corpus.txt")
+    ckpt = str(out / "checkpoints" / "model.ckpt")
+    grid = [*SMALL_CORPUS, *SMALL_TRAIN, "--seeds", "0", "--jobs", "1"]
+    runs = {
+        "gen-corpus": SMALL_CORPUS,
+        "extract-labels": ["--corpus-file", corpus, "--top-k-text", "3", "--top-k-speech", "4"],
+        "train": ["--corpus-file", corpus, *SMALL_TRAIN],
+        "evaluate": ["--checkpoint", ckpt, "--corpus-file", corpus],
+        "ablate": [*grid, "--suite", "guidance"],
+        "sweep-k": [*grid, "--sweep-modality", "text", "--k-values", "2"],
+        "score-fusion": ["--corpus-file", corpus, *SMALL_TRAIN],
+        "export-attention": ["--checkpoint", ckpt, "--corpus-file", corpus, "--index", "1"],
+        "grad-check": ["--probes-per-op", "1"],
+    }
+    for name, args in runs.items():
+        assert cli.main([name, "--out-dir", str(out), *args]) == 0, name
+    return out
+
+
+class TestSnapshots:
+    def test_every_subcommand_has_an_expected_key_set(self):
+        assert {sub.name for sub in cli.SUBCOMMANDS} == set(SNAPSHOT_KEYS)
+
+    @pytest.mark.parametrize("name", sorted(SNAPSHOT_KEYS))
+    def test_snapshot_key_set_is_pinned(self, every_subcommand_run, name):
+        snapshot = json.loads((every_subcommand_run / "config" / f"{name}.json").read_text())
+        assert set(snapshot) == SNAPSHOT_KEYS[name] | RUN_KEYS
+        assert {key for key, *_ in subcommand(name).keys} == SNAPSHOT_KEYS[name]
+
+
+class TestRejectedRunWritesNothing:
+    """A run that fails validation exits 1 with one line and creates no --out-dir."""
+
+    @pytest.fixture()
+    def trained(self, tmp_path):
+        src = tmp_path / "src"
+        assert cli.main(["gen-corpus", "--out-dir", str(src), *SMALL_CORPUS]) == 0
+        corpus = str(src / "corpus.txt")
+        assert cli.main(["train", "--out-dir", str(src), "--corpus-file", corpus,
+                         *SMALL_TRAIN]) == 0
+        return corpus, str(src / "checkpoints" / "model.ckpt")
+
+    @pytest.mark.parametrize("name, extra", [
+        ("ablate", ["--epochs", "0"]),
+        ("sweep-k", ["--epochs", "0"]),
+        ("ablate", ["--jobs", "0"]),
+        ("sweep-k", ["--jobs", "0"]),
+        ("ablate", ["--batch-size", "0"]),
+        ("sweep-k", ["--fusion-mode", "bogus"]),
+        ("ablate", ["--suite", "bogus"]),
+        ("sweep-k", ["--sweep-modality", "bogus"]),
+        ("ablate", ["--salience-prob", "2.0"]),
+    ])
+    def test_grid(self, tmp_path, capsys, name, extra):
+        out = tmp_path / "rejected"
+        args = [*SMALL_CORPUS, *SMALL_TRAIN, "--seeds", "0", "--jobs", "1"]
+        if name == "sweep-k" and "--sweep-modality" not in extra:
+            args += ["--sweep-modality", "text", "--k-values", "2"]
+        assert cli.main([name, "--out-dir", str(out), *args, *extra]) == 1
+        one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, extra", [
+        ("train", ["--batch-size", "0"]),
+        ("score-fusion", ["--epochs", "0"]),
+        ("evaluate", ["--split", "bogus"]),
+        ("export-attention", ["--index", "999"]),
+        ("gen-corpus", ["--classes", "0"]),
+        ("extract-labels", ["--top-k-text", "0"]),
+    ])
+    def test_file_commands(self, trained, tmp_path, capsys, name, extra):
+        corpus, ckpt = trained
+        capsys.readouterr()
+        args = {
+            "train": ["--corpus-file", corpus, *SMALL_TRAIN],
+            "score-fusion": ["--corpus-file", corpus, *SMALL_TRAIN],
+            "evaluate": ["--corpus-file", corpus, "--checkpoint", ckpt],
+            "export-attention": ["--corpus-file", corpus, "--checkpoint", ckpt],
+            "gen-corpus": SMALL_CORPUS,
+            "extract-labels": ["--corpus-file", corpus],
+        }[name]
+        out = tmp_path / "rejected"
+        assert cli.main([name, "--out-dir", str(out), *args, *extra]) == 1
+        one_error_line(capsys)
+        assert not out.exists()

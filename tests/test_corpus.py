@@ -10,6 +10,7 @@ import pytest
 
 from labelfuse import corpus as cp
 from labelfuse.errors import (
+    ConfigError,
     CorpusParseError,
     CorpusSpecError,
     CorpusValidationError,
@@ -99,6 +100,13 @@ class TestGenerate:
     def test_rejects_bad_salience(self):
         with pytest.raises(CorpusSpecError, match="salience_prob"):
             cp.generate(small_spec(salience_prob=1.5), 10)
+
+    @pytest.mark.parametrize("field, value", [
+        ("context_utterances", True), ("classes", 2.0), ("text_len", [3, 6]), ("seed", "1"),
+    ])
+    def test_rejects_wrong_type(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_spec(**{field: value}).validate()
 
     def test_context_splices_same_class_history(self):
         plain = cp.generate(small_spec(), 30)
@@ -212,6 +220,19 @@ class TestSaveLoad:
         header["classes"] = "2"
         path = self.rewrite_header(tmp_path, json.dumps(header))
         with pytest.raises(CorpusParseError, match="line 1: header field of the wrong type"):
+            cp.load(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("context_utterances", True), ("classes", 2.0), ("salience_prob", "0.3"),
+        ("text_len", [3, "6"]), ("text_len", [3, 4, 5]),
+    ])
+    def test_header_field_type_rule(self, tmp_path, field, value):
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(), 5), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        header[field] = value
+        path = self.rewrite_header(tmp_path, json.dumps(header))
+        with pytest.raises(CorpusParseError, match=f"wrong type .*{field}"):
             cp.load(path)
 
     def test_missing_header(self, tmp_path):

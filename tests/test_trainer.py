@@ -192,6 +192,17 @@ class TestTrain:
             assert len(log.records) == 1
             assert math.isfinite(log.records[0].loss_total)
 
+    @pytest.mark.parametrize("field, value", [
+        ("labels_trainable", "false"), ("normalize_label_attention", 1), ("epochs", True),
+        ("epochs", 3.0), ("learning_rate", "0.1"), ("learning_rate", None), ("fusion_mode", 1),
+    ])
+    def test_validate_rejects_wrong_type(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value}).validate()
+
+    def test_validate_accepts_int_in_float_field(self):
+        tiny_config(mu_main=1, learning_rate=1).validate()
+
     def test_validates_config(self):
         train_c, held_c = tiny_corpus()
         with pytest.raises(ConfigError):
@@ -367,8 +378,12 @@ class TestCheckpointing:
             lambda m: m["config"].update(no_such_option=1),
             lambda m: m.pop("epoch"),
             lambda m: m["config"].update(fusion_mode="nope"),
+            lambda m: m["config"].update(labels_trainable="false"),
+            lambda m: m["config"].update(epochs=True),
+            lambda m: m["config"].update(top_k_text=9.0),
         ],
-        ids=["unknown-config-key", "missing-epoch", "invalid-fusion-mode"],
+        ids=["unknown-config-key", "missing-epoch", "invalid-fusion-mode",
+             "string-for-bool", "bool-for-int", "float-for-int"],
     )
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         train_c, held_c = tiny_corpus()
