@@ -20,7 +20,7 @@ from .fusion import (
     score_fusion,
     unimodal_forward,
 )
-from .labelkit import LabelBank, LabelDescriptions, tfidf_topk
+from .labelkit import LabelDescriptions, tfidf_topk
 from .trainer import Checkpoint, TrainConfig, TrainLog, load_checkpoint, save_checkpoint, train
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "ForwardResult",
     "FusionMode",
     "GradCheckReport",
-    "LabelBank",
     "LabelDescriptions",
     "LossBreakdown",
     "Matrix",

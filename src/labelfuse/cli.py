@@ -217,14 +217,14 @@ def _cmd_gen_corpus(resolved: dict, spec: CorpusSpec) -> int:
 
 def _cmd_extract_labels(resolved: dict) -> int:
     corpus = corpus_mod.load(resolved["corpus_file"])
-    text_desc = labelkit.tfidf_topk(labelkit.text_view(corpus), resolved["top_k_text"])
-    speech_desc = labelkit.tfidf_topk(labelkit.speech_view(corpus), resolved["top_k_speech"])
-    layout = _out_layout(resolved)
-    text_path = layout["reports"] / "labels_text.csv"
-    speech_path = layout["reports"] / "labels_speech.csv"
-    write_atomic(text_path, "\n".join(text_desc.to_lines()) + "\n")
-    write_atomic(speech_path, "\n".join(speech_desc.to_lines()) + "\n")
-    print(f"wrote {text_path} and {speech_path}")
+    ranked = {
+        m: labelkit.tfidf_topk(labelkit.class_sequences(corpus, m), resolved[f"top_k_{m}"])
+        for m in ("text", "speech")
+    }
+    reports = _out_layout(resolved)["reports"]
+    for m, desc in ranked.items():
+        write_atomic(reports / f"labels_{m}.csv", "\n".join(desc.to_lines()) + "\n")
+    print(f"wrote {reports / 'labels_text.csv'} and {reports / 'labels_speech.csv'}")
     return 0
 
 

@@ -30,7 +30,7 @@ from .errors import (
     CorpusValidationError,
     StratificationError,
 )
-from .valuetypes import check_fields, option
+from .valuetypes import check_fields, check_value, option, store_floats
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,9 @@ class CorpusSpec:
     context_utterances: int = option(
         0, "same-class history utterances spliced into the text side"
     )
+
+    def __post_init__(self) -> None:
+        store_floats(self)
 
     def validate(self) -> None:
         check_fields(self)
@@ -231,8 +234,7 @@ def load(path) -> Corpus:
         raise CorpusParseError(f"line 1: header must be a JSON object, got {type(header).__name__}")
 
     try:
-        planted_tokens = tuple(tuple(int(s) for s in g) for g in header.pop("planted_tokens"))
-        planted_codes = tuple(tuple(int(s) for s in g) for g in header.pop("planted_codes"))
+        planted = {name: header.pop(name) for name in ("planted_tokens", "planted_codes")}
         header["text_len"] = tuple(header["text_len"])
         header["speech_len"] = tuple(header["speech_len"])
         spec = CorpusSpec(**header)
@@ -241,9 +243,20 @@ def load(path) -> Corpus:
             f"line 1: header field missing, unknown or malformed ({exc})"
         ) from None
     try:
-        spec.validate()
-    except ConfigError as exc:  # a field of the wrong type, e.g. "classes": "2"
+        spec.validate()  # a field of the wrong type, e.g. "classes": "2", fails here
+        for name, groups in planted.items():
+            check_value(name, list[list[int]], groups)
+    except ConfigError as exc:
         raise CorpusParseError(f"line 1: header field of the wrong type ({exc})") from None
+    for (name, groups), vocab in zip(planted.items(), (spec.vocab_text, spec.vocab_speech)):
+        if len(groups) != spec.classes:
+            raise CorpusValidationError(
+                f"line 1: {name} has {len(groups)} groups for {spec.classes} classes"
+            )
+        for sym in (s for group in groups for s in group):
+            if not 0 <= sym < vocab:
+                raise CorpusValidationError(f"line 1: {name} id {sym} outside vocabulary {vocab}")
+    planted_tokens, planted_codes = (tuple(map(tuple, groups)) for groups in planted.values())
 
     utterances = []
     for line_no, line in enumerate(lines[1:], start=2):

@@ -46,10 +46,6 @@ class ExtractionError(LabelFuseError, ValueError):
     """Keyword extraction received an empty or unusable class."""
 
 
-class LabelBuildError(LabelFuseError, ValueError):
-    """Label embedding construction is missing a required ingredient."""
-
-
 class ConfigError(LabelFuseError, ValueError):
     """A configuration value or key is invalid."""
 

@@ -24,8 +24,8 @@ and init rule. `ModelParams` is the registry over those names, and
 `init_model` is the only place a model is drawn: the embedding table and
 the codebook come from `default_rng([seed, 3])`, every weight from
 `default_rng([seed, 2])`, in table order; biases are zero and the label rows
-come from a `LabelBank`. Checkpoints, the optimizer and the grad check read
-the names from the registry.
+come from the caller, built on the two drawn tables. Checkpoints, the
+optimizer and the grad check read the names from the registry.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .diffcore import (
 )
 from .encoders import speech_encode, text_encode
 from .errors import DimensionError, NonFiniteError
-from .labelkit import LabelBank
 
 DEFAULT_LOSS_WEIGHTS = (1.0, 0.5, 0.2, 0.2)
 EMBED_INIT_STD = 0.02
@@ -115,9 +114,9 @@ class AttentionBundle:
 # Every matrix of the model: name -> (rows, cols, init rule), in draw order.
 # "table" and "frozen table" draw from default_rng([seed, 3]) with std
 # EMBED_INIT_STD; "weight" draws from default_rng([seed, 2]) with std
-# 1/sqrt(rows); "zeros" draws nothing; "text_labels" and "speech_labels" take
-# that field of the LabelBank. The unimodal heads come last, so the fused
-# objective's matrices lead the grad check's single draw stream.
+# 1/sqrt(rows); "zeros" draws nothing; "labels" come from init_model's
+# `label_rows`. The unimodal heads come last, so the fused objective's
+# matrices lead the grad check's single draw stream.
 PARAMETERS = {
     "text.embedding": ("vocab_text", "text_dim", "table"),
     "speech.codebook": ("vocab_speech", "speech_dim", "frozen table"),
@@ -131,8 +130,8 @@ PARAMETERS = {
     "fusion.cross_map": ("speech_dim", "text_dim", "weight"),
     "fusion.classifier_w": ("fused_dim", "classes", "weight"),
     "fusion.classifier_b": ("one", "classes", "zeros"),
-    "labels.text": ("classes", "text_dim", "text_labels"),
-    "labels.speech": ("classes", "speech_dim", "speech_labels"),
+    "labels.text": ("classes", "text_dim", "labels"),
+    "labels.speech": ("classes", "speech_dim", "labels"),
     "fusion.text_head_w": ("text_dim", "classes", "weight"),
     "fusion.text_head_b": ("one", "classes", "zeros"),
     "fusion.speech_head_w": ("speech_dim", "classes", "weight"),
@@ -171,7 +170,7 @@ class ModelParams:
         """
         nodes = {}
         for name, (_, _, rule) in PARAMETERS.items():
-            frozen = rule == "frozen table" or (rule.endswith("_labels") and not labels_trainable)
+            frozen = rule == "frozen table" or (rule == "labels" and not labels_trainable)
             nodes[name] = (constant if frozen else parameter)(arrays[name])
         return cls(nodes)
 
@@ -195,33 +194,31 @@ class ModelParams:
 def init_model(
     dims: Mapping[str, int],
     seed: int,
-    label_bank: Callable[[Matrix, Matrix], LabelBank],
+    label_rows: Callable[[Matrix, Matrix], tuple[Matrix, Matrix]],
+    labels_trainable: bool,
 ) -> ModelParams:
     """The seeded model: every matrix of `PARAMETERS`, drawn in table order.
 
     dims gives vocab_text, vocab_speech, text_dim, speech_dim and classes.
-    `label_bank(embedding, codebook)` builds the label rows from the two drawn
-    tables, so label modes that average table rows see the very rows the
-    encoders use; the bank's `trainable` flag decides whether they train.
+    `label_rows(embedding, codebook)` returns the text and speech label rows,
+    built on the two drawn tables, so label modes that average table rows see
+    the very rows the encoders use; they train only when labels_trainable.
     """
     table_rng = np.random.default_rng([seed, 3])
     weight_rng = np.random.default_rng([seed, 2])
     arrays: dict[str, Matrix] = {}
-    tables: list[Matrix] = []
-    bank = None
     for name, shape in _shapes(dims).items():
         rule = PARAMETERS[name][2]
         if rule.endswith("table"):
             arrays[name] = Matrix(table_rng.normal(0.0, EMBED_INIT_STD, size=shape))
-            tables.append(arrays[name])
         elif rule == "weight":
             arrays[name] = Matrix(weight_rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape))
         elif rule == "zeros":
             arrays[name] = Matrix.zeros(*shape)
-        else:
-            bank = bank or label_bank(*tables)
-            arrays[name] = getattr(bank, rule)
-    return ModelParams.from_arrays(arrays, bank.trainable)
+    arrays["labels.text"], arrays["labels.speech"] = label_rows(
+        arrays["text.embedding"], arrays["speech.codebook"]
+    )
+    return ModelParams.from_arrays(arrays, labels_trainable)
 
 
 # ---------------------------------------------------------------------------

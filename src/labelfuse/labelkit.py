@@ -4,8 +4,9 @@ Treats all of a class's training sequences as one document and scores every
 symbol by tf-idf: tf is the within-class frequency, idf is the smoothed
 inverse class-document frequency ln((1+C)/(1+df)) + 1. The same machinery
 serves both modalities, since tokens and frame codes are both just discrete
-symbols. The top-K symbols per class seed the label-embedding rows, which
-default to trainable parameters afterwards.
+symbols. `label_rows` turns a modality's init mode into one label-embedding
+row per class; the top-k symbols of a class seed its row in the tfidf and
+codebook modes. The rows stay frozen unless `labels_trainable` is set.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus
 from .diffcore import Matrix
-from .errors import DimensionError, ExtractionError, LabelBuildError
+from .errors import ExtractionError
 
 TEXT_INIT_MODES = ("random", "label-words", "tfidf")
 SPEECH_INIT_MODES = ("random", "text-embedding", "codebook")
@@ -34,10 +35,6 @@ class LabelDescriptions:
 
     per_class: tuple[tuple[tuple[int, float], ...], ...]
 
-    @property
-    def classes(self) -> int:
-        return len(self.per_class)
-
     def symbols(self, class_id: int) -> tuple[int, ...]:
         return tuple(sym for sym, _ in self.per_class[class_id])
 
@@ -50,28 +47,11 @@ class LabelDescriptions:
         return lines
 
 
-@dataclass
-class LabelBank:
-    """Label-embedding matrices for both modalities, one row per class."""
-
-    text_labels: Matrix
-    speech_labels: Matrix
-    trainable: bool
-
-
-def text_view(corpus: Corpus) -> list[list[Sequence[int]]]:
-    """Token sequences grouped by class, in corpus order."""
+def class_sequences(corpus: Corpus, modality: str) -> list[list[Sequence[int]]]:
+    """Token ("text") or frame-code ("speech") sequences grouped by class, in corpus order."""
     grouped: list[list[Sequence[int]]] = [[] for _ in range(corpus.spec.classes)]
     for utt in corpus.utterances:
-        grouped[utt.label].append(utt.text_tokens)
-    return grouped
-
-
-def speech_view(corpus: Corpus) -> list[list[Sequence[int]]]:
-    """Frame-code sequences grouped by class, in corpus order."""
-    grouped: list[list[Sequence[int]]] = [[] for _ in range(corpus.spec.classes)]
-    for utt in corpus.utterances:
-        grouped[utt.label].append(utt.frame_codes)
+        grouped[utt.label].append(utt.text_tokens if modality == "text" else utt.frame_codes)
     return grouped
 
 
@@ -109,92 +89,33 @@ def tfidf_topk(per_class_sequences: Sequence[Sequence[Sequence[int]]], k: int) -
     return LabelDescriptions(tuple(ranked_per_class))
 
 
-def _mean_of_rows(table: Matrix, ids: Iterable[int]) -> np.ndarray:
-    idx = list(ids)
-    return table.array[idx].mean(axis=0)
-
-
-def _random_rows(classes: int, dim: int, seed: int) -> Matrix:
-    rng = np.random.default_rng(seed)
-    return Matrix(rng.normal(0.0, RANDOM_INIT_STD, size=(classes, dim)))
-
-
-def build_text_labels(
-    descriptions: LabelDescriptions | None,
-    embedding_table: Matrix,
+def label_rows(
+    corpus: Corpus,
+    modality: str,
     mode: str,
+    table: Matrix,
     *,
-    seed: int | None = None,
-    label_word_ids: Sequence[int] | None = None,
-    classes: int | None = None,
+    top_k: int,
+    seed: int,
+    text_rows: Matrix | None = None,
 ) -> Matrix:
-    """One label-embedding row per class, from the chosen init mode.
+    """One label row per class of `corpus` for `modality`, from its init mode.
 
-    tfidf: mean of the embedding rows of each class's description symbols.
-    label-words: the embedding row of each class's designated name token.
-    random: seeded draws, independent of the table.
+    `table` is the modality's embedding table or codebook.
+    tfidf (text) and codebook (speech): mean of the table rows of the class's
+    top-k tf-idf symbols.
+    random: seeded draws with std RANDOM_INIT_STD, independent of the table.
+    label-words: table row c for class c, whose name token has id c.
+    text-embedding (speech): a copy of `text_rows`, the text label rows.
     """
-    if mode not in TEXT_INIT_MODES:
-        raise LabelBuildError(f"unknown text label init mode {mode!r}")
+    classes = corpus.spec.classes
+    if mode in ("tfidf", "codebook"):
+        desc = tfidf_topk(class_sequences(corpus, modality), top_k)
+        means = [table.array[list(desc.symbols(c))].mean(axis=0) for c in range(classes)]
+        return Matrix(np.stack(means))
     if mode == "random":
-        if seed is None or classes is None:
-            raise LabelBuildError("random mode needs a seed and a class count")
-        return _random_rows(classes, embedding_table.cols, seed)
+        rng = np.random.default_rng(seed)
+        return Matrix(rng.normal(0.0, RANDOM_INIT_STD, size=(classes, table.cols)))
     if mode == "label-words":
-        if label_word_ids is None:
-            raise LabelBuildError("label-words mode needs one name token id per class")
-        for token in label_word_ids:
-            if not 0 <= token < embedding_table.rows:
-                raise LabelBuildError(f"label word id {token} outside the embedding table")
-        return Matrix(embedding_table.array[list(label_word_ids)])
-    if descriptions is None:
-        raise LabelBuildError("tfidf mode needs label descriptions")
-    rows = []
-    for cls in range(descriptions.classes):
-        ids = descriptions.symbols(cls)
-        if not ids:
-            raise LabelBuildError(f"class {cls} has an empty description list")
-        rows.append(_mean_of_rows(embedding_table, ids))
-    return Matrix(np.stack(rows))
-
-
-def build_speech_labels(
-    descriptions: LabelDescriptions | None,
-    codebook: Matrix,
-    mode: str,
-    *,
-    seed: int | None = None,
-    text_labels: Matrix | None = None,
-    classes: int | None = None,
-) -> Matrix:
-    """One label-embedding row per class for the speech side.
-
-    codebook: mean of the codebook rows of each class's top-k frame codes.
-    text-embedding: copy the text label rows (dimensions must match; there
-    is no implicit projection).
-    random: seeded draws.
-    """
-    if mode not in SPEECH_INIT_MODES:
-        raise LabelBuildError(f"unknown speech label init mode {mode!r}")
-    if mode == "random":
-        if seed is None or classes is None:
-            raise LabelBuildError("random mode needs a seed and a class count")
-        return _random_rows(classes, codebook.cols, seed)
-    if mode == "text-embedding":
-        if text_labels is None:
-            raise LabelBuildError("text-embedding mode needs the text label matrix")
-        if text_labels.cols != codebook.cols:
-            raise DimensionError(
-                f"text-embedding mode needs matching dimensions "
-                f"(text {text_labels.cols} vs speech {codebook.cols})"
-            )
-        return Matrix(text_labels.array.copy())
-    if descriptions is None:
-        raise LabelBuildError("codebook mode needs label descriptions")
-    rows = []
-    for cls in range(descriptions.classes):
-        ids = descriptions.symbols(cls)
-        if not ids:
-            raise LabelBuildError(f"class {cls} has an empty description list")
-        rows.append(_mean_of_rows(codebook, ids))
-    return Matrix(np.stack(rows))
+        return Matrix(table.array[:classes])
+    return Matrix(text_rows.array)

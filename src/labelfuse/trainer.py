@@ -11,7 +11,9 @@ checkpoints and `model_from_checkpoint` all loop over the registry built from
 it. RNG streams, each a `default_rng([config.seed, n])`: n = 3 draws the
 embedding table and the codebook, n = 2 the weights (both in
 `fusion.init_model`), n = 1000 + epoch shuffles each epoch; the random label
-modes use seed + 101 and seed + 202.
+modes use seed + 101 (text) and seed + 202 (speech). `build_model` hands
+`init_model` both label matrices, each from `labelkit.label_rows` on the
+train split and the drawn table.
 """
 
 from __future__ import annotations
@@ -50,17 +52,8 @@ from .fusion import (
     unimodal_forward,
     unimodal_logits,
 )
-from .labelkit import (
-    LabelBank,
-    SPEECH_INIT_MODES,
-    TEXT_INIT_MODES,
-    build_speech_labels,
-    build_text_labels,
-    speech_view,
-    text_view,
-    tfidf_topk,
-)
-from .valuetypes import check_fields, option
+from .labelkit import SPEECH_INIT_MODES, TEXT_INIT_MODES, label_rows
+from .valuetypes import check_fields, option, store_floats
 
 CHECKPOINT_VERSION = 1
 _CHECKPOINT_MAGIC = b"LABELFUSE-CKPT\n"
@@ -91,6 +84,9 @@ class TrainConfig:
     text_dim: int = option(DEFAULT_DIM, "text representation width")
     speech_dim: int = option(DEFAULT_DIM, "speech representation width")
     seed: int = option(0, "model init / shuffling seed")
+
+    def __post_init__(self) -> None:
+        store_floats(self)
 
     @property
     def loss_weights(self) -> tuple[float, float, float, float]:
@@ -233,38 +229,6 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def build_label_bank(train_corpus: Corpus, config: TrainConfig, codebook: Matrix,
-                     embedding_table: Matrix) -> LabelBank:
-    """Label matrices per the configured init modes, from the train split only."""
-    spec = train_corpus.spec
-    text_desc = None
-    if config.text_label_init == "tfidf":
-        text_desc = tfidf_topk(text_view(train_corpus), config.top_k_text)
-    speech_desc = None
-    if config.speech_label_init == "codebook":
-        speech_desc = tfidf_topk(speech_view(train_corpus), config.top_k_speech)
-
-    text_labels = build_text_labels(
-        text_desc,
-        embedding_table,
-        config.text_label_init,
-        seed=config.seed + 101,
-        label_word_ids=list(range(spec.classes)),
-        classes=spec.classes,
-    )
-    speech_labels = build_speech_labels(
-        speech_desc,
-        codebook,
-        config.speech_label_init,
-        seed=config.seed + 202,
-        text_labels=text_labels,
-        classes=spec.classes,
-    )
-    return LabelBank(
-        text_labels=text_labels, speech_labels=speech_labels, trainable=config.labels_trainable
-    )
-
-
 def _dims(train_corpus: Corpus, config: TrainConfig) -> dict[str, int]:
     """The sizes `fusion.init_model` and `fusion._shapes` take, from corpus and config."""
     spec = train_corpus.spec
@@ -280,11 +244,15 @@ def _dims(train_corpus: Corpus, config: TrainConfig) -> dict[str, int]:
 def build_model(train_corpus: Corpus, config: TrainConfig) -> ModelParams:
     """Seeded model (`fusion.init_model`) with label rows from the train split."""
     config.validate()
-    return init_model(
-        _dims(train_corpus, config),
-        config.seed,
-        lambda embedding, codebook: build_label_bank(train_corpus, config, codebook, embedding),
-    )
+
+    def labels(embedding: Matrix, codebook: Matrix) -> tuple[Matrix, Matrix]:
+        text = label_rows(train_corpus, "text", config.text_label_init, embedding,
+                          top_k=config.top_k_text, seed=config.seed + 101)
+        speech = label_rows(train_corpus, "speech", config.speech_label_init, codebook,
+                            top_k=config.top_k_speech, seed=config.seed + 202, text_rows=text)
+        return text, speech
+
+    return init_model(_dims(train_corpus, config), config.seed, labels, config.labels_trainable)
 
 
 def _utterance_loss(utt, model: ModelParams, config: TrainConfig):

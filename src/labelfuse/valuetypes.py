@@ -6,7 +6,8 @@ file, a checkpoint manifest or a corpus header:
 
 - a bool field takes only a bool, and a bool is valid nowhere else;
 - an int field takes an int;
-- a float field takes an int or a float, and stores it as a float;
+- a float field takes an int or a float, and stores it as a float, also
+  when the dataclass is built directly (`store_floats`);
 - a str field takes a str;
 - `tuple[...]` and `list[...]` take a tuple or list of such values.
 
@@ -44,6 +45,20 @@ def check_value(name: str, kind, value):
 def field_types(cls) -> dict:
     """Field name -> type of dataclass `cls`, with its string annotations evaluated."""
     return typing.get_type_hints(cls)
+
+
+def store_floats(config) -> None:
+    """Store each int in a float field of the frozen dataclass `config` as a float.
+
+    Called from `__post_init__`, so a float field holds what `check_value`
+    returns however the dataclass is built; a value of another type is left
+    for `check_fields` to reject.
+    """
+    types = field_types(type(config))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if types[f.name] is float and _fits(float, value):
+            object.__setattr__(config, f.name, check_value(f.name, float, value))
 
 
 def check_fields(config) -> None:

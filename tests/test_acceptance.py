@@ -193,10 +193,9 @@ def test_criterion_3_structural_invariants():
         c = int(rng.integers(2, 6))
         dim = int(rng.integers(3, 9))
         vocab_text, vocab_speech = 12, 14
-        bank = lk.LabelBank(
-            text_labels=Matrix(rng.normal(0, 0.5, size=(c, dim))),
-            speech_labels=Matrix(rng.normal(0, 0.5, size=(c, dim))),
-            trainable=True,
+        labels = (
+            Matrix(rng.normal(0, 0.5, size=(c, dim))),
+            Matrix(rng.normal(0, 0.5, size=(c, dim))),
         )
         dims = {
             "vocab_text": vocab_text,
@@ -205,7 +204,8 @@ def test_criterion_3_structural_invariants():
             "speech_dim": dim,
             "classes": c,
         }
-        model = fu.init_model(dims, int(rng.integers(1 << 30)), lambda embedding, codebook: bank)
+        seed = int(rng.integers(1 << 30))
+        model = fu.init_model(dims, seed, lambda embedding, codebook: labels, True)
         utt = cp.Utterance(
             tuple(int(t) for t in rng.integers(0, vocab_text, size=rng.integers(1, 6))),
             tuple(int(s) for s in rng.integers(0, vocab_speech, size=rng.integers(1, 8))),

@@ -299,6 +299,25 @@ class TestHarnessCommands:
         ])
         assert rc == 1
 
+    def test_export_attention_short_planted_map_exits_1(self, out, corpus_file, capsys):
+        assert cli.main([
+            "train", "--out-dir", str(out), "--corpus-file", str(corpus_file), *SMALL_TRAIN,
+        ]) == 0
+        lines = corpus_file.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["planted_codes"] = header["planted_codes"][:1]
+        corpus_file.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        rc = cli.main([
+            "export-attention", "--out-dir", str(out),
+            "--checkpoint", str(out / "checkpoints" / "model.ckpt"),
+            "--corpus-file", str(corpus_file), "--index", "2",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: planted_codes has 1 groups for 3 classes\n"
+        )
+
 
 class TestGradCheckCommand:
     def test_exits_zero_when_within_tolerance(self, out, capsys):

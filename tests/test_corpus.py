@@ -97,6 +97,11 @@ class TestGenerate:
         with pytest.raises(CorpusSpecError, match="vocab_text"):
             cp.generate(small_spec(salient_per_class=11), 10)
 
+    def test_rejects_more_classes_than_text_vocabulary(self):
+        # label-words takes text table rows 0..classes-1, which this keeps in range.
+        with pytest.raises(CorpusSpecError, match="exceeds vocab_text"):
+            small_spec(classes=21, salient_per_class=1).validate()
+
     def test_rejects_bad_salience(self):
         with pytest.raises(CorpusSpecError, match="salience_prob"):
             cp.generate(small_spec(salience_prob=1.5), 10)
@@ -234,6 +239,30 @@ class TestSaveLoad:
         path = self.rewrite_header(tmp_path, json.dumps(header))
         with pytest.raises(CorpusParseError, match=f"wrong type .*{field}"):
             cp.load(path)
+
+    @pytest.mark.parametrize("field, groups, error, match", [
+        ("planted_tokens", [[1.5], [4], [7]], CorpusParseError, "wrong type .*planted_tokens"),
+        ("planted_tokens", [["7"], [4], [8]], CorpusParseError, "wrong type .*planted_tokens"),
+        ("planted_codes", [[True], [4], [7]], CorpusParseError, "wrong type .*planted_codes"),
+        ("planted_codes", [[999], [4], [7]], CorpusValidationError,
+         "planted_codes id 999 outside vocabulary 40"),
+        ("planted_tokens", [[1, 2, 3]], CorpusValidationError,
+         "planted_tokens has 1 groups for 3 classes"),
+    ])
+    def test_planted_map_checked(self, tmp_path, field, groups, error, match):
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(classes=3, vocab_speech=40), 5), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        header[field] = groups
+        path = self.rewrite_header(tmp_path, json.dumps(header))
+        with pytest.raises(error, match=f"^line 1: .*{match}"):
+            cp.load(path)
+
+    def test_int_in_float_field_gives_float_header_bytes(self, tmp_path):
+        paths = [tmp_path / "int.txt", tmp_path / "float.txt"]
+        for path, prob in zip(paths, (1, 1.0)):
+            cp.save(cp.generate(small_spec(salience_prob=prob), 5), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "corpus.txt"

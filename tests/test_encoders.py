@@ -7,7 +7,6 @@ from labelfuse import diffcore as dc
 from labelfuse import encoders as enc
 from labelfuse import fusion as fu
 from labelfuse.diffcore import Matrix
-from labelfuse.labelkit import LabelBank
 from labelfuse.trainer import TrainConfig
 
 
@@ -24,12 +23,8 @@ def make_model(vocab_text=10, vocab_speech=12, text_dim=4, speech_dim=4, seed=0)
         "speech_dim": speech_dim,
         "classes": 2,
     }
-    bank = LabelBank(
-        text_labels=Matrix(np.ones((2, text_dim))),
-        speech_labels=Matrix(np.ones((2, speech_dim))),
-        trainable=False,
-    )
-    return fu.init_model(dims, seed, lambda embedding, codebook: bank)
+    labels = (Matrix(np.ones((2, text_dim))), Matrix(np.ones((2, speech_dim))))
+    return fu.init_model(dims, seed, lambda embedding, codebook: labels, False)
 
 
 class TestInit:

@@ -10,7 +10,7 @@ from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
 from labelfuse.diffcore import Matrix
-from labelfuse.errors import ConfigError, EvaluationError, LabelBuildError
+from labelfuse.errors import ConfigError, EvaluationError, ExtractionError
 
 
 def make_corpus(labels, classes=2):
@@ -41,17 +41,15 @@ def tiny_setup(seed=5, n=40):
 
 def zero_text_label_row_for_random_init(monkeypatch):
     """Runs with text_label_init="random" get a zero text-label row, which cannot be normalised."""
-    original = tr.build_label_bank
+    original = tr.label_rows
 
-    def patched(train_corpus, config, codebook, embedding_table):
-        bank = original(train_corpus, config, codebook, embedding_table)
-        if config.text_label_init != "random":
-            return bank
-        rows = bank.text_labels.array.copy()
-        rows[0] = 0.0
-        return replace(bank, text_labels=Matrix(rows))
+    def patched(corpus, modality, mode, table, **kwargs):
+        rows = original(corpus, modality, mode, table, **kwargs).array.copy()
+        if modality == "text" and mode == "random":
+            rows[0] = 0.0
+        return Matrix(rows)
 
-    monkeypatch.setattr(tr, "build_label_bank", patched)
+    monkeypatch.setattr(tr, "label_rows", patched)
 
 
 class TestEvaluate:
@@ -236,15 +234,15 @@ def benchmark_grid(config):
 
 
 def fail_for_top_k(monkeypatch, failing):
-    """Runs whose top_k_text is in `failing` raise LabelBuildError("k=<value>")."""
-    original = tr.build_label_bank
+    """Runs whose top_k_text is in `failing` raise ExtractionError("k=<value>")."""
+    original = tr.label_rows
 
-    def patched(train_corpus, config, codebook, embedding_table):
-        if config.top_k_text in failing:
-            raise LabelBuildError(f"k={config.top_k_text}")
-        return original(train_corpus, config, codebook, embedding_table)
+    def patched(corpus, modality, mode, table, *, top_k, **kwargs):
+        if modality == "text" and top_k in failing:
+            raise ExtractionError(f"k={top_k}")
+        return original(corpus, modality, mode, table, top_k=top_k, **kwargs)
 
-    monkeypatch.setattr(tr, "build_label_bank", patched)
+    monkeypatch.setattr(tr, "label_rows", patched)
 
 
 class TestParallelGrid:
@@ -277,7 +275,7 @@ class TestParallelGrid:
         spec, config = tiny_setup()
         conditions = {f"k={k}": replace(config, top_k_text=k) for k in (1, 2, 3, 4)}
         for jobs in (1, 2, 3):
-            with pytest.raises(LabelBuildError, match=f"^k={first}$"):
+            with pytest.raises(ExtractionError, match=f"^k={first}$"):
                 ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1], jobs=jobs)
 
     def test_configs_validated_before_first_run(self, monkeypatch):

@@ -14,7 +14,6 @@ from labelfuse import fusion as fu
 from labelfuse.corpus import Utterance
 from labelfuse.diffcore import Matrix
 from labelfuse.errors import DegenerateRowError, DimensionError
-from labelfuse.labelkit import LabelBank
 
 
 def rand(rng, r, c, std=1.0):
@@ -36,11 +35,7 @@ def cosine_oracle(a, b):
 
 
 def tiny_model(rng, vocab_text=10, vocab_speech=12, dim=6, classes=3, trainable=True):
-    bank = LabelBank(
-        text_labels=rand(rng, classes, dim, 0.5),
-        speech_labels=rand(rng, classes, dim, 0.5),
-        trainable=trainable,
-    )
+    labels = (rand(rng, classes, dim, 0.5), rand(rng, classes, dim, 0.5))
     dims = {
         "vocab_text": vocab_text,
         "vocab_speech": vocab_speech,
@@ -48,7 +43,8 @@ def tiny_model(rng, vocab_text=10, vocab_speech=12, dim=6, classes=3, trainable=
         "speech_dim": dim,
         "classes": classes,
     }
-    return fu.init_model(dims, int(rng.integers(1 << 30)), lambda embedding, codebook: bank)
+    seed = int(rng.integers(1 << 30))
+    return fu.init_model(dims, seed, lambda embedding, codebook: labels, trainable)
 
 
 def tiny_utterance(rng, model):

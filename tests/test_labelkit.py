@@ -8,8 +8,9 @@ import pytest
 
 from labelfuse import corpus as cp
 from labelfuse import labelkit as lk
+from labelfuse import trainer as tr
 from labelfuse.diffcore import Matrix
-from labelfuse.errors import DimensionError, ExtractionError, LabelBuildError
+from labelfuse.errors import ExtractionError
 
 
 def brute_force_tfidf(per_class, k):
@@ -72,7 +73,7 @@ class TestTfidfTopk:
     def test_scores_non_increasing_and_bounded_length(self):
         corpus = cp.generate(cp.CorpusSpec(classes=3, vocab_text=15, vocab_speech=15,
                                            salient_per_class=2, seed=3), 30)
-        desc = lk.tfidf_topk(lk.text_view(corpus), k=5)
+        desc = lk.tfidf_topk(lk.class_sequences(corpus, "text"), k=5)
         for cls in range(3):
             ranked = desc.per_class[cls]
             assert len(ranked) <= 5
@@ -103,58 +104,61 @@ class TestTfidfTopk:
             lk.tfidf_topk([[[1]]], k=0)
 
 
+def corpus_of(modality, *per_class):
+    """A corpus whose class c holds the sequences per_class[c] on the `modality` side.
+
+    The other side holds the single symbol 0 everywhere.
+    """
+    utts = []
+    for label, sequences in enumerate(per_class):
+        for seq in sequences:
+            sides = (tuple(seq), (0,)) if modality == "text" else ((0,), tuple(seq))
+            utts.append(cp.Utterance(*sides, label))
+    spec = cp.CorpusSpec(classes=len(per_class))
+    planted = tuple((c,) for c in range(len(per_class)))
+    return cp.Corpus(spec, tuple(utts), planted, planted)
+
+
+def rows(corpus, modality, mode, table, top_k=9, seed=0, text_rows=None):
+    return lk.label_rows(corpus, modality, mode, table, top_k=top_k, seed=seed, text_rows=text_rows)
+
+
 class TestBuildTextLabels:
+    """`label_rows` for the text modes."""
+
     def test_mean_of_two_embeddings(self):
         table = Matrix([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
-        desc = lk.LabelDescriptions((((0, 1.0), (1, 0.5)),))
-        labels = lk.build_text_labels(desc, table, "tfidf")
+        labels = rows(corpus_of("text", [[0, 1]]), "text", "tfidf", table, top_k=2)
         assert labels == Matrix([[0.5, 0.5]])
 
     def test_single_symbol_is_verbatim(self):
         table = Matrix([[3.0, 4.0], [1.0, 2.0]])
-        desc = lk.LabelDescriptions((((1, 1.0),),))
-        labels = lk.build_text_labels(desc, table, "tfidf")
+        labels = rows(corpus_of("text", [[1]]), "text", "tfidf", table)
         assert labels == Matrix([[1.0, 2.0]])
 
     def test_label_words_mode_selects_rows(self):
+        # Class c's name token is id c, so the rows are table rows 0..C-1.
         table = Matrix([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        labels = lk.build_text_labels(None, table, "label-words", label_word_ids=[2, 0])
-        assert labels == Matrix([[3.0, 3.0], [1.0, 1.0]])
-
-    def test_label_words_mode_bounds_check(self):
-        table = Matrix([[1.0, 1.0]])
-        with pytest.raises(LabelBuildError, match="label word id 5"):
-            lk.build_text_labels(None, table, "label-words", label_word_ids=[5])
+        labels = rows(corpus_of("text", [[2]], [[2]]), "text", "label-words", table)
+        assert labels == Matrix([[1.0, 1.0], [2.0, 2.0]])
 
     def test_random_mode_is_seeded(self):
         table = Matrix(np.zeros((4, 3)))
-        a = lk.build_text_labels(None, table, "random", seed=5, classes=2)
-        b = lk.build_text_labels(None, table, "random", seed=5, classes=2)
-        c = lk.build_text_labels(None, table, "random", seed=6, classes=2)
+        corpus = corpus_of("text", [[1]], [[2]])
+        a = rows(corpus, "text", "random", table, seed=5)
+        b = rows(corpus, "text", "random", table, seed=5)
+        c = rows(corpus, "text", "random", table, seed=6)
         assert a == b
         assert a != c
         assert a.shape == (2, 3)
-
-    def test_tfidf_mode_needs_descriptions(self):
-        with pytest.raises(LabelBuildError):
-            lk.build_text_labels(None, Matrix([[1.0]]), "tfidf")
-
-    def test_empty_description_rejected(self):
-        desc = lk.LabelDescriptions(((),))
-        with pytest.raises(LabelBuildError, match="class 0"):
-            lk.build_text_labels(desc, Matrix([[1.0]]), "tfidf")
-
-    def test_unknown_mode(self):
-        with pytest.raises(LabelBuildError):
-            lk.build_text_labels(None, Matrix([[1.0]]), "centroid")
+        assert np.array_equal(a.array, np.random.default_rng(5).normal(0.0, 0.02, size=(2, 3)))
 
     def test_rows_in_convex_hull(self):
         rng = np.random.default_rng(8)
         table = Matrix(rng.normal(size=(10, 4)))
-        desc = lk.tfidf_topk(
-            [[[1, 2, 3, 2]], [[4, 5, 6]]], k=3
-        )
-        labels = lk.build_text_labels(desc, table, "tfidf")
+        corpus = corpus_of("text", [[1, 2, 3, 2]], [[4, 5, 6]])
+        desc = lk.tfidf_topk(lk.class_sequences(corpus, "text"), k=3)
+        labels = rows(corpus, "text", "tfidf", table, top_k=3)
         for cls in range(2):
             contributors = table.array[list(desc.symbols(cls))]
             assert (labels.array[cls] >= contributors.min(axis=0) - 1e-12).all()
@@ -162,19 +166,20 @@ class TestBuildTextLabels:
 
 
 class TestBuildSpeechLabels:
+    """`label_rows` for the speech modes."""
+
     def test_mean_of_codebook_rows(self):
         codebook = Matrix([[2.0, 0.0], [0.0, 2.0]])
-        desc = lk.LabelDescriptions((((0, 1.0), (1, 0.9)),))
-        labels = lk.build_speech_labels(desc, codebook, "codebook")
+        labels = rows(corpus_of("speech", [[0, 1]]), "speech", "codebook", codebook, top_k=2)
         assert labels == Matrix([[1.0, 1.0]])
 
     def test_codebook_mode_matches_scalar_oracle(self):
         rng = np.random.default_rng(9)
         codebook = Matrix(rng.normal(size=(12, 5)))
-        desc = lk.tfidf_topk([[[0, 1, 2, 2]], [[3, 4]], [[5, 6, 7]]], k=3)
-        labels = lk.build_speech_labels(desc, codebook, "codebook")
-        for cls in range(3):
-            ids = desc.symbols(cls)
+        corpus = corpus_of("speech", [[0, 1, 2, 2]], [[3, 4]], [[5, 6, 7]])
+        labels = rows(corpus, "speech", "codebook", codebook, top_k=3)
+        for cls, ranked in enumerate(brute_force_tfidf(lk.class_sequences(corpus, "speech"), 3)):
+            ids = [sym for sym, _ in ranked]
             for d in range(5):
                 acc = 0.0
                 for sym in ids:
@@ -184,18 +189,65 @@ class TestBuildSpeechLabels:
     def test_text_embedding_mode_copies(self):
         text_labels = Matrix([[1.0, 2.0], [3.0, 4.0]])
         codebook = Matrix(np.zeros((5, 2)))
-        labels = lk.build_speech_labels(None, codebook, "text-embedding", text_labels=text_labels)
+        corpus = corpus_of("speech", [[1]], [[2]])
+        labels = rows(corpus, "speech", "text-embedding", codebook, text_rows=text_labels)
         assert labels == text_labels
 
-    def test_text_embedding_mode_dimension_error(self):
-        text_labels = Matrix([[1.0, 2.0, 3.0]])
-        codebook = Matrix(np.zeros((5, 2)))
-        with pytest.raises(DimensionError, match="3.*2"):
-            lk.build_speech_labels(None, codebook, "text-embedding", text_labels=text_labels)
-
     def test_random_mode_shape(self):
-        labels = lk.build_speech_labels(None, Matrix(np.zeros((4, 6))), "random", seed=1, classes=3)
+        corpus = corpus_of("speech", [[1]], [[2]], [[3]])
+        labels = rows(corpus, "speech", "random", Matrix(np.zeros((4, 6))), seed=1)
         assert labels.shape == (3, 6)
+
+
+def independent_label_rows(corpus, side, mode, table, top_k, seed, text_rows):
+    """Label rows of one modality from scalar loops over the train utterances."""
+    classes = corpus.spec.classes
+    if mode == "random":
+        return np.random.default_rng(seed).normal(0.0, 0.02, size=(classes, table.shape[1]))
+    if mode == "label-words":
+        return table[:classes]
+    if mode == "text-embedding":
+        return text_rows
+    per_class = [[getattr(utt, side) for utt in corpus.utterances if utt.label == cls]
+                 for cls in range(classes)]
+    out = np.zeros((classes, table.shape[1]))
+    for cls, ranked in enumerate(brute_force_tfidf(per_class, top_k)):
+        for sym, _ in ranked:
+            out[cls] += table[sym] / len(ranked)
+    return out
+
+
+class TestBuildModelLabelRows:
+    @pytest.mark.parametrize("text_mode", lk.TEXT_INIT_MODES)
+    @pytest.mark.parametrize("speech_mode", lk.SPEECH_INIT_MODES)
+    def test_rows_match_independent_calculation(self, text_mode, speech_mode):
+        spec = cp.CorpusSpec(
+            classes=3, vocab_text=30, vocab_speech=40, text_len=(4, 8), speech_len=(6, 12),
+            salient_per_class=3, salience_prob=0.4, seed=5,
+        )
+        train, _ = cp.split(cp.generate(spec, 40), 0.7, seed=5)
+        for trainable in (False, True):
+            config = tr.TrainConfig(
+                text_dim=8, speech_dim=8, top_k_text=3, top_k_speech=5, seed=4,
+                text_label_init=text_mode, speech_label_init=speech_mode,
+                labels_trainable=trainable,
+            )
+            model = tr.build_model(train, config)
+            table_rng = np.random.default_rng([4, 3])
+            embedding = table_rng.normal(0.0, 0.02, size=(30, 8))
+            codebook = table_rng.normal(0.0, 0.02, size=(40, 8))
+            assert np.array_equal(model.text_embedding.value.array, embedding)
+            assert np.array_equal(model.speech_codebook.value.array, codebook)
+
+            text = independent_label_rows(train, "text_tokens", text_mode, embedding, 3, 105, None)
+            speech = independent_label_rows(
+                train, "frame_codes", speech_mode, codebook, 5, 206, text
+            )
+            assert np.allclose(model.labels_text.value.array, text, rtol=0, atol=1e-15)
+            assert np.allclose(model.labels_speech.value.array, speech, rtol=0, atol=1e-15)
+            assert model.labels_text.requires_grad is trainable
+            assert model.labels_speech.requires_grad is trainable
+            assert not model.speech_codebook.requires_grad
 
 
 class TestDescriptionsExport:

@@ -55,15 +55,15 @@ def rewrite_manifest(path, mutate):
 
 def zero_first_text_label(monkeypatch):
     """Make build_model hand out a zero text-label row, which cannot be normalised."""
-    original = tr.build_label_bank
+    original = tr.label_rows
 
-    def patched(train_corpus, config, codebook, embedding_table):
-        bank = original(train_corpus, config, codebook, embedding_table)
-        rows = bank.text_labels.array.copy()
-        rows[0] = 0.0
-        return replace(bank, text_labels=Matrix(rows))
+    def patched(corpus, modality, mode, table, **kwargs):
+        rows = original(corpus, modality, mode, table, **kwargs).array.copy()
+        if modality == "text":
+            rows[0] = 0.0
+        return Matrix(rows)
 
-    monkeypatch.setattr(tr, "build_label_bank", patched)
+    monkeypatch.setattr(tr, "label_rows", patched)
 
 
 class TestAdamUpdate:
@@ -202,6 +202,24 @@ class TestTrain:
 
     def test_validate_accepts_int_in_float_field(self):
         tiny_config(mu_main=1, learning_rate=1).validate()
+
+    @pytest.mark.parametrize("overrides, error, match", [
+        ({"text_label_init": "centroid"}, ConfigError, "text_label_init 'centroid'"),
+        ({"speech_label_init": "centroid"}, ConfigError, "speech_label_init 'centroid'"),
+        ({"speech_label_init": "text-embedding", "speech_dim": 6}, DimensionError, "8 != 6"),
+    ])
+    def test_validate_rejects_label_init_inputs(self, overrides, error, match):
+        # label_rows does not check its mode or the text-embedding width itself.
+        with pytest.raises(error, match=match):
+            tiny_config(**overrides).validate()
+
+    def test_int_in_float_field_gives_float_checkpoint_bytes(self, tmp_path):
+        train_c, held_c = tiny_corpus()
+        paths = [tmp_path / "int.ckpt", tmp_path / "float.ckpt"]
+        for path, mu_main in zip(paths, (1, 1.0)):
+            _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=0, mu_main=mu_main))
+            tr.save_checkpoint(path, ckpt)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_validates_config(self):
         train_c, held_c = tiny_corpus()
