@@ -15,7 +15,6 @@ from .fusion import (
     ForwardResult,
     FusionMode,
     LossBreakdown,
-    ModelParams,
     forward,
     score_fusion,
     unimodal_forward,
@@ -37,7 +36,6 @@ __all__ = [
     "LabelDescriptions",
     "LossBreakdown",
     "Matrix",
-    "ModelParams",
     "Node",
     "TrainConfig",
     "TrainLog",

@@ -37,7 +37,7 @@ from .atomic import write_atomic
 from .corpus import CorpusSpec
 from .diffcore import run_op_grad_suite
 from .errors import ConfigError, LabelFuseError
-from .fusion import FusionMode, forward, full_loss_grad_check
+from .fusion import FusionMode, attention_maps, full_loss_grad_check
 from .trainer import TrainConfig
 from .valuetypes import check_value, field_types
 
@@ -253,6 +253,7 @@ def _cmd_evaluate(resolved: dict) -> int:
     checkpoint = trainer.load_checkpoint(resolved["checkpoint"])
     model = trainer.model_from_checkpoint(checkpoint)
     corpus, train_c, heldout_c = _load_split(resolved)
+    trainer.check_fit(model, corpus, checkpoint.config)
     parts = {"train": train_c, "heldout": heldout_c, "all": corpus}
     if resolved["split"] not in parts:
         raise ConfigError(f"split must be one of {sorted(parts)}, got {resolved['split']!r}")
@@ -350,16 +351,16 @@ def _cmd_export_attention(resolved: dict) -> int:
     checkpoint = trainer.load_checkpoint(resolved["checkpoint"])
     model = trainer.model_from_checkpoint(checkpoint)
     corpus = corpus_mod.load(resolved["corpus_file"])
+    trainer.check_fit(model, corpus, checkpoint.config)
     index = resolved["index"]
     if not 0 <= index < len(corpus):
         raise ConfigError(f"utterance index {index} outside corpus of size {len(corpus)}")
     utt = corpus.utterances[index]
     cfg = checkpoint.config
-    bundle = forward(utt, model, FusionMode(cfg.fusion_mode), cfg.loss_weights,
-                     cfg.normalize_label_attention).attention
+    bundle = attention_maps(utt, model, FusionMode(cfg.fusion_mode), cfg.normalize_label_attention)
     prefix = _out_layout(resolved)["plots"] / f"attention_{index}"
-    paths = evalkit.export_attention(model, utt, corpus.planted_tokens[utt.label],
-                                     corpus.planted_codes[utt.label], prefix, bundle=bundle)
+    paths = evalkit.export_attention(bundle, utt, corpus.planted_tokens[utt.label],
+                                     corpus.planted_codes[utt.label], prefix)
     for path in paths:
         print(f"wrote {path}")
     return 0

@@ -7,20 +7,17 @@ residual linear post-projection on top of a frozen codebook. There is no
 positional encoding, so the encoders are permutation equivariant; the
 attention machinery downstream is position-agnostic anyway.
 
-The encoders own no parameters: they read their matrices from the model
-registry (`fusion.ModelParams`), whose table `fusion.PARAMETERS` names every
-matrix and whose `fusion.init_model` draws them.
+The encoders own no parameters: they read their matrices from the model, a
+dict keyed by the names of `fusion.PARAMETERS` ("text.query_w", ...), which
+`fusion.init_model` draws.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .diffcore import Node, add, gather, matmul, row_softmax, scale, transpose
-
-if TYPE_CHECKING:
-    from .fusion import ModelParams
 
 DEFAULT_DIM = 16
 
@@ -34,14 +31,16 @@ def _self_mix(embedded: Node, query_w: Node, key_w: Node, value_w: Node) -> Node
     return add(embedded, matmul(row_softmax(scores), values))
 
 
-def text_encode(tokens: Sequence[int], params: ModelParams) -> Node:
+def text_encode(tokens: Sequence[int], params: dict[str, Node]) -> Node:
     """Sequence representation, one row per token."""
-    embedded = gather(params.text_embedding, tokens, "token id")
-    return _self_mix(embedded, params.text_query_w, params.text_key_w, params.text_value_w)
+    embedded = gather(params["text.embedding"], tokens, "token id")
+    return _self_mix(embedded, params["text.query_w"], params["text.key_w"], params["text.value_w"])
 
 
-def speech_encode(codes: Sequence[int], params: ModelParams) -> Node:
+def speech_encode(codes: Sequence[int], params: dict[str, Node]) -> Node:
     """Frame representation, one row per code, from the frozen codebook."""
-    embedded = gather(params.speech_codebook, codes, "code id")
-    mixed = _self_mix(embedded, params.speech_query_w, params.speech_key_w, params.speech_value_w)
-    return add(mixed, matmul(mixed, params.speech_post_w))
+    embedded = gather(params["speech.codebook"], codes, "code id")
+    mixed = _self_mix(
+        embedded, params["speech.query_w"], params["speech.key_w"], params["speech.value_w"]
+    )
+    return add(mixed, matmul(mixed, params["speech.post_w"]))

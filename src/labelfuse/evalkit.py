@@ -19,7 +19,7 @@ import numpy as np
 from .atomic import write_atomic
 from .corpus import Corpus, CorpusSpec, Utterance, generate, split
 from .errors import ConfigError, DivergenceError, EvaluationError
-from .fusion import class_averaged_attention, label_attention, score_fusion, unimodal_logits
+from .fusion import AttentionBundle, class_averaged_attention, score_fusion, unimodal_logits
 
 
 @dataclass(frozen=True)
@@ -324,34 +324,23 @@ def sweep_to_lines(points: Sequence[SweepPoint]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def attention_profiles(model, utterance: Utterance) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Class-averaged per-position attention for both modalities."""
-    from .encoders import speech_encode, text_encode
-
-    text_profile = label_attention(
-        text_encode(utterance.text_tokens, model), model.labels_text
-    ).value
-    speech_profile = label_attention(
-        speech_encode(utterance.frame_codes, model), model.labels_speech
-    ).value
-    return class_averaged_attention(text_profile), class_averaged_attention(speech_profile)
-
-
 def export_attention(
-    model,
+    bundle: AttentionBundle,
     utterance: Utterance,
     planted_tokens: Sequence[int],
     planted_codes: Sequence[int],
     out_prefix,
-    bundle=None,
 ) -> list[str]:
-    """Write per-position attention tables (CSV) and a line-plot SVG.
+    """Write the attention maps of one utterance: per-position CSVs, the bundle, an SVG.
 
-    Returns the written paths. The planted markers use the utterance's own
-    class symbols, so the plot shows whether the model found the signal.
-    When a full AttentionBundle is supplied its four maps are written too.
+    `bundle` is `fusion.attention_maps` of the utterance. The per-position
+    tables and the line plot show its label-token and label-frame profiles
+    averaged over classes; `<prefix>_bundle.csv` holds all four maps. Returns
+    the written paths. The planted markers use the utterance's own class
+    symbols, so the plot shows whether the model found the signal.
     """
-    avg_text, avg_speech = attention_profiles(model, utterance)
+    avg_text = class_averaged_attention(bundle.label_token)
+    avg_speech = class_averaged_attention(bundle.label_frame)
     planted_tok = set(planted_tokens)
     planted_code = set(planted_codes)
 
@@ -366,10 +355,9 @@ def export_attention(
         write_atomic(path, "position,symbol,attention,planted\n" + "".join(rows))
         written.append(path)
 
-    if bundle is not None:
-        bundle_path = f"{out_prefix}_bundle.csv"
-        write_atomic(bundle_path, "\n".join(bundle.to_lines()) + "\n")
-        written.append(bundle_path)
+    bundle_path = f"{out_prefix}_bundle.csv"
+    write_atomic(bundle_path, "\n".join(bundle.to_lines()) + "\n")
+    written.append(bundle_path)
 
     svg_path = f"{out_prefix}.svg"
     svg = _attention_svg(utterance, avg_text, avg_speech, planted_tok, planted_code)

@@ -20,12 +20,17 @@ The total objective is the weighted sum of the fused classification loss,
 the constraint penalty, and the two guidance losses.
 
 Every matrix of the model is named once, in `PARAMETERS`, with its shape
-and init rule. `ModelParams` is the registry over those names, and
-`init_model` is the only place a model is drawn: the embedding table and
-the codebook come from `default_rng([seed, 3])`, every weight from
-`default_rng([seed, 2])`, in table order; biases are zero and the label rows
-come from the caller, built on the two drawn tables. Checkpoints, the
-optimizer and the grad check read the names from the registry.
+and init rule. A model is a plain dict from those names to nodes, in table
+order: `model_from_arrays` builds one from named matrices and holds the
+freeze rule, and `init_model` is the only place a model is drawn: the
+embedding table and the codebook come from `default_rng([seed, 3])`, every
+weight from `default_rng([seed, 2])`, in table order; biases are zero and
+the label rows come from the caller, built on the two drawn tables.
+Checkpoints, the optimizer and the grad check loop over the dict.
+
+`forward` (multimodal) and `unimodal_forward` (one tower) both return a
+`ForwardResult`; `attention_maps` gives the four maps of the multimodal pass
+without a label or a loss.
 """
 
 from __future__ import annotations
@@ -73,19 +78,22 @@ class FusionMode(Enum):
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """The four component losses and their weighted total."""
+    """The component losses and their weighted total, in train-log column order.
+
+    A single tower has no constraint and one guidance term; it reports 0.0
+    for the terms it lacks.
+    """
 
     main: float
     constraint: float
     guide_text: float
     guide_speech: float
     total: float
-    weights: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
 class AttentionBundle:
-    """Attention maps of one forward pass, as plain matrices."""
+    """The four attention maps of one utterance (`attention_maps`), as plain matrices."""
 
     label_token: Matrix  # seq_len_text x classes, cosine profile
     label_frame: Matrix  # seq_len_speech x classes
@@ -95,12 +103,7 @@ class AttentionBundle:
     def to_lines(self) -> list[str]:
         """Long-form table of every map: matrix,row,col,value."""
         lines = ["matrix,row,col,value"]
-        for name, matrix in (
-            ("label_token", self.label_token),
-            ("label_frame", self.label_frame),
-            ("vanilla", self.vanilla),
-            ("label_guided", self.label_guided),
-        ):
+        for name, matrix in vars(self).items():  # the fields, in declaration order
             for r in range(matrix.rows):
                 for c in range(matrix.cols):
                     lines.append(f"{name},{r},{c},{matrix.array[r, c]:.12g}")
@@ -138,9 +141,6 @@ PARAMETERS = {
     "fusion.speech_head_b": ("one", "classes", "zeros"),
 }
 
-# Registry attribute of each name: `params.text_query_w` is "text.query_w".
-_ATTRIBUTES = {name: name.replace(".", "_") for name in PARAMETERS}
-
 
 def _shapes(dims: Mapping[str, int]) -> dict[str, tuple[int, int]]:
     """Shape of every matrix, from vocab_text, vocab_speech, text_dim, speech_dim, classes."""
@@ -148,47 +148,17 @@ def _shapes(dims: Mapping[str, int]) -> dict[str, tuple[int, int]]:
     return {name: (sizes[rows], sizes[cols]) for name, (rows, cols, _) in PARAMETERS.items()}
 
 
-class ModelParams:
-    """Ordered name -> Node registry over `PARAMETERS`.
+def model_from_arrays(arrays: Mapping[str, Matrix], labels_trainable: bool) -> dict[str, Node]:
+    """The model: each matrix of `PARAMETERS`, in table order, as a parameter or a constant.
 
-    Each node also reads as an attribute named after it with "." replaced
-    by "_": `params.text_embedding` is the node named "text.embedding".
+    The codebook is always frozen, the label rows unless labels_trainable.
+    Raises KeyError naming the first matrix `arrays` lacks.
     """
-
-    __slots__ = tuple(_ATTRIBUTES.values())
-
-    def __init__(self, nodes: Mapping[str, Node]) -> None:
-        for name, node in nodes.items():
-            setattr(self, _ATTRIBUTES[name], node)
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, Matrix], labels_trainable: bool) -> "ModelParams":
-        """Wrap each named matrix as a parameter, or a constant when frozen.
-
-        The codebook is always frozen, the label rows unless labels_trainable.
-        Raises KeyError naming the first matrix `arrays` lacks.
-        """
-        nodes = {}
-        for name, (_, _, rule) in PARAMETERS.items():
-            frozen = rule == "frozen table" or (rule == "labels" and not labels_trainable)
-            nodes[name] = (constant if frozen else parameter)(arrays[name])
-        return cls(nodes)
-
-    @property
-    def nodes(self) -> dict[str, Node]:
-        return {name: getattr(self, attr) for name, attr in _ATTRIBUTES.items()}
-
-    @property
-    def classes(self) -> int:
-        return self.labels_text.value.rows
-
-    def named_trainable(self) -> list[tuple[str, Node]]:
-        """Matrices that receive gradients, in registry order."""
-        return [(name, node) for name, node in self.nodes.items() if node.requires_grad]
-
-    def named_arrays(self) -> list[tuple[str, Node]]:
-        """Every matrix that defines the model, frozen ones included."""
-        return list(self.nodes.items())
+    model = {}
+    for name, (_, _, rule) in PARAMETERS.items():
+        frozen = rule == "frozen table" or (rule == "labels" and not labels_trainable)
+        model[name] = (constant if frozen else parameter)(arrays[name])
+    return model
 
 
 def init_model(
@@ -196,7 +166,7 @@ def init_model(
     seed: int,
     label_rows: Callable[[Matrix, Matrix], tuple[Matrix, Matrix]],
     labels_trainable: bool,
-) -> ModelParams:
+) -> dict[str, Node]:
     """The seeded model: every matrix of `PARAMETERS`, drawn in table order.
 
     dims gives vocab_text, vocab_speech, text_dim, speech_dim and classes.
@@ -218,7 +188,7 @@ def init_model(
     arrays["labels.text"], arrays["labels.speech"] = label_rows(
         arrays["text.embedding"], arrays["speech.codebook"]
     )
-    return ModelParams.from_arrays(arrays, labels_trainable)
+    return model_from_arrays(arrays, labels_trainable)
 
 
 # ---------------------------------------------------------------------------
@@ -290,32 +260,37 @@ def _finite_logits(logits: Node) -> Matrix:
     return logits.value
 
 
+def _value(node: Node) -> float:
+    return float(node.value.array[0, 0])
+
+
 def _fused_pass(
     utterance: Utterance,
-    params: ModelParams,
+    params: dict[str, Node],
     mode: FusionMode,
     normalize_label_attention: bool,
-    training: bool,
+    all_maps: bool,
 ) -> tuple[Node, tuple[Node, Node] | None, Node | None, Node | None]:
     """Encoders, alignment and fused logits: (logits, profiles, vanilla, guided).
 
-    Training builds every map, because the guidance losses read the class
-    profiles and the constraint reads both alignments. Prediction builds only
-    what the mode's alignment uses and returns None for the rest.
+    With all_maps (training and attention export) every map is built, because
+    the guidance losses read the class profiles and the constraint reads both
+    alignments. Prediction builds only what the mode's alignment uses and
+    returns None for the rest.
     """
     h_text = text_encode(utterance.text_tokens, params)
     h_speech = speech_encode(utterance.frame_codes, params)
     profiles = vanilla = guided = None
-    if training or mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
+    if all_maps or mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
         profiles = (
-            label_attention(h_text, params.labels_text),
-            label_attention(h_speech, params.labels_speech),
+            label_attention(h_text, params["labels.text"]),
+            label_attention(h_speech, params["labels.speech"]),
         )
         guided = label_guided_attention(*profiles)
         if normalize_label_attention:
             guided = row_softmax(guided)
-    if training or mode is not FusionMode.ONLY_LABEL:
-        vanilla = vanilla_cross_attention(h_text, h_speech, params.fusion_cross_map)
+    if all_maps or mode is not FusionMode.ONLY_LABEL:
+        vanilla = vanilla_cross_attention(h_text, h_speech, params["fusion.cross_map"])
 
     if mode is FusionMode.SUM:
         align = add(vanilla, guided)
@@ -325,7 +300,7 @@ def _fused_pass(
         align = vanilla
     merged = concat_cols(h_text, aligned_speech(align, h_speech))
     pooled = pool(merged, "rows", "max")
-    logits = add(matmul(pooled, params.fusion_classifier_w), params.fusion_classifier_b)
+    logits = add(matmul(pooled, params["fusion.classifier_w"]), params["fusion.classifier_b"])
     return logits, profiles, vanilla, guided
 
 
@@ -334,23 +309,22 @@ class ForwardResult:
     logits: Node  # 1 x classes
     loss: Node  # 1 x 1 weighted total, root for backward
     breakdown: LossBreakdown
-    attention: AttentionBundle
 
 
 def forward(
     utterance: Utterance,
-    params: ModelParams,
+    params: dict[str, Node],
     mode: FusionMode,
     weights: tuple[float, float, float, float] = DEFAULT_LOSS_WEIGHTS,
     normalize_label_attention: bool = False,
 ) -> ForwardResult:
-    """Full multimodal pass: logits, weighted loss, and attention maps.
+    """Full multimodal pass: logits and the weighted loss with its breakdown.
 
     normalize_label_attention applies a row softmax to the label-guided
     alignment before use; off by default, documented as an extension.
     """
     logits, (profile_text, profile_speech), vanilla, guided = _fused_pass(
-        utterance, params, mode, normalize_label_attention, training=True
+        utterance, params, mode, normalize_label_attention, all_maps=True
     )
     loss_guide_text = guidance_loss(profile_text, utterance.label)
     loss_guide_speech = guidance_loss(profile_speech, utterance.label)
@@ -368,27 +342,26 @@ def forward(
         ),
         scale(loss_guide_speech, w_gs),
     )
+    parts = (loss_main, loss_constraint, loss_guide_text, loss_guide_speech, total)
+    return ForwardResult(logits, total, LossBreakdown(*(_value(node) for node in parts)))
 
-    breakdown = LossBreakdown(
-        main=float(loss_main.value.array[0, 0]),
-        constraint=float(loss_constraint.value.array[0, 0]),
-        guide_text=float(loss_guide_text.value.array[0, 0]),
-        guide_speech=float(loss_guide_speech.value.array[0, 0]),
-        total=float(total.value.array[0, 0]),
-        weights=(w_main, w_constraint, w_gt, w_gs),
+
+def attention_maps(
+    utterance: Utterance,
+    params: dict[str, Node],
+    mode: FusionMode,
+    normalize_label_attention: bool = False,
+) -> AttentionBundle:
+    """The four attention maps of the pass `forward` makes; needs no label."""
+    _, (profile_text, profile_speech), vanilla, guided = _fused_pass(
+        utterance, params, mode, normalize_label_attention, all_maps=True
     )
-    bundle = AttentionBundle(
-        label_token=profile_text.value,
-        label_frame=profile_speech.value,
-        vanilla=vanilla.value,
-        label_guided=guided.value,
-    )
-    return ForwardResult(logits=logits, loss=total, breakdown=breakdown, attention=bundle)
+    return AttentionBundle(profile_text.value, profile_speech.value, vanilla.value, guided.value)
 
 
 def predict_logits(
     utterance: Utterance,
-    params: ModelParams,
+    params: dict[str, Node],
     mode: FusionMode,
     normalize_label_attention: bool = False,
 ) -> Matrix:
@@ -397,65 +370,45 @@ def predict_logits(
     Raises NonFiniteError when the logits are not finite.
     """
     return _finite_logits(
-        _fused_pass(utterance, params, mode, normalize_label_attention, training=False)[0]
+        _fused_pass(utterance, params, mode, normalize_label_attention, all_maps=False)[0]
     )
 
 
-def predict(utterance: Utterance, params: ModelParams, mode: FusionMode, **kwargs) -> int:
-    logits = predict_logits(utterance, params, mode, **kwargs)
-    return int(np.argmax(logits.array[0]))
-
-
-def _tower(utterance: Utterance, modality: str, params: ModelParams) -> tuple[Node, Node, Node]:
+def _tower(utterance: Utterance, modality: str, params: dict[str, Node]) -> tuple[Node, Node, Node]:
     """One modality's sequence rows, its label rows and its pooled-head logits."""
     if modality == "text":
         h = text_encode(utterance.text_tokens, params)
-        labels, head_w, head_b = (
-            params.labels_text, params.fusion_text_head_w, params.fusion_text_head_b
-        )
     elif modality == "speech":
         h = speech_encode(utterance.frame_codes, params)
-        labels, head_w, head_b = (
-            params.labels_speech, params.fusion_speech_head_w, params.fusion_speech_head_b
-        )
     else:
         raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-    return h, labels, add(matmul(pool(h, "rows", "max"), head_w), head_b)
-
-
-@dataclass
-class UnimodalResult:
-    logits: Node
-    loss: Node
-    main: float
-    guidance: float
+    head = add(matmul(pool(h, "rows", "max"), params[f"fusion.{modality}_head_w"]),
+               params[f"fusion.{modality}_head_b"])
+    return h, params[f"labels.{modality}"], head
 
 
 def unimodal_forward(
     utterance: Utterance,
     modality: str,
-    params: ModelParams,
+    params: dict[str, Node],
     weights: tuple[float, float, float, float] = DEFAULT_LOSS_WEIGHTS,
-) -> UnimodalResult:
+) -> ForwardResult:
     """Single-tower pass: pooled classifier loss plus the guidance term.
 
     The guidance weight is the text one for the text tower and the speech
     one for the speech tower; zero reduces to a plain encoder + classifier.
+    The breakdown has 0.0 for the constraint and the other tower's guidance.
     """
     h, labels, logits = _tower(utterance, modality, params)
     guide_weight = float(weights[2] if modality == "text" else weights[3])
     loss_main = cross_entropy(logits, utterance.label)
     guide = guidance_loss(label_attention(h, labels), utterance.label)
     loss = add(loss_main, scale(guide, guide_weight))
-    return UnimodalResult(
-        logits=logits,
-        loss=loss,
-        main=float(loss_main.value.array[0, 0]),
-        guidance=float(guide.value.array[0, 0]),
-    )
+    guides = (_value(guide), 0.0) if modality == "text" else (0.0, _value(guide))
+    return ForwardResult(logits, loss, LossBreakdown(_value(loss_main), 0.0, *guides, _value(loss)))
 
 
-def unimodal_logits(utterance: Utterance, modality: str, params: ModelParams) -> Matrix:
+def unimodal_logits(utterance: Utterance, modality: str, params: dict[str, Node]) -> Matrix:
     """Single-tower logits for evaluation; NonFiniteError when not finite."""
     return _finite_logits(_tower(utterance, modality, params)[2])
 
@@ -489,18 +442,17 @@ def full_loss_grad_check(
     )
     shapes = _shapes(dims)
     order = sorted(shapes, key=lambda name: PARAMETERS[name][2] != "frozen table")
-    model = ModelParams.from_arrays(
+    model = model_from_arrays(
         {name: Matrix(rng.normal(0.0, 0.5, size=shapes[name])) for name in order},
         labels_trainable=True,
     )
     # The constraint objective sends a gradient to every matrix any mode reads.
     backward(forward(utt, model, FusionMode.CONSTRAINT).loss)
-    nodes = model.nodes
-    names = [name for name, node in nodes.items() if node.grad is not None]
+    names = [name for name, node in model.items() if node.grad is not None]
 
     def builder(*leaves):
-        params = ModelParams({**nodes, **dict(zip(names, leaves))})
+        params = {**model, **dict(zip(names, leaves))}
         return forward(utt, params, mode, weights, normalize_label_attention).loss
 
-    inputs = [nodes[name].value for name in names]
+    inputs = [model[name].value for name in names]
     return grad_check(builder, inputs, step=step, op_name=f"total_loss[{mode.value}]")

@@ -6,14 +6,20 @@ the config seed, so identical inputs reproduce identical logs, parameters
 and checkpoint bytes. Batch gradients are averaged, not summed, keeping
 the learning rate insensitive to batch size.
 
-Parameter names live in one table, `fusion.PARAMETERS`; the optimizer state,
-checkpoints and `model_from_checkpoint` all loop over the registry built from
-it. RNG streams, each a `default_rng([config.seed, n])`: n = 3 draws the
-embedding table and the codebook, n = 2 the weights (both in
-`fusion.init_model`), n = 1000 + epoch shuffles each epoch; the random label
-modes use seed + 101 (text) and seed + 202 (speech). `build_model` hands
-`init_model` both label matrices, each from `labelkit.label_rows` on the
-train split and the drawn table.
+Parameter names live in one table, `fusion.PARAMETERS`, and a model is a
+plain dict keyed by them; the optimizer state, checkpoints and
+`model_from_checkpoint` all loop over that dict. RNG streams, each a
+`default_rng([config.seed, n])`: n = 3 draws the embedding table and the
+codebook, n = 2 the weights (both in `fusion.init_model`), n = 1000 + epoch
+shuffles each epoch; the random label modes use seed + 101 (text) and
+seed + 202 (speech). `build_model` hands `init_model` both label matrices,
+each from `labelkit.label_rows` on the train split and the drawn table.
+
+Either modality's pass returns a `fusion.ForwardResult` whose breakdown
+holds the log's five loss columns, and a prediction is the argmax of its
+logits. A loaded model must fit its corpus: `check_fit` compares every
+array's shape with the corpus and config before resuming, evaluating or
+exporting attention.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from . import evalkit
 from .atomic import write_atomic
 from .corpus import Corpus
-from .diffcore import Matrix, backward
+from .diffcore import Matrix, Node, backward
 from .encoders import DEFAULT_DIM
 from .errors import (
     CheckpointIntegrityError,
@@ -43,12 +49,14 @@ from .errors import (
 )
 from .fusion import (
     DEFAULT_LOSS_WEIGHTS,
+    PARAMETERS,
+    ForwardResult,
     FusionMode,
-    ModelParams,
     _shapes,
     forward,
     init_model,
-    predict,
+    model_from_arrays,
+    predict_logits,
     unimodal_forward,
     unimodal_logits,
 )
@@ -241,7 +249,7 @@ def _dims(train_corpus: Corpus, config: TrainConfig) -> dict[str, int]:
     }
 
 
-def build_model(train_corpus: Corpus, config: TrainConfig) -> ModelParams:
+def build_model(train_corpus: Corpus, config: TrainConfig) -> dict[str, Node]:
     """Seeded model (`fusion.init_model`) with label rows from the train split."""
     config.validate()
 
@@ -255,24 +263,20 @@ def build_model(train_corpus: Corpus, config: TrainConfig) -> ModelParams:
     return init_model(_dims(train_corpus, config), config.seed, labels, config.labels_trainable)
 
 
-def _utterance_loss(utt, model: ModelParams, config: TrainConfig):
+def check_fit(model: dict[str, Node], corpus: Corpus, config: TrainConfig) -> None:
+    """DimensionError naming the first array whose shape the corpus and config do not give."""
+    for name, shape in _shapes(_dims(corpus, config)).items():
+        if model[name].value.shape != shape:
+            raise DimensionError(
+                f"checkpoint array {name!r} has shape {model[name].value.shape}, expected {shape}"
+            )
+
+
+def _utterance_loss(utt, model: dict[str, Node], config: TrainConfig) -> ForwardResult:
     if config.modality == "multimodal":
-        result = forward(
-            utt,
-            model,
-            FusionMode(config.fusion_mode),
-            config.loss_weights,
-            config.normalize_label_attention,
-        )
-        b = result.breakdown
-        return result.loss, (b.main, b.constraint, b.guide_text, b.guide_speech, b.total)
-    result = unimodal_forward(utt, config.modality, model, config.loss_weights)
-    total = float(result.loss.value.array[0, 0])
-    if config.modality == "text":
-        parts = (result.main, 0.0, result.guidance, 0.0, total)
-    else:
-        parts = (result.main, 0.0, 0.0, result.guidance, total)
-    return result.loss, parts
+        return forward(utt, model, FusionMode(config.fusion_mode), config.loss_weights,
+                       config.normalize_label_attention)
+    return unimodal_forward(utt, config.modality, model, config.loss_weights)
 
 
 def train(
@@ -280,13 +284,13 @@ def train(
     heldout_corpus: Corpus,
     config: TrainConfig,
     resume_from: "Checkpoint | None" = None,
-) -> tuple[ModelParams, TrainLog, "Checkpoint"]:
-    """Train a model; returns (params, log, final checkpoint).
+) -> tuple[dict[str, Node], TrainLog, "Checkpoint"]:
+    """Train a model; returns (model, log, final checkpoint).
 
     Deterministic: identical (config, corpora) give bitwise-identical logs
     and checkpoints. Resuming rebuilds the model from an intermediate
-    checkpoint's arrays (DimensionError when a shape disagrees with the
-    corpus and config) and continues the exact trajectory of an
+    checkpoint's arrays (`check_fit`'s DimensionError when a shape disagrees
+    with the corpus and config) and continues the exact trajectory of an
     uninterrupted run. `log.heldout` is the last epoch's heldout evaluation
     of the returned model. A non-finite loss, gradient,
     parameter or logit, or a zero-norm row where a direction is needed,
@@ -309,17 +313,11 @@ def train(
                 f"checkpoint already covers {resume_from.epoch} epochs, config asks for {config.epochs}"
             )
         model = model_from_checkpoint(resume_from)
-        stored = {name: node.value.shape for name, node in model.named_arrays()}
-        for name, shape in _shapes(_dims(train_corpus, config)).items():
-            if stored[name] != shape:
-                raise DimensionError(
-                    f"checkpoint array {name!r} has shape {stored[name]}, expected {shape}"
-                )
+        check_fit(model, train_corpus, config)
         restore_into_optimizer(resume_from, optimizer)
         log = TrainLog(list(resume_from.log_records))
         start_epoch = resume_from.epoch
 
-    params = model.named_trainable()
     for epoch in range(start_epoch, config.epochs):
         order = np.random.default_rng([config.seed, 1000 + epoch]).permutation(len(train_corpus))
         sums = np.zeros(5)
@@ -328,36 +326,26 @@ def train(
             for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
                 stage = f"batch {batch_no}"
                 batch = order[start : start + config.batch_size]
-                for _, node in params:
+                for node in model.values():
                     node.zero_grad()
                 for idx in batch:
-                    utt = train_corpus.utterances[int(idx)]
-                    loss, parts = _utterance_loss(utt, model, config)
-                    if not np.isfinite(loss.value.array[0, 0]):
+                    result = _utterance_loss(train_corpus.utterances[int(idx)], model, config)
+                    if not np.isfinite(result.loss.value.array[0, 0]):
                         raise NonFiniteError("loss is not finite")
-                    backward(loss)
-                    sums += np.array(parts)
-                optimizer.step(params, grad_scale=1.0 / len(batch))
+                    backward(result.loss)
+                    sums += np.array(dataclasses.astuple(result.breakdown))
+                optimizer.step(model.items(), grad_scale=1.0 / len(batch))
             stage = "evaluation"
             train_eval = evalkit.evaluate(model_predictor(model, config), train_corpus)
             log.heldout = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
         except (NonFiniteError, DegenerateRowError) as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}, {stage}: {exc}") from exc
-        averages = sums / len(order)
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss_main=float(averages[0]),
-                loss_constraint=float(averages[1]),
-                loss_guide_text=float(averages[2]),
-                loss_guide_speech=float(averages[3]),
-                loss_total=float(averages[4]),
-                train_wa=train_eval.weighted_accuracy,
-                train_ua=train_eval.unweighted_accuracy,
-                heldout_wa=log.heldout.weighted_accuracy,
-                heldout_ua=log.heldout.unweighted_accuracy,
-            )
-        )
+        # The breakdown's fields are the five loss columns, in record order.
+        log.records.append(EpochRecord(
+            epoch, *(float(v) for v in sums / len(order)),
+            train_eval.weighted_accuracy, train_eval.unweighted_accuracy,
+            log.heldout.weighted_accuracy, log.heldout.unweighted_accuracy,
+        ))
 
     final_metrics = {}
     if log.records:
@@ -369,22 +357,20 @@ def train(
     return model, log, checkpoint
 
 
-def model_predictor(model: ModelParams, config: TrainConfig):
-    """Per-utterance class prediction matching the configured modality."""
+def model_predictor(model: dict[str, Node], config: TrainConfig):
+    """Per-utterance class prediction: the argmax of the configured modality's logits."""
     if config.modality == "multimodal":
         mode = FusionMode(config.fusion_mode)
 
-        def fn(utt):
-            return predict(
-                utt, model, mode, normalize_label_attention=config.normalize_label_attention
-            )
+        def logits(utt):
+            return predict_logits(utt, model, mode, config.normalize_label_attention)
 
     else:
 
-        def fn(utt):
-            return int(np.argmax(unimodal_logits(utt, config.modality, model).array[0]))
+        def logits(utt):
+            return unimodal_logits(utt, config.modality, model)
 
-    return fn
+    return lambda utt: int(np.argmax(logits(utt).array[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +390,14 @@ class Checkpoint:
 
 
 def make_checkpoint(
-    model: ModelParams,
+    model: dict[str, Node],
     optimizer: Adam,
     config: TrainConfig,
     epoch: int,
     log: TrainLog,
     metrics: dict[str, float],
 ) -> Checkpoint:
-    arrays: dict[str, Matrix] = {name: node.value for name, node in model.named_arrays()}
+    arrays: dict[str, Matrix] = {name: node.value for name, node in model.items()}
     for name, m in optimizer.m.items():
         arrays[f"adam.m.{name}"] = Matrix(m)
     for name, v in optimizer.v.items():
@@ -436,10 +422,10 @@ def restore_into_optimizer(checkpoint: Checkpoint, optimizer: Adam) -> None:
             optimizer.v[name[len("adam.v.") :]] = matrix.array.copy()
 
 
-def model_from_checkpoint(checkpoint: Checkpoint) -> ModelParams:
+def model_from_checkpoint(checkpoint: Checkpoint) -> dict[str, Node]:
     """Self-contained model rebuild; shapes and values come from the arrays."""
     try:
-        return ModelParams.from_arrays(checkpoint.arrays, checkpoint.config.labels_trainable)
+        return model_from_arrays(checkpoint.arrays, checkpoint.config.labels_trainable)
     except KeyError as exc:
         raise CheckpointIntegrityError(f"checkpoint is missing array {exc.args[0]!r}") from None
 
@@ -527,6 +513,11 @@ def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
     config = TrainConfig(**manifest["config"])
     config.validate()
     records = tuple(EpochRecord(**r) for r in manifest["log_records"])
+    if manifest["epoch"] != len(records):
+        raise CheckpointIntegrityError(
+            f"manifest epoch {manifest['epoch']!r} disagrees with its {len(records)} log records"
+        )
+    _check_moments(arrays)
     return Checkpoint(
         format_version=manifest["format_version"],
         config=config,
@@ -536,3 +527,21 @@ def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
         log_records=records,
         metrics=dict(manifest["metrics"]),
     )
+
+
+def _check_moments(arrays: dict[str, Matrix]) -> None:
+    """Adam moments come in m/v pairs, each for a model array and of its shape."""
+    for name, moment in arrays.items():
+        if not name.startswith(("adam.m.", "adam.v.")):
+            continue
+        param = name[len("adam.m.") :]
+        if param not in PARAMETERS:
+            raise CheckpointIntegrityError(f"optimizer moment {name!r} is for no model array")
+        for needed in (param, f"adam.m.{param}", f"adam.v.{param}"):
+            if needed not in arrays:
+                raise CheckpointIntegrityError(f"checkpoint has {name!r} but no {needed!r}")
+        if moment.shape != arrays[param].shape:
+            raise CheckpointIntegrityError(
+                f"optimizer moment {name!r} has shape {moment.shape}, "
+                f"array {param!r} has {arrays[param].shape}"
+            )

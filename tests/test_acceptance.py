@@ -213,7 +213,7 @@ def test_criterion_3_structural_invariants():
         )
         mode = modes[trial % len(modes)]
         result = fu.forward(utt, model, mode, PAPER_WEIGHTS)
-        bundle = result.attention
+        bundle = fu.attention_maps(utt, model, mode)
 
         assert np.abs(bundle.label_token.array).max() <= 1.0 + 1e-12
         assert np.abs(bundle.label_frame.array).max() <= 1.0 + 1e-12
@@ -239,7 +239,9 @@ def test_criterion_3_structural_invariants():
 def planted_background_gap(model, corpus, utterances, modality):
     planted_vals, background_vals = [], []
     for utt in utterances:
-        avg_text, avg_speech = ev.attention_profiles(model, utt)
+        bundle = fu.attention_maps(utt, model, fu.FusionMode.CONSTRAINT)
+        avg_text = fu.class_averaged_attention(bundle.label_token)
+        avg_speech = fu.class_averaged_attention(bundle.label_frame)
         if modality == "text":
             values, symbols = avg_text, utt.text_tokens
             planted = set(corpus.planted_tokens[utt.label])
@@ -283,11 +285,11 @@ def test_criterion_4_synthetic_learnability(tmp_path):
     # Exported tables carry the same values and markers (export consistency).
     probe = held_c.utterances[0]
     paths = ev.export_attention(
-        model, probe,
+        fu.attention_maps(probe, model, fu.FusionMode.CONSTRAINT), probe,
         corpus.planted_tokens[probe.label], corpus.planted_codes[probe.label],
         tmp_path / "attention",
     )
-    assert len(paths) == 3
+    assert len(paths) == 4
 
     lines = ["metric,value", f"final_heldout_ua,{final_ua:.6f}", f"best_heldout_ua,{best_ua:.6f}"]
     for modality, (planted, background) in gaps.items():

@@ -6,6 +6,7 @@ import pytest
 from labelfuse import atomic, cli
 from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
+from labelfuse import fusion as fu
 from labelfuse import trainer as tr
 
 SPEC = cp.CorpusSpec(
@@ -32,9 +33,10 @@ def write_checkpoint(root, variant, corpus_file):
 def write_attention(root, variant, corpus_file):
     corpus = cp.generate(SPEC, 10)
     utt = corpus.utterances[variant]
-    ev.export_attention(tr.model_from_checkpoint(checkpoint(0)), utt,
-                        corpus.planted_tokens[utt.label], corpus.planted_codes[utt.label],
-                        root / "attention", bundle=None)
+    bundle = fu.attention_maps(utt, tr.model_from_checkpoint(checkpoint(0)),
+                               fu.FusionMode.CONSTRAINT)
+    ev.export_attention(bundle, utt, corpus.planted_tokens[utt.label],
+                        corpus.planted_codes[utt.label], root / "attention")
 
 
 def write_cli_reports(root, variant, corpus_file):

@@ -319,6 +319,30 @@ class TestHarnessCommands:
         )
 
 
+class TestModelFit:
+    """A checkpoint used on a corpus it does not fit is refused before any output."""
+
+    @pytest.mark.parametrize("subcommand", ["evaluate", "export-attention"])
+    def test_other_class_count_exits_1(self, tmp_path, corpus_file, subcommand, capsys):
+        model_dir, other_dir, out = tmp_path / "model", tmp_path / "other", tmp_path / "result"
+        assert cli.main([
+            "train", "--out-dir", str(model_dir), "--corpus-file", str(corpus_file), *SMALL_TRAIN,
+        ]) == 0
+        assert cli.main(["gen-corpus", "--out-dir", str(other_dir), *SMALL_CORPUS,
+                         "--classes", "2"]) == 0
+        capsys.readouterr()
+        rc = cli.main([
+            subcommand, "--out-dir", str(out),
+            "--checkpoint", str(model_dir / "checkpoints" / "model.ckpt"),
+            "--corpus-file", str(other_dir / "corpus.txt"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'fusion.classifier_w' has shape (16, 3), expected (16, 2)" in err
+        assert not out.exists()
+
+
 class TestGradCheckCommand:
     def test_exits_zero_when_within_tolerance(self, out, capsys):
         rc = cli.main(["grad-check", "--out-dir", str(out), "--probes-per-op", "2"])

@@ -30,23 +30,24 @@ def make_model(vocab_text=10, vocab_speech=12, text_dim=4, speech_dim=4, seed=0)
 class TestInit:
     def test_deterministic_in_seed(self):
         m1, m2 = make_model(seed=3), make_model(seed=3)
-        assert m1.text_embedding.value == m2.text_embedding.value
-        assert m1.text_query_w.value == m2.text_query_w.value
-        assert m1.speech_codebook.value == m2.speech_codebook.value
-        assert m1.speech_post_w.value == m2.speech_post_w.value
+        assert m1["text.embedding"].value == m2["text.embedding"].value
+        assert m1["text.query_w"].value == m2["text.query_w"].value
+        assert m1["speech.codebook"].value == m2["speech.codebook"].value
+        assert m1["speech.post_w"].value == m2["speech.post_w"].value
 
     def test_distinct_seeds_distinct_tables(self):
-        assert make_model(seed=1).text_embedding.value != make_model(seed=2).text_embedding.value
+        assert (make_model(seed=1)["text.embedding"].value
+                != make_model(seed=2)["text.embedding"].value)
 
     def test_default_dim(self):
         config = TrainConfig()
         assert config.text_dim == config.speech_dim == enc.DEFAULT_DIM == 16
         model = make_model(text_dim=config.text_dim, speech_dim=config.speech_dim)
-        assert model.text_embedding.value.cols == 16
-        assert model.speech_codebook.value.cols == 16
+        assert model["text.embedding"].value.cols == 16
+        assert model["speech.codebook"].value.cols == 16
 
     def test_codebook_is_frozen_constant(self):
-        assert not make_model().speech_codebook.requires_grad
+        assert not make_model()["speech.codebook"].requires_grad
 
 
 class TestTextEncode:
@@ -58,17 +59,17 @@ class TestTextEncode:
 
     def test_zero_mix_weights_reduce_to_embeddings(self):
         model = make_model(seed=0)
-        zeroed([model.text_query_w, model.text_key_w, model.text_value_w])
+        zeroed([model["text.query_w"], model["text.key_w"], model["text.value_w"]])
         out = enc.text_encode([3, 1, 4], model)
-        assert out.value == Matrix(model.text_embedding.value.array[[3, 1, 4]])
+        assert out.value == Matrix(model["text.embedding"].value.array[[3, 1, 4]])
 
     def test_single_token_hand_oracle(self):
         # With one token the attention weight is exactly 1, so the output is
         # e + (e @ value_w), independent of query/key weights.
         model = make_model(seed=5)
         out = enc.text_encode([7], model)
-        e = model.text_embedding.value.array[7]
-        expected = e + e @ model.text_value_w.value.array
+        e = model["text.embedding"].value.array[7]
+        expected = e + e @ model["text.value_w"].value.array
         assert np.allclose(out.value.array[0], expected, atol=1e-15)
 
     def test_out_of_vocabulary_token(self):
@@ -97,10 +98,10 @@ class TestSpeechEncode:
 
     def test_zero_weights_reduce_to_codebook_rows(self):
         model = make_model(seed=0)
-        zeroed([model.speech_query_w, model.speech_key_w, model.speech_value_w,
-                model.speech_post_w])
+        zeroed([model["speech.query_w"], model["speech.key_w"], model["speech.value_w"],
+                model["speech.post_w"]])
         out = enc.speech_encode([2, 8], model)
-        assert out.value == Matrix(model.speech_codebook.value.array[[2, 8]])
+        assert out.value == Matrix(model["speech.codebook"].value.array[[2, 8]])
 
     def test_out_of_vocabulary_code(self):
         model = make_model(seed=0)
@@ -113,28 +114,28 @@ class TestSpeechEncode:
         model = make_model(seed=1)
         out = enc.speech_encode([1, 2, 3], model)
         dc.backward(dc.sum_all(out))
-        assert model.speech_codebook.grad is None
-        assert model.speech_query_w.grad is not None
+        assert model["speech.codebook"].grad is None
+        assert model["speech.query_w"].grad is not None
 
     def test_mix_weight_gradients_vs_fd(self):
         model = make_model(8, 10, 3, 3, seed=2)
         codes = [1, 4, 7]
-        codebook = model.speech_codebook.value
+        codebook = model["speech.codebook"].value
 
         def builder(qw, kw, vw, pw):
-            params = fu.ModelParams({
+            params = {
                 "speech.codebook": dc.constant(codebook),
                 "speech.query_w": qw,
                 "speech.key_w": kw,
                 "speech.value_w": vw,
                 "speech.post_w": pw,
-            })
+            }
             return dc.sum_all(enc.speech_encode(codes, params))
 
         rep = dc.grad_check(
             builder,
-            [model.speech_query_w.value, model.speech_key_w.value, model.speech_value_w.value,
-             model.speech_post_w.value],
+            [model["speech.query_w"].value, model["speech.key_w"].value,
+             model["speech.value_w"].value, model["speech.post_w"].value],
             step=1e-5,
         )
         assert rep.max_relative_error <= 1e-4
@@ -144,15 +145,15 @@ class TestSpeechEncode:
         tokens = [0, 2, 2, 5]
 
         def builder(table, qw, kw, vw):
-            params = fu.ModelParams({
+            params = {
                 "text.embedding": table, "text.query_w": qw, "text.key_w": kw, "text.value_w": vw
-            })
+            }
             return dc.sum_all(enc.text_encode(tokens, params))
 
         rep = dc.grad_check(
             builder,
-            [model.text_embedding.value, model.text_query_w.value, model.text_key_w.value,
-             model.text_value_w.value],
+            [model["text.embedding"].value, model["text.query_w"].value, model["text.key_w"].value,
+             model["text.value_w"].value],
             step=1e-5,
         )
         assert rep.max_relative_error <= 1e-4

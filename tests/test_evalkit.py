@@ -8,6 +8,7 @@ import pytest
 
 from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
+from labelfuse import fusion as fu
 from labelfuse import trainer as tr
 from labelfuse.diffcore import Matrix
 from labelfuse.errors import ConfigError, EvaluationError, ExtractionError
@@ -376,15 +377,16 @@ class TestExportAttention:
         train_c, held_c = cp.split(corpus, 0.7, seed=4)
         model, _, _ = tr.train(train_c, held_c, config)
         utt = held_c.utterances[0]
+        bundle = fu.attention_maps(utt, model, fu.FusionMode(config.fusion_mode))
         paths = ev.export_attention(
-            model,
+            bundle,
             utt,
             corpus.planted_tokens[utt.label],
             corpus.planted_codes[utt.label],
             tmp_path / "attn",
         )
-        assert len(paths) == 3
-        avg_text, avg_speech = ev.attention_profiles(model, utt)
+        assert len(paths) == 4
+        avg_text = bundle.label_token.array.mean(axis=1)
 
         text_lines = (tmp_path / "attn_text.csv").read_text().splitlines()
         assert text_lines[0] == "position,symbol,attention,planted"
@@ -403,15 +405,13 @@ class TestExportAttention:
         assert svg.count("<polyline") == 2
 
     def test_bundle_export_matches_matrices(self, tmp_path):
-        from labelfuse.fusion import FusionMode, forward
-
         spec, config = tiny_setup()
         corpus = cp.generate(spec, 40)
         train_c, held_c = cp.split(corpus, 0.7, seed=4)
         model, _, _ = tr.train(train_c, held_c, config)
         utt = held_c.utterances[0]
-        bundle = forward(utt, model, FusionMode(config.fusion_mode), config.loss_weights).attention
-        paths = ev.export_attention(model, utt, (), (), tmp_path / "full", bundle=bundle)
+        bundle = fu.attention_maps(utt, model, fu.FusionMode(config.fusion_mode))
+        paths = ev.export_attention(bundle, utt, (), (), tmp_path / "full")
         assert str(tmp_path / "full_bundle.csv") in paths
         lines = (tmp_path / "full_bundle.csv").read_text().splitlines()
         assert lines[0] == "matrix,row,col,value"
@@ -433,7 +433,8 @@ class TestExportAttention:
         train_c, held_c = cp.split(corpus, 0.7, seed=4)
         model, _, _ = tr.train(train_c, held_c, replace(config, epochs=0))
         utt = held_c.utterances[1]
-        ev.export_attention(model, utt, (), (), tmp_path / "a")
-        ev.export_attention(model, utt, (), (), tmp_path / "b")
+        bundle = fu.attention_maps(utt, model, fu.FusionMode(config.fusion_mode))
+        ev.export_attention(bundle, utt, (), (), tmp_path / "a")
+        ev.export_attention(bundle, utt, (), (), tmp_path / "b")
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
         assert (tmp_path / "a_text.csv").read_bytes() == (tmp_path / "b_text.csv").read_bytes()

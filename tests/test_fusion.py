@@ -4,6 +4,7 @@ Numeric oracles here are deliberately written as explicit scalar loops, so
 they share no code path with the matrix implementation they check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from labelfuse import fusion as fu
 from labelfuse.corpus import Utterance
 from labelfuse.diffcore import Matrix
 from labelfuse.errors import DegenerateRowError, DimensionError
+from labelfuse.trainer import EpochRecord
 
 
 def rand(rng, r, c, std=1.0):
@@ -47,11 +49,15 @@ def tiny_model(rng, vocab_text=10, vocab_speech=12, dim=6, classes=3, trainable=
     return fu.init_model(dims, seed, lambda embedding, codebook: labels, trainable)
 
 
+def _scalar(node):
+    return float(node.value.array[0, 0])
+
+
 def tiny_utterance(rng, model):
     return Utterance(
-        tuple(int(t) for t in rng.integers(0, model.text_embedding.value.rows, size=4)),
-        tuple(int(c) for c in rng.integers(0, model.speech_codebook.value.rows, size=6)),
-        int(rng.integers(0, model.classes)),
+        tuple(int(t) for t in rng.integers(0, model["text.embedding"].value.rows, size=4)),
+        tuple(int(c) for c in rng.integers(0, model["speech.codebook"].value.rows, size=6)),
+        int(rng.integers(0, model["labels.text"].value.rows)),
     )
 
 
@@ -321,7 +327,7 @@ class TestForward:
         rng = np.random.default_rng(36)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        bundle = fu.forward(utt, model, fu.FusionMode.CONSTRAINT).attention
+        bundle = fu.attention_maps(utt, model, fu.FusionMode.CONSTRAINT)
         substituted = dc.mse(
             dc.constant(bundle.label_guided), dc.constant(bundle.label_guided)
         )
@@ -332,12 +338,26 @@ class TestForward:
         for _ in range(50):
             model = tiny_model(rng)
             utt = tiny_utterance(rng, model)
-            bundle = fu.forward(utt, model, fu.FusionMode.CONSTRAINT).attention
-            c = model.classes
+            bundle = fu.attention_maps(utt, model, fu.FusionMode.CONSTRAINT)
+            c = model["labels.text"].value.rows
             assert np.abs(bundle.label_token.array).max() <= 1.0 + 1e-12
             assert np.abs(bundle.label_frame.array).max() <= 1.0 + 1e-12
             assert np.abs(bundle.vanilla.array.sum(axis=1) - 1.0).max() <= 1e-9
             assert np.abs(bundle.label_guided.array).max() <= c + 1e-9
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_attention_maps_are_the_maps_forward_scores(self, normalize):
+        rng = np.random.default_rng(49)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        mode = fu.FusionMode.CONSTRAINT
+        b = fu.forward(utt, model, mode, normalize_label_attention=normalize).breakdown
+        maps = fu.attention_maps(utt, model, mode, normalize_label_attention=normalize)
+        constraint = dc.mse(dc.constant(maps.label_guided), dc.constant(maps.vanilla))
+        guides = [fu.guidance_loss(dc.constant(profile), utt.label)
+                  for profile in (maps.label_token, maps.label_frame)]
+        recomputed = [_scalar(node) for node in (constraint, *guides)]
+        assert recomputed == [b.constraint, b.guide_text, b.guide_speech]
 
     def test_only_vanilla_reduces_to_label_free_pass(self):
         # Separately coded pass with no label machinery at all.
@@ -349,11 +369,12 @@ class TestForward:
 
         h_text = text_encode(utt.text_tokens, model)
         h_speech = speech_encode(utt.frame_codes, model)
-        scores = dc.matmul(h_text, dc.transpose(dc.matmul(h_speech, model.fusion_cross_map)))
+        scores = dc.matmul(h_text, dc.transpose(dc.matmul(h_speech, model["fusion.cross_map"])))
         align = dc.row_softmax(scores)
         merged = dc.concat_cols(h_text, dc.matmul(align, h_speech))
         pooled = dc.pool(merged, "rows", "max")
-        logits = dc.add(dc.matmul(pooled, model.fusion_classifier_w), model.fusion_classifier_b)
+        logits = dc.add(dc.matmul(pooled, model["fusion.classifier_w"]),
+                        model["fusion.classifier_b"])
         plain_loss = dc.cross_entropy(logits, utt.label).value.array[0, 0]
 
         result = fu.forward(utt, model, fu.FusionMode.ONLY_VANILLA, weights=(1.0, 0.0, 0.0, 0.0))
@@ -364,11 +385,12 @@ class TestForward:
         rng = np.random.default_rng(39)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        raw = fu.forward(utt, model, fu.FusionMode.ONLY_LABEL)
-        normed = fu.forward(utt, model, fu.FusionMode.ONLY_LABEL, normalize_label_attention=True)
-        rows = normed.attention.label_guided.array.sum(axis=1)
+        raw = fu.attention_maps(utt, model, fu.FusionMode.ONLY_LABEL)
+        normed = fu.attention_maps(utt, model, fu.FusionMode.ONLY_LABEL,
+                                   normalize_label_attention=True)
+        rows = normed.label_guided.array.sum(axis=1)
         assert np.abs(rows - 1.0).max() <= 1e-9
-        assert raw.attention.label_guided != normed.attention.label_guided
+        assert raw.label_guided != normed.label_guided
 
     def test_predict_logits_matches_forward(self):
         rng = np.random.default_rng(40)
@@ -385,13 +407,48 @@ class TestForward:
                 assert via_forward == via_predict
 
 
+class TestBreakdown:
+    """Both passes report the five train-log loss columns; the root is their total."""
+
+    def test_fields_are_the_log_columns(self):
+        names = [f.name for f in dataclasses.fields(fu.LossBreakdown)]
+        assert ["loss_" + name for name in names] == [
+            f.name for f in dataclasses.fields(EpochRecord) if f.name.startswith("loss_")
+        ]
+
+    @pytest.mark.parametrize("modality", ["text", "speech"])
+    def test_tower_reports_zero_for_missing_terms(self, modality):
+        rng = np.random.default_rng(47)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        result = fu.unimodal_forward(utt, modality, model)
+        b = result.breakdown
+        own, other = (b.guide_text, b.guide_speech) if modality == "text" else (
+            b.guide_speech, b.guide_text)
+        assert b.constraint == 0.0
+        assert other == 0.0
+        assert own > 0.0
+        assert b.total == result.loss.value.array[0, 0]
+        assert abs(b.total - (b.main + 0.2 * own)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", list(fu.FusionMode))
+    def test_multimodal_total_is_the_loss_node(self, mode):
+        rng = np.random.default_rng(48)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        result = fu.forward(utt, model, mode)
+        b = result.breakdown
+        assert b.total == result.loss.value.array[0, 0]
+        assert min(b.main, b.guide_text, b.guide_speech) > 0.0
+
+
 class TestUnimodalForward:
     def test_zero_guidance_reduces_to_plain_classifier(self):
         rng = np.random.default_rng(41)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         result = fu.unimodal_forward(utt, "text", model, weights=(1.0, 0.5, 0.0, 0.0))
-        assert abs(result.loss.value.array[0, 0] - result.main) <= 1e-12
+        assert abs(result.loss.value.array[0, 0] - result.breakdown.main) <= 1e-12
 
     def test_logits_shape(self):
         rng = np.random.default_rng(42)
@@ -399,7 +456,7 @@ class TestUnimodalForward:
         utt = tiny_utterance(rng, model)
         for modality in ("text", "speech"):
             result = fu.unimodal_forward(utt, modality, model)
-            assert result.logits.value.shape == (1, model.classes)
+            assert result.logits.value.shape == (1, model["labels.text"].value.rows)
 
     def test_unknown_modality(self):
         rng = np.random.default_rng(43)
@@ -441,7 +498,7 @@ class TestUnimodalForward:
                     ("fusion.speech_head_b", (1, classes)),
                 )
             }
-            model = fu.ModelParams({
+            model = {
                 **frozen,
                 "text.embedding": emb,
                 "text.query_w": qw,
@@ -451,7 +508,7 @@ class TestUnimodalForward:
                 "fusion.text_head_b": hb,
                 "labels.text": lab,
                 "labels.speech": dc.constant(labels),
-            })
+            }
             return fu.unimodal_forward(utt, "text", model).loss
 
         rep = dc.grad_check(

@@ -236,18 +236,18 @@ class TestBuildModelLabelRows:
             table_rng = np.random.default_rng([4, 3])
             embedding = table_rng.normal(0.0, 0.02, size=(30, 8))
             codebook = table_rng.normal(0.0, 0.02, size=(40, 8))
-            assert np.array_equal(model.text_embedding.value.array, embedding)
-            assert np.array_equal(model.speech_codebook.value.array, codebook)
+            assert np.array_equal(model["text.embedding"].value.array, embedding)
+            assert np.array_equal(model["speech.codebook"].value.array, codebook)
 
             text = independent_label_rows(train, "text_tokens", text_mode, embedding, 3, 105, None)
             speech = independent_label_rows(
                 train, "frame_codes", speech_mode, codebook, 5, 206, text
             )
-            assert np.allclose(model.labels_text.value.array, text, rtol=0, atol=1e-15)
-            assert np.allclose(model.labels_speech.value.array, speech, rtol=0, atol=1e-15)
-            assert model.labels_text.requires_grad is trainable
-            assert model.labels_speech.requires_grad is trainable
-            assert not model.speech_codebook.requires_grad
+            assert np.allclose(model["labels.text"].value.array, text, rtol=0, atol=1e-15)
+            assert np.allclose(model["labels.speech"].value.array, speech, rtol=0, atol=1e-15)
+            assert model["labels.text"].requires_grad is trainable
+            assert model["labels.speech"].requires_grad is trainable
+            assert not model["speech.codebook"].requires_grad
 
 
 class TestDescriptionsExport:

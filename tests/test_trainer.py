@@ -21,7 +21,7 @@ from labelfuse.errors import (
     NonFiniteError,
     UnsupportedVersionError,
 )
-from labelfuse.fusion import FusionMode, forward, predict, unimodal_logits
+from labelfuse.fusion import FusionMode, forward, predict_logits, unimodal_logits
 
 
 def tiny_corpus(seed=5, n=40):
@@ -144,7 +144,7 @@ class TestTrain:
         config = tiny_config(epochs=0)
         model, log, _ = tr.train(train_c, held_c, config)
         fresh = tr.build_model(train_c, config)
-        for (name_a, node_a), (name_b, node_b) in zip(model.named_arrays(), fresh.named_arrays()):
+        for (name_a, node_a), (name_b, node_b) in zip(model.items(), fresh.items()):
             assert name_a == name_b
             assert node_a.value == node_b.value
         assert log.records == []
@@ -159,7 +159,7 @@ class TestTrain:
         train_c, held_c = tiny_corpus()
         model_a, _, _ = tr.train(train_c, held_c, tiny_config())
         model_b, _, _ = tr.train(train_c, held_c, tiny_config())
-        for (_, node_a), (_, node_b) in zip(model_a.named_arrays(), model_b.named_arrays()):
+        for (_, node_a), (_, node_b) in zip(model_a.items(), model_b.items()):
             assert node_a.value == node_b.value
 
     def test_loss_components_finite_every_epoch(self):
@@ -176,14 +176,14 @@ class TestTrain:
         config = tiny_config(labels_trainable=False)
         model, _, _ = tr.train(train_c, held_c, config)
         fresh = tr.build_model(train_c, config)
-        assert model.labels_text.value == fresh.labels_text.value
-        assert model.labels_speech.value == fresh.labels_speech.value
+        assert model["labels.text"].value == fresh["labels.text"].value
+        assert model["labels.speech"].value == fresh["labels.speech"].value
 
     def test_codebook_stays_constant(self):
         train_c, held_c = tiny_corpus()
         model, _, _ = tr.train(train_c, held_c, tiny_config())
         fresh = tr.build_model(train_c, tiny_config())
-        assert model.speech_codebook.value == fresh.speech_codebook.value
+        assert model["speech.codebook"].value == fresh["speech.codebook"].value
 
     def test_unimodal_modalities_train(self):
         train_c, held_c = tiny_corpus()
@@ -249,7 +249,7 @@ class TestDivergence:
         _, held_c, config, ckpt = self.blown_up_checkpoint()
         model = tr.model_from_checkpoint(ckpt)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-            predict(held_c.utterances[0], model, FusionMode(config.fusion_mode))
+            predict_logits(held_c.utterances[0], model, FusionMode(config.fusion_mode))
 
     def test_huge_parameter_makes_unimodal_logits_raise(self):
         _, held_c, _, ckpt = self.blown_up_checkpoint(modality="text")
@@ -271,16 +271,16 @@ class TestRegistry:
         config = tiny_config(labels_trainable=labels_trainable)
         model = tr.build_model(train_c, config)
         optimizer = tr.Adam(config)
-        trainable = model.named_trainable()
+        trainable = [(name, node) for name, node in model.items() if node.requires_grad]
         for _, node in trainable:
             node.grad = Matrix(np.zeros(node.value.shape))
         optimizer.step(trainable)  # a zero-gradient step fills the moments, values stay
         ckpt = tr.make_checkpoint(model, optimizer, config, 0, tr.TrainLog(), {})
 
-        names = [name for name, _ in model.named_arrays()]
+        names = [name for name, _ in model.items()]
         moments = [f"adam.{k}.{name}" for name, _ in trainable for k in ("m", "v")]
         assert sorted(ckpt.arrays) == sorted(names + moments)
-        frozen = {name for name, node in model.named_arrays() if not node.requires_grad}
+        frozen = {name for name, node in model.items() if not node.requires_grad}
         expected_frozen = {"speech.codebook"}
         if not labels_trainable:
             expected_frozen |= {"labels.text", "labels.speech"}
@@ -288,8 +288,8 @@ class TestRegistry:
 
         fresh = tr.build_model(train_c, config)
         restored = tr.model_from_checkpoint(ckpt)
-        assert [name for name, _ in restored.named_arrays()] == names
-        for (name, node), (_, want) in zip(restored.named_arrays(), fresh.named_arrays()):
+        assert [name for name, _ in restored.items()] == names
+        for (name, node), (_, want) in zip(restored.items(), fresh.items()):
             assert node.value == want.value, name
             assert node.requires_grad == want.requires_grad, name
 
@@ -399,9 +399,14 @@ class TestCheckpointing:
             lambda m: m["config"].update(labels_trainable="false"),
             lambda m: m["config"].update(epochs=True),
             lambda m: m["config"].update(top_k_text=9.0),
+            lambda m: m.update(
+                arrays=[e for e in m["arrays"] if e["name"] != "adam.v.fusion.cross_map"]
+            ),
+            lambda m: m.update(epoch=5),
         ],
         ids=["unknown-config-key", "missing-epoch", "invalid-fusion-mode",
-             "string-for-bool", "bool-for-int", "float-for-int"],
+             "string-for-bool", "bool-for-int", "float-for-int", "unpaired-moment",
+             "epoch-beyond-log"],
     )
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         train_c, held_c = tiny_corpus()
@@ -411,6 +416,29 @@ class TestCheckpointing:
         rewrite_manifest(path, mutate)
         with pytest.raises(CheckpointIntegrityError):
             tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, shape, match", [
+        ("adam.m.fusion.cross_map", (2, 2), "has shape"),
+        ("adam.m.fusion.nothing", (1, 1), "no model array"),
+    ])
+    def test_moment_that_fits_no_array_is_integrity_error(self, tmp_path, name, shape, match):
+        train_c, held_c = tiny_corpus()
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1))
+        ckpt.arrays[name] = ckpt.arrays[name.replace(".m.", ".v.")] = Matrix(np.zeros(shape))
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            tr.load_checkpoint(path)
+
+    def test_written_checkpoints_pass_the_load_checks(self, tmp_path):
+        # Every moment pairs with a model array, and epoch counts the log's records.
+        train_c, held_c = tiny_corpus()
+        path = tmp_path / "model.ckpt"
+        for overrides in ({"epochs": 0}, {"epochs": 2, "labels_trainable": True},
+                          {"epochs": 1, "modality": "speech"}):
+            _, log, ckpt = tr.train(train_c, held_c, tiny_config(**overrides))
+            tr.save_checkpoint(path, ckpt)
+            assert tr.load_checkpoint(path).epoch == len(log.records) == overrides["epochs"]
 
     def test_resume_equals_uninterrupted(self, tmp_path):
         train_c, held_c = tiny_corpus()
@@ -427,7 +455,7 @@ class TestCheckpointing:
         )
 
         assert log_res.records == log_full.records
-        for (_, node_a), (_, node_b) in zip(model_full.named_arrays(), model_res.named_arrays()):
+        for (_, node_a), (_, node_b) in zip(model_full.items(), model_res.items()):
             assert node_a.value == node_b.value
         path_full, path_res = tmp_path / "full.ckpt", tmp_path / "res.ckpt"
         tr.save_checkpoint(path_full, ckpt_full)
