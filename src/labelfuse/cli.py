@@ -349,6 +349,12 @@ def _cmd_score_fusion(resolved: dict, config: TrainConfig) -> int:
 
 def _cmd_export_attention(resolved: dict) -> int:
     checkpoint = trainer.load_checkpoint(resolved["checkpoint"])
+    if checkpoint.config.modality != "multimodal":
+        # A tower run never trains fusion.cross_map, so its maps would be the initial weights'.
+        raise ConfigError(
+            f"export-attention needs a multimodal checkpoint, got modality "
+            f"{checkpoint.config.modality!r}"
+        )
     model = trainer.model_from_checkpoint(checkpoint)
     corpus = corpus_mod.load(resolved["corpus_file"])
     trainer.check_fit(model, corpus, checkpoint.config)

@@ -2,10 +2,19 @@
 
 The op set is closed and small: matrix product, transpose, row gather,
 elementwise add, scalar scale, row softmax, row L2 normalisation, mean/max
-pooling, column concatenation, cross entropy and mean squared error. Every
-objective in the package composes from these, so a single central
-finite-difference checker (`grad_check`) can certify the whole backward
-implementation.
+pooling, column concatenation, cross entropy and mean squared error. Six
+fused ops each stand for a chain of those in one node with a hand-written
+backward: `self_attention` and `residual_linear` (the encoders),
+`cosine_scores` (label attention), `bilinear_softmax` (the vanilla
+alignment), `affine` (the classifier and tower heads) and `weighted_sum`
+(the loss totals). A fused op repeats its chain's array expressions, operand
+layouts and fan-out summation order, so it gives the chain's bits forward
+and backward while the tape builds and walks fewer than half the nodes.
+`row_l2_normalize` is kept although the package now normalises inside
+`cosine_scores`: the grad suite checks it and the benchmark tracer names it.
+Every objective in the package composes from these, so a single central
+finite-difference checker (`grad_check`, and `run_op_grad_suite` over every
+op) can certify the whole backward implementation.
 
 Graphs are built eagerly. Each operation returns a `Node` holding the
 computed `Matrix` plus a closure that maps the gradient arriving at the node
@@ -24,6 +33,7 @@ surfaces as a `NonFiniteError` at one of those points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -203,12 +213,18 @@ def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Nod
     return Node(Matrix._adopt(out), op, parents, backward_fn)
 
 
+def _check_product(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
+    if a[1] != b[0]:
+        raise DimensionError(f"{op}: {a[0]}x{a[1]} is incompatible with {b[0]}x{b[1]}")
+
+
+def _check_same(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
+    if a != b:
+        raise DimensionError(f"{op}: shapes differ ({a[0]}x{a[1]} vs {b[0]}x{b[1]})")
+
+
 def matmul(a: Node, b: Node) -> Node:
-    if a.value.cols != b.value.rows:
-        raise DimensionError(
-            f"matmul: {a.value.rows}x{a.value.cols} is incompatible with "
-            f"{b.value.rows}x{b.value.cols}"
-        )
+    _check_product("matmul", a.value.shape, b.value.shape)
     av, bv = a.value.array, b.value.array
     need_a, need_b = a.requires_grad, b.requires_grad
 
@@ -247,11 +263,7 @@ def gather(table: Node, ids: Sequence[int], what: str = "id") -> Node:
 
 
 def add(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(
-            f"add: shapes differ ({a.value.rows}x{a.value.cols} vs "
-            f"{b.value.rows}x{b.value.cols})"
-        )
+    _check_same("add", a.value.shape, b.value.shape)
 
     def backward_fn(g: np.ndarray):
         return g, g
@@ -268,32 +280,47 @@ def scale(a: Node, factor: float) -> Node:
     return _op(a.value.array * factor, "scale", (a,), backward_fn)
 
 
-def row_softmax(a: Node) -> Node:
-    """Softmax within each row; the rows become probability vectors."""
-    x = a.value.array
+def _softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    inner = (g * s).sum(axis=1, keepdims=True)
+    return (g - inner) * s
+
+
+def row_softmax(a: Node) -> Node:
+    """Softmax within each row; the rows become probability vectors."""
+    s = _softmax(a.value.array)
 
     def backward_fn(g: np.ndarray):
-        inner = (g * s).sum(axis=1, keepdims=True)
-        return ((g - inner) * s,)
+        return (_softmax_backward(g, s),)
 
     return _op(s, "row_softmax", (a,), backward_fn)
 
 
-def row_l2_normalize(a: Node) -> Node:
-    """Rescale each row to unit L2 norm."""
-    x = a.value.array
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its L2 norm, and the norms; DegenerateRowError on a zero row."""
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     small = np.flatnonzero(norms[:, 0] < _NORM_FLOOR)
     if small.size:
         raise DegenerateRowError(f"row {int(small[0])} has near-zero norm")
-    y = x / norms
+    return x / norms, norms
+
+
+def _unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return (g - y * inner) / norms
+
+
+def row_l2_normalize(a: Node) -> Node:
+    """Rescale each row to unit L2 norm."""
+    y, norms = _unit_rows(a.value.array)
 
     def backward_fn(g: np.ndarray):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return ((g - y * inner) / norms,)
+        return (_unit_rows_backward(g, y, norms),)
 
     return _op(y, "row_l2_normalize", (a,), backward_fn)
 
@@ -375,11 +402,7 @@ def cross_entropy(logits: Node, target_class: int) -> Node:
 
 def mse(a: Node, b: Node) -> Node:
     """Mean over all entries of the squared difference, as a 1x1 node."""
-    if a.value.shape != b.value.shape:
-        raise DimensionError(
-            f"mse: shapes differ ({a.value.rows}x{a.value.cols} vs "
-            f"{b.value.rows}x{b.value.cols})"
-        )
+    _check_same("mse", a.value.shape, b.value.shape)
     diff = a.value.array - b.value.array
     count = diff.size
     val = float((diff * diff).sum() / count)
@@ -395,6 +418,144 @@ def sum_all(a: Node) -> Node:
     """Sum of all entries as a 1x1 node, composed from mean pools and a scale."""
     total = pool(pool(a, "rows", "mean"), "cols", "mean")
     return scale(total, float(a.value.rows * a.value.cols))
+
+
+# ---------------------------------------------------------------------------
+# Fused operations
+#
+# Each is one node for a chain of the ops above, with the chain's forward and
+# backward array expressions, operand layouts (a transpose is a contiguous
+# copy going forward and a view coming back) and fan-out summation order, so
+# values and gradients are bitwise those of the chain. A gradient is computed
+# only for a parent that requires one, as matmul does.
+# ---------------------------------------------------------------------------
+
+
+def self_attention(e: Node, wq: Node, wk: Node, wv: Node) -> Node:
+    """One-head scaled dot-product self-attention with a residual connection.
+
+    e + row_softmax((e wq)(e wk)^T / sqrt(d)) (e wv), d = e's width.
+    """
+    x = e.value.array
+    for w in (wq, wk, wv):
+        _check_product("matmul", x.shape, w.value.shape)
+    wqa, wka, wva = wq.value.array, wk.value.array, wv.value.array
+    q, k, v = x @ wqa, x @ wka, x @ wva
+    kt = np.ascontiguousarray(k.T)
+    _check_product("matmul", q.shape, kt.shape)
+    factor = float(1.0 / math.sqrt(x.shape[1]))
+    p = _softmax((q @ kt) * factor)
+    mixed = p @ v
+    _check_same("add", x.shape, mixed.shape)
+
+    def backward_fn(g: np.ndarray):
+        gv = p.T @ g
+        gs = _softmax_backward(g @ v.T, p) * factor
+        gq = gs @ kt.T
+        gk = (q.T @ gs).T
+        ge = None
+        if e.requires_grad:  # the residual, then the query, key and value products
+            ge = g + gq @ wqa.T
+            ge = ge + gk @ wka.T
+            ge = ge + gv @ wva.T
+        return (
+            ge,
+            x.T @ gq if wq.requires_grad else None,
+            x.T @ gk if wk.requires_grad else None,
+            x.T @ gv if wv.requires_grad else None,
+        )
+
+    return _op(x + mixed, "self_attention", (e, wq, wk, wv), backward_fn)
+
+
+def residual_linear(x: Node, w: Node) -> Node:
+    """x + x w."""
+    xa, wa = x.value.array, w.value.array
+    _check_product("matmul", xa.shape, wa.shape)
+    projected = xa @ wa
+    _check_same("add", xa.shape, projected.shape)
+
+    def backward_fn(g: np.ndarray):
+        return (
+            g + g @ wa.T if x.requires_grad else None,
+            xa.T @ g if w.requires_grad else None,
+        )
+
+    return _op(xa + projected, "residual_linear", (x, w), backward_fn)
+
+
+def cosine_scores(seq: Node, labels: Node) -> Node:
+    """Cosine similarity of every seq row against every label row.
+
+    Both sides are normalised here, so a zero-norm row of either raises
+    DegenerateRowError.
+    """
+    ys, seq_norms = _unit_rows(seq.value.array)
+    yl, label_norms = _unit_rows(labels.value.array)
+    ylt = np.ascontiguousarray(yl.T)
+    _check_product("matmul", ys.shape, ylt.shape)
+
+    def backward_fn(g: np.ndarray):
+        return (
+            _unit_rows_backward(g @ ylt.T, ys, seq_norms) if seq.requires_grad else None,
+            _unit_rows_backward((ys.T @ g).T, yl, label_norms) if labels.requires_grad else None,
+        )
+
+    return _op(ys @ ylt, "cosine_scores", (seq, labels), backward_fn)
+
+
+def bilinear_softmax(a: Node, b: Node, bilinear: Node) -> Node:
+    """row_softmax(a (b bilinear)^T): each a row's distribution over b's rows."""
+    aa, ba, wa = a.value.array, b.value.array, bilinear.value.array
+    _check_product("matmul", ba.shape, wa.shape)
+    mapped_t = np.ascontiguousarray((ba @ wa).T)
+    _check_product("matmul", aa.shape, mapped_t.shape)
+    p = _softmax(aa @ mapped_t)
+
+    def backward_fn(g: np.ndarray):
+        gs = _softmax_backward(g, p)
+        gm = (aa.T @ gs).T
+        return (
+            gs @ mapped_t.T if a.requires_grad else None,
+            gm @ wa.T if b.requires_grad else None,
+            ba.T @ gm if bilinear.requires_grad else None,
+        )
+
+    return _op(p, "bilinear_softmax", (a, b, bilinear), backward_fn)
+
+
+def affine(x: Node, w: Node, b: Node) -> Node:
+    """x w + b, with b of the product's shape."""
+    xa, wa = x.value.array, w.value.array
+    _check_product("matmul", xa.shape, wa.shape)
+    product = xa @ wa
+    _check_same("add", product.shape, b.value.shape)
+
+    def backward_fn(g: np.ndarray):
+        return (
+            g @ wa.T if x.requires_grad else None,
+            xa.T @ g if w.requires_grad else None,
+            g,
+        )
+
+    return _op(product + b.value.array, "affine", (x, w, b), backward_fn)
+
+
+def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:
+    """Sum of 1x1 terms times their weights, added left to right."""
+    if len(terms) != len(weights) or not terms:
+        raise ContractError(f"weighted_sum: {len(terms)} terms for {len(weights)} weights")
+    for t in terms:
+        _check_same("weighted_sum", t.value.shape, (1, 1))
+    factors = [float(w) for w in weights]
+    total = terms[0].value.array * factors[0]
+    for t, f in zip(terms[1:], factors[1:]):
+        total = total + t.value.array * f
+
+    def backward_fn(g: np.ndarray):
+        return tuple(g * f for f in factors)
+
+    return _op(total, "weighted_sum", tuple(terms), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +626,8 @@ def grad_check(
     return GradCheckReport(op_name, max_rel, probes)
 
 
-def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
-    return Matrix(rng.normal(0.0, 1.0, size=(rows, cols)))
+def _random_matrix(rng: np.random.Generator, rows: int, cols: int, std: float = 1.0) -> Matrix:
+    return Matrix(rng.normal(0.0, std, size=(rows, cols)))
 
 
 def _tie_free_matrix(rng: np.random.Generator, rows: int, cols: int, axis: str, gap: float) -> Matrix:
@@ -575,5 +736,35 @@ def run_op_grad_suite(
         "gather",
         lambda: [_random_matrix(rng, 5, 3)],
         lambda a: sum_all(matmul(gather(a, [3, 0, 3, 4]), transpose(a))),
+    )
+    run(
+        "self_attention",
+        lambda: [_random_matrix(rng, 3, 4)] + [_random_matrix(rng, 4, 4, 0.5) for _ in range(3)],
+        lambda e, wq, wk, wv: sum_all(matmul(self_attention(e, wq, wk, wv), transpose(e))),
+    )
+    run(
+        "residual_linear",
+        lambda: [_random_matrix(rng, 3, 4), _random_matrix(rng, 4, 4), _random_matrix(rng, 3, 4)],
+        lambda x, w, target: mse(residual_linear(x, w), target),
+    )
+    run(
+        "cosine_scores",
+        lambda: [_random_matrix(rng, 4, 3), _random_matrix(rng, 2, 3)],
+        lambda a, b: sum_all(matmul(cosine_scores(a, b), b)),
+    )
+    run(
+        "bilinear_softmax",
+        lambda: [_random_matrix(rng, 2, 3), _random_matrix(rng, 4, 3), _random_matrix(rng, 3, 3, 0.5)],
+        lambda a, b, w: sum_all(matmul(bilinear_softmax(a, b, w), b)),
+    )
+    run(
+        "affine",
+        lambda: [_random_matrix(rng, 1, 3), _random_matrix(rng, 3, 4, 0.5), _random_matrix(rng, 1, 4)],
+        lambda x, w, b: cross_entropy(affine(x, w, b), 2),
+    )
+    run(
+        "weighted_sum",
+        lambda: [_random_matrix(rng, 2, 3), _random_matrix(rng, 2, 3), _random_matrix(rng, 1, 4)],
+        lambda a, b, c: weighted_sum((mse(a, b), cross_entropy(c, 1), mse(b, a)), (0.7, -1.3, 2.0)),
     )
     return reports

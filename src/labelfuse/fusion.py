@@ -31,6 +31,11 @@ Checkpoints, the optimizer and the grad check loop over the dict.
 `forward` (multimodal) and `unimodal_forward` (one tower) both return a
 `ForwardResult`; `attention_maps` gives the four maps of the multimodal pass
 without a label or a loss.
+
+The pass is built from `diffcore`'s fused ops where a step is one: label
+attention is `cosine_scores`, the vanilla alignment `bilinear_softmax`, the
+classifier and tower heads `affine`, and each loss total `weighted_sum`. A
+`constraint` training pass is 21 graph nodes and its prediction 10.
 """
 
 from __future__ import annotations
@@ -46,19 +51,21 @@ from .diffcore import (
     Matrix,
     Node,
     add,
+    affine,
     backward,
+    bilinear_softmax,
     concat_cols,
     constant,
+    cosine_scores,
     cross_entropy,
     grad_check,
     matmul,
     mse,
     parameter,
     pool,
-    row_l2_normalize,
     row_softmax,
-    scale,
     transpose,
+    weighted_sum,
 )
 from .encoders import speech_encode, text_encode
 from .errors import DimensionError, NonFiniteError
@@ -196,11 +203,6 @@ def init_model(
 # ---------------------------------------------------------------------------
 
 
-def label_attention(sequence: Node, labels: Node) -> Node:
-    """Cosine similarity of every sequence row against every label row."""
-    return matmul(row_l2_normalize(sequence), transpose(row_l2_normalize(labels)))
-
-
 def guidance_loss(profile: Node, label: int) -> Node:
     """Cross entropy of the pooled profile against the true class.
 
@@ -208,12 +210,6 @@ def guidance_loss(profile: Node, label: int) -> Node:
     entropy is the only normalisation applied.
     """
     return cross_entropy(pool(profile, "rows", "mean"), label)
-
-
-def vanilla_cross_attention(h_text: Node, h_speech: Node, cross_map: Node) -> Node:
-    """Softmax-normalised token-to-frame alignment from a bilinear score."""
-    scores = matmul(h_text, transpose(matmul(h_speech, cross_map)))
-    return row_softmax(scores)
 
 
 def aligned_speech(weights: Node, h_speech: Node) -> Node:
@@ -283,14 +279,14 @@ def _fused_pass(
     profiles = vanilla = guided = None
     if all_maps or mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
         profiles = (
-            label_attention(h_text, params["labels.text"]),
-            label_attention(h_speech, params["labels.speech"]),
+            cosine_scores(h_text, params["labels.text"]),
+            cosine_scores(h_speech, params["labels.speech"]),
         )
         guided = label_guided_attention(*profiles)
         if normalize_label_attention:
             guided = row_softmax(guided)
     if all_maps or mode is not FusionMode.ONLY_LABEL:
-        vanilla = vanilla_cross_attention(h_text, h_speech, params["fusion.cross_map"])
+        vanilla = bilinear_softmax(h_text, h_speech, params["fusion.cross_map"])
 
     if mode is FusionMode.SUM:
         align = add(vanilla, guided)
@@ -300,7 +296,7 @@ def _fused_pass(
         align = vanilla
     merged = concat_cols(h_text, aligned_speech(align, h_speech))
     pooled = pool(merged, "rows", "max")
-    logits = add(matmul(pooled, params["fusion.classifier_w"]), params["fusion.classifier_b"])
+    logits = affine(pooled, params["fusion.classifier_w"], params["fusion.classifier_b"])
     return logits, profiles, vanilla, guided
 
 
@@ -334,14 +330,7 @@ def forward(
         loss_constraint = constant([[0.0]])
     loss_main = cross_entropy(logits, utterance.label)
 
-    w_main, w_constraint, w_gt, w_gs = (float(w) for w in weights)
-    total = add(
-        add(
-            add(scale(loss_main, w_main), scale(loss_constraint, w_constraint)),
-            scale(loss_guide_text, w_gt),
-        ),
-        scale(loss_guide_speech, w_gs),
-    )
+    total = weighted_sum((loss_main, loss_constraint, loss_guide_text, loss_guide_speech), weights)
     parts = (loss_main, loss_constraint, loss_guide_text, loss_guide_speech, total)
     return ForwardResult(logits, total, LossBreakdown(*(_value(node) for node in parts)))
 
@@ -382,8 +371,8 @@ def _tower(utterance: Utterance, modality: str, params: dict[str, Node]) -> tupl
         h = speech_encode(utterance.frame_codes, params)
     else:
         raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-    head = add(matmul(pool(h, "rows", "max"), params[f"fusion.{modality}_head_w"]),
-               params[f"fusion.{modality}_head_b"])
+    head = affine(pool(h, "rows", "max"), params[f"fusion.{modality}_head_w"],
+                  params[f"fusion.{modality}_head_b"])
     return h, params[f"labels.{modality}"], head
 
 
@@ -402,8 +391,8 @@ def unimodal_forward(
     h, labels, logits = _tower(utterance, modality, params)
     guide_weight = float(weights[2] if modality == "text" else weights[3])
     loss_main = cross_entropy(logits, utterance.label)
-    guide = guidance_loss(label_attention(h, labels), utterance.label)
-    loss = add(loss_main, scale(guide, guide_weight))
+    guide = guidance_loss(cosine_scores(h, labels), utterance.label)
+    loss = weighted_sum((loss_main, guide), (1.0, guide_weight))
     guides = (_value(guide), 0.0) if modality == "text" else (0.0, _value(guide))
     return ForwardResult(logits, loss, LossBreakdown(_value(loss_main), 0.0, *guides, _value(loss)))
 

@@ -118,7 +118,7 @@ def test_criterion_2_oracle_equivalence():
         h_s = Matrix(rng.normal(size=(l_s, d)))
         cmap = Matrix(rng.normal(size=(d, d)))
 
-        got_cos = fu.label_attention(dc.constant(h_t), dc.constant(h_s)).value.array
+        got_cos = dc.cosine_scores(dc.constant(h_t), dc.constant(h_s)).value.array
         for i in range(l_t):
             for j in range(l_s):
                 dot = sum(h_t.array[i, e] * h_s.array[j, e] for e in range(d))
@@ -126,7 +126,7 @@ def test_criterion_2_oracle_equivalence():
                 nb = math.sqrt(sum(h_s.array[j, e] ** 2 for e in range(d)))
                 assert abs(got_cos[i, j] - dot / (na * nb)) <= ORACLE_TOL
 
-        got_vanilla = fu.vanilla_cross_attention(
+        got_vanilla = dc.bilinear_softmax(
             dc.constant(h_t), dc.constant(h_s), dc.constant(cmap)
         ).value.array
         projected = [

@@ -319,6 +319,26 @@ class TestHarnessCommands:
         )
 
 
+    @pytest.mark.parametrize("modality", ["text", "speech"])
+    def test_export_attention_refuses_tower_checkpoint(self, tmp_path, corpus_file, capsys,
+                                                       modality):
+        model_dir, out = tmp_path / "model", tmp_path / "exported"
+        assert cli.main([
+            "train", "--out-dir", str(model_dir), "--corpus-file", str(corpus_file), *SMALL_TRAIN,
+            "--modality", modality,
+        ]) == 0
+        capsys.readouterr()
+        rc = cli.main([
+            "export-attention", "--out-dir", str(out),
+            "--checkpoint", str(model_dir / "checkpoints" / "model.ckpt"),
+            "--corpus-file", str(corpus_file), "--index", "2",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: export-attention needs a multimodal checkpoint, got modality '{modality}'\n"
+        assert not out.exists()
+
+
 class TestModelFit:
     """A checkpoint used on a corpus it does not fit is refused before any output."""
 

@@ -344,6 +344,7 @@ class TestLeanTape:
         rng = np.random.default_rng(14)
         a, b = dc.parameter(rand(rng, 3, 4)), dc.parameter(rand(rng, 3, 4))
         row, col = dc.parameter(rand(rng, 1, 4)), dc.parameter(rand(rng, 3, 1))
+        w = dc.parameter(rand(rng, 4, 4))
         return {
             "matmul": dc.matmul(a, dc.transpose(b)),
             "transpose": dc.transpose(a),
@@ -359,6 +360,12 @@ class TestLeanTape:
             "concat_cols": dc.concat_cols(a, b),
             "cross_entropy": dc.cross_entropy(row, 1),
             "mse": dc.mse(a, b),
+            "self_attention": dc.self_attention(a, w, w, w),
+            "residual_linear": dc.residual_linear(a, w),
+            "cosine_scores": dc.cosine_scores(a, b),
+            "bilinear_softmax": dc.bilinear_softmax(a, b, w),
+            "affine": dc.affine(row, w, row),
+            "weighted_sum": dc.weighted_sum((dc.mse(a, b), dc.mse(b, a)), (1.0, 0.5)),
         }
 
     def test_op_outputs_read_only_and_c_contiguous(self):
@@ -399,6 +406,112 @@ class TestLeanTape:
         x = dc.parameter([[1e200]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             dc.backward(dc.mse(dc.scale(x, 1e200), dc.constant([[0.0]])))
+
+
+def chain_self_attention(e, wq, wk, wv):
+    scores = dc.matmul(dc.matmul(e, wq), dc.transpose(dc.matmul(e, wk)))
+    weights = dc.row_softmax(dc.scale(scores, 1.0 / math.sqrt(e.value.cols)))
+    return dc.add(e, dc.matmul(weights, dc.matmul(e, wv)))
+
+
+def chain_weighted_sum(a, b, c):
+    return dc.add(dc.add(dc.scale(a, 1.0), dc.scale(b, 0.5)), dc.scale(c, -0.2))
+
+
+# name -> (fused op, the chain of primitive ops it replaces, input shapes). The
+# shapes are the model's (width 16, 12 tokens, 40 frames, 4 classes): at this
+# size BLAS sums a product differently for a transposed view than for a
+# contiguous array, so an op that changes an operand layout changes bits.
+FUSED = {
+    "self_attention": (
+        dc.self_attention,
+        chain_self_attention,
+        [(40, 16), (16, 16), (16, 16), (16, 16)],
+    ),
+    "residual_linear": (
+        dc.residual_linear,
+        lambda x, w: dc.add(x, dc.matmul(x, w)),
+        [(40, 16), (16, 16)],
+    ),
+    "cosine_scores": (
+        dc.cosine_scores,
+        lambda s, lab: dc.matmul(dc.row_l2_normalize(s), dc.transpose(dc.row_l2_normalize(lab))),
+        [(40, 16), (4, 16)],
+    ),
+    "bilinear_softmax": (
+        dc.bilinear_softmax,
+        lambda a, b, w: dc.row_softmax(dc.matmul(a, dc.transpose(dc.matmul(b, w)))),
+        [(12, 16), (40, 16), (16, 16)],
+    ),
+    "affine": (
+        dc.affine,
+        lambda x, w, b: dc.add(dc.matmul(x, w), b),
+        [(1, 32), (32, 4), (1, 4)],
+    ),
+    "weighted_sum": (
+        lambda a, b, c: dc.weighted_sum((a, b, c), (1.0, 0.5, -0.2)),
+        chain_weighted_sum,
+        [(1, 1), (1, 1), (1, 1)],
+    ),
+}
+
+
+class TestFusedOps:
+    """Each fused op gives the bits of the op chain it replaces, forward and backward."""
+
+    @pytest.mark.parametrize("frozen_first", [False, True])
+    @pytest.mark.parametrize("name", list(FUSED))
+    def test_bitwise_equal_to_chain(self, name, frozen_first):
+        fused, chain, shapes = FUSED[name]
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            values = [rand(rng, *shape) for shape in shapes]
+            readout = None
+            results = []
+            for build in (fused, chain):
+                leaves = [dc.parameter(v) for v in values]
+                if frozen_first:
+                    leaves[0] = dc.constant(values[0])
+                out = build(*leaves)
+                if readout is None:
+                    readout = dc.constant(rand(rng, out.value.cols, 2))
+                dc.backward(dc.sum_all(dc.matmul(out, readout)))
+                results.append((out.value, [leaf.grad for leaf in leaves]))
+            (fused_value, fused_grads), (chain_value, chain_grads) = results
+            assert fused_value == chain_value
+            assert fused_grads == chain_grads
+            assert (fused_grads[0] is None) == frozen_first
+
+    @pytest.mark.parametrize("name, shapes", [
+        ("self_attention", [(5, 4), (3, 4), (4, 4), (4, 4)]),
+        ("self_attention", [(5, 4), (4, 4), (4, 3), (4, 4)]),
+        ("self_attention", [(5, 4), (4, 4), (4, 4), (4, 3)]),
+        ("residual_linear", [(5, 4), (4, 3)]),
+        ("cosine_scores", [(5, 4), (3, 5)]),
+        ("bilinear_softmax", [(3, 4), (6, 5), (4, 4)]),
+        ("bilinear_softmax", [(3, 3), (6, 5), (5, 4)]),
+        ("affine", [(1, 4), (3, 3), (1, 3)]),
+        ("affine", [(1, 4), (4, 3), (1, 2)]),
+        ("weighted_sum", [(1, 1), (2, 1), (1, 1)]),
+    ])
+    def test_shape_mismatch_raises_the_chains_error(self, name, shapes):
+        fused, chain, _ = FUSED[name]
+        rng = np.random.default_rng(62)
+        leaves = [dc.constant(rand(rng, *shape)) for shape in shapes]
+        with pytest.raises(DimensionError) as chain_error:
+            chain(*leaves)
+        with pytest.raises(DimensionError) as fused_error:
+            fused(*leaves)
+        if name != "weighted_sum":
+            assert str(fused_error.value) == str(chain_error.value)
+
+    def test_weighted_sum_needs_one_weight_per_term(self):
+        with pytest.raises(ContractError):
+            dc.weighted_sum((dc.constant([[1.0]]),), (1.0, 2.0))
+
+    def test_cosine_scores_rejects_zero_label_row(self):
+        with pytest.raises(DegenerateRowError):
+            dc.cosine_scores(dc.constant([[1.0, 0.0]]), dc.constant([[0.0, 0.0]]))
 
 
 class TestGradCheck:

@@ -64,34 +64,34 @@ def tiny_utterance(rng, model):
 class TestLabelAttention:
     def test_self_cosine_is_one(self):
         m = Matrix([[3.0, 4.0]])
-        out = fu.label_attention(dc.constant(m), dc.constant(m))
+        out = dc.cosine_scores(dc.constant(m), dc.constant(m))
         assert out.value.array[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_rows_give_zero(self):
         seq = dc.constant([[1.0, 0.0]])
         labels = dc.constant([[0.0, 5.0]])
-        assert fu.label_attention(seq, labels).value.array[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert dc.cosine_scores(seq, labels).value.array[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             seq, labels = rand(rng, 3, 4), rand(rng, 2, 4)
-            got = fu.label_attention(dc.constant(seq), dc.constant(labels)).value.array
+            got = dc.cosine_scores(dc.constant(seq), dc.constant(labels)).value.array
             assert np.abs(got - cosine_oracle(seq, labels)).max() <= 1e-12
 
     def test_zero_row_rejected(self):
         seq = dc.constant([[0.0, 0.0]])
         labels = dc.constant([[1.0, 0.0]])
         with pytest.raises(DegenerateRowError):
-            fu.label_attention(seq, labels)
+            dc.cosine_scores(seq, labels)
 
     def test_row_scale_invariance(self):
         rng = np.random.default_rng(22)
         seq, labels = rand(rng, 4, 5), rand(rng, 3, 5)
         scaled = seq.array.copy()
         scaled[2] *= 37.5
-        base = fu.label_attention(dc.constant(seq), dc.constant(labels)).value
-        other = fu.label_attention(dc.constant(Matrix(scaled)), dc.constant(labels)).value
+        base = dc.cosine_scores(dc.constant(seq), dc.constant(labels)).value
+        other = dc.cosine_scores(dc.constant(Matrix(scaled)), dc.constant(labels)).value
         assert base.allclose(other, atol=1e-12)
 
 
@@ -137,7 +137,7 @@ class TestGuidance:
         rng = np.random.default_rng(24)
         h, labels = rand(rng, 4, 5), rand(rng, 3, 5)
         rep = dc.grad_check(
-            lambda a, b: fu.guidance_loss(fu.label_attention(a, b), 1),
+            lambda a, b: fu.guidance_loss(dc.cosine_scores(a, b), 1),
             [h, labels],
             step=1e-5,
         )
@@ -147,7 +147,7 @@ class TestGuidance:
 class TestVanillaCrossAttention:
     def test_single_frame_gives_all_ones(self):
         rng = np.random.default_rng(25)
-        out = fu.vanilla_cross_attention(
+        out = dc.bilinear_softmax(
             dc.constant(rand(rng, 4, 3)), dc.constant(rand(rng, 1, 5)),
             dc.constant(rand(rng, 5, 3)),
         )
@@ -155,7 +155,7 @@ class TestVanillaCrossAttention:
 
     def test_zero_map_gives_uniform_rows(self):
         rng = np.random.default_rng(26)
-        out = fu.vanilla_cross_attention(
+        out = dc.bilinear_softmax(
             dc.constant(rand(rng, 3, 4)), dc.constant(rand(rng, 6, 5)),
             dc.constant(Matrix.zeros(5, 4)),
         )
@@ -164,7 +164,7 @@ class TestVanillaCrossAttention:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(27)
         h_text, h_speech, cmap = rand(rng, 3, 4), rand(rng, 5, 6), rand(rng, 6, 4)
-        got = fu.vanilla_cross_attention(
+        got = dc.bilinear_softmax(
             dc.constant(h_text), dc.constant(h_speech), dc.constant(cmap)
         ).value.array
         projected = [[sum(h_speech.array[j, e] * cmap.array[e, d] for e in range(6)) for d in range(4)]
@@ -179,7 +179,7 @@ class TestVanillaCrossAttention:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            fu.vanilla_cross_attention(
+            dc.bilinear_softmax(
                 dc.constant(Matrix.zeros(3, 4)), dc.constant(Matrix.zeros(5, 6)),
                 dc.constant(Matrix.zeros(4, 4)),
             )
@@ -282,14 +282,7 @@ class TestClassAveragedAttention:
 class TestForward:
     def test_weighted_total_arithmetic(self):
         parts = [dc.constant([[float(v)]]) for v in (1.0, 2.0, 3.0, 4.0)]
-        weights = (1.0, 0.5, 0.2, 0.2)
-        total = dc.add(
-            dc.add(
-                dc.add(dc.scale(parts[0], weights[0]), dc.scale(parts[1], weights[1])),
-                dc.scale(parts[2], weights[2]),
-            ),
-            dc.scale(parts[3], weights[3]),
-        )
+        total = dc.weighted_sum(parts, (1.0, 0.5, 0.2, 0.2))
         assert total.value.array[0, 0] == pytest.approx(3.4, abs=1e-12)
 
     def test_default_weights_match_documented_values(self):
@@ -473,53 +466,79 @@ class TestUnimodalForward:
                 utt, modality, model
             ).logits.value
 
-    def test_full_loss_gradient_vs_fd(self):
+    @pytest.mark.parametrize("modality", ["text", "speech"])
+    def test_full_loss_gradient_vs_fd(self, modality):
+        # Every matrix the tower reads, redrawn with std 0.5; all but the frozen codebook probed.
         rng = np.random.default_rng(45)
-        vocab, dim, classes = 8, 4, 3
-        utt = Utterance((1, 5, 2), (0,), 1)
-        embedding = rand(rng, vocab, dim, 0.5)
-        mix = [rand(rng, dim, dim, 0.5) for _ in range(3)]
-        head_w, head_b = rand(rng, dim, classes, 0.5), rand(rng, 1, classes, 0.5)
-        labels = rand(rng, classes, dim, 0.5)
+        model = {name: dc.constant(rand(rng, *node.value.shape, 0.5)) for name, node in
+                 tiny_model(rng, vocab_text=8, vocab_speech=8, dim=4, classes=3).items()}
+        utt = Utterance((1, 5, 2), (0, 6, 6, 3), 1)
+        names = [name for name in model if name != "speech.codebook" and name.startswith(
+            (f"{modality}.", f"fusion.{modality}_head", f"labels.{modality}"))]
 
-        def builder(emb, qw, kw, vw, hw, hb, lab):
-            frozen = {
-                name: dc.constant(Matrix.zeros(*shape))
-                for name, shape in (
-                    ("speech.codebook", (2, dim)),
-                    ("speech.query_w", (dim, dim)),
-                    ("speech.key_w", (dim, dim)),
-                    ("speech.value_w", (dim, dim)),
-                    ("speech.post_w", (dim, dim)),
-                    ("fusion.cross_map", (dim, dim)),
-                    ("fusion.classifier_w", (2 * dim, classes)),
-                    ("fusion.classifier_b", (1, classes)),
-                    ("fusion.speech_head_w", (dim, classes)),
-                    ("fusion.speech_head_b", (1, classes)),
-                )
-            }
-            model = {
-                **frozen,
-                "text.embedding": emb,
-                "text.query_w": qw,
-                "text.key_w": kw,
-                "text.value_w": vw,
-                "fusion.text_head_w": hw,
-                "fusion.text_head_b": hb,
-                "labels.text": lab,
-                "labels.speech": dc.constant(labels),
-            }
-            return fu.unimodal_forward(utt, "text", model).loss
+        def builder(*leaves):
+            return fu.unimodal_forward(utt, modality, {**model, **dict(zip(names, leaves))}).loss
 
-        rep = dc.grad_check(
-            builder, [embedding, *[m for m in mix], head_w, head_b, labels], step=1e-5
-        )
+        rep = dc.grad_check(builder, [model[name].value for name in names], step=1e-5)
+        assert len(names) == 7
         assert rep.max_relative_error <= 1e-4
 
 
 class TestFullLossGradCheck:
-    @pytest.mark.parametrize("mode", list(fu.FusionMode))
-    def test_all_modes_within_tolerance(self, mode):
-        rep = fu.full_loss_grad_check(mode, seed=0)
+    @pytest.mark.parametrize("mode, normalize", [
+        *[pytest.param(mode, False, id=str(mode)) for mode in fu.FusionMode],
+        *[pytest.param(mode, True, id=f"{mode}-normalized") for mode in fu.FusionMode],
+    ])
+    def test_all_modes_within_tolerance(self, mode, normalize):
+        rep = fu.full_loss_grad_check(mode, seed=0, normalize_label_attention=normalize)
         assert rep.max_relative_error <= 1e-4, rep
         assert rep.probe_count > 100
+
+
+def non_leaf_nodes(root):
+    """Nodes with parents in the graph under root, each counted once."""
+    seen, stack = {id(root)}, [root]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += bool(node.parents)
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
+class TestNodeBudget:
+    """A training pass builds at most 25 non-leaf nodes and a prediction at most 15.
+
+    normalize_label_attention adds its one row softmax on top.
+    """
+
+    @pytest.mark.parametrize("mode", list(fu.FusionMode))
+    def test_multimodal(self, mode):
+        rng = np.random.default_rng(50)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        counts = {
+            normalize: (
+                non_leaf_nodes(fu.forward(utt, model, mode, normalize_label_attention=normalize).loss),
+                non_leaf_nodes(fu._fused_pass(utt, model, mode, normalize, all_maps=False)[0]),
+            )
+            for normalize in (False, True)
+        }
+        train, predict = counts[False]
+        assert train <= 25
+        assert predict <= 15
+        assert counts[True][0] in (train, train + 1)
+        assert counts[True][1] in (predict, predict + 1)
+
+    @pytest.mark.parametrize("modality", ["text", "speech"])
+    def test_tower(self, modality):
+        rng = np.random.default_rng(51)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        train = fu.unimodal_forward(utt, modality, model).loss
+        predict = fu._tower(utt, modality, model)[2]
+        assert non_leaf_nodes(train) <= 25
+        assert non_leaf_nodes(predict) <= 15
