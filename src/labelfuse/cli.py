@@ -107,6 +107,11 @@ SPLIT_KEYS = [
     ("train_fraction", float, 0.8, "per-class fraction assigned to the train side"),
     ("split_seed", int, 0, "seed of the stratified split"),
 ]
+# evaluate reads the split the checkpoint was trained on; a flag may only repeat it.
+EVALUATE_SPLIT_KEYS = [
+    (key, kind, None, f"{help_text} (default the checkpoint's, else {default})")
+    for key, kind, default, help_text in SPLIT_KEYS
+]
 
 CORPUS_FILE_KEY = ("corpus_file", str, None, "corpus file to read")
 CHECKPOINT_KEY = ("checkpoint", str, None, "checkpoint file")
@@ -234,6 +239,7 @@ def _cmd_train(resolved: dict, config: TrainConfig) -> int:
     if resolved["resume_from"]:
         resume = trainer.load_checkpoint(resolved["resume_from"])
     _, log, checkpoint = trainer.train(train_c, heldout_c, config, resume_from=resume)
+    checkpoint.split = {key: resolved[key] for key in trainer.SPLIT_FIELDS}
     layout = _out_layout(resolved)
     ckpt_path = layout["checkpoints"] / "model.ckpt"
     trainer.save_checkpoint(ckpt_path, checkpoint)
@@ -251,6 +257,14 @@ def _cmd_train(resolved: dict, config: TrainConfig) -> int:
 
 def _cmd_evaluate(resolved: dict) -> int:
     checkpoint = trainer.load_checkpoint(resolved["checkpoint"])
+    recorded = checkpoint.split or {}
+    for key, _, default, _ in SPLIT_KEYS:
+        given = resolved[key]
+        if key in recorded and given is not None and given != recorded[key]:
+            raise ConfigError(
+                f"{key} {given!r} differs from the {recorded[key]!r} the checkpoint was trained on"
+            )
+        resolved[key] = recorded.get(key, default) if given is None else given
     model = trainer.model_from_checkpoint(checkpoint)
     corpus, train_c, heldout_c = _load_split(resolved)
     trainer.check_fit(model, corpus, checkpoint.config)
@@ -363,7 +377,8 @@ def _cmd_export_attention(resolved: dict) -> int:
         raise ConfigError(f"utterance index {index} outside corpus of size {len(corpus)}")
     utt = corpus.utterances[index]
     cfg = checkpoint.config
-    bundle = attention_maps(utt, model, FusionMode(cfg.fusion_mode), cfg.normalize_label_attention)
+    (bundle,) = attention_maps([utt], model, FusionMode(cfg.fusion_mode),
+                               cfg.normalize_label_attention)
     prefix = _out_layout(resolved)["plots"] / f"attention_{index}"
     paths = evalkit.export_attention(bundle, utt, corpus.planted_tokens[utt.label],
                                      corpus.planted_codes[utt.label], prefix)
@@ -413,8 +428,8 @@ SUBCOMMANDS = [
         "evaluate",
         "evaluate a checkpoint on a corpus split",
         _cmd_evaluate, {},
-        SPLIT_KEYS + [CHECKPOINT_KEY, CORPUS_FILE_KEY,
-                      ("split", str, "heldout", "train | heldout | all")],
+        EVALUATE_SPLIT_KEYS + [CHECKPOINT_KEY, CORPUS_FILE_KEY,
+                               ("split", str, "heldout", "train | heldout | all")],
         required=["checkpoint", "corpus_file"],
     ),
     Subcommand(

@@ -2,19 +2,33 @@
 
 The op set is closed and small: matrix product, transpose, row gather,
 elementwise add, scalar scale, row softmax, row L2 normalisation, mean/max
-pooling, column concatenation, cross entropy and mean squared error. Six
-fused ops each stand for a chain of those in one node with a hand-written
+pooling, column concatenation, cross entropy and mean squared error. Fused
+ops each stand for a chain of those in one node with a hand-written
 backward: `self_attention` and `residual_linear` (the encoders),
 `cosine_scores` (label attention), `bilinear_softmax` (the vanilla
-alignment), `affine` (the classifier and tower heads) and `weighted_sum`
-(the loss totals). A fused op repeats its chain's array expressions, operand
-layouts and fan-out summation order, so it gives the chain's bits forward
-and backward while the tape builds and walks fewer than half the nodes.
-`row_l2_normalize` is kept although the package now normalises inside
-`cosine_scores`: the grad suite checks it and the benchmark tracer names it.
-Every objective in the package composes from these, so a single central
-finite-difference checker (`grad_check`, and `run_op_grad_suite` over every
-op) can certify the whole backward implementation.
+alignment), `paired_scores` (the label-guided alignment), `paired_mix` (the
+aligned speech), `affine` (the classifier and tower heads) and
+`weighted_sum` (the loss totals). On one sequence a fused op repeats its
+chain's array expressions, operand layouts and fan-out summation order, so
+it gives the chain's bits forward and backward. `row_l2_normalize` is kept
+although the package normalises inside `cosine_scores`: the grad suite
+checks it and the benchmark tracer names it. Every objective in the package
+composes from these, so a single central finite-difference checker
+(`grad_check`, and `run_op_grad_suite` over every op) can certify the whole
+backward implementation.
+
+A mini-batch is one graph. Its sequences' rows are stacked into one
+(total x d) matrix, and a `Segments` beside it holds each sequence's length.
+Row-wise ops (`gather`, `residual_linear`, `cosine_scores`, `affine`,
+`concat_cols`) need no segments and run once per batch. Ops whose work is
+per sequence take the segments: `self_attention`, the two alignments and
+the aligned-speech product, the masked `row_softmax`, the per-sequence
+`mse`, `pool` over rows and the per-row `cross_entropy`. Such an op pads
+the sequences to a 3-D array inside itself and masks the padding (-inf
+before a softmax or a max, zero weight in a mean or a count), so padding
+never reaches a value or a gradient. An alignment between two batches of
+sequences is a stack of maps: the rows of sequence i's map, cols.width
+wide and 0 past its own width. One segment, or none, is the plain 2-D op.
 
 Graphs are built eagerly. Each operation returns a `Node` holding the
 computed `Matrix` plus a closure that maps the gradient arriving at the node
@@ -33,6 +47,7 @@ surfaces as a `NonFiniteError` at one of those points.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,17 +73,6 @@ class Matrix:
             raise NonFiniteError("matrix entries must be finite")
         a.setflags(write=False)
         self._a = a
-
-    @classmethod
-    def _adopt(cls, a: np.ndarray) -> "Matrix":
-        """Wrap a C-ordered 2-D float64 array an op computed and nothing writes to.
-
-        No copy and no finiteness scan; the array is only made read-only.
-        """
-        a.setflags(write=False)
-        m = cls.__new__(cls)
-        m._a = a
-        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -205,12 +209,118 @@ def backward(root: Node) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Segments
+# ---------------------------------------------------------------------------
+
+
+class Segments:
+    """How a stacked matrix splits into consecutive row blocks, one per sequence.
+
+    A mini-batch stacks its sequences' rows into one (total x d) matrix, and
+    `lengths` holds each block's row count in batch order. A segment op pads
+    the blocks to a (count x width x d) array (`pad`: zero rows after each
+    block), works on every block at once and takes the real rows back out
+    (`unpad`). Where a softmax or a max runs over a padded axis, the padding
+    is first set to -inf (`mask`), so it gets no weight and no gradient. When
+    all blocks have one length, padding is a reshape and there is no mask.
+    """
+
+    __slots__ = ("lengths", "offsets", "count", "total", "width", "valid", "_rows", "_bias")
+
+    def __init__(self, lengths: Sequence[int]) -> None:
+        lengths = tuple(map(int, lengths))
+        if not lengths or min(lengths) < 1:
+            raise ContractError(f"segment lengths must be >= 1, got {lengths}")
+        self.lengths = lengths
+        self.count = len(lengths)
+        self.total = sum(lengths)
+        self.width = max(lengths)
+        self.offsets = (0, *itertools.accumulate(lengths[:-1]))  # each block's first row
+        if self.total == self.count * self.width:
+            self.valid = self._rows = self._bias = None
+        else:
+            # valid[i, j]: position j of block i is a real row.
+            self.valid = np.arange(self.width) < np.array(lengths)[:, None]
+            self._rows = np.flatnonzero(self.valid)
+            self._bias = np.where(self.valid, 0.0, -np.inf)[:, None, :]
+
+    def pad_rows(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """(total x c) -> (count * width x c): each block padded to `width` rows of `fill`."""
+        if self._rows is None:
+            return x
+        shape = (self.count * self.width, x.shape[1])
+        out = np.zeros(shape) if fill == 0.0 else np.full(shape, fill)
+        out[self._rows] = x
+        return out
+
+    def fold(self, rows: np.ndarray) -> np.ndarray:
+        """Padded (count * width x c) rows -> (count x width x c); one segment stays 2-D."""
+        return rows if self.count == 1 else rows.reshape(self.count, self.width, rows.shape[1])
+
+    def pad(self, x: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """(total x c) -> (count x width x c), `fill` after each block; one segment stays 2-D."""
+        if self.count == 1:
+            return x
+        return self.fold(self.pad_rows(x, fill))
+
+    def unpad(self, x: np.ndarray) -> np.ndarray:
+        """The (total x c) real rows of a `pad`ded stack, or of its padded rows."""
+        if x.ndim == 3:
+            x = x.reshape(self.count * self.width, x.shape[2])
+        return x if self._rows is None else x[self._rows]
+
+    def mask(self, scores: np.ndarray) -> None:
+        """Set the padded positions of the last axis of (count x rows x width) scores to -inf."""
+        if self._bias is not None:
+            scores += self._bias
+
+    def map_valid(self, rows: "Segments") -> np.ndarray | None:
+        """Per row of a stack of maps with these columns (see `paired_scores`), its real columns."""
+        return None if self.valid is None else np.repeat(self.valid, rows.lengths, axis=0)
+
+
+def _segments(op: str, segments: Segments | None, rows: int) -> Segments:
+    """`segments`, or one block of all `rows` rows; DimensionError when they disagree."""
+    if segments is None:
+        return Segments((rows,))
+    if segments.total != rows:
+        raise DimensionError(f"{op}: segments cover {segments.total} rows, the matrix has {rows}")
+    return segments
+
+
+def _pairs(op: str, rows: Segments | None, cols: Segments | None, n_rows: int, n_cols: int):
+    """Row and column segments of a stack of maps, one pair of blocks per sequence."""
+    rows, cols = _segments(op, rows, n_rows), _segments(op, cols, n_cols)
+    if rows.count != cols.count:
+        raise DimensionError(f"{op}: {rows.count} row segments but {cols.count} column segments")
+    return rows, cols
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed, as a view."""
+    return x.swapaxes(-1, -2)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """A (count x width x c) stack as (count * width x c) rows."""
+    return x.reshape(-1, x.shape[-1])
+
+
+# ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
 
 def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Node:
-    return Node(Matrix._adopt(out), op, parents, backward_fn)
+    """The node of an op's output: a C-ordered 2-D float64 array nothing else writes to.
+
+    The Matrix takes the array without a copy or a finiteness scan; the
+    array is only made read-only.
+    """
+    value = Matrix.__new__(Matrix)
+    out.setflags(write=False)
+    value._a = out
+    return Node(value, op, parents, backward_fn)
 
 
 def _check_product(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
@@ -250,9 +360,9 @@ def gather(table: Node, ids: Sequence[int], what: str = "id") -> Node:
     t = table.value.array
     vocab = t.shape[0]
     idx = np.asarray(ids, dtype=np.intp)
-    bad = np.flatnonzero((idx < 0) | (idx >= vocab))
-    if bad.size:
-        raise IndexError(f"{what} {int(idx[bad[0]])} out of range for vocabulary of size {vocab}")
+    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
+        first = int(idx[np.flatnonzero((idx < 0) | (idx >= vocab))[0]])
+        raise IndexError(f"{what} {first} out of range for vocabulary of size {vocab}")
 
     def backward_fn(g: np.ndarray):
         gt = np.zeros(t.shape)
@@ -280,20 +390,44 @@ def scale(a: Node, factor: float) -> Node:
     return _op(a.value.array * factor, "scale", (a,), backward_fn)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+# The ufunc reductions are what ndarray.max/.sum call, without their Python wrappers.
+_max, _sum = np.maximum.reduce, np.add.reduce
 
 
-def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    inner = (g * s).sum(axis=1, keepdims=True)
-    return (g - inner) * s
+def _softmax(x: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Softmax along the last axis; with in_place, x (a temporary) becomes the result."""
+    s = np.subtract(x, _max(x, axis=-1, keepdims=True), out=x if in_place else None)
+    np.exp(s, out=s)
+    s /= _sum(s, axis=-1, keepdims=True)
+    return s
 
 
-def row_softmax(a: Node) -> Node:
-    """Softmax within each row; the rows become probability vectors."""
-    s = _softmax(a.value.array)
+def _softmax_backward(g: np.ndarray, s: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Gradient through a softmax s; with in_place, g (a temporary) becomes the result.
+
+    The row sums of g * s come from einsum, which makes no g-sized temporary.
+    """
+    inner = np.einsum("...j,...j->...", g, s)[..., None]
+    out = np.subtract(g, inner, out=g if in_place else None)
+    out *= s
+    return out
+
+
+def row_softmax(a: Node, rows: Segments | None = None, cols: Segments | None = None) -> Node:
+    """Softmax within each row; the rows become probability vectors.
+
+    With `rows` and `cols`, a is a stack of per-segment maps (`paired_scores`)
+    and each row's softmax runs over its block's columns only; the columns
+    past the block's width come out 0.
+    """
+    x = a.value.array
+    if cols is not None:
+        rows, cols = _pairs("row_softmax", rows, cols, x.shape[0], cols.total)
+        _check_same("row_softmax", x.shape, (rows.total, cols.width))
+        valid = cols.map_valid(rows)
+        if valid is not None:
+            x = np.where(valid, x, -np.inf)
+    s = _softmax(x, in_place=x is not a.value.array)
 
     def backward_fn(g: np.ndarray):
         return (_softmax_backward(g, s),)
@@ -303,15 +437,15 @@ def row_softmax(a: Node) -> Node:
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row over its L2 norm, and the norms; DegenerateRowError on a zero row."""
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    small = np.flatnonzero(norms[:, 0] < _NORM_FLOOR)
-    if small.size:
+    norms = np.sqrt(_sum(x * x, axis=1, keepdims=True))
+    if norms.min(initial=np.inf) < _NORM_FLOOR:
+        small = np.flatnonzero(norms[:, 0] < _NORM_FLOOR)
         raise DegenerateRowError(f"row {int(small[0])} has near-zero norm")
     return x / norms, norms
 
 
 def _unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    inner = (g * y).sum(axis=1, keepdims=True)
+    inner = _sum(g * y, axis=1, keepdims=True)
     return (g - y * inner) / norms
 
 
@@ -325,12 +459,13 @@ def row_l2_normalize(a: Node) -> Node:
     return _op(y, "row_l2_normalize", (a,), backward_fn)
 
 
-def pool(a: Node, axis: str, kind: str) -> Node:
+def pool(a: Node, axis: str, kind: str, segments: Segments | None = None) -> Node:
     """Collapse one axis by arithmetic mean or elementwise maximum.
 
-    axis="rows" reduces across rows to a 1 x cols matrix; axis="cols"
-    reduces across columns to rows x 1. The max backward routes the whole
-    gradient to the first (lowest-index) argmax along the pooled axis.
+    axis="rows" reduces the rows of each segment (all rows when segments is
+    None) to one row, giving segments x cols; axis="cols" reduces across
+    columns to rows x 1. The max backward routes the whole gradient to the
+    first (lowest-index) argmax along the pooled axis.
     """
     if axis not in ("rows", "cols"):
         raise ContractError(f"pool axis must be 'rows' or 'cols', got {axis!r}")
@@ -338,28 +473,47 @@ def pool(a: Node, axis: str, kind: str) -> Node:
         raise ContractError(f"pool kind must be 'mean' or 'max', got {kind!r}")
     x = a.value.array
     rows, cols = x.shape
-    np_axis = 0 if axis == "rows" else 1
 
+    if axis == "cols":
+        if segments is not None:
+            raise ContractError("pool: segments split rows, so they pool axis 'rows'")
+        if kind == "mean":
+            out = x.mean(axis=1, keepdims=True)
+
+            def backward_fn(g: np.ndarray):
+                return (np.broadcast_to(g / cols, x.shape).copy(),)
+
+        else:
+            out = x.max(axis=1, keepdims=True)
+            winners = x.argmax(axis=1)
+
+            def backward_fn(g: np.ndarray):
+                gx = np.zeros_like(x)
+                gx[np.arange(rows), winners] = g[:, 0]
+                return (gx,)
+
+        return _op(out, f"pool_{kind}_cols", (a,), backward_fn)
+
+    seg = _segments("pool", segments, rows)
     if kind == "mean":
-        out = x.mean(axis=np_axis, keepdims=True)
-        count = rows if axis == "rows" else cols
+        counts = np.array(seg.lengths, dtype=np.float64)[:, None]
+        out = _sum(seg.pad(x), axis=-2).reshape(seg.count, cols) / counts
 
         def backward_fn(g: np.ndarray):
-            return (np.broadcast_to(g / count, x.shape).copy(),)
+            return (np.repeat(g / counts, seg.lengths, axis=0),)
 
     else:
-        out = x.max(axis=np_axis, keepdims=True)
-        winners = x.argmax(axis=np_axis)
+        out = _max(seg.pad(x, -np.inf), axis=-2).reshape(seg.count, cols)
 
         def backward_fn(g: np.ndarray):
+            # The row of each segment's first maximum, per column.
+            starts = np.array(seg.offsets)[:, None]
+            winners = seg.pad(x, -np.inf).argmax(axis=-2).reshape(seg.count, cols) + starts
             gx = np.zeros_like(x)
-            if np_axis == 0:
-                gx[winners, np.arange(cols)] = g[0, :]
-            else:
-                gx[np.arange(rows), winners] = g[:, 0]
+            gx[winners, np.arange(cols)] = g
             return (gx,)
 
-    return _op(out, f"pool_{kind}_{axis}", (a,), backward_fn)
+    return _op(out, f"pool_{kind}_rows", (a,), backward_fn)
 
 
 def concat_cols(a: Node, b: Node) -> Node:
@@ -377,41 +531,70 @@ def concat_cols(a: Node, b: Node) -> Node:
     return _op(merged, "concat_cols", (a, b), backward_fn)
 
 
-def cross_entropy(logits: Node, target_class: int) -> Node:
-    """Negative log softmax probability of the target class, as a 1x1 node."""
-    if logits.value.rows != 1:
+def cross_entropy(logits: Node, targets: int | Sequence[int]) -> Node:
+    """Negative log softmax probability of each row's target class, as a rows x 1 node.
+
+    `targets` holds one class per logit row; an int is the target of 1xc logits.
+    """
+    x = logits.value.array
+    n_rows, n_classes = x.shape
+    idx = np.atleast_1d(np.asarray(targets, dtype=np.intp))
+    if idx.shape != (n_rows,):
         raise DimensionError(
-            f"cross_entropy expects 1xc logits, got {logits.value.rows}x{logits.value.cols}"
+            f"cross_entropy: {idx.size} target(s) for {n_rows}x{n_classes} logits"
         )
-    n_classes = logits.value.cols
-    if not 0 <= target_class < n_classes:
-        raise IndexError(f"target class {target_class} out of range for {n_classes} classes")
-    x = logits.value.array[0]
-    m = x.max()
-    log_norm = m + np.log(np.exp(x - m).sum())
+    if idx.min() < 0 or idx.max() >= n_classes:
+        bad = np.flatnonzero((idx < 0) | (idx >= n_classes))
+        raise IndexError(f"target class {int(idx[bad[0]])} out of range for {n_classes} classes")
+    m = _max(x, axis=1, keepdims=True)
+    log_norm = m + np.log(_sum(np.exp(x - m), axis=1, keepdims=True))
     probs = np.exp(x - log_norm)
+    row = np.arange(n_rows)
 
     def backward_fn(g: np.ndarray):
         d = probs.copy()
-        d[target_class] -= 1.0
-        return (g[0, 0] * d.reshape(1, n_classes),)
+        d[row, idx] -= 1.0
+        return (g * d,)
 
-    out = np.array([[log_norm - x[target_class]]])
-    return _op(out, "cross_entropy", (logits,), backward_fn)
+    return _op(log_norm - x[row, idx][:, None], "cross_entropy", (logits,), backward_fn)
 
 
-def mse(a: Node, b: Node) -> Node:
-    """Mean over all entries of the squared difference, as a 1x1 node."""
+def mse(a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = None) -> Node:
+    """Mean over all entries of the squared difference, as a 1x1 node.
+
+    With `rows` and `cols`, a and b are stacks of per-segment maps
+    (`paired_scores`) and the result is segments x 1: each segment's mean
+    over its own block. Columns past a block's width are not counted.
+    """
     _check_same("mse", a.value.shape, b.value.shape)
     diff = a.value.array - b.value.array
-    count = diff.size
-    val = float((diff * diff).sum() / count)
+    if cols is None:
+        count = diff.size
+        out = np.array([[float((diff * diff).sum() / count)]])
+        factor = 2.0 / count
+
+        def per_row(g: np.ndarray):
+            return g[0, 0]
+
+    else:
+        rows, cols = _pairs("mse", rows, cols, diff.shape[0], cols.total)
+        _check_same("mse", diff.shape, (rows.total, cols.width))
+        valid = cols.map_valid(rows)
+        if valid is not None:
+            diff[~valid] = 0.0
+        counts = np.multiply(rows.lengths, cols.lengths).astype(np.float64)
+        sums = _sum(rows.pad(diff * diff).reshape(rows.count, -1), axis=1)
+        out = (sums / counts)[:, None]
+        factor = np.repeat(2.0 / counts, rows.lengths)[:, None]
+
+        def per_row(g: np.ndarray):
+            return np.repeat(g, rows.lengths, axis=0)
 
     def backward_fn(g: np.ndarray):
-        d = (2.0 / count) * diff * g[0, 0]
+        d = factor * diff * per_row(g)
         return d, -d
 
-    return _op(np.array([[val]]), "mse", (a, b), backward_fn)
+    return _op(out, "mse", (a, b), backward_fn)
 
 
 def sum_all(a: Node) -> Node:
@@ -423,46 +606,59 @@ def sum_all(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 # Fused operations
 #
-# Each is one node for a chain of the ops above, with the chain's forward and
-# backward array expressions, operand layouts (a transpose is a contiguous
-# copy going forward and a view coming back) and fan-out summation order, so
-# values and gradients are bitwise those of the chain. A gradient is computed
-# only for a parent that requires one, as matmul does.
+# Each is one node for a chain of the ops above. Given one segment (or none),
+# it has the chain's forward and backward array expressions, operand layouts
+# (a transpose is a contiguous copy going forward and a view coming back) and
+# fan-out summation order, so values and gradients are bitwise those of the
+# chain; on a batch the same expressions run on the padded 3-D stack. A
+# gradient is computed only for a parent that requires one, as matmul does.
 # ---------------------------------------------------------------------------
 
 
-def self_attention(e: Node, wq: Node, wk: Node, wv: Node) -> Node:
+def self_attention(
+    e: Node, wq: Node, wk: Node, wv: Node, segments: Segments | None = None
+) -> Node:
     """One-head scaled dot-product self-attention with a residual connection.
 
-    e + row_softmax((e wq)(e wk)^T / sqrt(d)) (e wv), d = e's width.
+    e + row_softmax((e wq)(e wk)^T / sqrt(d)) (e wv) within each segment of
+    e's rows (all of them when segments is None); d = e's width. A row
+    attends only to the rows of its own segment.
     """
     x = e.value.array
     for w in (wq, wk, wv):
         _check_product("matmul", x.shape, w.value.shape)
+    seg = _segments("self_attention", segments, x.shape[0])
     wqa, wka, wva = wq.value.array, wk.value.array, wv.value.array
-    q, k, v = x @ wqa, x @ wka, x @ wva
-    kt = np.ascontiguousarray(k.T)
-    _check_product("matmul", q.shape, kt.shape)
+    xp = seg.pad_rows(x)
+    q, k, v = seg.fold(xp @ wqa), seg.fold(xp @ wka), seg.fold(xp @ wva)
+    kt = np.ascontiguousarray(_t(k))
+    _check_product("matmul", q.shape[-2:], kt.shape[-2:])
     factor = float(1.0 / math.sqrt(x.shape[1]))
-    p = _softmax((q @ kt) * factor)
-    mixed = p @ v
+    scores = q @ kt
+    scores *= factor
+    seg.mask(scores)
+    p = _softmax(scores, in_place=True)
+    mixed = seg.unpad(p @ v)
     _check_same("add", x.shape, mixed.shape)
 
     def backward_fn(g: np.ndarray):
-        gv = p.T @ g
-        gs = _softmax_backward(g @ v.T, p) * factor
-        gq = gs @ kt.T
-        gk = (q.T @ gs).T
+        gp = seg.pad(g)
+        gv = _flat(_t(p) @ gp)
+        gs = _softmax_backward(gp @ _t(v), p, in_place=True)
+        gs *= factor
+        gq = _flat(gs @ _t(kt))
+        gk = _flat(_t(_t(q) @ gs))
         ge = None
         if e.requires_grad:  # the residual, then the query, key and value products
-            ge = g + gq @ wqa.T
+            ge = _flat(gp) + gq @ wqa.T
             ge = ge + gk @ wka.T
-            ge = ge + gv @ wva.T
+            ge = seg.unpad(ge + gv @ wva.T)
+        xp = seg.pad_rows(x)  # padded again rather than held from the forward
         return (
             ge,
-            x.T @ gq if wq.requires_grad else None,
-            x.T @ gk if wk.requires_grad else None,
-            x.T @ gv if wv.requires_grad else None,
+            xp.T @ gq if wq.requires_grad else None,
+            xp.T @ gk if wk.requires_grad else None,
+            xp.T @ gv if wv.requires_grad else None,
         )
 
     return _op(x + mixed, "self_attention", (e, wq, wk, wv), backward_fn)
@@ -504,58 +700,125 @@ def cosine_scores(seq: Node, labels: Node) -> Node:
     return _op(ys @ ylt, "cosine_scores", (seq, labels), backward_fn)
 
 
-def bilinear_softmax(a: Node, b: Node, bilinear: Node) -> Node:
-    """row_softmax(a (b bilinear)^T): each a row's distribution over b's rows."""
+# A stack of maps pairs the row segments of one matrix with the column segments
+# of another: segment i's map is rows.lengths[i] x cols.lengths[i], its rows are
+# stacked in segment order and every map is cols.width wide, 0 past its own
+# width. With no segments the map is the plain product.
+
+
+def bilinear_softmax(
+    a: Node, b: Node, bilinear: Node, rows: Segments | None = None, cols: Segments | None = None
+) -> Node:
+    """row_softmax(a (b bilinear)^T) per segment pair: each a row's distribution over b's rows.
+
+    a's rows are split by `rows`, b's by `cols`; the result is a stack of maps.
+    """
     aa, ba, wa = a.value.array, b.value.array, bilinear.value.array
     _check_product("matmul", ba.shape, wa.shape)
-    mapped_t = np.ascontiguousarray((ba @ wa).T)
-    _check_product("matmul", aa.shape, mapped_t.shape)
-    p = _softmax(aa @ mapped_t)
+    rows, cols = _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
+    ap = rows.pad(aa)
+    mapped_t = np.ascontiguousarray(_t(cols.pad(ba @ wa)))
+    _check_product("matmul", ap.shape[-2:], mapped_t.shape[-2:])
+    scores = ap @ mapped_t
+    cols.mask(scores)
+    out = rows.unpad(_softmax(scores, in_place=True))
 
     def backward_fn(g: np.ndarray):
-        gs = _softmax_backward(g, p)
-        gm = (aa.T @ gs).T
+        # Padded rows of the re-padded output are 0, where the softmax had spread
+        # them evenly; their gradient rows are 0 either way.
+        gs = _softmax_backward(rows.pad(g), rows.pad(out))
+        gm = cols.unpad(_t(_t(ap) @ gs))
         return (
-            gs @ mapped_t.T if a.requires_grad else None,
+            rows.unpad(gs @ _t(mapped_t)) if a.requires_grad else None,
             gm @ wa.T if b.requires_grad else None,
             ba.T @ gm if bilinear.requires_grad else None,
         )
 
-    return _op(p, "bilinear_softmax", (a, b, bilinear), backward_fn)
+    return _op(out, "bilinear_softmax", (a, b, bilinear), backward_fn)
+
+
+def paired_scores(
+    a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = None
+) -> Node:
+    """a_i b_i^T for each segment pair i: every a row's dot product with every b row of its pair.
+
+    A stack of maps; one segment pair is matmul(a, transpose(b)).
+    """
+    aa, ba = a.value.array, b.value.array
+    rows, cols = _pairs("paired_scores", rows, cols, aa.shape[0], ba.shape[0])
+    ap = rows.pad(aa)
+    bt = np.ascontiguousarray(_t(cols.pad(ba)))
+    _check_product("matmul", ap.shape[-2:], bt.shape[-2:])
+
+    def backward_fn(g: np.ndarray):
+        gp = rows.pad(g)
+        return (
+            rows.unpad(gp @ _t(bt)) if a.requires_grad else None,
+            cols.unpad(_t(_t(ap) @ gp)) if b.requires_grad else None,
+        )
+
+    return _op(rows.unpad(ap @ bt), "paired_scores", (a, b), backward_fn)
+
+
+def paired_mix(
+    w: Node, b: Node, rows: Segments | None = None, cols: Segments | None = None
+) -> Node:
+    """w_i b_i for each segment pair i: every row of map w_i weighs the b rows of its pair.
+
+    w is a stack of maps; one segment pair is matmul(w, b).
+    """
+    wa, ba = w.value.array, b.value.array
+    rows, cols = _pairs("paired_mix", rows, cols, wa.shape[0], ba.shape[0])
+    _check_product("matmul", wa.shape, (cols.width, ba.shape[1]))
+
+    def backward_fn(g: np.ndarray):  # the inputs are padded again, not held
+        gp = rows.pad(g)
+        return (
+            rows.unpad(gp @ _t(cols.pad(ba))) if w.requires_grad else None,
+            cols.unpad(_t(rows.pad(wa)) @ gp) if b.requires_grad else None,
+        )
+
+    return _op(rows.unpad(rows.pad(wa) @ cols.pad(ba)), "paired_mix", (w, b), backward_fn)
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
-    """x w + b, with b of the product's shape."""
+    """x w + b, with b one row added to every row of the product."""
     xa, wa = x.value.array, w.value.array
     _check_product("matmul", xa.shape, wa.shape)
     product = xa @ wa
-    _check_same("add", product.shape, b.value.shape)
+    _check_same("add", (1, product.shape[1]), b.value.shape)
 
     def backward_fn(g: np.ndarray):
         return (
             g @ wa.T if x.requires_grad else None,
             xa.T @ g if w.requires_grad else None,
-            g,
+            _sum(g, axis=0, keepdims=True),
         )
 
     return _op(product + b.value.array, "affine", (x, w, b), backward_fn)
 
 
 def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:
-    """Sum of 1x1 terms times their weights, added left to right."""
+    """Sum over rows of the terms times their weights, added left to right, as a 1x1 node.
+
+    The terms share one n x 1 shape, such as one loss per utterance of a batch.
+    """
     if len(terms) != len(weights) or not terms:
         raise ContractError(f"weighted_sum: {len(terms)} terms for {len(weights)} weights")
+    shape = terms[0].value.shape
     for t in terms:
-        _check_same("weighted_sum", t.value.shape, (1, 1))
+        _check_same("weighted_sum", t.value.shape, shape)
+    if shape[1] != 1:
+        raise DimensionError(f"weighted_sum: terms must be one column, got {shape[0]}x{shape[1]}")
     factors = [float(w) for w in weights]
     total = terms[0].value.array * factors[0]
     for t, f in zip(terms[1:], factors[1:]):
         total = total + t.value.array * f
 
     def backward_fn(g: np.ndarray):
-        return tuple(g * f for f in factors)
+        return tuple(np.full(shape, g[0, 0] * f) for f in factors)
 
-    return _op(total, "weighted_sum", tuple(terms), backward_fn)
+    return _op(_sum(total, axis=0, keepdims=True), "weighted_sum", tuple(terms), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +908,16 @@ def _tie_free_matrix(rng: np.random.Generator, rows: int, cols: int, axis: str, 
             sep = top2[:, -1] - top2[:, -2]
         if (sep > gap).all():
             return Matrix(x)
+
+
+def _tie_free_segments(rng: np.random.Generator, segments: Segments, cols: int, gap: float):
+    """Random stacked rows whose per-segment column max is separated from the runner-up."""
+    blocks = [
+        rng.normal(0.0, 1.0, size=(1, cols)) if n == 1
+        else _tie_free_matrix(rng, n, cols, "rows", gap).array
+        for n in segments.lengths
+    ]
+    return Matrix(np.vstack(blocks))
 
 
 def run_op_grad_suite(
@@ -766,5 +1039,67 @@ def run_op_grad_suite(
         "weighted_sum",
         lambda: [_random_matrix(rng, 2, 3), _random_matrix(rng, 2, 3), _random_matrix(rng, 1, 4)],
         lambda a, b, c: weighted_sum((mse(a, b), cross_entropy(c, 1), mse(b, a)), (0.7, -1.3, 2.0)),
+    )
+
+    # Batched forms: three sequences of unequal length, one of length 1, on
+    # each side, so every pad and mask is exercised. Maps are read out through
+    # a random matrix, as a softmax row's plain sum is constant.
+    rows, cols = Segments((3, 1, 2)), Segments((2, 4, 1))
+    targets = (2, 0, 3)
+    run(
+        "self_attention[segments]",
+        lambda: [_random_matrix(rng, 6, 4)] + [_random_matrix(rng, 4, 4, 0.5) for _ in range(3)],
+        lambda e, wq, wk, wv: sum_all(
+            matmul(self_attention(e, wq, wk, wv, rows), transpose(e))
+        ),
+    )
+    run(
+        "bilinear_softmax[segments]",
+        lambda: [_random_matrix(rng, 6, 3), _random_matrix(rng, 7, 3),
+                 _random_matrix(rng, 3, 3, 0.5), _random_matrix(rng, 4, 2)],
+        lambda a, b, w, r: sum_all(matmul(bilinear_softmax(a, b, w, rows, cols), r)),
+    )
+    run(
+        "paired_scores",
+        lambda: [_random_matrix(rng, 6, 3), _random_matrix(rng, 7, 3), _random_matrix(rng, 4, 2)],
+        lambda a, b, r: sum_all(matmul(paired_scores(a, b, rows, cols), r)),
+    )
+    run(
+        "paired_mix",
+        lambda: [_random_matrix(rng, 6, 4), _random_matrix(rng, 7, 3), _random_matrix(rng, 3, 2)],
+        lambda w, b, r: sum_all(matmul(paired_mix(w, b, rows, cols), r)),
+    )
+    run(
+        "row_softmax[segments]",
+        lambda: [_random_matrix(rng, 6, 4), _random_matrix(rng, 4, 2)],
+        lambda a, r: sum_all(matmul(row_softmax(a, rows, cols), r)),
+    )
+    run(
+        "mse[segments]",
+        lambda: [_random_matrix(rng, 6, 4), _random_matrix(rng, 6, 4), _random_matrix(rng, 3, 1)],
+        lambda a, b, r: sum_all(matmul(transpose(mse(a, b, rows, cols)), r)),
+    )
+    run(
+        "pool_mean_rows[segments]",
+        lambda: [_random_matrix(rng, 6, 3), _random_matrix(rng, 3, 2)],
+        lambda a, r: sum_all(matmul(pool(a, "rows", "mean", rows), r)),
+    )
+    run(
+        "pool_max_rows[segments]",
+        lambda: [_tie_free_segments(rng, rows, 3, 10 * step), _random_matrix(rng, 3, 2)],
+        lambda a, r: sum_all(matmul(pool(a, "rows", "max", rows), r)),
+    )
+    run(
+        "cross_entropy[rows]",
+        lambda: [_random_matrix(rng, 3, 4), _random_matrix(rng, 3, 1)],
+        lambda a, r: sum_all(matmul(transpose(cross_entropy(a, targets)), r)),
+    )
+    run(
+        "affine+weighted_sum[rows]",
+        lambda: [_random_matrix(rng, 3, 3), _random_matrix(rng, 3, 4, 0.5),
+                 _random_matrix(rng, 1, 4), _random_matrix(rng, 3, 1)],
+        lambda x, w, b, c: weighted_sum(
+            (cross_entropy(affine(x, w, b), targets), pool(c, "cols", "mean")), (0.7, -1.3)
+        ),
     )
     return reports

@@ -9,6 +9,11 @@ an encoder is two or three graph nodes. There is no positional encoding, so
 the encoders are permutation equivariant; the attention machinery downstream
 is position-agnostic anyway.
 
+An encoder takes a whole mini-batch at once: the ids of every sequence,
+concatenated, and their `diffcore.Segments`. The lookup and the projections
+are row-wise; only the attention needs the segments, so that a row attends
+to its own sequence. With no segments the ids are one sequence.
+
 The encoders own no parameters: they read their matrices from the model, a
 dict keyed by the names of `fusion.PARAMETERS` ("text.query_w", ...), which
 `fusion.init_model` draws.
@@ -18,23 +23,28 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diffcore import Node, gather, residual_linear, self_attention
+from .diffcore import Node, Segments, gather, residual_linear, self_attention
 
 DEFAULT_DIM = 16
 
 
-def text_encode(tokens: Sequence[int], params: dict[str, Node]) -> Node:
+def text_encode(
+    tokens: Sequence[int], params: dict[str, Node], segments: Segments | None = None
+) -> Node:
     """Sequence representation, one row per token."""
     embedded = gather(params["text.embedding"], tokens, "token id")
     return self_attention(
-        embedded, params["text.query_w"], params["text.key_w"], params["text.value_w"]
+        embedded, params["text.query_w"], params["text.key_w"], params["text.value_w"], segments
     )
 
 
-def speech_encode(codes: Sequence[int], params: dict[str, Node]) -> Node:
+def speech_encode(
+    codes: Sequence[int], params: dict[str, Node], segments: Segments | None = None
+) -> Node:
     """Frame representation, one row per code, from the frozen codebook."""
     embedded = gather(params["speech.codebook"], codes, "code id")
     mixed = self_attention(
-        embedded, params["speech.query_w"], params["speech.key_w"], params["speech.value_w"]
+        embedded, params["speech.query_w"], params["speech.key_w"], params["speech.value_w"],
+        segments,
     )
     return residual_linear(mixed, params["speech.post_w"])

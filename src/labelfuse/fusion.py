@@ -28,21 +28,29 @@ weight from `default_rng([seed, 2])`, in table order; biases are zero and
 the label rows come from the caller, built on the two drawn tables.
 Checkpoints, the optimizer and the grad check loop over the dict.
 
-`forward` (multimodal) and `unimodal_forward` (one tower) both return a
-`ForwardResult`; `attention_maps` gives the four maps of the multimodal pass
-without a label or a loss.
+There is one forward path, and it takes a mini-batch. `forward`
+(multimodal) and `unimodal_forward` (one tower) build one graph for the
+whole batch and return a `ForwardResult`: batch x classes logits, the loss
+root (the sum of the utterances' weighted totals) and each utterance's loss
+terms. `attention_maps` gives each utterance's four maps without a label or
+a loss. `predict_logits` and `unimodal_logits` run the same pass on a batch
+of one.
 
-The pass is built from `diffcore`'s fused ops where a step is one: label
-attention is `cosine_scores`, the vanilla alignment `bilinear_softmax`, the
-classifier and tower heads `affine`, and each loss total `weighted_sum`. A
-`constraint` training pass is 21 graph nodes and its prediction 10.
+The pass is built from `diffcore`'s fused ops where a step is one, on the
+batch's stacked rows and their `diffcore.Segments`: label attention is
+`cosine_scores` (row-wise), the vanilla alignment `bilinear_softmax`, the
+label-guided one `paired_scores`, the aligned speech `paired_mix`, the
+classifier and tower heads `affine`, and the loss total `weighted_sum`. A
+`constraint` training graph is 20 nodes for any batch size and its
+prediction 10.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +58,7 @@ from .corpus import Utterance
 from .diffcore import (
     Matrix,
     Node,
+    Segments,
     add,
     affine,
     backward,
@@ -59,12 +68,12 @@ from .diffcore import (
     cosine_scores,
     cross_entropy,
     grad_check,
-    matmul,
     mse,
+    paired_mix,
+    paired_scores,
     parameter,
     pool,
     row_softmax,
-    transpose,
     weighted_sum,
 )
 from .encoders import speech_encode, text_encode
@@ -203,27 +212,37 @@ def init_model(
 # ---------------------------------------------------------------------------
 
 
-def guidance_loss(profile: Node, label: int) -> Node:
-    """Cross entropy of the pooled profile against the true class.
+def guidance_loss(
+    profile: Node, labels: int | Sequence[int], segments: Segments | None = None
+) -> Node:
+    """Cross entropy of each segment's pooled profile against its true class: segments x 1.
 
     The pooled means act directly as logits; the softmax inside the cross
-    entropy is the only normalisation applied.
+    entropy is the only normalisation applied. With no segments the profile
+    is one utterance's and `labels` its class.
     """
-    return cross_entropy(pool(profile, "rows", "mean"), label)
+    return cross_entropy(pool(profile, "rows", "mean", segments), labels)
 
 
-def aligned_speech(weights: Node, h_speech: Node) -> Node:
-    """Weigh frame rows into one aligned row per token."""
-    return matmul(weights, h_speech)
+def aligned_speech(
+    weights: Node, h_speech: Node, text: Segments | None = None, speech: Segments | None = None
+) -> Node:
+    """Weigh each utterance's frame rows into one aligned row per token."""
+    return paired_mix(weights, h_speech, text, speech)
 
 
-def label_guided_attention(profile_text: Node, profile_speech: Node) -> Node:
-    """Token-to-frame alignment from the agreement of class profiles."""
+def label_guided_attention(
+    profile_text: Node,
+    profile_speech: Node,
+    text: Segments | None = None,
+    speech: Segments | None = None,
+) -> Node:
+    """Token-to-frame alignment of each utterance from the agreement of class profiles."""
     if profile_text.value.cols != profile_speech.value.cols:
         raise DimensionError(
             f"class counts differ ({profile_text.value.cols} vs {profile_speech.value.cols})"
         )
-    return matmul(profile_text, transpose(profile_speech))
+    return paired_scores(profile_text, profile_speech, text, speech)
 
 
 def class_averaged_attention(profile: Matrix) -> tuple[float, ...]:
@@ -256,37 +275,49 @@ def _finite_logits(logits: Node) -> Matrix:
     return logits.value
 
 
-def _value(node: Node) -> float:
-    return float(node.value.array[0, 0])
+def _encode(utterances: Sequence[Utterance], modality: str, params: dict[str, Node]):
+    """One modality's rows for the whole batch, stacked, and their segments."""
+    if modality == "text":
+        seqs = [u.text_tokens for u in utterances]
+    elif modality == "speech":
+        seqs = [u.frame_codes for u in utterances]
+    else:
+        raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
+    segments = Segments([len(seq) for seq in seqs])
+    ids = seqs[0] if len(seqs) == 1 else list(itertools.chain.from_iterable(seqs))
+    encode = text_encode if modality == "text" else speech_encode
+    return encode(ids, params, segments), segments
 
 
 def _fused_pass(
-    utterance: Utterance,
+    utterances: Sequence[Utterance],
     params: dict[str, Node],
     mode: FusionMode,
     normalize_label_attention: bool,
     all_maps: bool,
-) -> tuple[Node, tuple[Node, Node] | None, Node | None, Node | None]:
-    """Encoders, alignment and fused logits: (logits, profiles, vanilla, guided).
+):
+    """Encoders, alignment and fused logits of a batch.
 
-    With all_maps (training and attention export) every map is built, because
-    the guidance losses read the class profiles and the constraint reads both
-    alignments. Prediction builds only what the mode's alignment uses and
-    returns None for the rest.
+    Returns (logits, profiles, vanilla, guided, text segments, speech
+    segments); the alignments are stacks of per-utterance maps. With all_maps
+    (training and attention export) every map is built, because the guidance
+    losses read the class profiles and the constraint reads both alignments.
+    Prediction builds only what the mode's alignment uses and returns None
+    for the rest.
     """
-    h_text = text_encode(utterance.text_tokens, params)
-    h_speech = speech_encode(utterance.frame_codes, params)
+    h_text, text = _encode(utterances, "text", params)
+    h_speech, speech = _encode(utterances, "speech", params)
     profiles = vanilla = guided = None
     if all_maps or mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
         profiles = (
             cosine_scores(h_text, params["labels.text"]),
             cosine_scores(h_speech, params["labels.speech"]),
         )
-        guided = label_guided_attention(*profiles)
+        guided = label_guided_attention(*profiles, text, speech)
         if normalize_label_attention:
-            guided = row_softmax(guided)
+            guided = row_softmax(guided, text, speech)
     if all_maps or mode is not FusionMode.ONLY_LABEL:
-        vanilla = bilinear_softmax(h_text, h_speech, params["fusion.cross_map"])
+        vanilla = bilinear_softmax(h_text, h_speech, params["fusion.cross_map"], text, speech)
 
     if mode is FusionMode.SUM:
         align = add(vanilla, guided)
@@ -294,58 +325,88 @@ def _fused_pass(
         align = guided
     else:
         align = vanilla
-    merged = concat_cols(h_text, aligned_speech(align, h_speech))
-    pooled = pool(merged, "rows", "max")
+    merged = concat_cols(h_text, aligned_speech(align, h_speech, text, speech))
+    pooled = pool(merged, "rows", "max", text)
     logits = affine(pooled, params["fusion.classifier_w"], params["fusion.classifier_b"])
-    return logits, profiles, vanilla, guided
+    return logits, profiles, vanilla, guided, text, speech
 
 
 @dataclass
 class ForwardResult:
-    logits: Node  # 1 x classes
-    loss: Node  # 1 x 1 weighted total, root for backward
-    breakdown: LossBreakdown
+    logits: Node  # batch x classes
+    loss: Node  # 1 x 1, the root for backward: the sum of the utterances' weighted totals
+    terms: np.ndarray  # batch x 5: each utterance's `LossBreakdown` fields, in field order
+
+    @property
+    def breakdowns(self) -> tuple[LossBreakdown, ...]:
+        """One breakdown per utterance, in batch order."""
+        return tuple(LossBreakdown(*row) for row in self.terms.tolist())
+
+
+def _result(logits: Node, terms: Sequence[Node], weights: Sequence[float]) -> ForwardResult:
+    """The loss root of the four batch x 1 terms (main, constraint, guide_text, guide_speech).
+
+    Each utterance's total repeats weighted_sum's per-row arithmetic, so a
+    batch of one reports its root's value as its total.
+    """
+    columns = [t.value.array[:, 0] for t in terms]
+    totals = columns[0] * float(weights[0])
+    for column, weight in zip(columns[1:], weights[1:]):
+        totals = totals + column * float(weight)
+    return ForwardResult(logits, weighted_sum(terms, weights), np.column_stack(columns + [totals]))
+
+
+def _zeros(utterances: Sequence[Utterance]) -> Node:
+    return constant(np.zeros((len(utterances), 1)))
 
 
 def forward(
-    utterance: Utterance,
+    utterances: Sequence[Utterance],
     params: dict[str, Node],
     mode: FusionMode,
     weights: tuple[float, float, float, float] = DEFAULT_LOSS_WEIGHTS,
     normalize_label_attention: bool = False,
 ) -> ForwardResult:
-    """Full multimodal pass: logits and the weighted loss with its breakdown.
+    """Full multimodal pass over a batch: logits and the weighted loss with its breakdowns.
 
     normalize_label_attention applies a row softmax to the label-guided
     alignment before use; off by default, documented as an extension.
     """
-    logits, (profile_text, profile_speech), vanilla, guided = _fused_pass(
-        utterance, params, mode, normalize_label_attention, all_maps=True
+    logits, (profile_text, profile_speech), vanilla, guided, text, speech = _fused_pass(
+        utterances, params, mode, normalize_label_attention, all_maps=True
     )
-    loss_guide_text = guidance_loss(profile_text, utterance.label)
-    loss_guide_speech = guidance_loss(profile_speech, utterance.label)
+    labels = [u.label for u in utterances]
+    loss_guide_text = guidance_loss(profile_text, labels, text)
+    loss_guide_speech = guidance_loss(profile_speech, labels, speech)
     if mode is FusionMode.CONSTRAINT:
-        loss_constraint = mse(guided, vanilla)
+        loss_constraint = mse(guided, vanilla, text, speech)
     else:
-        loss_constraint = constant([[0.0]])
-    loss_main = cross_entropy(logits, utterance.label)
-
-    total = weighted_sum((loss_main, loss_constraint, loss_guide_text, loss_guide_speech), weights)
-    parts = (loss_main, loss_constraint, loss_guide_text, loss_guide_speech, total)
-    return ForwardResult(logits, total, LossBreakdown(*(_value(node) for node in parts)))
+        loss_constraint = _zeros(utterances)
+    loss_main = cross_entropy(logits, labels)
+    return _result(logits, (loss_main, loss_constraint, loss_guide_text, loss_guide_speech),
+                   weights)
 
 
 def attention_maps(
-    utterance: Utterance,
+    utterances: Sequence[Utterance],
     params: dict[str, Node],
     mode: FusionMode,
     normalize_label_attention: bool = False,
-) -> AttentionBundle:
-    """The four attention maps of the pass `forward` makes; needs no label."""
-    _, (profile_text, profile_speech), vanilla, guided = _fused_pass(
-        utterance, params, mode, normalize_label_attention, all_maps=True
+) -> tuple[AttentionBundle, ...]:
+    """The four attention maps of each utterance of the pass `forward` makes; needs no label."""
+    _, (profile_text, profile_speech), vanilla, guided, text, speech = _fused_pass(
+        utterances, params, mode, normalize_label_attention, all_maps=True
     )
-    return AttentionBundle(profile_text.value, profile_speech.value, vanilla.value, guided.value)
+    bundles = []
+    for t0, n_text, s0, n_speech in zip(text.offsets, text.lengths, speech.offsets, speech.lengths):
+        tokens = slice(t0, t0 + n_text)
+        bundles.append(AttentionBundle(
+            Matrix(profile_text.value.array[tokens]),
+            Matrix(profile_speech.value.array[s0 : s0 + n_speech]),
+            Matrix(vanilla.value.array[tokens, :n_speech]),
+            Matrix(guided.value.array[tokens, :n_speech]),
+        ))
+    return tuple(bundles)
 
 
 def predict_logits(
@@ -354,52 +415,47 @@ def predict_logits(
     mode: FusionMode,
     normalize_label_attention: bool = False,
 ) -> Matrix:
-    """Label-free logits of the same pass as forward, for evaluation.
+    """Label-free logits of one utterance, the pass of forward on a batch of one.
 
     Raises NonFiniteError when the logits are not finite.
     """
     return _finite_logits(
-        _fused_pass(utterance, params, mode, normalize_label_attention, all_maps=False)[0]
+        _fused_pass([utterance], params, mode, normalize_label_attention, all_maps=False)[0]
     )
 
 
-def _tower(utterance: Utterance, modality: str, params: dict[str, Node]) -> tuple[Node, Node, Node]:
-    """One modality's sequence rows, its label rows and its pooled-head logits."""
-    if modality == "text":
-        h = text_encode(utterance.text_tokens, params)
-    elif modality == "speech":
-        h = speech_encode(utterance.frame_codes, params)
-    else:
-        raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-    head = affine(pool(h, "rows", "max"), params[f"fusion.{modality}_head_w"],
+def _tower(utterances: Sequence[Utterance], modality: str, params: dict[str, Node]):
+    """One modality's rows, its segments and its pooled-head logits, for a batch."""
+    h, segments = _encode(utterances, modality, params)
+    head = affine(pool(h, "rows", "max", segments), params[f"fusion.{modality}_head_w"],
                   params[f"fusion.{modality}_head_b"])
-    return h, params[f"labels.{modality}"], head
+    return h, segments, head
 
 
 def unimodal_forward(
-    utterance: Utterance,
+    utterances: Sequence[Utterance],
     modality: str,
     params: dict[str, Node],
     weights: tuple[float, float, float, float] = DEFAULT_LOSS_WEIGHTS,
 ) -> ForwardResult:
-    """Single-tower pass: pooled classifier loss plus the guidance term.
+    """Single-tower pass over a batch: pooled classifier loss plus the guidance term.
 
     The guidance weight is the text one for the text tower and the speech
     one for the speech tower; zero reduces to a plain encoder + classifier.
-    The breakdown has 0.0 for the constraint and the other tower's guidance.
+    The classifier loss has weight 1, and each breakdown has 0.0 for the
+    constraint and the other tower's guidance.
     """
-    h, labels, logits = _tower(utterance, modality, params)
-    guide_weight = float(weights[2] if modality == "text" else weights[3])
-    loss_main = cross_entropy(logits, utterance.label)
-    guide = guidance_loss(cosine_scores(h, labels), utterance.label)
-    loss = weighted_sum((loss_main, guide), (1.0, guide_weight))
-    guides = (_value(guide), 0.0) if modality == "text" else (0.0, _value(guide))
-    return ForwardResult(logits, loss, LossBreakdown(_value(loss_main), 0.0, *guides, _value(loss)))
+    h, segments, logits = _tower(utterances, modality, params)
+    labels = [u.label for u in utterances]
+    guide = guidance_loss(cosine_scores(h, params[f"labels.{modality}"]), labels, segments)
+    zeros = _zeros(utterances)
+    guides = (guide, zeros) if modality == "text" else (zeros, guide)
+    return _result(logits, (cross_entropy(logits, labels), zeros, *guides), (1.0, *weights[1:]))
 
 
 def unimodal_logits(utterance: Utterance, modality: str, params: dict[str, Node]) -> Matrix:
-    """Single-tower logits for evaluation; NonFiniteError when not finite."""
-    return _finite_logits(_tower(utterance, modality, params)[2])
+    """Single-tower logits of one utterance (a batch of one); NonFiniteError when not finite."""
+    return _finite_logits(_tower([utterance], modality, params)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +470,25 @@ def full_loss_grad_check(
     weights: tuple[float, float, float, float] = DEFAULT_LOSS_WEIGHTS,
     normalize_label_attention: bool = False,
 ):
-    """Finite-difference check of the complete objective on a tiny instance.
+    """Finite-difference check of the complete objective on a tiny batch.
 
-    3 tokens, 5 frames, 4 classes, width 8. Every matrix is drawn from one
-    stream with std 0.5, the frozen codebook first and the rest in table
-    order. Every entry of every trainable matrix the fused pass reads (all
-    but the unimodal heads) is perturbed and compared against the backward
-    pass.
+    Three utterances of 3, 1 and 2 tokens and 5, 2 and 1 frames, so the batch
+    pads both modalities and masks both ways; 4 classes, width 8. Every
+    matrix is drawn from one stream with std 0.5, the frozen codebook first
+    and the rest in table order. Every entry of every trainable matrix the
+    fused pass reads (all but the unimodal heads) is perturbed and compared
+    against the backward pass.
     """
     rng = np.random.default_rng([seed, 9])
     dims = {"vocab_text": 12, "vocab_speech": 15, "text_dim": 8, "speech_dim": 8, "classes": 4}
-    utt = Utterance(
-        tuple(int(t) for t in rng.integers(0, dims["vocab_text"], size=3)),
-        tuple(int(c) for c in rng.integers(0, dims["vocab_speech"], size=5)),
-        int(rng.integers(0, dims["classes"])),
-    )
+    batch = [
+        Utterance(
+            tuple(int(t) for t in rng.integers(0, dims["vocab_text"], size=n_text)),
+            tuple(int(c) for c in rng.integers(0, dims["vocab_speech"], size=n_speech)),
+            int(rng.integers(0, dims["classes"])),
+        )
+        for n_text, n_speech in ((3, 5), (1, 2), (2, 1))
+    ]
     shapes = _shapes(dims)
     order = sorted(shapes, key=lambda name: PARAMETERS[name][2] != "frozen table")
     model = model_from_arrays(
@@ -436,12 +496,12 @@ def full_loss_grad_check(
         labels_trainable=True,
     )
     # The constraint objective sends a gradient to every matrix any mode reads.
-    backward(forward(utt, model, FusionMode.CONSTRAINT).loss)
+    backward(forward(batch, model, FusionMode.CONSTRAINT).loss)
     names = [name for name, node in model.items() if node.grad is not None]
 
     def builder(*leaves):
         params = {**model, **dict(zip(names, leaves))}
-        return forward(utt, params, mode, weights, normalize_label_attention).loss
+        return forward(batch, params, mode, weights, normalize_label_attention).loss
 
     inputs = [model[name].value for name in names]
     return grad_check(builder, inputs, step=step, op_name=f"total_loss[{mode.value}]")

@@ -15,11 +15,16 @@ shuffles each epoch; the random label modes use seed + 101 (text) and
 seed + 202 (speech). `build_model` hands `init_model` both label matrices,
 each from `labelkit.label_rows` on the train split and the drawn table.
 
-Either modality's pass returns a `fusion.ForwardResult` whose breakdown
-holds the log's five loss columns, and a prediction is the argmax of its
-logits. A loaded model must fit its corpus: `check_fit` compares every
-array's shape with the corpus and config before resuming, evaluating or
-exporting attention.
+Each mini-batch is one graph: one forward (`fusion.forward` or
+`fusion.unimodal_forward`) and one `backward` per batch, whose root is the
+sum of the utterances' weighted totals, so a weight's gradient is one
+product over the batch. The result's `terms` hold each utterance's five
+loss columns for the log. Evaluation predicts one utterance at a time
+(`model_predictor`), and a prediction is the argmax of its logits.
+
+A loaded model must fit its corpus: `check_fit` compares every array's
+shape with the corpus and config before resuming, evaluating or exporting
+attention.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .fusion import (
     unimodal_logits,
 )
 from .labelkit import SPEECH_INIT_MODES, TEXT_INIT_MODES, label_rows
-from .valuetypes import check_fields, option, store_floats
+from .valuetypes import check_fields, check_value, option, store_floats
 
 CHECKPOINT_VERSION = 1
 _CHECKPOINT_MAGIC = b"LABELFUSE-CKPT\n"
@@ -210,26 +215,41 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, named_params, grad_scale: float = 1.0) -> None:
+        """One update of every parameter with a grad, as one `adam_update` over all of them.
+
+        The rule is elementwise, so updating the concatenated arrays gives each
+        array the bits a separate update would.
+        """
         self.t += 1
-        for name, node in named_params:
-            if node.grad is None:
-                continue
-            grad = node.grad.array * grad_scale
+        live = [(name, node) for name, node in named_params if node.grad is not None]
+        if not live:
+            return
+        for name, node in live:
             if name not in self.m:
-                self.m[name] = np.zeros(grad.shape)
-                self.v[name] = np.zeros(grad.shape)
-            new_value, self.m[name], self.v[name] = adam_update(
-                node.value.array,
-                grad,
-                self.m[name],
-                self.v[name],
-                self.t,
-                self.learning_rate,
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-            )
-            node.value = Matrix(new_value)
+                self.m[name] = np.zeros(node.grad.shape)
+                self.v[name] = np.zeros(node.grad.shape)
+
+        def flat(arrays) -> np.ndarray:
+            return np.concatenate([a.ravel() for a in arrays])
+
+        values, m, v = adam_update(
+            flat(node.value.array for _, node in live),
+            flat(node.grad.array for _, node in live) * grad_scale,
+            flat(self.m[name] for name, _ in live),
+            flat(self.v[name] for name, _ in live),
+            self.t,
+            self.learning_rate,
+            self.beta1,
+            self.beta2,
+            self.epsilon,
+        )
+        start = 0
+        for name, node in live:
+            shape = node.value.shape
+            part = slice(start, start + node.value.rows * node.value.cols)
+            node.value = Matrix(values[part].reshape(shape))
+            self.m[name], self.v[name] = m[part].reshape(shape), v[part].reshape(shape)
+            start = part.stop
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +292,27 @@ def check_fit(model: dict[str, Node], corpus: Corpus, config: TrainConfig) -> No
             )
 
 
-def _utterance_loss(utt, model: dict[str, Node], config: TrainConfig) -> ForwardResult:
+def _batch_loss(batch, model: dict[str, Node], config: TrainConfig) -> ForwardResult:
     if config.modality == "multimodal":
-        return forward(utt, model, FusionMode(config.fusion_mode), config.loss_weights,
+        return forward(batch, model, FusionMode(config.fusion_mode), config.loss_weights,
                        config.normalize_label_attention)
-    return unimodal_forward(utt, config.modality, model, config.loss_weights)
+    return unimodal_forward(batch, config.modality, model, config.loss_weights)
+
+
+def _train_step(batch, model: dict[str, Node], config: TrainConfig, optimizer: Adam) -> np.ndarray:
+    """Forward, backward and Adam step of one mini-batch; each utterance's five loss columns.
+
+    The batch's graph is freed on return, after the step, so the next batch
+    builds its own graph in the memory this one leaves.
+    """
+    for node in model.values():
+        node.zero_grad()
+    result = _batch_loss(batch, model, config)
+    if not np.isfinite(result.loss.value.array[0, 0]):
+        raise NonFiniteError("loss is not finite")
+    backward(result.loss)
+    optimizer.step(model.items(), grad_scale=1.0 / len(batch))
+    return result.terms
 
 
 def train(
@@ -325,22 +361,16 @@ def train(
         try:
             for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
                 stage = f"batch {batch_no}"
-                batch = order[start : start + config.batch_size]
-                for node in model.values():
-                    node.zero_grad()
-                for idx in batch:
-                    result = _utterance_loss(train_corpus.utterances[int(idx)], model, config)
-                    if not np.isfinite(result.loss.value.array[0, 0]):
-                        raise NonFiniteError("loss is not finite")
-                    backward(result.loss)
-                    sums += np.array(dataclasses.astuple(result.breakdown))
-                optimizer.step(model.items(), grad_scale=1.0 / len(batch))
+                batch = [train_corpus.utterances[i]
+                         for i in order[start : start + config.batch_size]]
+                for terms in _train_step(batch, model, config, optimizer):
+                    sums += terms
             stage = "evaluation"
             train_eval = evalkit.evaluate(model_predictor(model, config), train_corpus)
             log.heldout = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
         except (NonFiniteError, DegenerateRowError) as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}, {stage}: {exc}") from exc
-        # The breakdown's fields are the five loss columns, in record order.
+        # The five loss columns of `ForwardResult.terms`, in record order.
         log.records.append(EpochRecord(
             epoch, *(float(v) for v in sums / len(order)),
             train_eval.weighted_accuracy, train_eval.unweighted_accuracy,
@@ -387,6 +417,12 @@ class Checkpoint:
     adam_step_count: int
     log_records: tuple[EpochRecord, ...]
     metrics: dict[str, float]
+    # The corpus split the model was trained on ({"train_fraction", "split_seed"}),
+    # when the caller split a corpus file; `evaluate --split` scores that split.
+    split: dict[str, float | int] | None = None
+
+
+SPLIT_FIELDS = {"train_fraction": float, "split_seed": int}
 
 
 def make_checkpoint(
@@ -455,6 +491,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         "adam_step_count": checkpoint.adam_step_count,
         "log_records": [dataclasses.asdict(r) for r in checkpoint.log_records],
         "metrics": checkpoint.metrics,
+        "split": checkpoint.split,
         "arrays": entries,
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -518,6 +555,11 @@ def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
             f"manifest epoch {manifest['epoch']!r} disagrees with its {len(records)} log records"
         )
     _check_moments(arrays)
+    split = manifest.get("split")
+    if split is not None:
+        if not isinstance(split, dict) or split.keys() != SPLIT_FIELDS.keys():
+            raise CheckpointIntegrityError(f"split must name {sorted(SPLIT_FIELDS)}, got {split!r}")
+        split = {key: check_value(key, kind, split[key]) for key, kind in SPLIT_FIELDS.items()}
     return Checkpoint(
         format_version=manifest["format_version"],
         config=config,
@@ -526,6 +568,7 @@ def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
         adam_step_count=manifest["adam_step_count"],
         log_records=records,
         metrics=dict(manifest["metrics"]),
+        split=split,
     )
 
 

@@ -212,15 +212,15 @@ def test_criterion_3_structural_invariants():
             int(rng.integers(0, c)),
         )
         mode = modes[trial % len(modes)]
-        result = fu.forward(utt, model, mode, PAPER_WEIGHTS)
-        bundle = fu.attention_maps(utt, model, mode)
+        result = fu.forward([utt], model, mode, PAPER_WEIGHTS)
+        (bundle,) = fu.attention_maps([utt], model, mode)
 
         assert np.abs(bundle.label_token.array).max() <= 1.0 + 1e-12
         assert np.abs(bundle.label_frame.array).max() <= 1.0 + 1e-12
         assert np.abs(bundle.vanilla.array.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(bundle.label_guided.array).max() <= c + 1e-9
 
-        b = result.breakdown
+        (b,) = result.breakdowns
         recomputed = ((1.0 * b.main + 0.5 * b.constraint) + 0.2 * b.guide_text) + 0.2 * b.guide_speech
         assert abs(b.total - recomputed) <= 1e-12
 
@@ -238,8 +238,8 @@ def test_criterion_3_structural_invariants():
 
 def planted_background_gap(model, corpus, utterances, modality):
     planted_vals, background_vals = [], []
-    for utt in utterances:
-        bundle = fu.attention_maps(utt, model, fu.FusionMode.CONSTRAINT)
+    bundles = fu.attention_maps(utterances, model, fu.FusionMode.CONSTRAINT)
+    for utt, bundle in zip(utterances, bundles):
         avg_text = fu.class_averaged_attention(bundle.label_token)
         avg_speech = fu.class_averaged_attention(bundle.label_frame)
         if modality == "text":
@@ -285,7 +285,7 @@ def test_criterion_4_synthetic_learnability(tmp_path):
     # Exported tables carry the same values and markers (export consistency).
     probe = held_c.utterances[0]
     paths = ev.export_attention(
-        fu.attention_maps(probe, model, fu.FusionMode.CONSTRAINT), probe,
+        fu.attention_maps([probe], model, fu.FusionMode.CONSTRAINT)[0], probe,
         corpus.planted_tokens[probe.label], corpus.planted_codes[probe.label],
         tmp_path / "attention",
     )
@@ -386,8 +386,8 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
     restored = tr.model_from_checkpoint(reloaded)
     probe = held_c.utterances[0]
     mode = fu.FusionMode(config.fusion_mode)
-    logits_before = fu.forward(probe, model_a, mode, config.loss_weights).logits.value
-    logits_after = fu.forward(probe, restored, mode, config.loss_weights).logits.value
+    logits_before = fu.forward([probe], model_a, mode, config.loss_weights).logits.value
+    logits_after = fu.forward([probe], restored, mode, config.loss_weights).logits.value
     assert logits_before == logits_after
 
     half = replace(config, epochs=2)

@@ -33,8 +33,8 @@ def write_checkpoint(root, variant, corpus_file):
 def write_attention(root, variant, corpus_file):
     corpus = cp.generate(SPEC, 10)
     utt = corpus.utterances[variant]
-    bundle = fu.attention_maps(utt, tr.model_from_checkpoint(checkpoint(0)),
-                               fu.FusionMode.CONSTRAINT)
+    (bundle,) = fu.attention_maps([utt], tr.model_from_checkpoint(checkpoint(0)),
+                                  fu.FusionMode.CONSTRAINT)
     ev.export_attention(bundle, utt, corpus.planted_tokens[utt.label],
                         corpus.planted_codes[utt.label], root / "attention")
 

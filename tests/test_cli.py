@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from labelfuse import cli
 from labelfuse import corpus as cp
@@ -171,6 +174,36 @@ class TestTrainEvaluate:
             "--corpus-file", str(corpus_file), "--split", "bogus",
         ])
         assert rc == 1
+
+    def test_evaluate_scores_the_split_the_checkpoint_was_trained_on(self, out, corpus_file,
+                                                                       capsys):
+        assert cli.main([
+            "train", "--out-dir", str(out), "--corpus-file", str(corpus_file), *SMALL_TRAIN,
+            "--split-seed", "7", "--train-fraction", "0.7",
+        ]) == 0
+        ckpt = out / "checkpoints" / "model.ckpt"
+        assert tr.load_checkpoint(ckpt).split == {"train_fraction": 0.7, "split_seed": 7}
+        last = (out / "logs" / "train_log.csv").read_text().splitlines()[-1].split(",")
+        train_c, heldout_c = cp.split(cp.load(corpus_file), 0.7, 7)
+        for split, part, ua in (("heldout", heldout_c, last[-1]), ("train", train_c, last[-3])):
+            rc = cli.main(["evaluate", "--out-dir", str(out / split), "--checkpoint", str(ckpt),
+                           "--corpus-file", str(corpus_file), "--split", split])
+            assert rc == 0
+            report = (out / split / "reports" / "evaluation.csv").read_text().splitlines()
+            assert report[2] == f"ua,{ua}"
+            assert report[3] == f"n,{len(part)}"
+            snapshot = json.loads((out / split / "config" / "evaluate.json").read_text())
+            assert (snapshot["train_fraction"], snapshot["split_seed"]) == (0.7, 7)
+        # Repeating the recorded split is allowed; another one is refused before any output.
+        assert cli.main(["evaluate", "--out-dir", str(out / "same"), "--checkpoint", str(ckpt),
+                         "--corpus-file", str(corpus_file), "--split-seed", "7"]) == 0
+        capsys.readouterr()
+        for flag, value in (("--split-seed", "0"), ("--train-fraction", "0.8")):
+            rc = cli.main(["evaluate", "--out-dir", str(out / "other"), "--checkpoint",
+                           str(ckpt), "--corpus-file", str(corpus_file), flag, value])
+            assert rc == 1
+            assert "trained on" in one_error_line(capsys)
+            assert not (out / "other").exists()
 
     def test_train_does_not_mutate_corpus_file(self, out, corpus_file):
         before = corpus_file.read_bytes()
@@ -615,3 +648,42 @@ class TestRejectedRunWritesNothing:
         assert cli.main([name, "--out-dir", str(out), *args, *extra]) == 1
         one_error_line(capsys)
         assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# Handlers whose valid configs could run for long: the fuzz stops them after resolve.
+LONG_RUNNING = {"gen-corpus", "ablate", "sweep-k", "grad-check"}
+
+
+class TestConfigFuzz:
+    """Any JSON value in --config exits 0, 1 or 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("sub", cli.SUBCOMMANDS, ids=lambda sub: sub.name)
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_json_value(self, sub, data, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if sub.name in LONG_RUNNING:
+            monkeypatch.setattr(sub, "handler", lambda resolved, **configs: 0)
+        keys = [key for key, *_ in sub.keys] + ["out_dir", "subcommand"]
+        value = data.draw(JSON_VALUES | st.dictionaries(
+            st.sampled_from(keys) | st.text(max_size=6), JSON_VALUES, max_size=4))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as run:
+            config = f"{run}/config.json"
+            with open(config, "w") as fh:
+                json.dump(value, fh)
+            capsys.readouterr()
+            rc = cli.main([sub.name, "--out-dir", f"{run}/out", "--config", config])
+            err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        if rc:
+            assert err.count("\n") == 1 and err.startswith(("error: ", "usage error: ")), err
+        else:
+            assert err == ""

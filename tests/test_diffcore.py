@@ -366,6 +366,13 @@ class TestLeanTape:
             "bilinear_softmax": dc.bilinear_softmax(a, b, w),
             "affine": dc.affine(row, w, row),
             "weighted_sum": dc.weighted_sum((dc.mse(a, b), dc.mse(b, a)), (1.0, 0.5)),
+            "paired_scores": dc.paired_scores(a, b),
+            "paired_mix": dc.paired_mix(dc.transpose(a), b),
+            "self_attention_segments": dc.self_attention(a, w, w, w, dc.Segments((2, 1))),
+            "pool_max_segments": dc.pool(a, "rows", "max", dc.Segments((1, 2))),
+            "row_softmax_segments": dc.row_softmax(
+                a, dc.Segments((1, 2)), dc.Segments((4, 2))
+            ),
         }
 
     def test_op_outputs_read_only_and_c_contiguous(self):
@@ -512,6 +519,153 @@ class TestFusedOps:
     def test_cosine_scores_rejects_zero_label_row(self):
         with pytest.raises(DegenerateRowError):
             dc.cosine_scores(dc.constant([[1.0, 0.0]]), dc.constant([[0.0, 0.0]]))
+
+
+ROWS, COLS = dc.Segments((3, 1, 2)), dc.Segments((2, 4, 1))
+
+
+def block(m, segments, i):
+    start = segments.offsets[i]
+    return m[start : start + segments.lengths[i]]
+
+
+def leaves(*arrays):
+    return [dc.constant(a) for a in arrays]
+
+
+# name -> (input shapes, the op on the whole batch, the op on the arrays of segment
+# i alone, and whether the output is a stack of maps, one row per segment, or rows
+# like the input).
+SEGMENT_OPS = {
+    "self_attention": (
+        [(6, 4), (4, 4), (4, 4), (4, 4)],
+        lambda e, wq, wk, wv: dc.self_attention(e, wq, wk, wv, ROWS),
+        lambda i, e, wq, wk, wv: dc.self_attention(*leaves(block(e, ROWS, i), wq, wk, wv)),
+        "rows",
+    ),
+    "bilinear_softmax": (
+        [(6, 3), (7, 3), (3, 3)],
+        lambda a, b, w: dc.bilinear_softmax(a, b, w, ROWS, COLS),
+        lambda i, a, b, w: dc.bilinear_softmax(*leaves(block(a, ROWS, i), block(b, COLS, i), w)),
+        "map",
+    ),
+    "paired_scores": (
+        [(6, 3), (7, 3)],
+        lambda a, b: dc.paired_scores(a, b, ROWS, COLS),
+        lambda i, a, b: dc.paired_scores(*leaves(block(a, ROWS, i), block(b, COLS, i))),
+        "map",
+    ),
+    "paired_mix": (
+        [(6, 4), (7, 3)],
+        lambda w, b: dc.paired_mix(w, b, ROWS, COLS),
+        lambda i, w, b: dc.paired_mix(
+            *leaves(block(w, ROWS, i)[:, : COLS.lengths[i]], block(b, COLS, i))
+        ),
+        "rows",
+    ),
+    "row_softmax": (
+        [(6, 4)],
+        lambda a: dc.row_softmax(a, ROWS, COLS),
+        lambda i, a: dc.row_softmax(*leaves(block(a, ROWS, i)[:, : COLS.lengths[i]])),
+        "map",
+    ),
+    "mse": (
+        [(6, 4), (6, 4)],
+        lambda a, b: dc.mse(a, b, ROWS, COLS),
+        lambda i, a, b: dc.mse(*leaves(
+            block(a, ROWS, i)[:, : COLS.lengths[i]], block(b, ROWS, i)[:, : COLS.lengths[i]]
+        )),
+        "one",
+    ),
+    "pool_mean": (
+        [(6, 3)],
+        lambda a: dc.pool(a, "rows", "mean", ROWS),
+        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "rows", "mean"),
+        "one",
+    ),
+    "pool_max": (
+        [(6, 3)],
+        lambda a: dc.pool(a, "rows", "max", ROWS),
+        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "rows", "max"),
+        "one",
+    ),
+    "cross_entropy": (
+        [(3, 4)],
+        lambda a: dc.cross_entropy(a, (2, 0, 3)),
+        lambda i, a: dc.cross_entropy(*leaves(a[i : i + 1]), (2, 0, 3)[i]),
+        "one",
+    ),
+}
+
+
+class TestSegments:
+    def test_lengths_must_be_positive(self):
+        for lengths in ((), (2, 0), (-1,)):
+            with pytest.raises(ContractError):
+                dc.Segments(lengths)
+
+    def test_pad_and_unpad(self):
+        x = np.arange(12.0).reshape(6, 2)
+        padded = ROWS.pad(x)
+        assert padded.shape == (3, 3, 2)
+        assert np.array_equal(padded[1, 1:], np.zeros((2, 2)))
+        assert np.array_equal(padded[2, 2], np.zeros(2))
+        assert np.array_equal(ROWS.unpad(padded), x)
+        assert (ROWS.offsets, ROWS.total, ROWS.width) == ((0, 3, 4), 6, 3)
+
+    def test_equal_lengths_pad_by_reshape(self):
+        x = np.arange(12.0).reshape(6, 2)
+        for segments in (dc.Segments((3, 3)), dc.Segments((6,))):
+            padded = segments.pad(x)
+            assert np.shares_memory(padded, x)
+            assert np.array_equal(segments.unpad(padded), x)
+
+    def test_segments_must_cover_the_rows(self):
+        e = dc.constant(Matrix.zeros(5, 4))
+        w = dc.constant(Matrix.zeros(4, 4))
+        with pytest.raises(DimensionError):
+            dc.self_attention(e, w, w, w, ROWS)
+        with pytest.raises(DimensionError):
+            dc.paired_scores(dc.constant(Matrix.zeros(6, 3)), dc.constant(Matrix.zeros(7, 3)),
+                             ROWS, dc.Segments((7,)))
+        with pytest.raises(ContractError):
+            dc.pool(e, "cols", "max", dc.Segments((5,)))
+
+
+class TestSegmentOps:
+    """A segment op gives each segment what the op gives it alone; padding never leaks."""
+
+    @pytest.mark.parametrize("name", list(SEGMENT_OPS))
+    def test_each_segment_as_if_alone(self, name):
+        shapes, batched, alone, layout = SEGMENT_OPS[name]
+        rng = np.random.default_rng(63)
+        for _ in range(5):
+            values = [rand(rng, *shape) for shape in shapes]
+            out = batched(*[dc.constant(v) for v in values]).value.array
+            assert np.isfinite(out).all()
+            for i in range(ROWS.count):
+                want = alone(i, *[v.array for v in values]).value.array
+                if layout == "one":
+                    got = out[i : i + 1]
+                else:
+                    got = block(out, ROWS, i)
+                if layout == "map":
+                    assert not block(out, ROWS, i)[:, COLS.lengths[i] :].any()
+                    got = got[:, : COLS.lengths[i]]
+                assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", list(SEGMENT_OPS))
+    def test_padding_takes_no_gradient_and_gives_finite_ones(self, name):
+        shapes, batched, _, _ = SEGMENT_OPS[name]
+        rng = np.random.default_rng(64)
+        leaves = [dc.parameter(rand(rng, *shape)) for shape in shapes]
+        out = batched(*leaves)
+        dc.backward(dc.sum_all(dc.matmul(out, dc.constant(rand(rng, out.value.cols, 2)))))
+        for leaf in leaves:
+            assert np.isfinite(leaf.grad.array).all()
+        if name in ("paired_mix", "row_softmax", "mse"):  # map inputs: past a width is padding
+            for i in range(ROWS.count):
+                assert not block(leaves[0].grad.array, ROWS, i)[:, COLS.lengths[i] :].any()
 
 
 class TestGradCheck:

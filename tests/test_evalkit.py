@@ -377,7 +377,7 @@ class TestExportAttention:
         train_c, held_c = cp.split(corpus, 0.7, seed=4)
         model, _, _ = tr.train(train_c, held_c, config)
         utt = held_c.utterances[0]
-        bundle = fu.attention_maps(utt, model, fu.FusionMode(config.fusion_mode))
+        (bundle,) = fu.attention_maps([utt], model, fu.FusionMode(config.fusion_mode))
         paths = ev.export_attention(
             bundle,
             utt,
@@ -410,7 +410,7 @@ class TestExportAttention:
         train_c, held_c = cp.split(corpus, 0.7, seed=4)
         model, _, _ = tr.train(train_c, held_c, config)
         utt = held_c.utterances[0]
-        bundle = fu.attention_maps(utt, model, fu.FusionMode(config.fusion_mode))
+        (bundle,) = fu.attention_maps([utt], model, fu.FusionMode(config.fusion_mode))
         paths = ev.export_attention(bundle, utt, (), (), tmp_path / "full")
         assert str(tmp_path / "full_bundle.csv") in paths
         lines = (tmp_path / "full_bundle.csv").read_text().splitlines()
@@ -433,7 +433,7 @@ class TestExportAttention:
         train_c, held_c = cp.split(corpus, 0.7, seed=4)
         model, _, _ = tr.train(train_c, held_c, replace(config, epochs=0))
         utt = held_c.utterances[1]
-        bundle = fu.attention_maps(utt, model, fu.FusionMode(config.fusion_mode))
+        (bundle,) = fu.attention_maps([utt], model, fu.FusionMode(config.fusion_mode))
         ev.export_attention(bundle, utt, (), (), tmp_path / "a")
         ev.export_attention(bundle, utt, (), (), tmp_path / "b")
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()

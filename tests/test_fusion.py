@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from labelfuse import corpus as cp
 from labelfuse import diffcore as dc
 from labelfuse import fusion as fu
+from labelfuse import trainer as tr
 from labelfuse.corpus import Utterance
 from labelfuse.diffcore import Matrix
 from labelfuse.errors import DegenerateRowError, DimensionError
@@ -53,10 +55,10 @@ def _scalar(node):
     return float(node.value.array[0, 0])
 
 
-def tiny_utterance(rng, model):
+def tiny_utterance(rng, model, n_text=4, n_speech=6):
     return Utterance(
-        tuple(int(t) for t in rng.integers(0, model["text.embedding"].value.rows, size=4)),
-        tuple(int(c) for c in rng.integers(0, model["speech.codebook"].value.rows, size=6)),
+        tuple(int(t) for t in rng.integers(0, model["text.embedding"].value.rows, size=n_text)),
+        tuple(int(c) for c in rng.integers(0, model["speech.codebook"].value.rows, size=n_speech)),
         int(rng.integers(0, model["labels.text"].value.rows)),
     )
 
@@ -292,15 +294,15 @@ class TestForward:
         rng = np.random.default_rng(33)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        result = fu.forward(utt, model, fu.FusionMode.ONLY_VANILLA, weights=(0.0, 0.0, 0.0, 0.0))
-        assert result.breakdown.total == 0.0
+        result = fu.forward([utt], model, fu.FusionMode.ONLY_VANILLA, weights=(0.0, 0.0, 0.0, 0.0))
+        assert result.breakdowns[0].total == 0.0
 
     def test_breakdown_total_is_weighted_sum(self):
         rng = np.random.default_rng(34)
         for mode in fu.FusionMode:
             model = tiny_model(rng)
             utt = tiny_utterance(rng, model)
-            b = fu.forward(utt, model, mode).breakdown
+            (b,) = fu.forward([utt], model, mode).breakdowns
             recomputed = ((1.0 * b.main + 0.5 * b.constraint) + 0.2 * b.guide_text) + 0.2 * b.guide_speech
             assert abs(b.total - recomputed) <= 1e-12
             assert min(b.main, b.constraint, b.guide_text, b.guide_speech) >= 0.0
@@ -310,7 +312,7 @@ class TestForward:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         for mode in fu.FusionMode:
-            b = fu.forward(utt, model, mode).breakdown
+            (b,) = fu.forward([utt], model, mode).breakdowns
             if mode is fu.FusionMode.CONSTRAINT:
                 assert b.constraint > 0.0
             else:
@@ -320,7 +322,7 @@ class TestForward:
         rng = np.random.default_rng(36)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        bundle = fu.attention_maps(utt, model, fu.FusionMode.CONSTRAINT)
+        (bundle,) = fu.attention_maps([utt], model, fu.FusionMode.CONSTRAINT)
         substituted = dc.mse(
             dc.constant(bundle.label_guided), dc.constant(bundle.label_guided)
         )
@@ -331,7 +333,7 @@ class TestForward:
         for _ in range(50):
             model = tiny_model(rng)
             utt = tiny_utterance(rng, model)
-            bundle = fu.attention_maps(utt, model, fu.FusionMode.CONSTRAINT)
+            (bundle,) = fu.attention_maps([utt], model, fu.FusionMode.CONSTRAINT)
             c = model["labels.text"].value.rows
             assert np.abs(bundle.label_token.array).max() <= 1.0 + 1e-12
             assert np.abs(bundle.label_frame.array).max() <= 1.0 + 1e-12
@@ -344,8 +346,8 @@ class TestForward:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         mode = fu.FusionMode.CONSTRAINT
-        b = fu.forward(utt, model, mode, normalize_label_attention=normalize).breakdown
-        maps = fu.attention_maps(utt, model, mode, normalize_label_attention=normalize)
+        (b,) = fu.forward([utt], model, mode, normalize_label_attention=normalize).breakdowns
+        (maps,) = fu.attention_maps([utt], model, mode, normalize_label_attention=normalize)
         constraint = dc.mse(dc.constant(maps.label_guided), dc.constant(maps.vanilla))
         guides = [fu.guidance_loss(dc.constant(profile), utt.label)
                   for profile in (maps.label_token, maps.label_frame)]
@@ -370,17 +372,17 @@ class TestForward:
                         model["fusion.classifier_b"])
         plain_loss = dc.cross_entropy(logits, utt.label).value.array[0, 0]
 
-        result = fu.forward(utt, model, fu.FusionMode.ONLY_VANILLA, weights=(1.0, 0.0, 0.0, 0.0))
-        assert abs(result.breakdown.total - plain_loss) <= 1e-12
+        result = fu.forward([utt], model, fu.FusionMode.ONLY_VANILLA, weights=(1.0, 0.0, 0.0, 0.0))
+        assert abs(result.breakdowns[0].total - plain_loss) <= 1e-12
         assert result.logits.value.allclose(logits.value, atol=1e-12)
 
     def test_normalize_label_attention_switch(self):
         rng = np.random.default_rng(39)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        raw = fu.attention_maps(utt, model, fu.FusionMode.ONLY_LABEL)
-        normed = fu.attention_maps(utt, model, fu.FusionMode.ONLY_LABEL,
-                                   normalize_label_attention=True)
+        (raw,) = fu.attention_maps([utt], model, fu.FusionMode.ONLY_LABEL)
+        (normed,) = fu.attention_maps([utt], model, fu.FusionMode.ONLY_LABEL,
+                                      normalize_label_attention=True)
         rows = normed.label_guided.array.sum(axis=1)
         assert np.abs(rows - 1.0).max() <= 1e-9
         assert raw.label_guided != normed.label_guided
@@ -392,7 +394,7 @@ class TestForward:
                 model = tiny_model(rng)
                 utt = tiny_utterance(rng, model)
                 via_forward = fu.forward(
-                    utt, model, mode, normalize_label_attention=normalize
+                    [utt], model, mode, normalize_label_attention=normalize
                 ).logits.value
                 via_predict = fu.predict_logits(
                     utt, model, mode, normalize_label_attention=normalize
@@ -414,8 +416,8 @@ class TestBreakdown:
         rng = np.random.default_rng(47)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        result = fu.unimodal_forward(utt, modality, model)
-        b = result.breakdown
+        result = fu.unimodal_forward([utt], modality, model)
+        (b,) = result.breakdowns
         own, other = (b.guide_text, b.guide_speech) if modality == "text" else (
             b.guide_speech, b.guide_text)
         assert b.constraint == 0.0
@@ -429,8 +431,8 @@ class TestBreakdown:
         rng = np.random.default_rng(48)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        result = fu.forward(utt, model, mode)
-        b = result.breakdown
+        result = fu.forward([utt], model, mode)
+        (b,) = result.breakdowns
         assert b.total == result.loss.value.array[0, 0]
         assert min(b.main, b.guide_text, b.guide_speech) > 0.0
 
@@ -440,22 +442,22 @@ class TestUnimodalForward:
         rng = np.random.default_rng(41)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
-        result = fu.unimodal_forward(utt, "text", model, weights=(1.0, 0.5, 0.0, 0.0))
-        assert abs(result.loss.value.array[0, 0] - result.breakdown.main) <= 1e-12
+        result = fu.unimodal_forward([utt], "text", model, weights=(1.0, 0.5, 0.0, 0.0))
+        assert abs(result.loss.value.array[0, 0] - result.breakdowns[0].main) <= 1e-12
 
     def test_logits_shape(self):
         rng = np.random.default_rng(42)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         for modality in ("text", "speech"):
-            result = fu.unimodal_forward(utt, modality, model)
+            result = fu.unimodal_forward([utt], modality, model)
             assert result.logits.value.shape == (1, model["labels.text"].value.rows)
 
     def test_unknown_modality(self):
         rng = np.random.default_rng(43)
         model = tiny_model(rng)
         with pytest.raises(ValueError):
-            fu.unimodal_forward(tiny_utterance(rng, model), "video", model)
+            fu.unimodal_forward([tiny_utterance(rng, model)], "video", model)
 
     def test_unimodal_logits_helper_agrees(self):
         rng = np.random.default_rng(44)
@@ -463,21 +465,23 @@ class TestUnimodalForward:
         utt = tiny_utterance(rng, model)
         for modality in ("text", "speech"):
             assert fu.unimodal_logits(utt, modality, model) == fu.unimodal_forward(
-                utt, modality, model
+                [utt], modality, model
             ).logits.value
 
     @pytest.mark.parametrize("modality", ["text", "speech"])
     def test_full_loss_gradient_vs_fd(self, modality):
         # Every matrix the tower reads, redrawn with std 0.5; all but the frozen codebook probed.
+        # A batch of three unequal utterances, one of a single token and one of a single frame.
         rng = np.random.default_rng(45)
         model = {name: dc.constant(rand(rng, *node.value.shape, 0.5)) for name, node in
                  tiny_model(rng, vocab_text=8, vocab_speech=8, dim=4, classes=3).items()}
-        utt = Utterance((1, 5, 2), (0, 6, 6, 3), 1)
+        batch = [Utterance((1, 5, 2), (0, 6, 6, 3), 1), Utterance((4,), (2, 7), 0),
+                 Utterance((3, 3), (5,), 2)]
         names = [name for name in model if name != "speech.codebook" and name.startswith(
             (f"{modality}.", f"fusion.{modality}_head", f"labels.{modality}"))]
 
         def builder(*leaves):
-            return fu.unimodal_forward(utt, modality, {**model, **dict(zip(names, leaves))}).loss
+            return fu.unimodal_forward(batch, modality, {**model, **dict(zip(names, leaves))}).loss
 
         rep = dc.grad_check(builder, [model[name].value for name in names], step=1e-5)
         assert len(names) == 7
@@ -510,35 +514,176 @@ def non_leaf_nodes(root):
 
 
 class TestNodeBudget:
-    """A training pass builds at most 25 non-leaf nodes and a prediction at most 15.
+    """A training batch builds one graph of at most 25 non-leaf nodes, whatever its size.
 
-    normalize_label_attention adds its one row softmax on top.
+    A prediction builds at most 15. normalize_label_attention adds its one
+    row softmax on top.
     """
+
+    @staticmethod
+    def batch(rng, model, size):
+        return [tiny_utterance(rng, model, n_text=int(rng.integers(1, 6)),
+                               n_speech=int(rng.integers(1, 8))) for _ in range(size)]
 
     @pytest.mark.parametrize("mode", list(fu.FusionMode))
     def test_multimodal(self, mode):
         rng = np.random.default_rng(50)
         model = tiny_model(rng)
-        utt = tiny_utterance(rng, model)
+        batch = self.batch(rng, model, 8)
         counts = {
-            normalize: (
-                non_leaf_nodes(fu.forward(utt, model, mode, normalize_label_attention=normalize).loss),
-                non_leaf_nodes(fu._fused_pass(utt, model, mode, normalize, all_maps=False)[0]),
-            )
+            normalize: [
+                non_leaf_nodes(fu.forward(utts, model, mode, normalize_label_attention=normalize).loss)
+                for utts in (batch[:1], batch)
+            ] + [non_leaf_nodes(fu._fused_pass(batch[:1], model, mode, normalize, all_maps=False)[0])]
             for normalize in (False, True)
         }
-        train, predict = counts[False]
-        assert train <= 25
+        one, eight, predict = counts[False]
+        assert one == eight <= 25
         assert predict <= 15
-        assert counts[True][0] in (train, train + 1)
-        assert counts[True][1] in (predict, predict + 1)
+        assert counts[True][0] == counts[True][1] in (one, one + 1)
+        assert counts[True][2] in (predict, predict + 1)
 
     @pytest.mark.parametrize("modality", ["text", "speech"])
     def test_tower(self, modality):
         rng = np.random.default_rng(51)
         model = tiny_model(rng)
-        utt = tiny_utterance(rng, model)
-        train = fu.unimodal_forward(utt, modality, model).loss
-        predict = fu._tower(utt, modality, model)[2]
-        assert non_leaf_nodes(train) <= 25
+        batch = self.batch(rng, model, 8)
+        one, eight = (non_leaf_nodes(fu.unimodal_forward(utts, modality, model).loss)
+                      for utts in (batch[:1], batch))
+        predict = fu._tower(batch[:1], modality, model)[2]
+        assert one == eight <= 25
         assert non_leaf_nodes(predict) <= 15
+
+
+# (main, constraint, guide_text, guide_speech, total) of the first two
+# utterances of `batch_setup`'s corpus under each of its configs, as the
+# per-utterance graph computed them before a pass took a whole batch.
+PARENT_BREAKDOWNS = {
+    "constraint": (
+        (1.0944812110343014, 0.1280714691005068, 1.0627528947283515, 1.2213735929338874, 1.6153422431170026),
+        (1.0895776108785877, 0.02927345359932986, 0.9081518052412748, 1.153453767160992, 1.5165354521587062),
+    ),
+    "sum": (
+        (1.118657628945024, 0.0, 1.0627528947283515, 1.2213735929338874, 1.575482926477472),
+        (1.0917708531230657, 0.0, 0.9081518052412748, 1.153453767160992, 1.5040919676035192),
+    ),
+    "only-label": (
+        (1.097156855719742, 0.0, 1.0627528947283515, 1.2213735929338874, 1.5539821532521898),
+        (1.0899582927632112, 0.0, 0.9081518052412748, 1.153453767160992, 1.5022794072436647),
+    ),
+    "only-vanilla": (
+        (1.0944812110343014, 0.0, 1.0627528947283515, 1.2213735929338874, 1.5513065085667492),
+        (1.0895776108785877, 0.0, 0.9081518052412748, 1.153453767160992, 1.5018987253590412),
+    ),
+    "text": (
+        (1.128249157203159, 0.0, 1.0627528947283515, 0.0, 1.3407997361488293),
+        (1.070237934040375, 0.0, 0.9081518052412748, 0.0, 1.25186829508863),
+    ),
+    "speech": (
+        (1.1156696747387624, 0.0, 0.0, 1.2213735929338874, 1.35994439332554),
+        (1.1138025437632935, 0.0, 0.0, 1.153453767160992, 1.344493297195492),
+    ),
+}
+
+
+def batch_setup():
+    spec = cp.CorpusSpec(classes=3, vocab_text=30, vocab_speech=40, text_len=(3, 9),
+                         speech_len=(4, 14), salient_per_class=3, seed=5)
+    base = tr.TrainConfig(text_dim=8, speech_dim=8, top_k_text=3, top_k_speech=5, seed=3)
+    configs = {
+        "constraint": base,
+        "sum": dataclasses.replace(base, fusion_mode="sum", labels_trainable=True),
+        "only-label": dataclasses.replace(base, fusion_mode="only-label",
+                                          normalize_label_attention=True),
+        "only-vanilla": dataclasses.replace(base, fusion_mode="only-vanilla"),
+        "text": dataclasses.replace(base, modality="text"),
+        "speech": dataclasses.replace(base, modality="speech"),
+    }
+    return cp.generate(spec, 12), configs
+
+
+def terms(result):
+    assert result.terms.tolist() == [list(dataclasses.astuple(b)) for b in result.breakdowns]
+    return result.terms
+
+
+def relative_gap(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+class TestBatch:
+    """A batch is one graph whose terms and gradients are those of its utterances."""
+
+    @pytest.mark.parametrize("name", list(PARENT_BREAKDOWNS))
+    def test_batch_of_one_matches_the_per_utterance_graph(self, name):
+        corpus, configs = batch_setup()
+        model = tr.build_model(corpus, configs[name])
+        for utt, want in zip(corpus.utterances, PARENT_BREAKDOWNS[name]):
+            got = terms(tr._batch_loss([utt], model, configs[name]))[0]
+            assert np.abs(got - np.array(want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", list(PARENT_BREAKDOWNS))
+    def test_batch_is_the_sum_of_its_batches_of_one(self, name):
+        corpus, configs = batch_setup()
+        config = configs[name]
+        batch = corpus.utterances[:8]
+        assert len({len(u.text_tokens) for u in batch}) > 1
+        assert len({len(u.frame_codes) for u in batch}) > 1
+
+        model = tr.build_model(corpus, config)
+        whole = tr._batch_loss(batch, model, config)
+        dc.backward(whole.loss)
+        batch_grads = {n: node.grad.array for n, node in model.items() if node.grad is not None}
+
+        for node in model.values():
+            node.zero_grad()
+        singles = []
+        for utt in batch:  # leaf gradients accumulate over the eight backward passes
+            single = tr._batch_loss([utt], model, config)
+            dc.backward(single.loss)
+            singles.append(terms(single)[0])
+        summed_grads = {n: node.grad.array for n, node in model.items() if node.grad is not None}
+
+        assert relative_gap(terms(whole), np.array(singles)) <= 1e-12
+        total = whole.loss.value.array[0, 0]
+        assert abs(total - sum(row[-1] for row in singles)) <= 1e-12 * abs(total)
+        assert batch_grads.keys() == summed_grads.keys()
+        for n, grad in summed_grads.items():
+            assert relative_gap(batch_grads[n], grad) <= 1e-12, n
+
+    @pytest.mark.parametrize("name", list(PARENT_BREAKDOWNS))
+    def test_a_longer_utterance_changes_no_other_terms(self, name):
+        corpus, configs = batch_setup()
+        model = tr.build_model(corpus, configs[name])
+        batch = list(corpus.utterances[:4])
+        longest = max(batch, key=lambda u: len(u.text_tokens))
+        widest = max(batch, key=lambda u: len(u.frame_codes))
+        longer = Utterance(longest.text_tokens * 2, widest.frame_codes * 2, 1)
+        before = tr._batch_loss(batch, model, configs[name])
+        after = tr._batch_loss(batch + [longer], model, configs[name])
+        assert relative_gap(terms(after)[:4], terms(before)) <= 1e-12
+        assert relative_gap(after.logits.value.array[:4], before.logits.value.array) <= 1e-12
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_padding_stays_finite_and_out_of_the_maps(self, normalize):
+        # Lengths 1 to 9 tokens and 1 to 13 frames: most rows of the padded stacks are padding.
+        rng = np.random.default_rng(52)
+        model = tiny_model(rng)
+        batch = [tiny_utterance(rng, model, n_text=n, n_speech=m)
+                 for n, m in ((1, 13), (9, 1), (2, 2), (5, 7))]
+        for mode in fu.FusionMode:
+            for node in model.values():
+                node.zero_grad()
+            result = fu.forward(batch, model, mode, normalize_label_attention=normalize)
+            dc.backward(result.loss)
+            assert np.isfinite(terms(result)).all()
+            assert all(np.isfinite(node.grad.array).all() for node in model.values()
+                       if node.grad is not None)
+            bundles = fu.attention_maps(batch, model, mode, normalize_label_attention=normalize)
+            for utt, bundle in zip(batch, bundles):
+                shape = (len(utt.text_tokens), len(utt.frame_codes))
+                assert bundle.vanilla.shape == bundle.label_guided.shape == shape
+                assert np.abs(bundle.vanilla.array.sum(axis=1) - 1.0).max() <= 1e-12
+                (alone,) = fu.attention_maps([utt], model, mode, normalize_label_attention=normalize)
+                for got, want in zip(vars(bundle).values(), vars(alone).values()):
+                    assert got.allclose(want, atol=1e-12)

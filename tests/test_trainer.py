@@ -312,8 +312,8 @@ class TestCheckpointing:
         restored = tr.model_from_checkpoint(reloaded)
         probe = held_c.utterances[0]
         mode = FusionMode(config.fusion_mode)
-        original = forward(probe, model, mode, config.loss_weights).logits.value
-        recovered = forward(probe, restored, mode, config.loss_weights).logits.value
+        original = forward([probe], model, mode, config.loss_weights).logits.value
+        recovered = forward([probe], restored, mode, config.loss_weights).logits.value
         assert original == recovered
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
@@ -403,10 +403,13 @@ class TestCheckpointing:
                 arrays=[e for e in m["arrays"] if e["name"] != "adam.v.fusion.cross_map"]
             ),
             lambda m: m.update(epoch=5),
+            lambda m: m.update(split={"train_fraction": 0.8}),
+            lambda m: m.update(split={"train_fraction": 0.8, "split_seed": "7"}),
+            lambda m: m.update(split=[0.8, 7]),
         ],
         ids=["unknown-config-key", "missing-epoch", "invalid-fusion-mode",
              "string-for-bool", "bool-for-int", "float-for-int", "unpaired-moment",
-             "epoch-beyond-log"],
+             "epoch-beyond-log", "split-missing-seed", "split-string-seed", "split-not-object"],
     )
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         train_c, held_c = tiny_corpus()
