@@ -107,8 +107,9 @@ SPLIT_KEYS = [
     ("train_fraction", float, 0.8, "per-class fraction assigned to the train side"),
     ("split_seed", int, 0, "seed of the stratified split"),
 ]
-# evaluate reads the split the checkpoint was trained on; a flag may only repeat it.
-EVALUATE_SPLIT_KEYS = [
+# evaluate and a resumed train read the split the checkpoint was trained on; a
+# flag may only repeat it (`_resolve_split`).
+RECORDED_SPLIT_KEYS = [
     (key, kind, None, f"{help_text} (default the checkpoint's, else {default})")
     for key, kind, default, help_text in SPLIT_KEYS
 ]
@@ -198,6 +199,21 @@ def _write_snapshot(resolved: dict, subcommand: str) -> None:
                                   indent=2) + "\n")
 
 
+def _resolve_split(resolved: dict, recorded: dict | None) -> None:
+    """Fill each unset split key from the split a checkpoint records, else its default.
+
+    A given key that differs from the recorded one is a ConfigError.
+    """
+    recorded = recorded or {}
+    for key, _, default, _ in SPLIT_KEYS:
+        given = resolved[key]
+        if key in recorded and given is not None and given != recorded[key]:
+            raise ConfigError(
+                f"{key} {given!r} differs from the {recorded[key]!r} the checkpoint was trained on"
+            )
+        resolved[key] = recorded.get(key, default) if given is None else given
+
+
 def _load_split(resolved: dict):
     corpus = corpus_mod.load(resolved["corpus_file"])
     train_c, heldout_c = corpus_mod.split(
@@ -234,10 +250,11 @@ def _cmd_extract_labels(resolved: dict) -> int:
 
 
 def _cmd_train(resolved: dict, config: TrainConfig) -> int:
-    _, train_c, heldout_c = _load_split(resolved)
     resume = None
     if resolved["resume_from"]:
         resume = trainer.load_checkpoint(resolved["resume_from"])
+    _resolve_split(resolved, resume.split if resume else None)
+    _, train_c, heldout_c = _load_split(resolved)
     _, log, checkpoint = trainer.train(train_c, heldout_c, config, resume_from=resume)
     checkpoint.split = {key: resolved[key] for key in trainer.SPLIT_FIELDS}
     layout = _out_layout(resolved)
@@ -257,14 +274,7 @@ def _cmd_train(resolved: dict, config: TrainConfig) -> int:
 
 def _cmd_evaluate(resolved: dict) -> int:
     checkpoint = trainer.load_checkpoint(resolved["checkpoint"])
-    recorded = checkpoint.split or {}
-    for key, _, default, _ in SPLIT_KEYS:
-        given = resolved[key]
-        if key in recorded and given is not None and given != recorded[key]:
-            raise ConfigError(
-                f"{key} {given!r} differs from the {recorded[key]!r} the checkpoint was trained on"
-            )
-        resolved[key] = recorded.get(key, default) if given is None else given
+    _resolve_split(resolved, checkpoint.split)
     model = trainer.model_from_checkpoint(checkpoint)
     corpus, train_c, heldout_c = _load_split(resolved)
     trainer.check_fit(model, corpus, checkpoint.config)
@@ -421,14 +431,15 @@ SUBCOMMANDS = [
         "train",
         "train a model on a stratified split of a corpus file",
         _cmd_train, {"config": TrainConfig},
-        SPLIT_KEYS + [CORPUS_FILE_KEY, ("resume_from", str, None, "checkpoint to resume from")],
+        RECORDED_SPLIT_KEYS + [CORPUS_FILE_KEY,
+                               ("resume_from", str, None, "checkpoint to resume from")],
         required=["corpus_file"],
     ),
     Subcommand(
         "evaluate",
         "evaluate a checkpoint on a corpus split",
         _cmd_evaluate, {},
-        EVALUATE_SPLIT_KEYS + [CHECKPOINT_KEY, CORPUS_FILE_KEY,
+        RECORDED_SPLIT_KEYS + [CHECKPOINT_KEY, CORPUS_FILE_KEY,
                                ("split", str, "heldout", "train | heldout | all")],
         required=["checkpoint", "corpus_file"],
     ),

@@ -221,28 +221,7 @@ def guidance_loss(
     entropy is the only normalisation applied. With no segments the profile
     is one utterance's and `labels` its class.
     """
-    return cross_entropy(pool(profile, "rows", "mean", segments), labels)
-
-
-def aligned_speech(
-    weights: Node, h_speech: Node, text: Segments | None = None, speech: Segments | None = None
-) -> Node:
-    """Weigh each utterance's frame rows into one aligned row per token."""
-    return paired_mix(weights, h_speech, text, speech)
-
-
-def label_guided_attention(
-    profile_text: Node,
-    profile_speech: Node,
-    text: Segments | None = None,
-    speech: Segments | None = None,
-) -> Node:
-    """Token-to-frame alignment of each utterance from the agreement of class profiles."""
-    if profile_text.value.cols != profile_speech.value.cols:
-        raise DimensionError(
-            f"class counts differ ({profile_text.value.cols} vs {profile_speech.value.cols})"
-        )
-    return paired_scores(profile_text, profile_speech, text, speech)
+    return cross_entropy(pool(profile, "mean", segments), labels)
 
 
 def class_averaged_attention(profile: Matrix) -> tuple[float, ...]:
@@ -313,7 +292,7 @@ def _fused_pass(
             cosine_scores(h_text, params["labels.text"]),
             cosine_scores(h_speech, params["labels.speech"]),
         )
-        guided = label_guided_attention(*profiles, text, speech)
+        guided = paired_scores(*profiles, text, speech)
         if normalize_label_attention:
             guided = row_softmax(guided, text, speech)
     if all_maps or mode is not FusionMode.ONLY_LABEL:
@@ -325,8 +304,8 @@ def _fused_pass(
         align = guided
     else:
         align = vanilla
-    merged = concat_cols(h_text, aligned_speech(align, h_speech, text, speech))
-    pooled = pool(merged, "rows", "max", text)
+    merged = concat_cols(h_text, paired_mix(align, h_speech, text, speech))
+    pooled = pool(merged, "max", text)
     logits = affine(pooled, params["fusion.classifier_w"], params["fusion.classifier_b"])
     return logits, profiles, vanilla, guided, text, speech
 
@@ -427,7 +406,7 @@ def predict_logits(
 def _tower(utterances: Sequence[Utterance], modality: str, params: dict[str, Node]):
     """One modality's rows, its segments and its pooled-head logits, for a batch."""
     h, segments = _encode(utterances, modality, params)
-    head = affine(pool(h, "rows", "max", segments), params[f"fusion.{modality}_head_w"],
+    head = affine(pool(h, "max", segments), params[f"fusion.{modality}_head_w"],
                   params[f"fusion.{modality}_head_b"])
     return h, segments, head
 

@@ -145,9 +145,9 @@ def test_criterion_2_oracle_equivalence():
 
         g_t = Matrix(rng.normal(size=(l_t, c)))
         g_s = Matrix(rng.normal(size=(l_s, c)))
-        got_guided = fu.label_guided_attention(dc.constant(g_t), dc.constant(g_s)).value.array
+        got_guided = dc.paired_scores(dc.constant(g_t), dc.constant(g_s)).value.array
         weights = Matrix(rng.normal(size=(l_t, l_s)))
-        got_aligned = fu.aligned_speech(dc.constant(weights), dc.constant(h_s)).value.array
+        got_aligned = dc.paired_mix(dc.constant(weights), dc.constant(h_s)).value.array
         for i in range(l_t):
             for j in range(l_s):
                 acc = sum(g_t.array[i, k] * g_s.array[j, k] for k in range(c))

@@ -205,6 +205,27 @@ class TestTrainEvaluate:
             assert "trained on" in one_error_line(capsys)
             assert not (out / "other").exists()
 
+    def test_resume_trains_on_the_split_the_checkpoint_records(self, out, corpus_file, capsys):
+        def train(name, epochs, *extra):
+            return cli.main(["train", "--out-dir", str(out / name), "--corpus-file",
+                             str(corpus_file), *SMALL_TRAIN[2:], "--epochs", str(epochs), *extra])
+
+        assert train("full", 2, "--split-seed", "7") == 0
+        assert train("half", 1, "--split-seed", "7") == 0
+        half = str(out / "half" / "checkpoints" / "model.ckpt")
+        assert train("resumed", 2, "--resume-from", half) == 0
+        for path in ("checkpoints/model.ckpt", "logs/train_log.csv"):
+            assert (out / "resumed" / path).read_bytes() == (out / "full" / path).read_bytes()
+        snapshot = json.loads((out / "resumed" / "config" / "train.json").read_text())
+        assert (snapshot["train_fraction"], snapshot["split_seed"]) == (0.8, 7)
+        # Repeating the recorded split is allowed; another one is refused before any output.
+        assert train("same", 2, "--resume-from", half, "--split-seed", "7") == 0
+        capsys.readouterr()
+        for flag, value in (("--split-seed", "0"), ("--train-fraction", "0.7")):
+            assert train("other", 2, "--resume-from", half, flag, value) == 1
+            assert "trained on" in one_error_line(capsys)
+            assert not (out / "other").exists()
+
     def test_train_does_not_mutate_corpus_file(self, out, corpus_file):
         before = corpus_file.read_bytes()
         cli.main(["train", "--out-dir", str(out), "--corpus-file", str(corpus_file), *SMALL_TRAIN])

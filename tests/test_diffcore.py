@@ -22,6 +22,11 @@ def rand(rng, r, c):
     return Matrix(rng.normal(0.0, 1.0, size=(r, c)))
 
 
+def readout(node, r=None):
+    """<node, r> as a 1x1 node; r defaults to ones, which sums node's entries."""
+    return dc._readout(node, np.ones(node.value.shape) if r is None else r)
+
+
 class TestMatrix:
     def test_shape_and_data_layout(self):
         m = Matrix([[1.0, 2.0], [3.0, 4.0]])
@@ -63,7 +68,7 @@ class TestMatmul:
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(1)
         rep = dc.grad_check(
-            lambda a, b: dc.sum_all(dc.matmul(a, b)),
+            lambda a, b: readout(dc.matmul(a, b)),
             [rand(rng, 3, 4), rand(rng, 4, 2)],
             step=STEP,
         )
@@ -92,8 +97,9 @@ class TestRowSoftmax:
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(3)
+        r = rng.normal(size=(2, 5))  # a softmax row's plain sum is constant
         rep = dc.grad_check(
-            lambda a: dc.sum_all(dc.matmul(dc.row_softmax(a), dc.transpose(a))),
+            lambda a: readout(dc.row_softmax(a), r),
             [rand(rng, 2, 5)],
             step=STEP,
         )
@@ -115,8 +121,9 @@ class TestRowL2Normalize:
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(4)
+        r = rng.normal(size=(4, 3))
         rep = dc.grad_check(
-            lambda a: dc.sum_all(dc.matmul(dc.row_l2_normalize(a), dc.transpose(a))),
+            lambda a: readout(dc.row_l2_normalize(a), r),
             [rand(rng, 4, 3)],
             step=STEP,
         )
@@ -125,42 +132,38 @@ class TestRowL2Normalize:
 
 class TestPool:
     def test_mean_over_rows(self):
-        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "rows", "mean")
+        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "mean")
         assert out.value == Matrix([[2.0, 4.0]])
 
     def test_max_over_rows(self):
-        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "rows", "max")
+        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "max")
         assert out.value == Matrix([[3.0, 5.0]])
-
-    def test_mean_over_cols(self):
-        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "cols", "mean")
-        assert out.value == Matrix([[2.0], [4.0]])
 
     def test_max_tie_routes_to_lowest_index(self):
         x = dc.parameter([[2.0, 1.0], [2.0, 5.0]])
-        out = dc.pool(x, "rows", "max")
-        dc.backward(dc.sum_all(out))
+        out = dc.pool(x, "max")
+        dc.backward(readout(out))
         assert x.grad == Matrix([[1.0, 0.0], [0.0, 1.0]])
 
     def test_bad_axis_or_kind(self):
+        # pool reduces rows only: an axis where the kind goes is refused, not misread.
         with pytest.raises(ContractError):
-            dc.pool(dc.constant([[1.0]]), "diag", "mean")
+            dc.pool(dc.constant([[1.0]]), "rows")
         with pytest.raises(ContractError):
-            dc.pool(dc.constant([[1.0]]), "rows", "median")
+            dc.pool(dc.constant([[1.0]]), "median")
 
-    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    @pytest.mark.parametrize("layout", ["rows", "segments"])
     @pytest.mark.parametrize("kind", ["mean", "max"])
-    def test_gradient_vs_fd(self, axis, kind):
+    def test_gradient_vs_fd(self, layout, kind):
         rng = np.random.default_rng(5)
+        blocks = ROWS if layout == "segments" else dc.Segments((5,))
         if kind == "max":
-            m = dc._tie_free_matrix(rng, 5, 3, axis, 10 * STEP)
+            m = dc._tie_free_segments(rng, blocks, 3, 10 * STEP)
         else:
-            m = rand(rng, 5, 3)
-        if axis == "rows":
-            builder = lambda a: dc.sum_all(dc.matmul(dc.pool(a, axis, kind), dc.transpose(a)))
-        else:
-            builder = lambda a: dc.sum_all(dc.matmul(dc.transpose(dc.pool(a, axis, kind)), a))
-        rep = dc.grad_check(builder, [m], step=STEP)
+            m = rand(rng, blocks.total, 3)
+        r = rng.normal(size=(blocks.count, 3))
+        segments = ROWS if layout == "segments" else None
+        rep = dc.grad_check(lambda a: readout(dc.pool(a, kind, segments), r), [m], step=STEP)
         assert rep.max_relative_error <= FD_TOL
 
 
@@ -181,8 +184,9 @@ class TestConcatCols:
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(6)
+        r = rng.normal(size=(3, 6))
         rep = dc.grad_check(
-            lambda a, b: dc.sum_all(dc.matmul(dc.transpose(dc.concat_cols(a, b)), a)),
+            lambda a, b: readout(dc.concat_cols(a, b), r),
             [rand(rng, 3, 2), rand(rng, 3, 4)],
             step=STEP,
         )
@@ -204,7 +208,7 @@ class TestGather:
 
     def test_repeated_ids_scatter_add(self):
         x = dc.parameter([[1.0, 2.0], [3.0, 4.0]])
-        dc.backward(dc.sum_all(dc.gather(x, [1, 1, 1])))
+        dc.backward(readout(dc.gather(x, [1, 1, 1])))
         assert x.grad == Matrix([[0.0, 0.0], [3.0, 3.0]])
 
     def test_matches_dense_one_hot_product(self):
@@ -221,8 +225,9 @@ class TestGather:
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(13)
+        r = rng.normal(size=(4, 3))
         rep = dc.grad_check(
-            lambda a: dc.sum_all(dc.matmul(dc.gather(a, [4, 1, 4, 0]), dc.transpose(a))),
+            lambda a: readout(dc.gather(a, [4, 1, 4, 0]), r),
             [rand(rng, 5, 3)],
             step=STEP,
         )
@@ -279,7 +284,7 @@ class TestMse:
 class TestBackwardMechanics:
     def test_linear_sum_gradient_is_ones(self):
         rng = np.random.default_rng(10)
-        rep = dc.grad_check(lambda a: dc.sum_all(a), [rand(rng, 3, 4)], step=STEP)
+        rep = dc.grad_check(readout, [rand(rng, 3, 4)], step=STEP)
         assert rep.max_relative_error <= 1e-10
 
     def test_requires_backward_on_scalar_only(self):
@@ -290,7 +295,7 @@ class TestBackwardMechanics:
         x = dc.parameter([[1.0, 2.0]])
         left = dc.scale(x, 2.0)
         right = dc.scale(x, 3.0)
-        out = dc.sum_all(dc.add(left, right))
+        out = readout(dc.add(left, right))
 
         calls = {}
         for node in (left, right, out):
@@ -307,7 +312,7 @@ class TestBackwardMechanics:
         assert x.grad == Matrix([[5.0, 5.0]])
 
         rep = dc.grad_check(
-            lambda a: dc.sum_all(dc.add(dc.scale(a, 2.0), dc.scale(a, 3.0))),
+            lambda a: readout(dc.add(dc.scale(a, 2.0), dc.scale(a, 3.0))),
             [Matrix([[1.0, 2.0]])],
             step=STEP,
         )
@@ -315,8 +320,8 @@ class TestBackwardMechanics:
 
     def test_grad_accumulates_across_backward_calls(self):
         x = dc.parameter([[1.0, 2.0]])
-        dc.backward(dc.sum_all(x))
-        dc.backward(dc.sum_all(x))
+        dc.backward(readout(x))
+        dc.backward(readout(x))
         assert x.grad == Matrix([[2.0, 2.0]])
         x.zero_grad()
         assert x.grad is None
@@ -324,7 +329,7 @@ class TestBackwardMechanics:
     def test_constants_receive_no_gradient(self):
         x = dc.parameter([[1.0]])
         c = dc.constant([[2.0]])
-        dc.backward(dc.sum_all(dc.matmul(x, c)))
+        dc.backward(readout(dc.matmul(x, c)))
         assert c.grad is None
         assert x.grad == Matrix([[2.0]])
 
@@ -355,8 +360,7 @@ class TestLeanTape:
             "scale": dc.scale(a, 0.5),
             "row_softmax": dc.row_softmax(a),
             "row_l2_normalize": dc.row_l2_normalize(a),
-            "pool_mean_rows": dc.pool(a, "rows", "mean"),
-            "pool_max_cols": dc.pool(a, "cols", "max"),
+            "pool_mean": dc.pool(a, "mean"),
             "concat_cols": dc.concat_cols(a, b),
             "cross_entropy": dc.cross_entropy(row, 1),
             "mse": dc.mse(a, b),
@@ -369,7 +373,7 @@ class TestLeanTape:
             "paired_scores": dc.paired_scores(a, b),
             "paired_mix": dc.paired_mix(dc.transpose(a), b),
             "self_attention_segments": dc.self_attention(a, w, w, w, dc.Segments((2, 1))),
-            "pool_max_segments": dc.pool(a, "rows", "max", dc.Segments((1, 2))),
+            "pool_max_segments": dc.pool(a, "max", dc.Segments((1, 2))),
             "row_softmax_segments": dc.row_softmax(
                 a, dc.Segments((1, 2)), dc.Segments((4, 2))
             ),
@@ -387,7 +391,7 @@ class TestLeanTape:
         c = dc.constant([[0.5, 0.25], [1.0, 2.0]])
         product = dc.matmul(a, c)
         soft = dc.row_softmax(product)
-        root = dc.sum_all(dc.add(soft, dc.transpose(product)))
+        root = readout(dc.add(soft, dc.transpose(product)))
         dc.backward(root)
         assert a.grad is not None
         assert c.grad is None
@@ -473,16 +477,16 @@ class TestFusedOps:
         rng = np.random.default_rng(61)
         for _ in range(5):
             values = [rand(rng, *shape) for shape in shapes]
-            readout = None
+            r = None
             results = []
             for build in (fused, chain):
                 leaves = [dc.parameter(v) for v in values]
                 if frozen_first:
                     leaves[0] = dc.constant(values[0])
                 out = build(*leaves)
-                if readout is None:
-                    readout = dc.constant(rand(rng, out.value.cols, 2))
-                dc.backward(dc.sum_all(dc.matmul(out, readout)))
+                if r is None:
+                    r = rng.normal(size=out.value.shape)
+                dc.backward(readout(out, r))
                 results.append((out.value, [leaf.grad for leaf in leaves]))
             (fused_value, fused_grads), (chain_value, chain_grads) = results
             assert fused_value == chain_value
@@ -579,14 +583,14 @@ SEGMENT_OPS = {
     ),
     "pool_mean": (
         [(6, 3)],
-        lambda a: dc.pool(a, "rows", "mean", ROWS),
-        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "rows", "mean"),
+        lambda a: dc.pool(a, "mean", ROWS),
+        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "mean"),
         "one",
     ),
     "pool_max": (
         [(6, 3)],
-        lambda a: dc.pool(a, "rows", "max", ROWS),
-        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "rows", "max"),
+        lambda a: dc.pool(a, "max", ROWS),
+        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "max"),
         "one",
     ),
     "cross_entropy": (
@@ -628,8 +632,8 @@ class TestSegments:
         with pytest.raises(DimensionError):
             dc.paired_scores(dc.constant(Matrix.zeros(6, 3)), dc.constant(Matrix.zeros(7, 3)),
                              ROWS, dc.Segments((7,)))
-        with pytest.raises(ContractError):
-            dc.pool(e, "cols", "max", dc.Segments((5,)))
+        with pytest.raises(DimensionError):
+            dc.pool(e, "max", ROWS)
 
 
 class TestSegmentOps:
@@ -660,7 +664,7 @@ class TestSegmentOps:
         rng = np.random.default_rng(64)
         leaves = [dc.parameter(rand(rng, *shape)) for shape in shapes]
         out = batched(*leaves)
-        dc.backward(dc.sum_all(dc.matmul(out, dc.constant(rand(rng, out.value.cols, 2)))))
+        dc.backward(readout(out, rng.normal(size=out.value.shape)))
         for leaf in leaves:
             assert np.isfinite(leaf.grad.array).all()
         if name in ("paired_mix", "row_softmax", "mse"):  # map inputs: past a width is padding
@@ -674,10 +678,21 @@ class TestGradCheck:
             dc.grad_check(lambda a: a, [Matrix.zeros(2, 2)])
 
     def test_report_fields(self):
-        rep = dc.grad_check(lambda a: dc.sum_all(a), [Matrix.zeros(2, 3)], op_name="sum")
+        rep = dc.grad_check(readout, [Matrix.zeros(2, 3)], op_name="sum")
         assert rep.op_name == "sum"
         assert rep.probe_count == 6
         assert rep.max_relative_error >= 0.0
+
+    def test_central_difference_rounding_is_not_an_error(self):
+        # Gradients of 1e-9 on a value near 24: f+ - f- loses about eps * 24 to
+        # rounding, 2% of the 1e-8 floor, though the backward is exact.
+        r = np.array([[1e-9, -2e-9, 3e-9]])
+        rep = dc.grad_check(
+            lambda a: dc.add(readout(a, r), dc.constant([[24.0]])),
+            [Matrix([[0.1, 0.7, -1.3]])],
+            step=STEP,
+        )
+        assert rep.max_relative_error == 0.0
 
     def test_detects_corrupted_backward_rule(self):
         def corrupted_add(a: Node, b: Node) -> Node:
@@ -690,11 +705,52 @@ class TestGradCheck:
 
         rng = np.random.default_rng(12)
         rep = dc.grad_check(
-            lambda a, b: dc.sum_all(corrupted_add(a, b)),
+            lambda a, b: readout(corrupted_add(a, b)),
             [rand(rng, 2, 2), rand(rng, 2, 2)],
             step=STEP,
         )
         assert rep.max_relative_error > 1e-2
+
+
+# Every op kind the grad suite checks, as the op names its node.
+OP_KINDS = (
+    "matmul", "transpose", "gather", "add", "scale", "row_softmax", "row_l2_normalize",
+    "pool_mean", "pool_max", "concat_cols", "cross_entropy", "mse", "self_attention",
+    "residual_linear", "cosine_scores", "bilinear_softmax", "paired_scores", "paired_mix",
+    "affine", "weighted_sum",
+)
+
+
+def suite_run(monkeypatch, wrong_kind=None):
+    """The suite at seed 0, 10 probes per entry, and the op kinds each entry built.
+
+    The backward of `wrong_kind`, if given, returns each parent's gradient x 1.01.
+    """
+    built: dict[str, set[str]] = {}
+    entry = [None]
+    grad_check, make_node = dc.grad_check, dc._op
+
+    def named_grad_check(builder, inputs, step, op_name):
+        entry[0] = op_name
+        try:
+            return grad_check(builder, inputs, step=step, op_name=op_name)
+        finally:
+            entry[0] = None  # the suite's own forward, for R's shape, is no entry's
+
+    def recording_op(out, kind, parents, backward_fn):
+        if entry[0] is not None:
+            built.setdefault(entry[0], set()).add(kind)
+        if kind != wrong_kind:
+            return make_node(out, kind, parents, backward_fn)
+
+        def one_percent_off(g):
+            return tuple(None if pg is None else pg * 1.01 for pg in backward_fn(g))
+
+        return make_node(out, kind, parents, one_percent_off)
+
+    monkeypatch.setattr(dc, "grad_check", named_grad_check)
+    monkeypatch.setattr(dc, "_op", recording_op)
+    return dc.run_op_grad_suite(probes_per_op=10, seed=0), built
 
 
 class TestOpSuite:
@@ -709,3 +765,17 @@ class TestOpSuite:
         assert len(gather) == 1
         assert gather[0].probe_count == 10 * 15
         assert gather[0].max_relative_error <= 1e-4
+
+    def test_each_entry_builds_only_its_op_and_the_readout(self, monkeypatch):
+        reports, built = suite_run(monkeypatch)
+        assert [rep.op_name for rep in reports] == list(built)
+        for name, kinds in built.items():
+            assert kinds == {name.split("[")[0], "readout"}, name
+        assert set().union(*built.values()) == {*OP_KINDS, "readout"}
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_a_one_percent_backward_error_fails_exactly_its_entries(self, monkeypatch, kind):
+        reports, built = suite_run(monkeypatch, wrong_kind=kind)
+        failed = {rep.op_name for rep in reports if rep.max_relative_error > 1e-4}
+        assert failed == {name for name, kinds in built.items() if kind in kinds}
+        assert failed

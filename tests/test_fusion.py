@@ -188,24 +188,26 @@ class TestVanillaCrossAttention:
 
 
 class TestAlignedSpeech:
+    """The aligned speech is `paired_mix` of the alignment and the frame rows."""
+
     def test_one_hot_rows_select_frames(self):
         h = Matrix([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         weights = Matrix([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = fu.aligned_speech(dc.constant(weights), dc.constant(h))
+        out = dc.paired_mix(dc.constant(weights), dc.constant(h))
         assert out.value == Matrix([[5.0, 6.0], [1.0, 2.0], [3.0, 4.0]])
 
     def test_uniform_rows_give_frame_mean(self):
         rng = np.random.default_rng(28)
         h = rand(rng, 5, 3)
         weights = dc.constant(Matrix(np.full((2, 5), 0.2)))
-        out = fu.aligned_speech(weights, dc.constant(h))
+        out = dc.paired_mix(weights, dc.constant(h))
         mean = h.array.mean(axis=0)
         assert np.abs(out.value.array - mean).max() <= 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(29)
         weights, h = rand(rng, 3, 5), rand(rng, 5, 4)
-        got = fu.aligned_speech(dc.constant(weights), dc.constant(h)).value.array
+        got = dc.paired_mix(dc.constant(weights), dc.constant(h)).value.array
         for i in range(3):
             for d in range(4):
                 acc = sum(weights.array[i, j] * h.array[j, d] for j in range(5))
@@ -213,20 +215,22 @@ class TestAlignedSpeech:
 
 
 class TestLabelGuidedAttention:
+    """Label-guided attention is `paired_scores` of the two class profiles."""
+
     def test_zero_profile_gives_zero(self):
-        out = fu.label_guided_attention(
+        out = dc.paired_scores(
             dc.constant(Matrix.zeros(3, 2)), dc.constant(np.ones((4, 2)))
         )
         assert out.value == Matrix.zeros(3, 4)
 
     def test_single_class_identity(self):
-        out = fu.label_guided_attention(dc.constant([[1.0]]), dc.constant([[1.0]]))
+        out = dc.paired_scores(dc.constant([[1.0]]), dc.constant([[1.0]]))
         assert out.value == Matrix([[1.0]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(30)
         pt, ps = rand(rng, 3, 4), rand(rng, 5, 4)
-        got = fu.label_guided_attention(dc.constant(pt), dc.constant(ps)).value.array
+        got = dc.paired_scores(dc.constant(pt), dc.constant(ps)).value.array
         for i in range(3):
             for j in range(5):
                 acc = sum(pt.array[i, k] * ps.array[j, k] for k in range(4))
@@ -234,7 +238,7 @@ class TestLabelGuidedAttention:
 
     def test_class_count_mismatch(self):
         with pytest.raises(DimensionError):
-            fu.label_guided_attention(
+            dc.paired_scores(
                 dc.constant(Matrix.zeros(3, 4)), dc.constant(Matrix.zeros(5, 2))
             )
 
@@ -367,7 +371,7 @@ class TestForward:
         scores = dc.matmul(h_text, dc.transpose(dc.matmul(h_speech, model["fusion.cross_map"])))
         align = dc.row_softmax(scores)
         merged = dc.concat_cols(h_text, dc.matmul(align, h_speech))
-        pooled = dc.pool(merged, "rows", "max")
+        pooled = dc.pool(merged, "max")
         logits = dc.add(dc.matmul(pooled, model["fusion.classifier_w"]),
                         model["fusion.classifier_b"])
         plain_loss = dc.cross_entropy(logits, utt.label).value.array[0, 0]
