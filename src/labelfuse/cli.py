@@ -349,20 +349,17 @@ def _cmd_sweep_k(resolved: dict, spec: CorpusSpec, config: TrainConfig) -> int:
 
 
 def _cmd_score_fusion(resolved: dict, config: TrainConfig) -> int:
-    if config.epochs < 1:  # each tower's row is its last epoch's heldout evaluation
+    if config.epochs < 1:  # an untrained tower's score says nothing about training
         raise ConfigError(f"score-fusion needs epochs >= 1, got {config.epochs}")
     _, train_c, heldout_c = _load_split(resolved)
-    text_model, text_log, _ = trainer.train(train_c, heldout_c, replace(config, modality="text"))
-    speech_model, speech_log, _ = trainer.train(
-        train_c, heldout_c, replace(config, modality="speech")
-    )
-    fused_eval = evalkit.evaluate(
-        evalkit.score_fusion_predictor(text_model, speech_model), heldout_c
-    )
+    towers = [replace(config, modality=modality) for modality in ("text", "speech")]
+    models = [trainer.fit(train_c, tower) for tower in towers]
+    results = [(tower.modality, trainer.evaluate_final(model, heldout_c, tower))
+               for tower, model in zip(towers, models)]
+    fused = evalkit.score_fusion_predictor(*models)
+    results.append(("score-fusion", evalkit.evaluate(fused, heldout_c)))
     lines = ["system,wa,ua"]
-    for name, result in (
-        ("text", text_log.heldout), ("speech", speech_log.heldout), ("score-fusion", fused_eval)
-    ):
+    for name, result in results:
         lines.append(f"{name},{result.weighted_accuracy:.12g},{result.unweighted_accuracy:.12g}")
         print(f"{name}: WA {result.weighted_accuracy:.4f} UA {result.unweighted_accuracy:.4f}")
     path = _out_layout(resolved)["reports"] / "score_fusion.csv"

@@ -847,16 +847,21 @@ def grad_check(
 
     max_rel = 0.0
     probes = 0
-    base = [m.array.copy() for m in inputs]
+    # Matrices are immutable, so the unprobed inputs go in as given; only the
+    # probed one is rebuilt.
+    shifted = list(inputs)
     for i, m in enumerate(inputs):
+        probed = m.array.copy()
         for r in range(m.rows):
             for c in range(m.cols):
-                saved = base[i][r, c]
-                base[i][r, c] = saved + step
-                plus = _scalar_eval(builder, [Matrix(b) for b in base])
-                base[i][r, c] = saved - step
-                minus = _scalar_eval(builder, [Matrix(b) for b in base])
-                base[i][r, c] = saved
+                saved = probed[r, c]
+                probed[r, c] = saved + step
+                shifted[i] = Matrix(probed)
+                plus = _scalar_eval(builder, shifted)
+                probed[r, c] = saved - step
+                shifted[i] = Matrix(probed)
+                minus = _scalar_eval(builder, shifted)
+                probed[r, c] = saved
                 numeric = (plus - minus) / (2.0 * step)
                 rounding = _ROUNDING * (abs(plus) + abs(minus)) / (2.0 * step)
                 a_val = analytic[i][r, c]
@@ -864,6 +869,7 @@ def grad_check(
                 if rel > max_rel:
                     max_rel = rel
                 probes += 1
+        shifted[i] = m
     return GradCheckReport(op_name, max_rel, probes)
 
 

@@ -4,8 +4,9 @@ Weighted accuracy is the overall correct rate (confusion trace over n);
 unweighted accuracy is the mean per-class recall, with zero-support classes
 excluded from the mean. The ablation harness trains every named condition
 on identical generated splits per seed, so conditions differ only in their
-config; it may spread the runs over processes, and its report is the same
-for any number of them.
+config, and scores each run by one heldout evaluation of its final model;
+it may spread the runs over processes, and its report is the same for any
+number of them.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ def run_ablation(
 ) -> AblationReport:
     """Train every condition on identical splits per seed; score on the heldout split.
 
-    A run's score is the heldout evaluation of its last epoch, so every
-    config needs epochs >= 1 (else ConfigError, before any run starts). A
-    diverging run is recorded for its condition and the harness continues.
+    A run is `trainer.fit` and one heldout evaluation of its final model
+    (`trainer.evaluate_final`); it evaluates nothing else. Every config
+    needs epochs >= 1 (else ConfigError, before any run starts). A diverging
+    run is recorded for its condition and the harness continues.
     Runs are spread over `jobs` processes (default: every usable core; 1 runs
     them in this process). Each run is a pure function of its split and
     seeded config and results are merged in serial order (seed, then
@@ -165,7 +167,7 @@ def run_ablation(
             for seed in seeds for name, config in conditions.items()]
     for _, _, config in runs:
         config.validate()
-        if config.epochs < 1:  # a run reports its last epoch's heldout evaluation
+        if config.epochs < 1:  # an untrained model's score says nothing about its condition
             raise ConfigError(f"ablation runs need epochs >= 1, got {config.epochs}")
     splits = {
         seed: split(generate(replace(corpus_spec, seed=seed), corpus_size), train_fraction, seed)
@@ -196,14 +198,13 @@ def run_ablation(
 
 
 def _run_one(train_split: Corpus, heldout_split: Corpus, config: "TrainConfig"):
-    """One run: (heldout EvalResult of its last epoch, None), or (None, message) if it diverged."""
-    from .trainer import train
+    """One run: (heldout EvalResult of its final model, None), or (None, message) if it diverged."""
+    from . import trainer  # imported here: trainer imports this module
 
     try:
-        _, log, _ = train(train_split, heldout_split, config)
+        return trainer.evaluate_final(trainer.fit(train_split, config), heldout_split, config), None
     except DivergenceError as exc:
         return None, str(exc)
-    return log.heldout, None
 
 
 def _run_tasks(tasks: list, jobs: int) -> list:

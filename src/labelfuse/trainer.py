@@ -22,6 +22,12 @@ product over the batch. The result's `terms` hold each utterance's five
 loss columns for the log. Evaluation predicts one utterance at a time
 (`model_predictor`), and a prediction is the argmax of its logits.
 
+`train` evaluates both splits after every epoch for its log and
+checkpoint. `fit` runs the same epochs with no evaluation, log or
+checkpoint, and `evaluate_final` scores its model once; the ablation and
+sweep harnesses and `score-fusion` use that pair, so a run evaluates
+nothing but its final model on the heldout split.
+
 A loaded model must fit its corpus: `check_fit` compares every array's
 shape with the corpus and config before resuming, evaluating or exporting
 attention.
@@ -33,6 +39,7 @@ import dataclasses
 import json
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -315,13 +322,67 @@ def _train_step(batch, model: dict[str, Node], config: TrainConfig, optimizer: A
     return result.terms
 
 
+@contextmanager
+def _diverging(epoch: int, stage: str):
+    """Re-raise a NonFiniteError or DegenerateRowError as DivergenceError naming epoch and stage."""
+    try:
+        yield
+    except (NonFiniteError, DegenerateRowError) as exc:
+        raise DivergenceError(f"training diverged at epoch {epoch}, {stage}: {exc}") from exc
+
+
+def _epochs(train_corpus: Corpus, model: dict[str, Node], config: TrainConfig, optimizer: Adam,
+            start_epoch: int):
+    """Train epochs start_epoch..epochs-1; yield each epoch and its mean loss columns.
+
+    This is the package's one batch loop. The five columns are those of
+    `ForwardResult.terms`, in `EpochRecord` order.
+    """
+    for epoch in range(start_epoch, config.epochs):
+        order = np.random.default_rng([config.seed, 1000 + epoch]).permutation(len(train_corpus))
+        sums = np.zeros(5)
+        for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
+            batch = [train_corpus.utterances[i] for i in order[start : start + config.batch_size]]
+            with _diverging(epoch, f"batch {batch_no}"):
+                for terms in _train_step(batch, model, config, optimizer):
+                    sums += terms
+        yield epoch, sums / len(order)
+
+
+def fit(train_corpus: Corpus, config: TrainConfig) -> dict[str, Node]:
+    """The model `train` returns for this split and config, with no evaluation, log or checkpoint.
+
+    Its arrays are bitwise those of `train`'s model: evaluation only reads
+    the model. A failing batch raises `train`'s DivergenceError.
+    """
+    config.validate()
+    if not len(train_corpus):
+        raise ConfigError("the train split must be non-empty")
+    model = build_model(train_corpus, config)
+    for _ in _epochs(train_corpus, model, config, Adam(config), 0):
+        pass
+    return model
+
+
+def evaluate_final(
+    model: dict[str, Node], corpus: Corpus, config: TrainConfig
+) -> evalkit.EvalResult:
+    """One evaluation of a model `fit` trained for `config.epochs` epochs.
+
+    A non-finite logit or a zero-norm row raises the DivergenceError `train`
+    gives for its last epoch's evaluation.
+    """
+    with _diverging(config.epochs - 1, "evaluation"):
+        return evalkit.evaluate(model_predictor(model, config), corpus)
+
+
 def train(
     train_corpus: Corpus,
     heldout_corpus: Corpus,
     config: TrainConfig,
     resume_from: "Checkpoint | None" = None,
 ) -> tuple[dict[str, Node], TrainLog, "Checkpoint"]:
-    """Train a model; returns (model, log, final checkpoint).
+    """Train a model, evaluating both splits after each epoch; returns (model, log, checkpoint).
 
     Deterministic: identical (config, corpora) give bitwise-identical logs
     and checkpoints. Resuming rebuilds the model from an intermediate
@@ -354,25 +415,12 @@ def train(
         log = TrainLog(list(resume_from.log_records))
         start_epoch = resume_from.epoch
 
-    for epoch in range(start_epoch, config.epochs):
-        order = np.random.default_rng([config.seed, 1000 + epoch]).permutation(len(train_corpus))
-        sums = np.zeros(5)
-        stage = "evaluation"
-        try:
-            for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-                stage = f"batch {batch_no}"
-                batch = [train_corpus.utterances[i]
-                         for i in order[start : start + config.batch_size]]
-                for terms in _train_step(batch, model, config, optimizer):
-                    sums += terms
-            stage = "evaluation"
+    for epoch, losses in _epochs(train_corpus, model, config, optimizer, start_epoch):
+        with _diverging(epoch, "evaluation"):
             train_eval = evalkit.evaluate(model_predictor(model, config), train_corpus)
             log.heldout = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
-        except (NonFiniteError, DegenerateRowError) as exc:
-            raise DivergenceError(f"training diverged at epoch {epoch}, {stage}: {exc}") from exc
-        # The five loss columns of `ForwardResult.terms`, in record order.
         log.records.append(EpochRecord(
-            epoch, *(float(v) for v in sums / len(order)),
+            epoch, *(float(v) for v in losses),
             train_eval.weighted_accuracy, train_eval.unweighted_accuracy,
             log.heldout.weighted_accuracy, log.heldout.unweighted_accuracy,
         ))

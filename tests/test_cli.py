@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from labelfuse import cli
 from labelfuse import corpus as cp
+from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
 from labelfuse.errors import ConfigError, LabelFuseError
 
@@ -326,6 +327,22 @@ class TestHarnessCommands:
         lines = (out / "reports" / "score_fusion.csv").read_text().splitlines()
         systems = [line.split(",")[0] for line in lines[1:]]
         assert systems == ["text", "speech", "score-fusion"]
+
+    def test_score_fusion_rows_are_final_heldout_evaluations_of_train(self, out, corpus_file):
+        assert cli.main([
+            "score-fusion", "--out-dir", str(out), "--corpus-file", str(corpus_file),
+            *SMALL_TRAIN, "--epochs", "2",
+        ]) == 0
+        train_c, held_c = cp.split(cp.load(corpus_file), 0.8, 0)
+        base = tr.TrainConfig(epochs=2, text_dim=8, speech_dim=8, top_k_text=3, top_k_speech=5)
+        towers = [dataclasses.replace(base, modality=m) for m in ("text", "speech")]
+        models = [tr.train(train_c, held_c, tower)[0] for tower in towers]
+        results = [(tower.modality, ev.evaluate(tr.model_predictor(model, tower), held_c))
+                   for tower, model in zip(towers, models)]
+        results.append(("score-fusion", ev.evaluate(ev.score_fusion_predictor(*models), held_c)))
+        expected = [f"{m},{r.weighted_accuracy:.12g},{r.unweighted_accuracy:.12g}"
+                    for m, r in results]
+        assert (out / "reports" / "score_fusion.csv").read_text().splitlines()[1:] == expected
 
     def test_export_attention(self, out, corpus_file):
         assert cli.main([

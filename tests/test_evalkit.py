@@ -11,7 +11,7 @@ from labelfuse import evalkit as ev
 from labelfuse import fusion as fu
 from labelfuse import trainer as tr
 from labelfuse.diffcore import Matrix
-from labelfuse.errors import ConfigError, EvaluationError, ExtractionError
+from labelfuse.errors import ConfigError, EvaluationError, ExtractionError, NonFiniteError
 
 
 def make_corpus(labels, classes=2):
@@ -195,7 +195,7 @@ class TestRunAblation:
         ok_mean = report.condition("ok").mean_wa
         assert any(line.startswith(f"ok,mean,{ok_mean:.12g},") for line in lines)
 
-    def test_run_evaluates_heldout_once_per_epoch(self, monkeypatch):
+    def test_run_evaluates_only_the_final_model_on_heldout(self, monkeypatch):
         spec, config = tiny_setup()
         _, held_c = cp.split(cp.generate(replace(spec, seed=3), 40), 0.7, seed=3)
         evaluated = []
@@ -207,10 +207,25 @@ class TestRunAblation:
 
         monkeypatch.setattr(ev, "evaluate", counting)
         ev.run_ablation({"base": replace(config, epochs=3)}, spec, 40, 0.7, seeds=[3], jobs=1)
-        assert sum(corpus == held_c for corpus in evaluated) == 3
+        assert evaluated == [held_c]
+
+    def test_final_evaluation_failure_is_last_epoch_divergence(self, monkeypatch):
+        def exploding(model, config):
+            def predict(utt):
+                raise NonFiniteError("logits are not finite")
+            return predict
+
+        monkeypatch.setattr(tr, "model_predictor", exploding)
+        spec, config = tiny_setup()
+        report = ev.run_ablation({"base": replace(config, epochs=3)}, spec, 40, 0.7, seeds=[3],
+                                 jobs=1)
+        assert report.condition("base").failures == (
+            (3, "training diverged at epoch 2, evaluation: logits are not finite"),
+        )
 
     def test_zero_epochs_rejected_before_first_run(self, monkeypatch):
         monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a run started"))
+        monkeypatch.setattr(tr, "fit", lambda *args: pytest.fail("a run started"))
         spec, config = tiny_setup()
         conditions = {"ok": config, "untrained": replace(config, epochs=0)}
         with pytest.raises(ConfigError, match="epochs"):
@@ -249,6 +264,19 @@ def fail_for_top_k(monkeypatch, failing):
 class TestParallelGrid:
     """The report and any error are the same whatever the number of processes."""
 
+    def test_benchmark_grid_scores_are_final_heldout_evaluations_of_train(self):
+        spec, config = tiny_setup()
+        conditions = benchmark_grid(config)
+        report = ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1, 2], jobs=1)
+        for name, base in conditions.items():
+            expected = []
+            for seed in (1, 2):
+                train_c, held_c = cp.split(cp.generate(replace(spec, seed=seed), 40), 0.7, seed)
+                run_config = replace(base, seed=seed)
+                model = tr.train(train_c, held_c, run_config)[0]
+                expected.append((seed, ev.evaluate(tr.model_predictor(model, run_config), held_c)))
+            assert report.condition(name).per_seed == tuple(expected), name
+
     def test_benchmark_grid_identical_for_any_jobs(self):
         spec, config = tiny_setup()
         conditions = benchmark_grid(config)
@@ -281,6 +309,7 @@ class TestParallelGrid:
 
     def test_configs_validated_before_first_run(self, monkeypatch):
         monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a run started"))
+        monkeypatch.setattr(tr, "fit", lambda *args: pytest.fail("a run started"))
         spec, config = tiny_setup()
         conditions = {"ok": config, "bad": replace(config, fusion_mode="bogus")}
         for jobs in (1, 2):

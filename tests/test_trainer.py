@@ -490,6 +490,42 @@ class TestCheckpointing:
             tr.train(train_c, held_c, tiny_config(epochs=0), resume_from=ckpt)
 
 
+def same_arrays(model, other):
+    return model.keys() == other.keys() and all(
+        model[name].value.array.tobytes() == other[name].value.array.tobytes() for name in model
+    )
+
+
+class TestFit:
+    @pytest.mark.parametrize("overrides", [
+        {"fusion_mode": "constraint"},
+        {"fusion_mode": "sum"},
+        {"modality": "text"},
+        {"modality": "speech"},
+    ], ids=["constraint", "sum", "text", "speech"])
+    def test_final_arrays_bitwise_equal_train(self, overrides):
+        train_c, held_c = tiny_corpus()
+        config = tiny_config(**overrides)
+        assert same_arrays(tr.fit(train_c, config), tr.train(train_c, held_c, config)[0])
+
+    def test_short_last_batch_bitwise_equal_train(self):
+        train_c, held_c = tiny_corpus()
+        config = tiny_config(batch_size=3)
+        assert len(train_c) % 3
+        assert same_arrays(tr.fit(train_c, config), tr.train(train_c, held_c, config)[0])
+
+    def test_empty_train_split_is_config_error(self):
+        train_c, _ = tiny_corpus()
+        with pytest.raises(ConfigError, match="non-empty"):
+            tr.fit(replace(train_c, utterances=()), tiny_config())
+
+    def test_failing_batch_is_train_divergence(self, monkeypatch):
+        zero_first_text_label(monkeypatch)
+        train_c, _ = tiny_corpus()
+        with pytest.raises(DivergenceError, match="epoch 0, batch 0: .*near-zero norm"):
+            tr.fit(train_c, tiny_config(epochs=1))
+
+
 class TestTrainLogHeldout:
     @pytest.mark.parametrize("modality", ["multimodal", "text"])
     def test_is_final_model_heldout_evaluation(self, modality):
