@@ -20,15 +20,23 @@ over every op) can certify the whole backward implementation.
 A mini-batch is one graph. Its sequences' rows are stacked into one
 (total x d) matrix, and a `Segments` beside it holds each sequence's length.
 Row-wise ops (`gather`, `residual_linear`, `cosine_scores`, `affine`,
-`concat_cols`) need no segments and run once per batch. Ops whose work is
-per sequence take the segments: `self_attention`, the two alignments and
-the aligned-speech product, the masked `row_softmax`, the per-sequence
-`mse`, `pool` over rows and the per-row `cross_entropy`. Such an op pads
-the sequences to a 3-D array inside itself and masks the padding (-inf
-before a softmax or a max, zero weight in a mean or a count), so padding
-never reaches a value or a gradient. An alignment between two batches of
-sequences is a stack of maps: the rows of sequence i's map, cols.width
-wide and 0 past its own width. One segment, or none, is the plain 2-D op.
+`concat_cols`, the per-row `cross_entropy`) need no segments and run once
+per batch. Ops whose work is per sequence take the segments:
+`self_attention`, the two alignments and the aligned-speech product, the
+masked `row_softmax`, the per-sequence `mse` and `pool` over rows. An
+alignment between two batches of sequences is a stack of maps: the rows of
+sequence i's map, cols.width wide and 0 past its own width. One segment, or
+none, is the plain 2-D op.
+
+How a segment op runs a batch is decided once, by its `Segments`: a batch
+is long when its longest sequence has LONG_ROWS rows or more (for a pair,
+when either side is). A short batch is padded to a 3-D stack inside the op,
+with the padding masked (-inf before a softmax or a max, zero weight in a
+mean or a count), so padding never reaches a value or a gradient. A long
+batch runs each sequence's blocks through the expressions of a batch of
+one, so padding costs neither FLOPs nor memory; the op's backward sums a
+shared weight's gradient over the blocks in batch order. Either way the op
+is one graph node.
 
 Graphs are built eagerly. Each operation returns a `Node` holding the
 computed `Matrix` plus a closure that maps the gradient arriving at the node
@@ -47,6 +55,7 @@ surfaces as a `NonFiniteError` at one of those points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateRowError, DimensionError, NonFiniteError
+from .errors import ConfigError, ContractError, DegenerateRowError, DimensionError, NonFiniteError
 
 # Rows with L2 norm below this cannot be normalised meaningfully.
 _NORM_FLOOR = 1e-12
@@ -213,19 +222,32 @@ def backward(root: Node) -> None:
 # ---------------------------------------------------------------------------
 
 
+# A batch whose longest sequence has at least this many rows is long: the
+# segment ops run it one sequence at a time instead of padding it. Padding
+# 40-120 frames to the longest scores about twice the real entries of a speech
+# attention stack; up to 40 rows the padded stack is as fast as the
+# per-sequence calls or faster.
+LONG_ROWS = 64
+
+
 class Segments:
     """How a stacked matrix splits into consecutive row blocks, one per sequence.
 
     A mini-batch stacks its sequences' rows into one (total x d) matrix, and
-    `lengths` holds each block's row count in batch order. A segment op pads
-    the blocks to a (count x width x d) array (`pad`: zero rows after each
-    block), works on every block at once and takes the real rows back out
-    (`unpad`). Where a softmax or a max runs over a padded axis, the padding
-    is first set to -inf (`mask`), so it gets no weight and no gradient. When
-    all blocks have one length, padding is a reshape and there is no mask.
+    `lengths` holds each block's row count in batch order. On a short batch a
+    segment op pads the blocks to a (count x width x d) array (`pad`: zero
+    rows after each block), works on every block at once and takes the real
+    rows back out (`unpad`). Where a softmax or a max runs over a padded
+    axis, the padding is first set to -inf (`mask`), so it gets no weight and
+    no gradient. When all blocks have one length, padding is a reshape and
+    there is no mask. A batch is `long` when its widest block has LONG_ROWS
+    rows or more; a segment op then runs each block as a batch of one and
+    builds no padded stack.
     """
 
-    __slots__ = ("lengths", "offsets", "count", "total", "width", "valid", "_rows", "_bias")
+    __slots__ = (
+        "lengths", "offsets", "count", "total", "width", "long", "valid", "_rows", "_bias"
+    )
 
     def __init__(self, lengths: Sequence[int]) -> None:
         lengths = tuple(map(int, lengths))
@@ -235,6 +257,7 @@ class Segments:
         self.count = len(lengths)
         self.total = sum(lengths)
         self.width = max(lengths)
+        self.long = self.width >= LONG_ROWS
         self.offsets = (0, *itertools.accumulate(lengths[:-1]))  # each block's first row
         if self.total == self.count * self.width:
             self.valid = self._rows = self._bias = None
@@ -321,6 +344,77 @@ def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Nod
     out.setflags(write=False)
     value._a = out
     return Node(value, op, parents, backward_fn)
+
+
+# How a segment op's input or output splits into one block per sequence: the
+# rows of the first segments, the rows of the second, a stack of maps (rows of
+# the first, as many leading columns as the second's block has rows) or one
+# row per sequence. An input laid out as None is shared by every block.
+_ROWS, _COLS, _MAP, _ONE = "rows", "cols", "map", "one"
+
+
+@functools.lru_cache(maxsize=1024)
+def _alone(length: int) -> Segments:
+    """The segments of a batch of one sequence of `length` rows (never mutated, so shared)."""
+    return Segments((length,))
+
+
+def _block_index(layout: str, segs: tuple[Segments, ...]) -> Sequence:
+    """Each sequence's block, as an index into an array laid out as `layout` over segs."""
+    rows = segs[0]
+    if layout == _ONE:
+        return [slice(i, i + 1) for i in range(rows.count)]
+    s = segs[1] if layout == _COLS else rows
+    blocks = [slice(o, o + n) for o, n in zip(s.offsets, s.lengths)]
+    if layout == _MAP:
+        return [(r, slice(0, n)) for r, n in zip(blocks, segs[1].lengths)]
+    return blocks
+
+
+def _join(blocks: list[np.ndarray], layout: str, index: Sequence, segs) -> np.ndarray:
+    """The blocks back in one array laid out as `layout`; a shared input's are summed in order."""
+    if layout is None:
+        total = blocks[0]
+        for block in blocks[1:]:
+            total = total + block
+        return total
+    if layout != _MAP:
+        return np.concatenate(blocks)
+    whole = np.zeros((segs[0].total, segs[1].width))
+    for i, block in zip(index, blocks):
+        whole[i] = block
+    return whole
+
+
+def _per_block(op: str, kernel, parents: tuple[Node, ...], arrays, layouts, out_layout, segs):
+    """The node of a segment op on a long batch of more than one sequence.
+
+    kernel(*arrays, *segs, parents) gives the op's output, computed from the
+    parents' arrays, and its backward, which returns a gradient for each
+    parent that requires one. A short batch, or one sequence, is one call of
+    the kernel, which the op makes itself; here the kernel runs on each
+    sequence's blocks as on a batch of one. The blocks of the output and of
+    the split inputs' gradients go back in place (maps 0 past their width),
+    and a shared input's gradient is the sum of its blocks' in batch order.
+    """
+    # A block of a map is copied to C order, as a batch of one holds it.
+    index = {at: _block_index(at, segs) for at in {*layouts, out_layout} - {None}}
+    take = np.ascontiguousarray
+    outs, backs = [], []
+    for i in range(segs[0].count):
+        inputs = [x if at is None else take(x[index[at][i]]) for x, at in zip(arrays, layouts)]
+        out, back = kernel(*inputs, *[_alone(s.lengths[i]) for s in segs], parents)
+        outs.append(out)
+        backs.append(back)
+
+    def backward_fn(g: np.ndarray):
+        grads = list(zip(*[back(take(g[i])) for back, i in zip(backs, index[out_layout])]))
+        return tuple(
+            _join(grads[k], at, index.get(at), segs) if p.requires_grad else None
+            for k, (p, at) in enumerate(zip(parents, layouts))
+        )
+
+    return _op(_join(outs, out_layout, index[out_layout], segs), op, parents, backward_fn)
 
 
 def _check_product(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
@@ -421,18 +515,25 @@ def row_softmax(a: Node, rows: Segments | None = None, cols: Segments | None = N
     past the block's width come out 0.
     """
     x = a.value.array
-    if cols is not None:
-        rows, cols = _pairs("row_softmax", rows, cols, x.shape[0], cols.total)
-        _check_same("row_softmax", x.shape, (rows.total, cols.width))
-        valid = cols.map_valid(rows)
-        if valid is not None:
-            x = np.where(valid, x, -np.inf)
-    s = _softmax(x, in_place=x is not a.value.array)
+    n_rows, n_cols = x.shape
+    rows, cols = _pairs("row_softmax", rows, cols, n_rows, n_cols if cols is None else cols.total)
+    _check_same("row_softmax", x.shape, (rows.total, cols.width))
+    if rows.count > 1 and (rows.long or cols.long):
+        return _per_block("row_softmax", _row_softmax, (a,), (x,), (_MAP,), _MAP, (rows, cols))
+    out, backward_fn = _row_softmax(x, rows, cols, (a,))
+    return _op(out, "row_softmax", (a,), backward_fn)
+
+
+def _row_softmax(x, rows, cols, parents):
+    valid = cols.map_valid(rows)
+    if valid is not None:
+        x = np.where(valid, x, -np.inf)
+    s = _softmax(x, in_place=valid is not None)
 
     def backward_fn(g: np.ndarray):
         return (_softmax_backward(g, s),)
 
-    return _op(s, "row_softmax", (a,), backward_fn)
+    return s, backward_fn
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,27 +570,37 @@ def pool(a: Node, kind: str, segments: Segments | None = None) -> Node:
     if kind not in ("mean", "max"):
         raise ContractError(f"pool kind must be 'mean' or 'max', got {kind!r}")
     x = a.value.array
-    rows, cols = x.shape
-    seg = _segments("pool", segments, rows)
-    if kind == "mean":
-        counts = np.array(seg.lengths, dtype=np.float64)[:, None]
-        out = _sum(seg.pad(x), axis=-2).reshape(seg.count, cols) / counts
-
-        def backward_fn(g: np.ndarray):
-            return (np.repeat(g / counts, seg.lengths, axis=0),)
-
-    else:
-        out = _max(seg.pad(x, -np.inf), axis=-2).reshape(seg.count, cols)
-
-        def backward_fn(g: np.ndarray):
-            # The row of each segment's first maximum, per column.
-            starts = np.array(seg.offsets)[:, None]
-            winners = seg.pad(x, -np.inf).argmax(axis=-2).reshape(seg.count, cols) + starts
-            gx = np.zeros_like(x)
-            gx[winners, np.arange(cols)] = g
-            return (gx,)
-
+    seg = _segments("pool", segments, x.shape[0])
+    kernel = _pool_mean if kind == "mean" else _pool_max
+    if seg.count > 1 and seg.long:
+        return _per_block(f"pool_{kind}", kernel, (a,), (x,), (_ROWS,), _ONE, (seg,))
+    out, backward_fn = kernel(x, seg, (a,))
     return _op(out, f"pool_{kind}", (a,), backward_fn)
+
+
+def _pool_mean(x, seg, parents):
+    counts = np.array(seg.lengths, dtype=np.float64)[:, None]
+    out = _sum(seg.pad(x), axis=-2).reshape(seg.count, x.shape[1]) / counts
+
+    def backward_fn(g: np.ndarray):
+        return (np.repeat(g / counts, seg.lengths, axis=0),)
+
+    return out, backward_fn
+
+
+def _pool_max(x, seg, parents):
+    cols = x.shape[1]
+    out = _max(seg.pad(x, -np.inf), axis=-2).reshape(seg.count, cols)
+
+    def backward_fn(g: np.ndarray):
+        # The row of each segment's first maximum, per column.
+        starts = np.array(seg.offsets)[:, None]
+        winners = seg.pad(x, -np.inf).argmax(axis=-2).reshape(seg.count, cols) + starts
+        gx = np.zeros_like(x)
+        gx[winners, np.arange(cols)] = g
+        return (gx,)
+
+    return out, backward_fn
 
 
 def concat_cols(a: Node, b: Node) -> Node:
@@ -542,11 +653,19 @@ def mse(a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = 
     (`paired_scores`) and columns past a block's width are not counted.
     With neither, the one block is the whole matrix and the result is 1x1.
     """
-    _check_same("mse", a.value.shape, b.value.shape)
-    diff = a.value.array - b.value.array
-    width = diff.shape[1] if cols is None else cols.total
-    rows, cols = _pairs("mse", rows, cols, diff.shape[0], width)
-    _check_same("mse", diff.shape, (rows.total, cols.width))
+    aa, ba = a.value.array, b.value.array
+    _check_same("mse", aa.shape, ba.shape)
+    n_rows, n_cols = aa.shape
+    rows, cols = _pairs("mse", rows, cols, n_rows, n_cols if cols is None else cols.total)
+    _check_same("mse", aa.shape, (rows.total, cols.width))
+    if rows.count > 1 and (rows.long or cols.long):
+        return _per_block("mse", _mse, (a, b), (aa, ba), (_MAP, _MAP), _ONE, (rows, cols))
+    out, backward_fn = _mse(aa, ba, rows, cols, (a, b))
+    return _op(out, "mse", (a, b), backward_fn)
+
+
+def _mse(aa, ba, rows, cols, parents):
+    diff = aa - ba
     valid = cols.map_valid(rows)
     if valid is not None:
         diff[~valid] = 0.0
@@ -558,7 +677,7 @@ def mse(a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = 
         d = factor * diff * np.repeat(g, rows.lengths, axis=0)
         return d, -d
 
-    return _op((sums / counts)[:, None], "mse", (a, b), backward_fn)
+    return (sums / counts)[:, None], backward_fn
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +687,9 @@ def mse(a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = 
 # it has the chain's forward and backward array expressions, operand layouts
 # (a transpose is a contiguous copy going forward and a view coming back) and
 # fan-out summation order, so values and gradients are bitwise those of the
-# chain; on a batch the same expressions run on the padded 3-D stack. A
-# gradient is computed only for a parent that requires one, as matmul does.
+# chain; on a short batch the same expressions run on the padded 3-D stack,
+# and on a long one on each sequence's blocks (`_per_block`). A gradient is
+# computed only for a parent that requires one, as matmul does.
 # ---------------------------------------------------------------------------
 
 
@@ -582,22 +702,30 @@ def self_attention(
     e's rows (all of them when segments is None); d = e's width. A row
     attends only to the rows of its own segment.
     """
-    x = e.value.array
-    for w in (wq, wk, wv):
-        _check_product("matmul", x.shape, w.value.shape)
+    arrays = x, wqa, wka, wva = e.value.array, wq.value.array, wk.value.array, wv.value.array
+    for wa in (wqa, wka, wva):
+        _check_product("matmul", x.shape, wa.shape)
     seg = _segments("self_attention", segments, x.shape[0])
-    wqa, wka, wva = wq.value.array, wk.value.array, wv.value.array
+    _check_product("matmul", (seg.width, wqa.shape[1]), (wka.shape[1], seg.width))
+    _check_same("add", x.shape, (x.shape[0], wva.shape[1]))
+    parents = (e, wq, wk, wv)
+    if seg.count > 1 and seg.long:
+        return _per_block("self_attention", _self_attention, parents, arrays,
+                          (_ROWS, None, None, None), _ROWS, (seg,))
+    out, backward_fn = _self_attention(*arrays, seg, parents)
+    return _op(out, "self_attention", parents, backward_fn)
+
+
+def _self_attention(x, wqa, wka, wva, seg, parents):
     xp = seg.pad_rows(x)
     q, k, v = seg.fold(xp @ wqa), seg.fold(xp @ wka), seg.fold(xp @ wva)
     kt = np.ascontiguousarray(_t(k))
-    _check_product("matmul", q.shape[-2:], kt.shape[-2:])
     factor = float(1.0 / math.sqrt(x.shape[1]))
     scores = q @ kt
     scores *= factor
     seg.mask(scores)
     p = _softmax(scores, in_place=True)
     mixed = seg.unpad(p @ v)
-    _check_same("add", x.shape, mixed.shape)
 
     def backward_fn(g: np.ndarray):
         gp = seg.pad(g)
@@ -607,19 +735,19 @@ def self_attention(
         gq = _flat(gs @ _t(kt))
         gk = _flat(_t(_t(q) @ gs))
         ge = None
-        if e.requires_grad:  # the residual, then the query, key and value products
+        if parents[0].requires_grad:  # the residual, then the query, key and value products
             ge = _flat(gp) + gq @ wqa.T
             ge = ge + gk @ wka.T
             ge = seg.unpad(ge + gv @ wva.T)
         xp = seg.pad_rows(x)  # padded again rather than held from the forward
         return (
             ge,
-            xp.T @ gq if wq.requires_grad else None,
-            xp.T @ gk if wk.requires_grad else None,
-            xp.T @ gv if wv.requires_grad else None,
+            xp.T @ gq if parents[1].requires_grad else None,
+            xp.T @ gk if parents[2].requires_grad else None,
+            xp.T @ gv if parents[3].requires_grad else None,
         )
 
-    return _op(x + mixed, "self_attention", (e, wq, wk, wv), backward_fn)
+    return x + mixed, backward_fn
 
 
 def residual_linear(x: Node, w: Node) -> Node:
@@ -671,12 +799,21 @@ def bilinear_softmax(
 
     a's rows are split by `rows`, b's by `cols`; the result is a stack of maps.
     """
-    aa, ba, wa = a.value.array, b.value.array, bilinear.value.array
+    arrays = aa, ba, wa = a.value.array, b.value.array, bilinear.value.array
     _check_product("matmul", ba.shape, wa.shape)
     rows, cols = _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
+    _check_product("matmul", (rows.width, aa.shape[1]), (wa.shape[1], cols.width))
+    parents = (a, b, bilinear)
+    if rows.count > 1 and (rows.long or cols.long):
+        return _per_block("bilinear_softmax", _bilinear_softmax, parents, arrays,
+                          (_ROWS, _COLS, None), _MAP, (rows, cols))
+    out, backward_fn = _bilinear_softmax(aa, ba, wa, rows, cols, parents)
+    return _op(out, "bilinear_softmax", parents, backward_fn)
+
+
+def _bilinear_softmax(aa, ba, wa, rows, cols, parents):
     ap = rows.pad(aa)
     mapped_t = np.ascontiguousarray(_t(cols.pad(ba @ wa)))
-    _check_product("matmul", ap.shape[-2:], mapped_t.shape[-2:])
     scores = ap @ mapped_t
     cols.mask(scores)
     out = rows.unpad(_softmax(scores, in_place=True))
@@ -687,12 +824,12 @@ def bilinear_softmax(
         gs = _softmax_backward(rows.pad(g), rows.pad(out))
         gm = cols.unpad(_t(_t(ap) @ gs))
         return (
-            rows.unpad(gs @ _t(mapped_t)) if a.requires_grad else None,
-            gm @ wa.T if b.requires_grad else None,
-            ba.T @ gm if bilinear.requires_grad else None,
+            rows.unpad(gs @ _t(mapped_t)) if parents[0].requires_grad else None,
+            gm @ wa.T if parents[1].requires_grad else None,
+            ba.T @ gm if parents[2].requires_grad else None,
         )
 
-    return _op(out, "bilinear_softmax", (a, b, bilinear), backward_fn)
+    return out, backward_fn
 
 
 def paired_scores(
@@ -702,20 +839,28 @@ def paired_scores(
 
     A stack of maps; one segment pair is matmul(a, transpose(b)).
     """
-    aa, ba = a.value.array, b.value.array
+    arrays = aa, ba = a.value.array, b.value.array
     rows, cols = _pairs("paired_scores", rows, cols, aa.shape[0], ba.shape[0])
+    _check_product("matmul", (rows.width, aa.shape[1]), (ba.shape[1], cols.width))
+    if rows.count > 1 and (rows.long or cols.long):
+        return _per_block("paired_scores", _paired_scores, (a, b), arrays, (_ROWS, _COLS), _MAP,
+                          (rows, cols))
+    out, backward_fn = _paired_scores(aa, ba, rows, cols, (a, b))
+    return _op(out, "paired_scores", (a, b), backward_fn)
+
+
+def _paired_scores(aa, ba, rows, cols, parents):
     ap = rows.pad(aa)
     bt = np.ascontiguousarray(_t(cols.pad(ba)))
-    _check_product("matmul", ap.shape[-2:], bt.shape[-2:])
 
     def backward_fn(g: np.ndarray):
         gp = rows.pad(g)
         return (
-            rows.unpad(gp @ _t(bt)) if a.requires_grad else None,
-            cols.unpad(_t(_t(ap) @ gp)) if b.requires_grad else None,
+            rows.unpad(gp @ _t(bt)) if parents[0].requires_grad else None,
+            cols.unpad(_t(_t(ap) @ gp)) if parents[1].requires_grad else None,
         )
 
-    return _op(rows.unpad(ap @ bt), "paired_scores", (a, b), backward_fn)
+    return rows.unpad(ap @ bt), backward_fn
 
 
 def paired_mix(
@@ -725,18 +870,25 @@ def paired_mix(
 
     w is a stack of maps; one segment pair is matmul(w, b).
     """
-    wa, ba = w.value.array, b.value.array
+    arrays = wa, ba = w.value.array, b.value.array
     rows, cols = _pairs("paired_mix", rows, cols, wa.shape[0], ba.shape[0])
     _check_product("matmul", wa.shape, (cols.width, ba.shape[1]))
+    if rows.count > 1 and (rows.long or cols.long):
+        return _per_block("paired_mix", _paired_mix, (w, b), arrays, (_MAP, _COLS), _ROWS,
+                          (rows, cols))
+    out, backward_fn = _paired_mix(wa, ba, rows, cols, (w, b))
+    return _op(out, "paired_mix", (w, b), backward_fn)
 
+
+def _paired_mix(wa, ba, rows, cols, parents):
     def backward_fn(g: np.ndarray):  # the inputs are padded again, not held
         gp = rows.pad(g)
         return (
-            rows.unpad(gp @ _t(cols.pad(ba))) if w.requires_grad else None,
-            cols.unpad(_t(rows.pad(wa)) @ gp) if b.requires_grad else None,
+            rows.unpad(gp @ _t(cols.pad(ba))) if parents[0].requires_grad else None,
+            cols.unpad(_t(rows.pad(wa)) @ gp) if parents[1].requires_grad else None,
         )
 
-    return _op(rows.unpad(rows.pad(wa) @ cols.pad(ba)), "paired_mix", (w, b), backward_fn)
+    return rows.unpad(rows.pad(wa) @ cols.pad(ba)), backward_fn
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
@@ -902,8 +1054,11 @@ def run_op_grad_suite(
     inputs and a random R in the shape of the op's output, and checks every
     input entry of the scalar <op(inputs), R>; R is never probed, so an
     entry's error is its op's alone. The report per entry carries the worst
-    error and the total probe count.
+    error and the total probe count. Fewer than one probe per op would check
+    nothing, so it is a ConfigError.
     """
+    if probes_per_op < 1:
+        raise ConfigError(f"probes_per_op must be >= 1, got {probes_per_op}")
     rng = np.random.default_rng(seed)
     reports: list[GradCheckReport] = []
 
@@ -1023,5 +1178,40 @@ def run_op_grad_suite(
         "weighted_sum[rows]",
         lambda: [_random_matrix(rng, 3, 1), _random_matrix(rng, 3, 1)],
         lambda a, b: weighted_sum((a, b), (0.7, -1.3)),
+    )
+
+    # Long forms: a batch holding one sequence of LONG_ROWS rows runs each
+    # sequence as its own block. Two columns keep the probe count small.
+    long, short = Segments((LONG_ROWS, 1)), Segments((1, 2))
+    n = long.total
+    run(
+        "self_attention[long]",
+        lambda: [_random_matrix(rng, n, 2)] + [_random_matrix(rng, 2, 2, 0.5) for _ in range(3)],
+        lambda e, wq, wk, wv: self_attention(e, wq, wk, wv, long),
+    )
+    run(
+        "bilinear_softmax[long]",
+        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, 3, 2), _random_matrix(rng, 2, 2, 0.5)],
+        lambda a, b, w: bilinear_softmax(a, b, w, long, short),
+    )
+    run(
+        "paired_scores[long]",
+        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, 3, 2)],
+        lambda a, b: paired_scores(a, b, long, short),
+    )
+    run(
+        "paired_mix[long]",
+        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, 3, 2)],
+        lambda w, b: paired_mix(w, b, long, short),
+    )
+    run(
+        "row_softmax[long]",
+        lambda: [_random_matrix(rng, n, 2)],
+        lambda a: row_softmax(a, long, short),
+    )
+    run(
+        "mse[long]",
+        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, n, 2)],
+        lambda a, b: mse(a, b, long, short),
     )
     return reports

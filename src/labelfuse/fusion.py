@@ -42,7 +42,12 @@ batch's stacked rows and their `diffcore.Segments`: label attention is
 label-guided one `paired_scores`, the aligned speech `paired_mix`, the
 classifier and tower heads `affine`, and the loss total `weighted_sum`. A
 `constraint` training graph is 20 nodes for any batch size and its
-prediction 10.
+prediction 10. Each modality's segments decide how the per-sequence ops run
+(see `diffcore`): a batch of short sequences is padded inside each op, and
+one whose longest sequence reaches `diffcore.LONG_ROWS` rows runs one
+sequence at a time. At the reference shape (10-30 tokens, 40-120 frames)
+that pads the text encoder and runs the speech encoder, the three
+text x speech maps and the speech guidance pooling per utterance.
 """
 
 from __future__ import annotations

@@ -120,6 +120,11 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not self.adam_epsilon > 0:
+            raise ConfigError("adam_epsilon must be positive")
         if min(self.loss_weights) < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.fusion_mode not in {m.value for m in FusionMode}:
@@ -157,14 +162,9 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
-    """Per-epoch records, and the final model's heldout evaluation.
-
-    `heldout` is the `EvalResult` of the last epoch's heldout evaluation,
-    None when no epoch ran; it is neither in `to_lines()` nor in checkpoints.
-    """
+    """Per-epoch records: the loss columns and both splits' WA/UA after each epoch."""
 
     records: list[EpochRecord] = field(default_factory=list)
-    heldout: evalkit.EvalResult | None = None
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -388,10 +388,11 @@ def train(
     and checkpoints. Resuming rebuilds the model from an intermediate
     checkpoint's arrays (`check_fit`'s DimensionError when a shape disagrees
     with the corpus and config) and continues the exact trajectory of an
-    uninterrupted run. `log.heldout` is the last epoch's heldout evaluation
-    of the returned model. A non-finite loss, gradient,
-    parameter or logit, or a zero-norm row where a direction is needed,
-    raises DivergenceError naming the epoch and the batch (or evaluation).
+    uninterrupted run. The log holds each epoch's WA/UA on both splits, and
+    the checkpoint the last epoch's heldout WA/UA. A non-finite loss,
+    gradient, parameter or logit, or a zero-norm row where a direction is
+    needed, raises DivergenceError naming the epoch and the batch (or
+    evaluation).
     """
     config.validate()
     if not len(train_corpus) or not len(heldout_corpus):
@@ -418,11 +419,11 @@ def train(
     for epoch, losses in _epochs(train_corpus, model, config, optimizer, start_epoch):
         with _diverging(epoch, "evaluation"):
             train_eval = evalkit.evaluate(model_predictor(model, config), train_corpus)
-            log.heldout = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
+            heldout_eval = evalkit.evaluate(model_predictor(model, config), heldout_corpus)
         log.records.append(EpochRecord(
             epoch, *(float(v) for v in losses),
             train_eval.weighted_accuracy, train_eval.unweighted_accuracy,
-            log.heldout.weighted_accuracy, log.heldout.unweighted_accuracy,
+            heldout_eval.weighted_accuracy, heldout_eval.unweighted_accuracy,
         ))
 
     final_metrics = {}

@@ -449,6 +449,14 @@ class TestGradCheckCommand:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("probes", ["0", "-3"])
+    def test_rejects_fewer_than_one_probe(self, out, capsys, probes):
+        # A check that checks nothing would pass every op.
+        assert cli.main(["grad-check", "--out-dir", str(out), "--probes-per-op", probes]) == 1
+        assert "probes_per_op" in one_error_line(capsys)
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestEnvDefaultOutDir:
     def test_env_var_sets_default_root(self, tmp_path, monkeypatch):
@@ -685,6 +693,22 @@ class TestRejectedRunWritesNothing:
         out = tmp_path / "rejected"
         assert cli.main([name, "--out-dir", str(out), *args, *extra]) == 1
         one_error_line(capsys)
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--adam-beta1", "-0.5"), ("--adam-beta1", "1"), ("--adam-beta2", "1"),
+        ("--adam-beta2", "1.5"), ("--adam-epsilon", "0"), ("--adam-epsilon", "-1e-8"),
+    ])
+    def test_adam_settings_out_of_range(self, trained, tmp_path, capsys, flag, value):
+        # Once a config error reported as divergence at epoch 0, or trained silently.
+        corpus, _ = trained
+        capsys.readouterr()
+        out = tmp_path / "rejected"
+        args = ["train", "--out-dir", str(out), "--corpus-file", corpus, *SMALL_TRAIN,
+                f"{flag}={value}"]
+        assert cli.main(args) == 1
+        assert flag[2:].replace("-", "_") in one_error_line(capsys)
         assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from labelfuse import diffcore as dc
 from labelfuse.diffcore import Matrix, Node
 from labelfuse.errors import (
+    ConfigError,
     ContractError,
     DegenerateRowError,
     DimensionError,
@@ -526,6 +527,10 @@ class TestFusedOps:
 
 
 ROWS, COLS = dc.Segments((3, 1, 2)), dc.Segments((2, 4, 1))
+# A long pair: the rows hold a sequence of dc.LONG_ROWS rows, so every segment
+# op runs each sequence as its own block.
+LONG_BATCH_ROWS = dc.Segments((2, dc.LONG_ROWS, 1))
+LONG_BATCH_COLS = dc.Segments((3, 1, 5))
 
 
 def block(m, segments, i):
@@ -537,69 +542,79 @@ def leaves(*arrays):
     return [dc.constant(a) for a in arrays]
 
 
-# name -> (input shapes, the op on the whole batch, the op on the arrays of segment
-# i alone, and whether the output is a stack of maps, one row per segment, or rows
-# like the input).
-SEGMENT_OPS = {
-    "self_attention": (
-        [(6, 4), (4, 4), (4, 4), (4, 4)],
-        lambda e, wq, wk, wv: dc.self_attention(e, wq, wk, wv, ROWS),
-        lambda i, e, wq, wk, wv: dc.self_attention(*leaves(block(e, ROWS, i), wq, wk, wv)),
-        "rows",
-    ),
-    "bilinear_softmax": (
-        [(6, 3), (7, 3), (3, 3)],
-        lambda a, b, w: dc.bilinear_softmax(a, b, w, ROWS, COLS),
-        lambda i, a, b, w: dc.bilinear_softmax(*leaves(block(a, ROWS, i), block(b, COLS, i), w)),
-        "map",
-    ),
-    "paired_scores": (
-        [(6, 3), (7, 3)],
-        lambda a, b: dc.paired_scores(a, b, ROWS, COLS),
-        lambda i, a, b: dc.paired_scores(*leaves(block(a, ROWS, i), block(b, COLS, i))),
-        "map",
-    ),
-    "paired_mix": (
-        [(6, 4), (7, 3)],
-        lambda w, b: dc.paired_mix(w, b, ROWS, COLS),
-        lambda i, w, b: dc.paired_mix(
-            *leaves(block(w, ROWS, i)[:, : COLS.lengths[i]], block(b, COLS, i))
+def segment_ops(rows, cols):
+    """name -> (input shapes, the op on the whole batch, the op on the arrays of
+    segment i alone, and whether the output is a stack of maps, one row per
+    segment, or rows like the input)."""
+    n, m, width = rows.total, cols.total, cols.width
+    return {
+        "self_attention": (
+            [(n, 4), (4, 4), (4, 4), (4, 4)],
+            lambda e, wq, wk, wv: dc.self_attention(e, wq, wk, wv, rows),
+            lambda i, e, wq, wk, wv: dc.self_attention(*leaves(block(e, rows, i), wq, wk, wv)),
+            "rows",
         ),
-        "rows",
-    ),
-    "row_softmax": (
-        [(6, 4)],
-        lambda a: dc.row_softmax(a, ROWS, COLS),
-        lambda i, a: dc.row_softmax(*leaves(block(a, ROWS, i)[:, : COLS.lengths[i]])),
-        "map",
-    ),
-    "mse": (
-        [(6, 4), (6, 4)],
-        lambda a, b: dc.mse(a, b, ROWS, COLS),
-        lambda i, a, b: dc.mse(*leaves(
-            block(a, ROWS, i)[:, : COLS.lengths[i]], block(b, ROWS, i)[:, : COLS.lengths[i]]
-        )),
-        "one",
-    ),
-    "pool_mean": (
-        [(6, 3)],
-        lambda a: dc.pool(a, "mean", ROWS),
-        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "mean"),
-        "one",
-    ),
-    "pool_max": (
-        [(6, 3)],
-        lambda a: dc.pool(a, "max", ROWS),
-        lambda i, a: dc.pool(*leaves(block(a, ROWS, i)), "max"),
-        "one",
-    ),
-    "cross_entropy": (
-        [(3, 4)],
-        lambda a: dc.cross_entropy(a, (2, 0, 3)),
-        lambda i, a: dc.cross_entropy(*leaves(a[i : i + 1]), (2, 0, 3)[i]),
-        "one",
-    ),
-}
+        "bilinear_softmax": (
+            [(n, 3), (m, 3), (3, 3)],
+            lambda a, b, w: dc.bilinear_softmax(a, b, w, rows, cols),
+            lambda i, a, b, w: dc.bilinear_softmax(
+                *leaves(block(a, rows, i), block(b, cols, i), w)
+            ),
+            "map",
+        ),
+        "paired_scores": (
+            [(n, 3), (m, 3)],
+            lambda a, b: dc.paired_scores(a, b, rows, cols),
+            lambda i, a, b: dc.paired_scores(*leaves(block(a, rows, i), block(b, cols, i))),
+            "map",
+        ),
+        "paired_mix": (
+            [(n, width), (m, 3)],
+            lambda w, b: dc.paired_mix(w, b, rows, cols),
+            lambda i, w, b: dc.paired_mix(
+                *leaves(block(w, rows, i)[:, : cols.lengths[i]], block(b, cols, i))
+            ),
+            "rows",
+        ),
+        "row_softmax": (
+            [(n, width)],
+            lambda a: dc.row_softmax(a, rows, cols),
+            lambda i, a: dc.row_softmax(*leaves(block(a, rows, i)[:, : cols.lengths[i]])),
+            "map",
+        ),
+        "mse": (
+            [(n, width), (n, width)],
+            lambda a, b: dc.mse(a, b, rows, cols),
+            lambda i, a, b: dc.mse(*leaves(
+                block(a, rows, i)[:, : cols.lengths[i]], block(b, rows, i)[:, : cols.lengths[i]]
+            )),
+            "one",
+        ),
+        "pool_mean": (
+            [(n, 3)],
+            lambda a: dc.pool(a, "mean", rows),
+            lambda i, a: dc.pool(*leaves(block(a, rows, i)), "mean"),
+            "one",
+        ),
+        "pool_max": (
+            [(n, 3)],
+            lambda a: dc.pool(a, "max", rows),
+            lambda i, a: dc.pool(*leaves(block(a, rows, i)), "max"),
+            "one",
+        ),
+        "cross_entropy": (
+            [(3, 4)],
+            lambda a: dc.cross_entropy(a, (2, 0, 3)),
+            lambda i, a: dc.cross_entropy(*leaves(a[i : i + 1]), (2, 0, 3)[i]),
+            "one",
+        ),
+    }
+
+
+SEGMENT_OPS = segment_ops(ROWS, COLS)
+LONG_OPS = segment_ops(LONG_BATCH_ROWS, LONG_BATCH_COLS)
+# The ops a long batch runs block by block.
+BLOCK_OPS = [name for name in LONG_OPS if name != "cross_entropy"]
 
 
 class TestSegments:
@@ -635,41 +650,198 @@ class TestSegments:
         with pytest.raises(DimensionError):
             dc.pool(e, "max", ROWS)
 
+    def test_a_batch_is_long_from_its_longest_sequence(self):
+        assert dc.LONG_ROWS == 64
+        assert not dc.Segments((63, 1, 63)).long
+        assert dc.Segments((1, 64, 2)).long
+
+
+def check_each_segment_as_if_alone(ops, name, rows, cols):
+    shapes, batched, alone, layout = ops[name]
+    rng = np.random.default_rng(63)
+    for _ in range(5):
+        values = [rand(rng, *shape) for shape in shapes]
+        out = batched(*[dc.constant(v) for v in values]).value.array
+        assert np.isfinite(out).all()
+        for i in range(rows.count):
+            want = alone(i, *[v.array for v in values]).value.array
+            if layout == "one":
+                got = out[i : i + 1]
+            else:
+                got = block(out, rows, i)
+            if layout == "map":
+                assert not block(out, rows, i)[:, cols.lengths[i] :].any()
+                got = got[:, : cols.lengths[i]]
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def check_padding_takes_no_gradient(ops, name, rows, cols):
+    shapes, batched, _, _ = ops[name]
+    rng = np.random.default_rng(64)
+    leaves = [dc.parameter(rand(rng, *shape)) for shape in shapes]
+    out = batched(*leaves)
+    dc.backward(readout(out, rng.normal(size=out.value.shape)))
+    for leaf in leaves:
+        assert np.isfinite(leaf.grad.array).all()
+    if name in ("paired_mix", "row_softmax", "mse"):  # map inputs: past a width is padding
+        for i in range(rows.count):
+            assert not block(leaves[0].grad.array, rows, i)[:, cols.lengths[i] :].any()
+
 
 class TestSegmentOps:
     """A segment op gives each segment what the op gives it alone; padding never leaks."""
 
     @pytest.mark.parametrize("name", list(SEGMENT_OPS))
     def test_each_segment_as_if_alone(self, name):
-        shapes, batched, alone, layout = SEGMENT_OPS[name]
-        rng = np.random.default_rng(63)
-        for _ in range(5):
-            values = [rand(rng, *shape) for shape in shapes]
-            out = batched(*[dc.constant(v) for v in values]).value.array
-            assert np.isfinite(out).all()
-            for i in range(ROWS.count):
-                want = alone(i, *[v.array for v in values]).value.array
-                if layout == "one":
-                    got = out[i : i + 1]
-                else:
-                    got = block(out, ROWS, i)
-                if layout == "map":
-                    assert not block(out, ROWS, i)[:, COLS.lengths[i] :].any()
-                    got = got[:, : COLS.lengths[i]]
-                assert np.abs(got - want).max() <= 1e-12
+        check_each_segment_as_if_alone(SEGMENT_OPS, name, ROWS, COLS)
 
     @pytest.mark.parametrize("name", list(SEGMENT_OPS))
     def test_padding_takes_no_gradient_and_gives_finite_ones(self, name):
-        shapes, batched, _, _ = SEGMENT_OPS[name]
-        rng = np.random.default_rng(64)
-        leaves = [dc.parameter(rand(rng, *shape)) for shape in shapes]
+        check_padding_takes_no_gradient(SEGMENT_OPS, name, ROWS, COLS)
+
+
+# name -> (how each input splits over the long batch's segments, the op on one block).
+ALONE = {
+    "self_attention": (("rows", None, None, None), dc.self_attention),
+    "bilinear_softmax": (("rows", "cols", None), dc.bilinear_softmax),
+    "paired_scores": (("rows", "cols"), dc.paired_scores),
+    "paired_mix": (("map", "cols"), dc.paired_mix),
+    "row_softmax": (("map",), dc.row_softmax),
+    "mse": (("map", "map"), dc.mse),
+    "pool_mean": (("rows",), lambda a: dc.pool(a, "mean")),
+    "pool_max": (("rows",), lambda a: dc.pool(a, "max")),
+}
+
+
+def piece(x, layout, i):
+    """Sequence i's block of x, laid out over the long batch's segments as `layout`."""
+    if layout == "one":
+        return x[i : i + 1]
+    if layout == "cols":
+        return block(x, LONG_BATCH_COLS, i)
+    if layout == "map":
+        return block(x, LONG_BATCH_ROWS, i)[:, : LONG_BATCH_COLS.lengths[i]]
+    return x if layout is None else block(x, LONG_BATCH_ROWS, i)
+
+
+def padded(monkeypatch, lengths):
+    """Segments of `lengths` built while no batch counts as long: the padded path."""
+    monkeypatch.setattr(dc, "LONG_ROWS", 1 << 30)
+    segments = dc.Segments(lengths)
+    monkeypatch.undo()
+    return segments
+
+
+def run_with_grads(build, values):
+    """The op's output and every input's gradient under a fixed random readout."""
+    leaves = [dc.parameter(v) for v in values]
+    out = build(*leaves)
+    r = np.random.default_rng(66).normal(size=out.value.shape)
+    dc.backward(readout(out, r))
+    return out.value, [leaf.grad for leaf in leaves]
+
+
+class TestLongBatches:
+    """A long batch runs each sequence as a batch of one: the same values and gradients."""
+
+    @pytest.mark.parametrize("name", BLOCK_OPS)
+    def test_each_segment_as_if_alone(self, name):
+        check_each_segment_as_if_alone(LONG_OPS, name, LONG_BATCH_ROWS, LONG_BATCH_COLS)
+
+    @pytest.mark.parametrize("name", BLOCK_OPS)
+    def test_padding_takes_no_gradient_and_gives_finite_ones(self, name):
+        check_padding_takes_no_gradient(LONG_OPS, name, LONG_BATCH_ROWS, LONG_BATCH_COLS)
+
+    @pytest.mark.parametrize("name", BLOCK_OPS)
+    def test_gradients_are_each_blocks_own_and_shared_ones_summed(self, name):
+        # Bit for bit: a split input's gradient block is its batch of one's, and
+        # a shared weight's gradient is the batch-of-one gradients added in order.
+        layouts, op = ALONE[name]
+        shapes, batched, _, out_layout = LONG_OPS[name]
+        rng = np.random.default_rng(65)
+        values = [rand(rng, *shape).array for shape in shapes]
+        leaves = [dc.parameter(v) for v in values]
         out = batched(*leaves)
-        dc.backward(readout(out, rng.normal(size=out.value.shape)))
-        for leaf in leaves:
-            assert np.isfinite(leaf.grad.array).all()
-        if name in ("paired_mix", "row_softmax", "mse"):  # map inputs: past a width is padding
-            for i in range(ROWS.count):
-                assert not block(leaves[0].grad.array, ROWS, i)[:, COLS.lengths[i] :].any()
+        r = rng.normal(size=out.value.shape)
+        dc.backward(readout(out, r))
+        shared = [None] * len(values)
+        for i in range(LONG_BATCH_ROWS.count):
+            parts = [dc.parameter(piece(v, at, i)) for v, at in zip(values, layouts)]
+            dc.backward(readout(op(*parts), piece(r, out_layout, i)))
+            for k, (leaf, part, at) in enumerate(zip(leaves, parts, layouts)):
+                if at is None:
+                    g = part.grad.array
+                    shared[k] = g if shared[k] is None else shared[k] + g
+                else:
+                    assert np.array_equal(piece(leaf.grad.array, at, i), part.grad.array)
+        for leaf, total in zip(leaves, shared):
+            if total is not None:
+                assert np.array_equal(leaf.grad.array, total)
+
+    @pytest.mark.parametrize("name", BLOCK_OPS)
+    def test_63_rows_run_padded_and_64_run_in_blocks(self, name, monkeypatch):
+        rng = np.random.default_rng(68)
+        for longest, is_long in ((dc.LONG_ROWS - 1, False), (dc.LONG_ROWS, True)):
+            lengths = (3, longest, 1)
+            rows, cols = dc.Segments(lengths), dc.Segments((2, 5, 1))
+            assert rows.long is is_long
+            shapes, batched, alone, layout = segment_ops(rows, cols)[name]
+            values = [rand(rng, *shape) for shape in shapes]
+            got_value, got_grads = run_with_grads(batched, values)
+            # The padded path, on segments built while no batch counts as long.
+            pad_rows, pad_cols = padded(monkeypatch, lengths), padded(monkeypatch, (2, 5, 1))
+            padded_op = segment_ops(pad_rows, pad_cols)[name][1]
+            want_value, want_grads = run_with_grads(padded_op, values)
+            if not is_long:
+                assert got_value == want_value
+                assert got_grads == want_grads
+                continue
+            for i in range(rows.count):  # the per-block bits: each block's batch of one
+                want = alone(i, *[v.array for v in values]).value.array
+                got = got_value.array
+                got = got[i : i + 1] if layout == "one" else block(got, rows, i)
+                assert np.array_equal(got[:, : want.shape[1]], want), (name, i)
+            for got, want in zip(got_grads, want_grads):
+                assert got.allclose(want, atol=1e-12)
+
+
+# (op, input shapes) that do not fit rows (2, dc.LONG_ROWS, 1) and columns (3, 1, 5):
+# a product, a residual, a segment total or a map width is off.
+MISFITS = [
+    ("self_attention", [(67, 4), (3, 4), (4, 4), (4, 4)]),
+    ("self_attention", [(67, 4), (4, 4), (4, 3), (4, 4)]),
+    ("self_attention", [(67, 4), (4, 4), (4, 4), (4, 3)]),
+    ("self_attention", [(66, 4), (4, 4), (4, 4), (4, 4)]),
+    ("bilinear_softmax", [(67, 3), (9, 4), (3, 3)]),
+    ("bilinear_softmax", [(67, 4), (9, 3), (3, 3)]),
+    ("bilinear_softmax", [(67, 3), (8, 3), (3, 3)]),
+    ("paired_scores", [(67, 3), (9, 4)]),
+    ("paired_scores", [(67, 3), (10, 3)]),
+    ("paired_mix", [(67, 4), (9, 3)]),
+    ("paired_mix", [(66, 5), (9, 3)]),
+    ("row_softmax", [(67, 4)]),
+    ("row_softmax", [(66, 5)]),
+    ("mse", [(67, 5), (67, 4)]),
+    ("mse", [(67, 4), (67, 4)]),
+    ("pool_mean", [(66, 3)]),
+    ("pool_max", [(66, 3)]),
+]
+
+
+class TestLongMisfits:
+    @pytest.mark.parametrize("name, shapes", MISFITS)
+    def test_same_dimension_error_on_both_paths(self, name, shapes, monkeypatch):
+        lengths, col_lengths = (2, dc.LONG_ROWS, 1), (3, 1, 5)
+        messages = []
+        for rows, cols in (
+            (dc.Segments(lengths), dc.Segments(col_lengths)),
+            (padded(monkeypatch, lengths), padded(monkeypatch, col_lengths)),
+        ):
+            op = segment_ops(rows, cols)[name][1]
+            with pytest.raises(DimensionError) as error:
+                op(*[dc.constant(np.zeros(shape)) for shape in shapes])
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
 
 
 class TestGradCheck:
@@ -758,6 +930,11 @@ class TestOpSuite:
         reports = dc.run_op_grad_suite(probes_per_op=10, seed=0)
         for rep in reports:
             assert rep.max_relative_error <= 1e-4, rep
+
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_rejects_fewer_than_one_probe(self, probes):
+        with pytest.raises(ConfigError, match="probes_per_op"):
+            dc.run_op_grad_suite(probes_per_op=probes)
 
     def test_suite_covers_gather(self):
         reports = dc.run_op_grad_suite(probes_per_op=10, seed=0)

@@ -615,6 +615,31 @@ def relative_gap(got, want):
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
 
+def check_sum_of_batches_of_one(batch, model, config):
+    """The batch's terms and gradients are those of its batches of one, summed."""
+    assert len({len(u.text_tokens) for u in batch}) > 1
+    assert len({len(u.frame_codes) for u in batch}) > 1
+    whole = tr._batch_loss(batch, model, config)
+    dc.backward(whole.loss)
+    batch_grads = {n: node.grad.array for n, node in model.items() if node.grad is not None}
+
+    for node in model.values():
+        node.zero_grad()
+    singles = []
+    for utt in batch:  # leaf gradients accumulate over the backward passes
+        single = tr._batch_loss([utt], model, config)
+        dc.backward(single.loss)
+        singles.append(terms(single)[0])
+    summed_grads = {n: node.grad.array for n, node in model.items() if node.grad is not None}
+
+    assert relative_gap(terms(whole), np.array(singles)) <= 1e-12
+    total = whole.loss.value.array[0, 0]
+    assert abs(total - sum(row[-1] for row in singles)) <= 1e-12 * abs(total)
+    assert batch_grads.keys() == summed_grads.keys()
+    for n, grad in summed_grads.items():
+        assert relative_gap(batch_grads[n], grad) <= 1e-12, n
+
+
 class TestBatch:
     """A batch is one graph whose terms and gradients are those of its utterances."""
 
@@ -629,31 +654,45 @@ class TestBatch:
     @pytest.mark.parametrize("name", list(PARENT_BREAKDOWNS))
     def test_batch_is_the_sum_of_its_batches_of_one(self, name):
         corpus, configs = batch_setup()
-        config = configs[name]
+        check_sum_of_batches_of_one(corpus.utterances[:8], tr.build_model(corpus, configs[name]),
+                                    configs[name])
+
+    @pytest.mark.parametrize("name", list(PARENT_BREAKDOWNS))
+    def test_a_long_batch_is_the_sum_of_its_batches_of_one(self, name):
+        # 56 to 72 frames: the speech side is long, so its ops run one utterance at a time.
+        short, configs = batch_setup()
+        corpus = cp.generate(dataclasses.replace(short.spec, speech_len=(56, 72)), 12)
         batch = corpus.utterances[:8]
-        assert len({len(u.text_tokens) for u in batch}) > 1
-        assert len({len(u.frame_codes) for u in batch}) > 1
+        assert max(len(u.frame_codes) for u in batch) >= dc.LONG_ROWS
+        check_sum_of_batches_of_one(batch, tr.build_model(corpus, configs[name]), configs[name])
 
-        model = tr.build_model(corpus, config)
-        whole = tr._batch_loss(batch, model, config)
-        dc.backward(whole.loss)
-        batch_grads = {n: node.grad.array for n, node in model.items() if node.grad is not None}
+    @pytest.mark.parametrize("mode", list(fu.FusionMode))
+    def test_a_long_batch_builds_the_nodes_of_a_short_one(self, mode):
+        rng = np.random.default_rng(54)
+        model = tiny_model(rng)
+        short = [tiny_utterance(rng, model, n_text=3, n_speech=m) for m in (7, 2, 5)]
+        long = [tiny_utterance(rng, model, n_text=3, n_speech=m) for m in (dc.LONG_ROWS, 2, 5)]
+        counts = [non_leaf_nodes(fu.forward(b, model, mode).loss) for b in (short[:1], short, long)]
+        assert counts[0] == counts[1] == counts[2]
 
-        for node in model.values():
-            node.zero_grad()
-        singles = []
-        for utt in batch:  # leaf gradients accumulate over the eight backward passes
-            single = tr._batch_loss([utt], model, config)
-            dc.backward(single.loss)
-            singles.append(terms(single)[0])
-        summed_grads = {n: node.grad.array for n, node in model.items() if node.grad is not None}
-
-        assert relative_gap(terms(whole), np.array(singles)) <= 1e-12
-        total = whole.loss.value.array[0, 0]
-        assert abs(total - sum(row[-1] for row in singles)) <= 1e-12 * abs(total)
-        assert batch_grads.keys() == summed_grads.keys()
-        for n, grad in summed_grads.items():
-            assert relative_gap(batch_grads[n], grad) <= 1e-12, n
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_long_batch_gives_each_utterance_its_batch_of_one(self, normalize):
+        # 70 and 64 frames make the speech side long, 66 tokens the text side.
+        rng = np.random.default_rng(53)
+        model = tiny_model(rng)
+        batch = [tiny_utterance(rng, model, n_text=n, n_speech=m)
+                 for n, m in ((3, 70), (66, 2), (1, 64), (5, 9))]
+        for mode in fu.FusionMode:
+            predicted = fu._fused_pass(batch, model, mode, normalize, all_maps=False)[0]
+            trained = fu.forward(batch, model, mode, normalize_label_attention=normalize).logits
+            bundles = fu.attention_maps(batch, model, mode, normalize_label_attention=normalize)
+            for k, (utt, bundle) in enumerate(zip(batch, bundles)):
+                alone = fu.predict_logits(utt, model, mode, normalize).array[0]
+                assert np.abs(predicted.value.array[k] - alone).max() <= 1e-12
+                assert np.abs(trained.value.array[k] - alone).max() <= 1e-12
+                (one,) = fu.attention_maps([utt], model, mode, normalize_label_attention=normalize)
+                for got, want in zip(vars(bundle).values(), vars(one).values()):
+                    assert got.allclose(want, atol=1e-12)
 
     @pytest.mark.parametrize("name", list(PARENT_BREAKDOWNS))
     def test_a_longer_utterance_changes_no_other_terms(self, name):

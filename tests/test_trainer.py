@@ -200,6 +200,19 @@ class TestTrain:
         with pytest.raises(ConfigError, match=field):
             tiny_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("adam_beta1", -0.5), ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("adam_beta2", 1.5),
+        ("adam_epsilon", 0.0), ("adam_epsilon", -1e-8), ("adam_beta1", math.nan),
+        ("adam_epsilon", math.nan),
+    ])
+    def test_validate_rejects_adam_settings_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value}).validate()
+
+    def test_validate_accepts_adam_bounds(self):
+        tiny_config(adam_beta1=0.0, adam_beta2=0.0, adam_epsilon=1e-300).validate()
+        tiny_config(adam_beta1=0.999999, adam_beta2=0.999999).validate()
+
     def test_validate_accepts_int_in_float_field(self):
         tiny_config(mu_main=1, learning_rate=1).validate()
 
@@ -524,23 +537,6 @@ class TestFit:
         train_c, _ = tiny_corpus()
         with pytest.raises(DivergenceError, match="epoch 0, batch 0: .*near-zero norm"):
             tr.fit(train_c, tiny_config(epochs=1))
-
-
-class TestTrainLogHeldout:
-    @pytest.mark.parametrize("modality", ["multimodal", "text"])
-    def test_is_final_model_heldout_evaluation(self, modality):
-        train_c, held_c = tiny_corpus()
-        config = tiny_config(modality=modality)
-        model, log, _ = tr.train(train_c, held_c, config)
-        assert log.heldout == ev.evaluate(tr.model_predictor(model, config), held_c)
-        assert (log.heldout.weighted_accuracy, log.heldout.unweighted_accuracy) == (
-            log.records[-1].heldout_wa, log.records[-1].heldout_ua
-        )
-
-    def test_none_without_epochs(self):
-        train_c, held_c = tiny_corpus()
-        _, log, _ = tr.train(train_c, held_c, tiny_config(epochs=0))
-        assert log.heldout is None
 
 
 class TestTrainLogExport:
