@@ -44,6 +44,17 @@ to one gradient array per parent. Matrices are immutable after construction
 and may be shared freely; graphs are built and differentiated on a single
 thread.
 
+An op is its checks and a kernel. The kernel (`_self_attention`,
+`_gather`, ...) maps the parents' arrays to the output array and its
+backward closure; the public op runs the checks, calls the kernel (per
+block on a long batch) and wraps the result in a node. A segment op's
+checks run once per batch, before any block; the ones a parameter's shape
+can fail are functions of their own (`_check_self_attention`,
+`_check_bilinear_softmax`, `_check_paired_scores`). A row-wise op never
+runs per block, so its kernel holds its checks. The kernels are also the
+inference path: `fusion`'s prediction calls them, with those checks, on one
+sequence's arrays (`_alone` segments) and builds no node.
+
 Finiteness is checked at the boundaries, not inside every op: the public
 `Matrix(...)` constructor (parameters, corpora, checkpoints, tests) rejects
 NaN and infinity, and so does every leaf gradient `backward` stores. Op
@@ -334,8 +345,8 @@ def _flat(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Node:
-    """The node of an op's output: a C-ordered 2-D float64 array nothing else writes to.
+def _wrap(out: np.ndarray) -> Matrix:
+    """A C-ordered 2-D float64 array nothing else writes to, as a Matrix.
 
     The Matrix takes the array without a copy or a finiteness scan; the
     array is only made read-only.
@@ -343,7 +354,12 @@ def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Nod
     value = Matrix.__new__(Matrix)
     out.setflags(write=False)
     value._a = out
-    return Node(value, op, parents, backward_fn)
+    return value
+
+
+def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Node:
+    """The node of an op's output (see `_wrap`)."""
+    return Node(_wrap(out), op, parents, backward_fn)
 
 
 # How a segment op's input or output splits into one block per sequence: the
@@ -451,7 +467,11 @@ def gather(table: Node, ids: Sequence[int], what: str = "id") -> Node:
     Ids must lie in [0, rows); `what` names them in the IndexError. The
     backward scatter-adds each output row's gradient into its table row.
     """
-    t = table.value.array
+    out, backward_fn = _gather(table.value.array, ids, what)
+    return _op(out, "gather", (table,), backward_fn)
+
+
+def _gather(t, ids, what):
     vocab = t.shape[0]
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
@@ -463,7 +483,7 @@ def gather(table: Node, ids: Sequence[int], what: str = "id") -> Node:
         np.add.at(gt, idx, g)
         return (gt,)
 
-    return _op(t[idx], "gather", (table,), backward_fn)
+    return t[idx], backward_fn
 
 
 def add(a: Node, b: Node) -> Node:
@@ -702,18 +722,23 @@ def self_attention(
     e's rows (all of them when segments is None); d = e's width. A row
     attends only to the rows of its own segment.
     """
-    arrays = x, wqa, wka, wva = e.value.array, wq.value.array, wk.value.array, wv.value.array
-    for wa in (wqa, wka, wva):
-        _check_product("matmul", x.shape, wa.shape)
-    seg = _segments("self_attention", segments, x.shape[0])
-    _check_product("matmul", (seg.width, wqa.shape[1]), (wka.shape[1], seg.width))
-    _check_same("add", x.shape, (x.shape[0], wva.shape[1]))
+    arrays = e.value.array, wq.value.array, wk.value.array, wv.value.array
+    seg = _check_self_attention(*arrays, segments)
     parents = (e, wq, wk, wv)
     if seg.count > 1 and seg.long:
         return _per_block("self_attention", _self_attention, parents, arrays,
                           (_ROWS, None, None, None), _ROWS, (seg,))
     out, backward_fn = _self_attention(*arrays, seg, parents)
     return _op(out, "self_attention", parents, backward_fn)
+
+
+def _check_self_attention(x, wqa, wka, wva, segments: Segments | None) -> Segments:
+    for wa in (wqa, wka, wva):
+        _check_product("matmul", x.shape, wa.shape)
+    seg = _segments("self_attention", segments, x.shape[0])
+    _check_product("matmul", (seg.width, wqa.shape[1]), (wka.shape[1], seg.width))
+    _check_same("add", x.shape, (x.shape[0], wva.shape[1]))
+    return seg
 
 
 def _self_attention(x, wqa, wka, wva, seg, parents):
@@ -752,18 +777,22 @@ def _self_attention(x, wqa, wka, wva, seg, parents):
 
 def residual_linear(x: Node, w: Node) -> Node:
     """x + x w."""
-    xa, wa = x.value.array, w.value.array
+    out, backward_fn = _residual_linear(x.value.array, w.value.array, (x, w))
+    return _op(out, "residual_linear", (x, w), backward_fn)
+
+
+def _residual_linear(xa, wa, parents):
     _check_product("matmul", xa.shape, wa.shape)
     projected = xa @ wa
     _check_same("add", xa.shape, projected.shape)
 
     def backward_fn(g: np.ndarray):
         return (
-            g + g @ wa.T if x.requires_grad else None,
-            xa.T @ g if w.requires_grad else None,
+            g + g @ wa.T if parents[0].requires_grad else None,
+            xa.T @ g if parents[1].requires_grad else None,
         )
 
-    return _op(xa + projected, "residual_linear", (x, w), backward_fn)
+    return xa + projected, backward_fn
 
 
 def cosine_scores(seq: Node, labels: Node) -> Node:
@@ -772,18 +801,23 @@ def cosine_scores(seq: Node, labels: Node) -> Node:
     Both sides are normalised here, so a zero-norm row of either raises
     DegenerateRowError.
     """
-    ys, seq_norms = _unit_rows(seq.value.array)
-    yl, label_norms = _unit_rows(labels.value.array)
+    out, backward_fn = _cosine_scores(seq.value.array, labels.value.array, (seq, labels))
+    return _op(out, "cosine_scores", (seq, labels), backward_fn)
+
+
+def _cosine_scores(sa, la, parents):
+    ys, seq_norms = _unit_rows(sa)
+    yl, label_norms = _unit_rows(la)
     ylt = np.ascontiguousarray(yl.T)
     _check_product("matmul", ys.shape, ylt.shape)
 
     def backward_fn(g: np.ndarray):
         return (
-            _unit_rows_backward(g @ ylt.T, ys, seq_norms) if seq.requires_grad else None,
-            _unit_rows_backward((ys.T @ g).T, yl, label_norms) if labels.requires_grad else None,
+            _unit_rows_backward(g @ ylt.T, ys, seq_norms) if parents[0].requires_grad else None,
+            _unit_rows_backward((ys.T @ g).T, yl, label_norms) if parents[1].requires_grad else None,
         )
 
-    return _op(ys @ ylt, "cosine_scores", (seq, labels), backward_fn)
+    return ys @ ylt, backward_fn
 
 
 # A stack of maps pairs the row segments of one matrix with the column segments
@@ -799,16 +833,21 @@ def bilinear_softmax(
 
     a's rows are split by `rows`, b's by `cols`; the result is a stack of maps.
     """
-    arrays = aa, ba, wa = a.value.array, b.value.array, bilinear.value.array
-    _check_product("matmul", ba.shape, wa.shape)
-    rows, cols = _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
-    _check_product("matmul", (rows.width, aa.shape[1]), (wa.shape[1], cols.width))
+    arrays = a.value.array, b.value.array, bilinear.value.array
+    rows, cols = _check_bilinear_softmax(*arrays, rows, cols)
     parents = (a, b, bilinear)
     if rows.count > 1 and (rows.long or cols.long):
         return _per_block("bilinear_softmax", _bilinear_softmax, parents, arrays,
                           (_ROWS, _COLS, None), _MAP, (rows, cols))
-    out, backward_fn = _bilinear_softmax(aa, ba, wa, rows, cols, parents)
+    out, backward_fn = _bilinear_softmax(*arrays, rows, cols, parents)
     return _op(out, "bilinear_softmax", parents, backward_fn)
+
+
+def _check_bilinear_softmax(aa, ba, wa, rows: Segments | None, cols: Segments | None):
+    _check_product("matmul", ba.shape, wa.shape)
+    rows, cols = _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
+    _check_product("matmul", (rows.width, aa.shape[1]), (wa.shape[1], cols.width))
+    return rows, cols
 
 
 def _bilinear_softmax(aa, ba, wa, rows, cols, parents):
@@ -839,14 +878,19 @@ def paired_scores(
 
     A stack of maps; one segment pair is matmul(a, transpose(b)).
     """
-    arrays = aa, ba = a.value.array, b.value.array
-    rows, cols = _pairs("paired_scores", rows, cols, aa.shape[0], ba.shape[0])
-    _check_product("matmul", (rows.width, aa.shape[1]), (ba.shape[1], cols.width))
+    arrays = a.value.array, b.value.array
+    rows, cols = _check_paired_scores(*arrays, rows, cols)
     if rows.count > 1 and (rows.long or cols.long):
         return _per_block("paired_scores", _paired_scores, (a, b), arrays, (_ROWS, _COLS), _MAP,
                           (rows, cols))
-    out, backward_fn = _paired_scores(aa, ba, rows, cols, (a, b))
+    out, backward_fn = _paired_scores(*arrays, rows, cols, (a, b))
     return _op(out, "paired_scores", (a, b), backward_fn)
+
+
+def _check_paired_scores(aa, ba, rows: Segments | None, cols: Segments | None):
+    rows, cols = _pairs("paired_scores", rows, cols, aa.shape[0], ba.shape[0])
+    _check_product("matmul", (rows.width, aa.shape[1]), (ba.shape[1], cols.width))
+    return rows, cols
 
 
 def _paired_scores(aa, ba, rows, cols, parents):
@@ -893,19 +937,23 @@ def _paired_mix(wa, ba, rows, cols, parents):
 
 def affine(x: Node, w: Node, b: Node) -> Node:
     """x w + b, with b one row added to every row of the product."""
-    xa, wa = x.value.array, w.value.array
+    out, backward_fn = _affine(x.value.array, w.value.array, b.value.array, (x, w, b))
+    return _op(out, "affine", (x, w, b), backward_fn)
+
+
+def _affine(xa, wa, ba, parents):
     _check_product("matmul", xa.shape, wa.shape)
     product = xa @ wa
-    _check_same("add", (1, product.shape[1]), b.value.shape)
+    _check_same("add", (1, product.shape[1]), ba.shape)
 
     def backward_fn(g: np.ndarray):
         return (
-            g @ wa.T if x.requires_grad else None,
-            xa.T @ g if w.requires_grad else None,
+            g @ wa.T if parents[0].requires_grad else None,
+            xa.T @ g if parents[1].requires_grad else None,
             _sum(g, axis=0, keepdims=True),
         )
 
-    return _op(product + b.value.array, "affine", (x, w, b), backward_fn)
+    return product + ba, backward_fn
 
 
 def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:

@@ -33,16 +33,21 @@ There is one forward path, and it takes a mini-batch. `forward`
 whole batch and return a `ForwardResult`: batch x classes logits, the loss
 root (the sum of the utterances' weighted totals) and each utterance's loss
 terms. `attention_maps` gives each utterance's four maps without a label or
-a loss. `predict_logits` and `unimodal_logits` run the same pass on a batch
-of one.
+a loss.
+
+`predict_logits` and `unimodal_logits` give the logits of that pass on a
+batch of one, bit for bit, without a graph: they call the kernels of
+diffcore's ops on the model's arrays, with each op's checks, so a
+prediction raises what the op would. They build only the maps the mode's
+alignment uses.
 
 The pass is built from `diffcore`'s fused ops where a step is one, on the
 batch's stacked rows and their `diffcore.Segments`: label attention is
 `cosine_scores` (row-wise), the vanilla alignment `bilinear_softmax`, the
 label-guided one `paired_scores`, the aligned speech `paired_mix`, the
 classifier and tower heads `affine`, and the loss total `weighted_sum`. A
-`constraint` training graph is 20 nodes for any batch size and its
-prediction 10. Each modality's segments decide how the per-sequence ops run
+`constraint` training graph is 20 nodes for any batch size; a prediction
+builds none. Each modality's segments decide how the per-sequence ops run
 (see `diffcore`): a batch of short sequences is padded inside each op, and
 one whose longest sequence reaches `diffcore.LONG_ROWS` rows runs one
 sequence at a time. At the reference shape (10-30 tokens, 40-120 frames)
@@ -64,6 +69,21 @@ from .diffcore import (
     Matrix,
     Node,
     Segments,
+    _affine,
+    _alone,
+    _bilinear_softmax,
+    _check_bilinear_softmax,
+    _check_paired_scores,
+    _check_self_attention,
+    _cosine_scores,
+    _gather,
+    _paired_mix,
+    _paired_scores,
+    _pool_max,
+    _residual_linear,
+    _row_softmax,
+    _self_attention,
+    _wrap,
     add,
     affine,
     backward,
@@ -252,13 +272,6 @@ def score_fusion(logits_text: Matrix, logits_speech: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _finite_logits(logits: Node) -> Matrix:
-    """The 1 x c logits of a prediction, which must be finite."""
-    if not np.isfinite(logits.value.array).all():
-        raise NonFiniteError("predicted logits are not finite")
-    return logits.value
-
-
 def _encode(utterances: Sequence[Utterance], modality: str, params: dict[str, Node]):
     """One modality's rows for the whole batch, stacked, and their segments."""
     if modality == "text":
@@ -278,30 +291,24 @@ def _fused_pass(
     params: dict[str, Node],
     mode: FusionMode,
     normalize_label_attention: bool,
-    all_maps: bool,
 ):
-    """Encoders, alignment and fused logits of a batch.
+    """Encoders, every map and the fused logits of a batch.
 
     Returns (logits, profiles, vanilla, guided, text segments, speech
-    segments); the alignments are stacks of per-utterance maps. With all_maps
-    (training and attention export) every map is built, because the guidance
-    losses read the class profiles and the constraint reads both alignments.
-    Prediction builds only what the mode's alignment uses and returns None
-    for the rest.
+    segments); the alignments are stacks of per-utterance maps. Every map is
+    built whatever the mode, because the guidance losses read the class
+    profiles and the constraint reads both alignments.
     """
     h_text, text = _encode(utterances, "text", params)
     h_speech, speech = _encode(utterances, "speech", params)
-    profiles = vanilla = guided = None
-    if all_maps or mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
-        profiles = (
-            cosine_scores(h_text, params["labels.text"]),
-            cosine_scores(h_speech, params["labels.speech"]),
-        )
-        guided = paired_scores(*profiles, text, speech)
-        if normalize_label_attention:
-            guided = row_softmax(guided, text, speech)
-    if all_maps or mode is not FusionMode.ONLY_LABEL:
-        vanilla = bilinear_softmax(h_text, h_speech, params["fusion.cross_map"], text, speech)
+    profiles = (
+        cosine_scores(h_text, params["labels.text"]),
+        cosine_scores(h_speech, params["labels.speech"]),
+    )
+    guided = paired_scores(*profiles, text, speech)
+    if normalize_label_attention:
+        guided = row_softmax(guided, text, speech)
+    vanilla = bilinear_softmax(h_text, h_speech, params["fusion.cross_map"], text, speech)
 
     if mode is FusionMode.SUM:
         align = add(vanilla, guided)
@@ -357,7 +364,7 @@ def forward(
     alignment before use; off by default, documented as an extension.
     """
     logits, (profile_text, profile_speech), vanilla, guided, text, speech = _fused_pass(
-        utterances, params, mode, normalize_label_attention, all_maps=True
+        utterances, params, mode, normalize_label_attention
     )
     labels = [u.label for u in utterances]
     loss_guide_text = guidance_loss(profile_text, labels, text)
@@ -379,7 +386,7 @@ def attention_maps(
 ) -> tuple[AttentionBundle, ...]:
     """The four attention maps of each utterance of the pass `forward` makes; needs no label."""
     _, (profile_text, profile_speech), vanilla, guided, text, speech = _fused_pass(
-        utterances, params, mode, normalize_label_attention, all_maps=True
+        utterances, params, mode, normalize_label_attention
     )
     bundles = []
     for t0, n_text, s0, n_speech in zip(text.offsets, text.lengths, speech.offsets, speech.lengths):
@@ -391,29 +398,6 @@ def attention_maps(
             Matrix(guided.value.array[tokens, :n_speech]),
         ))
     return tuple(bundles)
-
-
-def predict_logits(
-    utterance: Utterance,
-    params: dict[str, Node],
-    mode: FusionMode,
-    normalize_label_attention: bool = False,
-) -> Matrix:
-    """Label-free logits of one utterance, the pass of forward on a batch of one.
-
-    Raises NonFiniteError when the logits are not finite.
-    """
-    return _finite_logits(
-        _fused_pass([utterance], params, mode, normalize_label_attention, all_maps=False)[0]
-    )
-
-
-def _tower(utterances: Sequence[Utterance], modality: str, params: dict[str, Node]):
-    """One modality's rows, its segments and its pooled-head logits, for a batch."""
-    h, segments = _encode(utterances, modality, params)
-    head = affine(pool(h, "max", segments), params[f"fusion.{modality}_head_w"],
-                  params[f"fusion.{modality}_head_b"])
-    return h, segments, head
 
 
 def unimodal_forward(
@@ -429,7 +413,9 @@ def unimodal_forward(
     The classifier loss has weight 1, and each breakdown has 0.0 for the
     constraint and the other tower's guidance.
     """
-    h, segments, logits = _tower(utterances, modality, params)
+    h, segments = _encode(utterances, modality, params)
+    logits = affine(pool(h, "max", segments), params[f"fusion.{modality}_head_w"],
+                    params[f"fusion.{modality}_head_b"])
     labels = [u.label for u in utterances]
     guide = guidance_loss(cosine_scores(h, params[f"labels.{modality}"]), labels, segments)
     zeros = _zeros(utterances)
@@ -437,9 +423,79 @@ def unimodal_forward(
     return _result(logits, (cross_entropy(logits, labels), zeros, *guides), (1.0, *weights[1:]))
 
 
+# ---------------------------------------------------------------------------
+# Prediction
+#
+# A prediction is the pass of a batch of one, run on the model's arrays
+# through the kernels of diffcore's ops: it builds no Node, no intermediate
+# Matrix and no Segments (one sequence is `_alone(n)`), and raises what the
+# ops raise. Each kernel also returns its backward closure, which is dropped.
+# ---------------------------------------------------------------------------
+
+
+def _encode_alone(utterance: Utterance, modality: str, params: dict[str, Node]):
+    """One modality's rows of one utterance and their segments: the encoder's ops on arrays."""
+    if modality == "text":
+        ids, table, what = utterance.text_tokens, "text.embedding", "token id"
+    elif modality == "speech":
+        ids, table, what = utterance.frame_codes, "speech.codebook", "code id"
+    else:
+        raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
+    segments = _alone(len(ids))
+    x, _ = _gather(params[table].value.array, ids, what)
+    weights = [params[f"{modality}.{w}_w"].value.array for w in ("query", "key", "value")]
+    x, _ = _self_attention(x, *weights, _check_self_attention(x, *weights, segments), ())
+    if modality == "speech":
+        x, _ = _residual_linear(x, params["speech.post_w"].value.array, ())
+    return x, segments
+
+
+def _head_logits(rows: np.ndarray, segments: Segments, params: dict[str, Node], head: str):
+    """The 1 x c logits of a max-pooled head; NonFiniteError when they are not finite."""
+    pooled, _ = _pool_max(rows, segments, ())
+    logits, _ = _affine(pooled, params[f"{head}_w"].value.array, params[f"{head}_b"].value.array, ())
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("predicted logits are not finite")
+    return _wrap(logits)
+
+
+def predict_logits(
+    utterance: Utterance,
+    params: dict[str, Node],
+    mode: FusionMode,
+    normalize_label_attention: bool = False,
+) -> Matrix:
+    """Label-free logits of one utterance: forward's pass on a batch of one, bit for bit.
+
+    Builds only the maps the mode's alignment uses. Raises NonFiniteError
+    when the logits are not finite.
+    """
+    h_text, text = _encode_alone(utterance, "text", params)
+    h_speech, speech = _encode_alone(utterance, "speech", params)
+    align = None
+    if mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
+        profiles = (
+            _cosine_scores(h_text, params["labels.text"].value.array, ())[0],
+            _cosine_scores(h_speech, params["labels.speech"].value.array, ())[0],
+        )
+        align, _ = _paired_scores(*profiles, *_check_paired_scores(*profiles, text, speech), ())
+        if normalize_label_attention:
+            align, _ = _row_softmax(align, text, speech, ())
+    if mode is not FusionMode.ONLY_LABEL:
+        arrays = h_text, h_speech, params["fusion.cross_map"].value.array
+        vanilla, _ = _bilinear_softmax(*arrays, *_check_bilinear_softmax(*arrays, text, speech), ())
+        align = vanilla if align is None else vanilla + align
+    mixed, _ = _paired_mix(align, h_speech, text, speech, ())
+    return _head_logits(np.concatenate([h_text, mixed], axis=1), text, params, "fusion.classifier")
+
+
 def unimodal_logits(utterance: Utterance, modality: str, params: dict[str, Node]) -> Matrix:
-    """Single-tower logits of one utterance (a batch of one); NonFiniteError when not finite."""
-    return _finite_logits(_tower([utterance], modality, params)[2])
+    """Single-tower logits of one utterance, unimodal_forward's on a batch of one, bit for bit.
+
+    Raises NonFiniteError when the logits are not finite.
+    """
+    rows, segments = _encode_alone(utterance, modality, params)
+    return _head_logits(rows, segments, params, f"fusion.{modality}_head")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ file, a checkpoint manifest or a corpus header:
 
 - a bool field takes only a bool, and a bool is valid nowhere else;
 - an int field takes an int;
-- a float field takes an int or a float, and stores it as a float, also
-  when the dataclass is built directly (`store_floats`);
+- a float field takes a finite int or float, and stores it as a float,
+  also when the dataclass is built directly (`store_floats`);
 - a str field takes a str;
 - `tuple[...]` and `list[...]` take a tuple or list of such values.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import numbers
 import typing
 
@@ -34,11 +35,19 @@ def option(default, help_text: str, key: str | None = None):
 
 
 def check_value(name: str, kind, value):
-    """Return `value` as a field of type `kind` stores it; ConfigError if it has another type."""
+    """Return `value` as a field of type `kind` stores it.
+
+    ConfigError if it has another type, or is a float field's NaN or infinity.
+    """
     if not _fits(kind, value):
         kind_name = kind.__name__ if isinstance(kind, type) else str(kind)
         raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    stored = _as_float(value)
+    if not math.isfinite(stored):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return stored
 
 
 @functools.cache
@@ -51,14 +60,14 @@ def store_floats(config) -> None:
     """Store each int in a float field of the frozen dataclass `config` as a float.
 
     Called from `__post_init__`, so a float field holds what `check_value`
-    returns however the dataclass is built; a value of another type is left
-    for `check_fields` to reject.
+    returns however the dataclass is built; a value of another type, NaN
+    or infinity is left for `check_fields` to reject.
     """
     types = field_types(type(config))
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if types[f.name] is float and _fits(float, value):
-            object.__setattr__(config, f.name, check_value(f.name, float, value))
+            object.__setattr__(config, f.name, _as_float(value))
 
 
 def check_fields(config) -> None:
@@ -66,6 +75,14 @@ def check_fields(config) -> None:
     types = field_types(type(config))
     for f in dataclasses.fields(config):
         check_value(f.name, types[f.name], getattr(config, f.name))
+
+
+def _as_float(value) -> float:
+    """A real number as a float; infinity for an int beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _fits(kind, value) -> bool:

@@ -58,6 +58,17 @@ class TestUsage:
     def test_missing_required_option_exits_1(self, out):
         assert cli.main(["train", "--out-dir", str(out)]) == 1
 
+    @pytest.mark.parametrize("flag", ["--learning-rate=inf", "--mu-main=nan"])
+    def test_non_finite_float_exits_1_and_writes_nothing(self, corpus_file, tmp_path, capsys, flag):
+        capsys.readouterr()
+        run = tmp_path / "run"
+        rc = cli.main(["train", "--out-dir", str(run), "--corpus-file", str(corpus_file),
+                       *SMALL_TRAIN, flag])
+        assert rc == 1
+        field = flag[2:].split("=")[0].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {flag[-3:]}\n"
+        assert not run.exists()
+
     def test_validation_failure_exits_1(self, out, capsys):
         rc = cli.main(["gen-corpus", "--out-dir", str(out), "--salience-prob", "2.0"])
         assert rc == 1

@@ -17,6 +17,7 @@ from labelfuse.errors import (
     LabelFuseError,
     StratificationError,
 )
+from labelfuse.valuetypes import field_types
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -111,6 +112,14 @@ class TestGenerate:
     ])
     def test_rejects_wrong_type(self, field, value):
         with pytest.raises(ConfigError, match=field):
+            small_spec(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", [
+        name for name, kind in field_types(cp.CorpusSpec).items() if kind is float
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got"):
             small_spec(**{field: value}).validate()
 
     def test_context_splices_same_class_history(self):

@@ -16,7 +16,7 @@ from labelfuse import fusion as fu
 from labelfuse import trainer as tr
 from labelfuse.corpus import Utterance
 from labelfuse.diffcore import Matrix
-from labelfuse.errors import DegenerateRowError, DimensionError
+from labelfuse.errors import DegenerateRowError, DimensionError, NonFiniteError
 from labelfuse.trainer import EpochRecord
 
 
@@ -392,18 +392,20 @@ class TestForward:
         assert raw.label_guided != normed.label_guided
 
     def test_predict_logits_matches_forward(self):
+        # The last utterance's LONG_ROWS + 6 frames make its speech side long.
         rng = np.random.default_rng(40)
         for normalize in (False, True):
             for mode in fu.FusionMode:
                 model = tiny_model(rng)
-                utt = tiny_utterance(rng, model)
-                via_forward = fu.forward(
-                    [utt], model, mode, normalize_label_attention=normalize
-                ).logits.value
-                via_predict = fu.predict_logits(
-                    utt, model, mode, normalize_label_attention=normalize
-                )
-                assert via_forward == via_predict
+                for n_speech in (6, 1, dc.LONG_ROWS + 6):
+                    utt = tiny_utterance(rng, model, n_speech=n_speech)
+                    via_forward = fu.forward(
+                        [utt], model, mode, normalize_label_attention=normalize
+                    ).logits.value
+                    via_predict = fu.predict_logits(
+                        utt, model, mode, normalize_label_attention=normalize
+                    )
+                    assert via_forward == via_predict
 
 
 class TestBreakdown:
@@ -466,11 +468,12 @@ class TestUnimodalForward:
     def test_unimodal_logits_helper_agrees(self):
         rng = np.random.default_rng(44)
         model = tiny_model(rng)
-        utt = tiny_utterance(rng, model)
-        for modality in ("text", "speech"):
-            assert fu.unimodal_logits(utt, modality, model) == fu.unimodal_forward(
-                [utt], modality, model
-            ).logits.value
+        for n_text, n_speech in ((4, 6), (1, 1), (dc.LONG_ROWS, dc.LONG_ROWS + 6)):
+            utt = tiny_utterance(rng, model, n_text=n_text, n_speech=n_speech)
+            for modality in ("text", "speech"):
+                assert fu.unimodal_logits(utt, modality, model) == fu.unimodal_forward(
+                    [utt], modality, model
+                ).logits.value
 
     @pytest.mark.parametrize("modality", ["text", "speech"])
     def test_full_loss_gradient_vs_fd(self, modality):
@@ -520,8 +523,7 @@ def non_leaf_nodes(root):
 class TestNodeBudget:
     """A training batch builds one graph of at most 25 non-leaf nodes, whatever its size.
 
-    A prediction builds at most 15. normalize_label_attention adds its one
-    row softmax on top.
+    normalize_label_attention adds its one row softmax on top.
     """
 
     @staticmethod
@@ -538,14 +540,12 @@ class TestNodeBudget:
             normalize: [
                 non_leaf_nodes(fu.forward(utts, model, mode, normalize_label_attention=normalize).loss)
                 for utts in (batch[:1], batch)
-            ] + [non_leaf_nodes(fu._fused_pass(batch[:1], model, mode, normalize, all_maps=False)[0])]
+            ]
             for normalize in (False, True)
         }
-        one, eight, predict = counts[False]
+        one, eight = counts[False]
         assert one == eight <= 25
-        assert predict <= 15
         assert counts[True][0] == counts[True][1] in (one, one + 1)
-        assert counts[True][2] in (predict, predict + 1)
 
     @pytest.mark.parametrize("modality", ["text", "speech"])
     def test_tower(self, modality):
@@ -554,9 +554,92 @@ class TestNodeBudget:
         batch = self.batch(rng, model, 8)
         one, eight = (non_leaf_nodes(fu.unimodal_forward(utts, modality, model).loss)
                       for utts in (batch[:1], batch))
-        predict = fu._tower(batch[:1], modality, model)[2]
         assert one == eight <= 25
-        assert non_leaf_nodes(predict) <= 15
+
+
+def record_inits(monkeypatch, cls, built: list) -> None:
+    """From now on, append cls's name to `built` for each instance of cls constructed."""
+    init = cls.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(cls.__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", recording)
+
+
+class TestPrediction:
+    """A prediction runs diffcore's kernels on the model's arrays and raises what the ops raise."""
+
+    def test_builds_no_node_matrix_or_segments(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        model = tiny_model(rng)
+        utts = [tiny_utterance(rng, model, n_speech=m) for m in (6, dc.LONG_ROWS + 2)]
+        for utt in utts:  # a sequence's first prediction builds its cached _alone segments
+            fu.predict_logits(utt, model, fu.FusionMode.SUM, True)
+        built = []
+        for cls in (dc.Node, dc.Matrix, dc.Segments):
+            record_inits(monkeypatch, cls, built)
+        for utt in utts:
+            for mode in fu.FusionMode:
+                for normalize in (False, True):
+                    fu.predict_logits(utt, model, mode, normalize)
+            for modality in ("text", "speech"):
+                fu.unimodal_logits(utt, modality, model)
+        assert built == []
+
+    @staticmethod
+    def replaced(model, name, values):
+        return {**model, name: dc.constant(values)}
+
+    @pytest.mark.parametrize("mode", list(fu.FusionMode))
+    def test_raises_the_ops_errors(self, mode):
+        # Width 6, 3 classes, 10 tokens and 12 codes; the messages are those of the graph ops.
+        rng = np.random.default_rng(60)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        cases = [
+            (Utterance(utt.text_tokens + (10,), utt.frame_codes, 0), model, IndexError,
+             "token id 10 out of range for vocabulary of size 10"),
+            (Utterance(utt.text_tokens, (-1,) + utt.frame_codes, 0), model, IndexError,
+             "code id -1 out of range for vocabulary of size 12"),
+            (utt, self.replaced(model, "text.query_w", np.ones((5, 6))), DimensionError,
+             "matmul: 4x6 is incompatible with 5x6"),
+            (utt, self.replaced(model, "speech.post_w", np.ones((6, 5))), DimensionError,
+             "add: shapes differ (6x6 vs 6x5)"),
+            (utt, self.replaced(model, "fusion.classifier_w", np.ones((13, 3))), DimensionError,
+             "matmul: 1x12 is incompatible with 13x3"),
+            (utt, self.replaced(model, "fusion.classifier_b", np.ones((1, 4))), DimensionError,
+             "add: shapes differ (1x3 vs 1x4)"),
+            (utt, self.replaced(model, "text.embedding", model["text.embedding"].value.array * 1e200),
+             NonFiniteError, "predicted logits are not finite"),
+        ]
+        if mode in (fu.FusionMode.SUM, fu.FusionMode.ONLY_LABEL):
+            zero_row = np.vstack([np.ones((2, 6)), np.zeros((1, 6))])
+            cases += [
+                (utt, self.replaced(model, "labels.text", zero_row), DegenerateRowError,
+                 "row 2 has near-zero norm"),
+                (utt, self.replaced(model, "labels.speech", np.ones((3, 5))), DimensionError,
+                 "matmul: 6x6 is incompatible with 5x3"),
+                (utt, self.replaced(model, "labels.speech", np.ones((4, 6))), DimensionError,
+                 "matmul: 4x3 is incompatible with 4x6"),
+            ]
+        if mode is not fu.FusionMode.ONLY_LABEL:
+            cases += [(utt, self.replaced(model, "fusion.cross_map", np.ones((5, 6))),
+                       DimensionError, "matmul: 6x6 is incompatible with 5x6")]
+        for u, m, error, message in cases:
+            with np.errstate(all="ignore"), pytest.raises(error) as raised:
+                fu.predict_logits(u, m, mode)
+            assert str(raised.value) == message
+
+    def test_tower_raises_the_ops_errors(self):
+        rng = np.random.default_rng(61)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        with pytest.raises(DimensionError, match=r"^add: shapes differ \(1x3 vs 1x2\)$"):
+            fu.unimodal_logits(utt, "text", self.replaced(model, "fusion.text_head_b", np.ones((1, 2))))
+        with pytest.raises(ValueError, match="^modality must be 'text' or 'speech', got 'video'$"):
+            fu.unimodal_logits(utt, "video", model)
 
 
 # (main, constraint, guide_text, guide_speech, total) of the first two
@@ -683,12 +766,10 @@ class TestBatch:
         batch = [tiny_utterance(rng, model, n_text=n, n_speech=m)
                  for n, m in ((3, 70), (66, 2), (1, 64), (5, 9))]
         for mode in fu.FusionMode:
-            predicted = fu._fused_pass(batch, model, mode, normalize, all_maps=False)[0]
             trained = fu.forward(batch, model, mode, normalize_label_attention=normalize).logits
             bundles = fu.attention_maps(batch, model, mode, normalize_label_attention=normalize)
             for k, (utt, bundle) in enumerate(zip(batch, bundles)):
                 alone = fu.predict_logits(utt, model, mode, normalize).array[0]
-                assert np.abs(predicted.value.array[k] - alone).max() <= 1e-12
                 assert np.abs(trained.value.array[k] - alone).max() <= 1e-12
                 (one,) = fu.attention_maps([utt], model, mode, normalize_label_attention=normalize)
                 for got, want in zip(vars(bundle).values(), vars(one).values()):

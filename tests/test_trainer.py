@@ -22,6 +22,7 @@ from labelfuse.errors import (
     UnsupportedVersionError,
 )
 from labelfuse.fusion import FusionMode, forward, predict_logits, unimodal_logits
+from labelfuse.valuetypes import field_types
 
 
 def tiny_corpus(seed=5, n=40):
@@ -207,6 +208,14 @@ class TestTrain:
     ])
     def test_validate_rejects_adam_settings_out_of_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", [
+        name for name, kind in field_types(tr.TrainConfig).items() if kind is float
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_validate_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got"):
             tiny_config(**{field: value}).validate()
 
     def test_validate_accepts_adam_bounds(self):
@@ -419,10 +428,13 @@ class TestCheckpointing:
             lambda m: m.update(split={"train_fraction": 0.8}),
             lambda m: m.update(split={"train_fraction": 0.8, "split_seed": "7"}),
             lambda m: m.update(split=[0.8, 7]),
+            lambda m: m["config"].update(learning_rate=math.inf),
+            lambda m: m.update(split={"train_fraction": math.nan, "split_seed": 7}),
         ],
         ids=["unknown-config-key", "missing-epoch", "invalid-fusion-mode",
              "string-for-bool", "bool-for-int", "float-for-int", "unpaired-moment",
-             "epoch-beyond-log", "split-missing-seed", "split-string-seed", "split-not-object"],
+             "epoch-beyond-log", "split-missing-seed", "split-string-seed", "split-not-object",
+             "infinite-float", "nan-split-fraction"],
     )
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         train_c, held_c = tiny_corpus()
