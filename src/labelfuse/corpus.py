@@ -30,7 +30,7 @@ from .errors import (
     CorpusValidationError,
     StratificationError,
 )
-from .valuetypes import check_fields, check_value, option, store_floats
+from .valuetypes import check_fields, check_type, option, store_floats
 
 
 @dataclass(frozen=True)
@@ -243,11 +243,15 @@ def load(path) -> Corpus:
             f"line 1: header field missing, unknown or malformed ({exc})"
         ) from None
     try:
-        spec.validate()  # a field of the wrong type, e.g. "classes": "2", fails here
+        check_fields(spec, check_type)  # e.g. "classes": "2"
         for name, groups in planted.items():
-            check_value(name, list[list[int]], groups)
+            check_type(name, list[list[int]], groups)
     except ConfigError as exc:
         raise CorpusParseError(f"line 1: header field of the wrong type ({exc})") from None
+    try:
+        spec.validate()  # a non-finite or out-of-range field, e.g. "salience_prob": 2.0
+    except (ConfigError, CorpusSpecError) as exc:
+        raise CorpusValidationError(f"line 1: {exc}") from None
     for (name, groups), vocab in zip(planted.items(), (spec.vocab_text, spec.vocab_speech)):
         if len(groups) != spec.classes:
             raise CorpusValidationError(

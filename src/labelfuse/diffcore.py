@@ -28,15 +28,14 @@ alignment between two batches of sequences is a stack of maps: the rows of
 sequence i's map, cols.width wide and 0 past its own width. One segment, or
 none, is the plain 2-D op.
 
-How a segment op runs a batch is decided once, by its `Segments`: a batch
-is long when its longest sequence has LONG_ROWS rows or more (for a pair,
-when either side is). A short batch is padded to a 3-D stack inside the op,
-with the padding masked (-inf before a softmax or a max, zero weight in a
-mean or a count), so padding never reaches a value or a gradient. A long
-batch runs each sequence's blocks through the expressions of a batch of
-one, so padding costs neither FLOPs nor memory; the op's backward sums a
-shared weight's gradient over the blocks in batch order. Either way the op
-is one graph node.
+A segment op pads the batch to a 3-D stack inside the op, with the padding
+masked (-inf before a softmax or a max, zero weight in a mean or a count),
+so padding never reaches a value or a gradient. `self_attention` alone
+runs a long batch, one whose longest sequence has LONG_ROWS rows or more,
+one sequence at a time through the expressions of a batch of one, so its
+(count x width x width) score stack costs neither FLOPs nor memory on
+padding; its backward sums each shared weight's gradient over the
+sequences in batch order. Either way the op is one graph node.
 
 Graphs are built eagerly. Each operation returns a `Node` holding the
 computed `Matrix` plus a closure that maps the gradient arriving at the node
@@ -47,11 +46,10 @@ thread.
 An op is its checks and a kernel. The kernel (`_self_attention`,
 `_gather`, ...) maps the parents' arrays to the output array and its
 backward closure; the public op runs the checks, calls the kernel (per
-block on a long batch) and wraps the result in a node. A segment op's
-checks run once per batch, before any block; the ones a parameter's shape
-can fail are functions of their own (`_check_self_attention`,
-`_check_bilinear_softmax`, `_check_paired_scores`). A row-wise op never
-runs per block, so its kernel holds its checks. The kernels are also the
+sequence on a long self-attention batch) and wraps the result in a node.
+Self-attention's checks run once per batch, before any sequence, so they
+are a function of their own (`_check_self_attention`); the other kernels a
+parameter's shape can fail hold their checks. The kernels are also the
 inference path: `fusion`'s prediction calls them, with those checks, on one
 sequence's arrays (`_alone` segments) and builds no node.
 
@@ -233,11 +231,12 @@ def backward(root: Node) -> None:
 # ---------------------------------------------------------------------------
 
 
-# A batch whose longest sequence has at least this many rows is long: the
-# segment ops run it one sequence at a time instead of padding it. Padding
+# A batch whose longest sequence has at least this many rows is long:
+# self-attention runs it one sequence at a time instead of padding it. Padding
 # 40-120 frames to the longest scores about twice the real entries of a speech
 # attention stack; up to 40 rows the padded stack is as fast as the
-# per-sequence calls or faster.
+# per-sequence calls or faster. Every other segment op pads any batch: run
+# one sequence at a time, they gained no end-to-end time or memory.
 LONG_ROWS = 64
 
 
@@ -245,15 +244,15 @@ class Segments:
     """How a stacked matrix splits into consecutive row blocks, one per sequence.
 
     A mini-batch stacks its sequences' rows into one (total x d) matrix, and
-    `lengths` holds each block's row count in batch order. On a short batch a
-    segment op pads the blocks to a (count x width x d) array (`pad`: zero
-    rows after each block), works on every block at once and takes the real
-    rows back out (`unpad`). Where a softmax or a max runs over a padded
+    `lengths` holds each block's row count in batch order. A segment op pads
+    the blocks to a (count x width x d) array (`pad`: zero rows after each
+    block), works on every block at once and takes the real rows back out
+    (`unpad`). Where a softmax or a max runs over a padded
     axis, the padding is first set to -inf (`mask`), so it gets no weight and
     no gradient. When all blocks have one length, padding is a reshape and
     there is no mask. A batch is `long` when its widest block has LONG_ROWS
-    rows or more; a segment op then runs each block as a batch of one and
-    builds no padded stack.
+    rows or more; `self_attention` then runs each block as a batch of one
+    and builds no padded stack. Every other segment op pads any batch.
     """
 
     __slots__ = (
@@ -362,75 +361,10 @@ def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Nod
     return Node(_wrap(out), op, parents, backward_fn)
 
 
-# How a segment op's input or output splits into one block per sequence: the
-# rows of the first segments, the rows of the second, a stack of maps (rows of
-# the first, as many leading columns as the second's block has rows) or one
-# row per sequence. An input laid out as None is shared by every block.
-_ROWS, _COLS, _MAP, _ONE = "rows", "cols", "map", "one"
-
-
 @functools.lru_cache(maxsize=1024)
 def _alone(length: int) -> Segments:
     """The segments of a batch of one sequence of `length` rows (never mutated, so shared)."""
     return Segments((length,))
-
-
-def _block_index(layout: str, segs: tuple[Segments, ...]) -> Sequence:
-    """Each sequence's block, as an index into an array laid out as `layout` over segs."""
-    rows = segs[0]
-    if layout == _ONE:
-        return [slice(i, i + 1) for i in range(rows.count)]
-    s = segs[1] if layout == _COLS else rows
-    blocks = [slice(o, o + n) for o, n in zip(s.offsets, s.lengths)]
-    if layout == _MAP:
-        return [(r, slice(0, n)) for r, n in zip(blocks, segs[1].lengths)]
-    return blocks
-
-
-def _join(blocks: list[np.ndarray], layout: str, index: Sequence, segs) -> np.ndarray:
-    """The blocks back in one array laid out as `layout`; a shared input's are summed in order."""
-    if layout is None:
-        total = blocks[0]
-        for block in blocks[1:]:
-            total = total + block
-        return total
-    if layout != _MAP:
-        return np.concatenate(blocks)
-    whole = np.zeros((segs[0].total, segs[1].width))
-    for i, block in zip(index, blocks):
-        whole[i] = block
-    return whole
-
-
-def _per_block(op: str, kernel, parents: tuple[Node, ...], arrays, layouts, out_layout, segs):
-    """The node of a segment op on a long batch of more than one sequence.
-
-    kernel(*arrays, *segs, parents) gives the op's output, computed from the
-    parents' arrays, and its backward, which returns a gradient for each
-    parent that requires one. A short batch, or one sequence, is one call of
-    the kernel, which the op makes itself; here the kernel runs on each
-    sequence's blocks as on a batch of one. The blocks of the output and of
-    the split inputs' gradients go back in place (maps 0 past their width),
-    and a shared input's gradient is the sum of its blocks' in batch order.
-    """
-    # A block of a map is copied to C order, as a batch of one holds it.
-    index = {at: _block_index(at, segs) for at in {*layouts, out_layout} - {None}}
-    take = np.ascontiguousarray
-    outs, backs = [], []
-    for i in range(segs[0].count):
-        inputs = [x if at is None else take(x[index[at][i]]) for x, at in zip(arrays, layouts)]
-        out, back = kernel(*inputs, *[_alone(s.lengths[i]) for s in segs], parents)
-        outs.append(out)
-        backs.append(back)
-
-    def backward_fn(g: np.ndarray):
-        grads = list(zip(*[back(take(g[i])) for back, i in zip(backs, index[out_layout])]))
-        return tuple(
-            _join(grads[k], at, index.get(at), segs) if p.requires_grad else None
-            for k, (p, at) in enumerate(zip(parents, layouts))
-        )
-
-    return _op(_join(outs, out_layout, index[out_layout], segs), op, parents, backward_fn)
 
 
 def _check_product(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
@@ -538,8 +472,6 @@ def row_softmax(a: Node, rows: Segments | None = None, cols: Segments | None = N
     n_rows, n_cols = x.shape
     rows, cols = _pairs("row_softmax", rows, cols, n_rows, n_cols if cols is None else cols.total)
     _check_same("row_softmax", x.shape, (rows.total, cols.width))
-    if rows.count > 1 and (rows.long or cols.long):
-        return _per_block("row_softmax", _row_softmax, (a,), (x,), (_MAP,), _MAP, (rows, cols))
     out, backward_fn = _row_softmax(x, rows, cols, (a,))
     return _op(out, "row_softmax", (a,), backward_fn)
 
@@ -592,8 +524,6 @@ def pool(a: Node, kind: str, segments: Segments | None = None) -> Node:
     x = a.value.array
     seg = _segments("pool", segments, x.shape[0])
     kernel = _pool_mean if kind == "mean" else _pool_max
-    if seg.count > 1 and seg.long:
-        return _per_block(f"pool_{kind}", kernel, (a,), (x,), (_ROWS,), _ONE, (seg,))
     out, backward_fn = kernel(x, seg, (a,))
     return _op(out, f"pool_{kind}", (a,), backward_fn)
 
@@ -678,8 +608,6 @@ def mse(a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = 
     n_rows, n_cols = aa.shape
     rows, cols = _pairs("mse", rows, cols, n_rows, n_cols if cols is None else cols.total)
     _check_same("mse", aa.shape, (rows.total, cols.width))
-    if rows.count > 1 and (rows.long or cols.long):
-        return _per_block("mse", _mse, (a, b), (aa, ba), (_MAP, _MAP), _ONE, (rows, cols))
     out, backward_fn = _mse(aa, ba, rows, cols, (a, b))
     return _op(out, "mse", (a, b), backward_fn)
 
@@ -707,8 +635,8 @@ def _mse(aa, ba, rows, cols, parents):
 # it has the chain's forward and backward array expressions, operand layouts
 # (a transpose is a contiguous copy going forward and a view coming back) and
 # fan-out summation order, so values and gradients are bitwise those of the
-# chain; on a short batch the same expressions run on the padded 3-D stack,
-# and on a long one on each sequence's blocks (`_per_block`). A gradient is
+# chain; on a batch the same expressions run on the padded 3-D stack, and on
+# a long self-attention batch on each sequence's rows. A gradient is
 # computed only for a parent that requires one, as matmul does.
 # ---------------------------------------------------------------------------
 
@@ -725,11 +653,28 @@ def self_attention(
     arrays = e.value.array, wq.value.array, wk.value.array, wv.value.array
     seg = _check_self_attention(*arrays, segments)
     parents = (e, wq, wk, wv)
-    if seg.count > 1 and seg.long:
-        return _per_block("self_attention", _self_attention, parents, arrays,
-                          (_ROWS, None, None, None), _ROWS, (seg,))
-    out, backward_fn = _self_attention(*arrays, seg, parents)
-    return _op(out, "self_attention", parents, backward_fn)
+    if seg.count == 1 or not seg.long:
+        out, backward_fn = _self_attention(*arrays, seg, parents)
+        return _op(out, "self_attention", parents, backward_fn)
+    # A long batch: each sequence's rows run as a batch of one (see LONG_ROWS).
+    # A block is taken in C order, as a batch of one holds it.
+    take = np.ascontiguousarray
+    blocks = [slice(o, o + n) for o, n in zip(seg.offsets, seg.lengths)]
+    outs, backs = zip(*[
+        _self_attention(take(arrays[0][rows]), *arrays[1:], _alone(n), parents)
+        for rows, n in zip(blocks, seg.lengths)
+    ])
+
+    def backward_fn(g: np.ndarray):
+        ge, *gw = zip(*[back(take(g[rows])) for back, rows in zip(backs, blocks)])
+        # Each shared weight's gradient is its blocks' summed in batch order.
+        return (
+            np.concatenate(ge) if e.requires_grad else None,
+            *(functools.reduce(np.add, gs) if p.requires_grad else None
+              for p, gs in zip(parents[1:], gw)),
+        )
+
+    return _op(np.concatenate(outs), "self_attention", parents, backward_fn)
 
 
 def _check_self_attention(x, wqa, wka, wva, segments: Segments | None) -> Segments:
@@ -833,24 +778,15 @@ def bilinear_softmax(
 
     a's rows are split by `rows`, b's by `cols`; the result is a stack of maps.
     """
-    arrays = a.value.array, b.value.array, bilinear.value.array
-    rows, cols = _check_bilinear_softmax(*arrays, rows, cols)
     parents = (a, b, bilinear)
-    if rows.count > 1 and (rows.long or cols.long):
-        return _per_block("bilinear_softmax", _bilinear_softmax, parents, arrays,
-                          (_ROWS, _COLS, None), _MAP, (rows, cols))
-    out, backward_fn = _bilinear_softmax(*arrays, rows, cols, parents)
+    out, backward_fn = _bilinear_softmax(*[p.value.array for p in parents], rows, cols, parents)
     return _op(out, "bilinear_softmax", parents, backward_fn)
 
 
-def _check_bilinear_softmax(aa, ba, wa, rows: Segments | None, cols: Segments | None):
+def _bilinear_softmax(aa, ba, wa, rows, cols, parents):
     _check_product("matmul", ba.shape, wa.shape)
     rows, cols = _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
     _check_product("matmul", (rows.width, aa.shape[1]), (wa.shape[1], cols.width))
-    return rows, cols
-
-
-def _bilinear_softmax(aa, ba, wa, rows, cols, parents):
     ap = rows.pad(aa)
     mapped_t = np.ascontiguousarray(_t(cols.pad(ba @ wa)))
     scores = ap @ mapped_t
@@ -878,22 +814,13 @@ def paired_scores(
 
     A stack of maps; one segment pair is matmul(a, transpose(b)).
     """
-    arrays = a.value.array, b.value.array
-    rows, cols = _check_paired_scores(*arrays, rows, cols)
-    if rows.count > 1 and (rows.long or cols.long):
-        return _per_block("paired_scores", _paired_scores, (a, b), arrays, (_ROWS, _COLS), _MAP,
-                          (rows, cols))
-    out, backward_fn = _paired_scores(*arrays, rows, cols, (a, b))
+    out, backward_fn = _paired_scores(a.value.array, b.value.array, rows, cols, (a, b))
     return _op(out, "paired_scores", (a, b), backward_fn)
 
 
-def _check_paired_scores(aa, ba, rows: Segments | None, cols: Segments | None):
+def _paired_scores(aa, ba, rows, cols, parents):
     rows, cols = _pairs("paired_scores", rows, cols, aa.shape[0], ba.shape[0])
     _check_product("matmul", (rows.width, aa.shape[1]), (ba.shape[1], cols.width))
-    return rows, cols
-
-
-def _paired_scores(aa, ba, rows, cols, parents):
     ap = rows.pad(aa)
     bt = np.ascontiguousarray(_t(cols.pad(ba)))
 
@@ -914,12 +841,9 @@ def paired_mix(
 
     w is a stack of maps; one segment pair is matmul(w, b).
     """
-    arrays = wa, ba = w.value.array, b.value.array
+    wa, ba = w.value.array, b.value.array
     rows, cols = _pairs("paired_mix", rows, cols, wa.shape[0], ba.shape[0])
     _check_product("matmul", wa.shape, (cols.width, ba.shape[1]))
-    if rows.count > 1 and (rows.long or cols.long):
-        return _per_block("paired_mix", _paired_mix, (w, b), arrays, (_MAP, _COLS), _ROWS,
-                          (rows, cols))
     out, backward_fn = _paired_mix(wa, ba, rows, cols, (w, b))
     return _op(out, "paired_mix", (w, b), backward_fn)
 
@@ -1228,38 +1152,13 @@ def run_op_grad_suite(
         lambda a, b: weighted_sum((a, b), (0.7, -1.3)),
     )
 
-    # Long forms: a batch holding one sequence of LONG_ROWS rows runs each
-    # sequence as its own block. Two columns keep the probe count small.
-    long, short = Segments((LONG_ROWS, 1)), Segments((1, 2))
+    # The long form: a batch holding one sequence of LONG_ROWS rows runs
+    # self-attention one sequence at a time. Two columns keep the probe count small.
+    long = Segments((LONG_ROWS, 1))
     n = long.total
     run(
         "self_attention[long]",
         lambda: [_random_matrix(rng, n, 2)] + [_random_matrix(rng, 2, 2, 0.5) for _ in range(3)],
         lambda e, wq, wk, wv: self_attention(e, wq, wk, wv, long),
-    )
-    run(
-        "bilinear_softmax[long]",
-        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, 3, 2), _random_matrix(rng, 2, 2, 0.5)],
-        lambda a, b, w: bilinear_softmax(a, b, w, long, short),
-    )
-    run(
-        "paired_scores[long]",
-        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, 3, 2)],
-        lambda a, b: paired_scores(a, b, long, short),
-    )
-    run(
-        "paired_mix[long]",
-        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, 3, 2)],
-        lambda w, b: paired_mix(w, b, long, short),
-    )
-    run(
-        "row_softmax[long]",
-        lambda: [_random_matrix(rng, n, 2)],
-        lambda a: row_softmax(a, long, short),
-    )
-    run(
-        "mse[long]",
-        lambda: [_random_matrix(rng, n, 2), _random_matrix(rng, n, 2)],
-        lambda a, b: mse(a, b, long, short),
     )
     return reports

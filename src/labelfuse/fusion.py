@@ -47,12 +47,11 @@ batch's stacked rows and their `diffcore.Segments`: label attention is
 label-guided one `paired_scores`, the aligned speech `paired_mix`, the
 classifier and tower heads `affine`, and the loss total `weighted_sum`. A
 `constraint` training graph is 20 nodes for any batch size; a prediction
-builds none. Each modality's segments decide how the per-sequence ops run
-(see `diffcore`): a batch of short sequences is padded inside each op, and
-one whose longest sequence reaches `diffcore.LONG_ROWS` rows runs one
-sequence at a time. At the reference shape (10-30 tokens, 40-120 frames)
-that pads the text encoder and runs the speech encoder, the three
-text x speech maps and the speech guidance pooling per utterance.
+builds none. Each per-sequence op pads the batch inside the op (see
+`diffcore`), except that self-attention runs a modality whose longest
+sequence reaches `diffcore.LONG_ROWS` rows one sequence at a time. At the
+reference shape (10-30 tokens, 40-120 frames) that runs the speech
+encoder's self-attention per utterance and pads everything else.
 """
 
 from __future__ import annotations
@@ -72,8 +71,6 @@ from .diffcore import (
     _affine,
     _alone,
     _bilinear_softmax,
-    _check_bilinear_softmax,
-    _check_paired_scores,
     _check_self_attention,
     _cosine_scores,
     _gather,
@@ -478,12 +475,12 @@ def predict_logits(
             _cosine_scores(h_text, params["labels.text"].value.array, ())[0],
             _cosine_scores(h_speech, params["labels.speech"].value.array, ())[0],
         )
-        align, _ = _paired_scores(*profiles, *_check_paired_scores(*profiles, text, speech), ())
+        align, _ = _paired_scores(*profiles, text, speech, ())
         if normalize_label_attention:
             align, _ = _row_softmax(align, text, speech, ())
     if mode is not FusionMode.ONLY_LABEL:
-        arrays = h_text, h_speech, params["fusion.cross_map"].value.array
-        vanilla, _ = _bilinear_softmax(*arrays, *_check_bilinear_softmax(*arrays, text, speech), ())
+        cross_map = params["fusion.cross_map"].value.array
+        vanilla, _ = _bilinear_softmax(h_text, h_speech, cross_map, text, speech, ())
         align = vanilla if align is None else vanilla + align
     mixed, _ = _paired_mix(align, h_speech, text, speech, ())
     return _head_logits(np.concatenate([h_text, mixed], axis=1), text, params, "fusion.classifier")

@@ -34,14 +34,20 @@ def option(default, help_text: str, key: str | None = None):
     return dataclasses.field(default=default, metadata=metadata)
 
 
-def check_value(name: str, kind, value):
-    """Return `value` as a field of type `kind` stores it.
-
-    ConfigError if it has another type, or is a float field's NaN or infinity.
-    """
+def check_type(name: str, kind, value) -> None:
+    """ConfigError unless `value` has the type a field of type `kind` takes."""
     if not _fits(kind, value):
         kind_name = kind.__name__ if isinstance(kind, type) else str(kind)
         raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
+
+
+def check_value(name: str, kind, value):
+    """Return `value` as a field of type `kind` stores it.
+
+    ConfigError if it has another type (`check_type`), or is a float field's
+    NaN or infinity.
+    """
+    check_type(name, kind, value)
     if kind is not float:
         return value
     stored = _as_float(value)
@@ -70,11 +76,11 @@ def store_floats(config) -> None:
             object.__setattr__(config, f.name, _as_float(value))
 
 
-def check_fields(config) -> None:
-    """Apply `check_value` to every field of the dataclass instance `config`."""
+def check_fields(config, check=check_value) -> None:
+    """Apply `check` (`check_value` or `check_type`) to every field of the dataclass `config`."""
     types = field_types(type(config))
     for f in dataclasses.fields(config):
-        check_value(f.name, types[f.name], getattr(config, f.name))
+        check(f.name, types[f.name], getattr(config, f.name))
 
 
 def _as_float(value) -> float:

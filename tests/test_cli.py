@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tempfile
 
 import pytest
@@ -67,6 +68,24 @@ class TestUsage:
         assert rc == 1
         field = flag[2:].split("=")[0].replace("-", "_")
         assert capsys.readouterr().err == f"error: {field} must be finite, got {flag[-3:]}\n"
+        assert not run.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        (2.0, "salience_prob must be within [0, 1]"),
+        (math.nan, "salience_prob must be finite, got nan"),
+    ])
+    def test_bad_corpus_header_value_exits_1_with_its_line(self, corpus_file, tmp_path, capsys,
+                                                           value, message):
+        lines = corpus_file.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["salience_prob"] = value
+        corpus_file.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        run = tmp_path / "run"
+        rc = cli.main(["train", "--out-dir", str(run), "--corpus-file", str(corpus_file),
+                       *SMALL_TRAIN])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
         assert not run.exists()
 
     def test_validation_failure_exits_1(self, out, capsys):
@@ -725,7 +744,7 @@ class TestRejectedRunWritesNothing:
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)
-    | st.floats(allow_nan=False, allow_infinity=False),
+    | st.floats(),  # NaN and infinity too, which json writes as NaN and Infinity
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=3),
     max_leaves=8,

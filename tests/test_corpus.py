@@ -249,6 +249,32 @@ class TestSaveLoad:
         with pytest.raises(CorpusParseError, match=f"wrong type .*{field}"):
             cp.load(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("salience_prob", 2.0, "salience_prob must be within [0, 1]"),
+        ("context_utterances", -1, "context_utterances must be >= 0"),
+        ("text_len", [6, 3], "text_len range must satisfy 1 <= min <= max, got 6..3"),
+    ])
+    def test_header_field_out_of_range(self, tmp_path, field, value, message):
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(), 5), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        header[field] = value
+        path = self.rewrite_header(tmp_path, json.dumps(header))
+        with pytest.raises(CorpusValidationError) as error:
+            cp.load(path)
+        assert str(error.value) == f"line 1: {message}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_header_field_not_finite(self, tmp_path, value):
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(small_spec(), 5), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        header["salience_prob"] = value
+        path = self.rewrite_header(tmp_path, json.dumps(header))
+        with pytest.raises(CorpusValidationError) as error:
+            cp.load(path)
+        assert str(error.value) == f"line 1: salience_prob must be finite, got {value!r}"
+
     @pytest.mark.parametrize("field, groups, error, match", [
         ("planted_tokens", [[1.5], [4], [7]], CorpusParseError, "wrong type .*planted_tokens"),
         ("planted_tokens", [["7"], [4], [8]], CorpusParseError, "wrong type .*planted_tokens"),

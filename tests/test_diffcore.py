@@ -527,8 +527,8 @@ class TestFusedOps:
 
 
 ROWS, COLS = dc.Segments((3, 1, 2)), dc.Segments((2, 4, 1))
-# A long pair: the rows hold a sequence of dc.LONG_ROWS rows, so every segment
-# op runs each sequence as its own block.
+# A long pair: the rows hold a sequence of dc.LONG_ROWS rows, so self_attention
+# runs each sequence as its own block.
 LONG_BATCH_ROWS = dc.Segments((2, dc.LONG_ROWS, 1))
 LONG_BATCH_COLS = dc.Segments((3, 1, 5))
 
@@ -613,8 +613,9 @@ def segment_ops(rows, cols):
 
 SEGMENT_OPS = segment_ops(ROWS, COLS)
 LONG_OPS = segment_ops(LONG_BATCH_ROWS, LONG_BATCH_COLS)
-# The ops a long batch runs block by block.
-BLOCK_OPS = [name for name in LONG_OPS if name != "cross_entropy"]
+# The ops that take segments: a long batch runs self_attention per sequence and pads the rest.
+PER_SEQUENCE_OPS = [name for name in LONG_OPS if name != "cross_entropy"]
+PADDED_OPS = [name for name in PER_SEQUENCE_OPS if name != "self_attention"]
 
 
 class TestSegments:
@@ -700,30 +701,6 @@ class TestSegmentOps:
         check_padding_takes_no_gradient(SEGMENT_OPS, name, ROWS, COLS)
 
 
-# name -> (how each input splits over the long batch's segments, the op on one block).
-ALONE = {
-    "self_attention": (("rows", None, None, None), dc.self_attention),
-    "bilinear_softmax": (("rows", "cols", None), dc.bilinear_softmax),
-    "paired_scores": (("rows", "cols"), dc.paired_scores),
-    "paired_mix": (("map", "cols"), dc.paired_mix),
-    "row_softmax": (("map",), dc.row_softmax),
-    "mse": (("map", "map"), dc.mse),
-    "pool_mean": (("rows",), lambda a: dc.pool(a, "mean")),
-    "pool_max": (("rows",), lambda a: dc.pool(a, "max")),
-}
-
-
-def piece(x, layout, i):
-    """Sequence i's block of x, laid out over the long batch's segments as `layout`."""
-    if layout == "one":
-        return x[i : i + 1]
-    if layout == "cols":
-        return block(x, LONG_BATCH_COLS, i)
-    if layout == "map":
-        return block(x, LONG_BATCH_ROWS, i)[:, : LONG_BATCH_COLS.lengths[i]]
-    return x if layout is None else block(x, LONG_BATCH_ROWS, i)
-
-
 def padded(monkeypatch, lengths):
     """Segments of `lengths` built while no batch counts as long: the padded path."""
     monkeypatch.setattr(dc, "LONG_ROWS", 1 << 30)
@@ -742,50 +719,47 @@ def run_with_grads(build, values):
 
 
 class TestLongBatches:
-    """A long batch runs each sequence as a batch of one: the same values and gradients."""
+    """Self-attention runs a long batch one sequence at a time; every other op pads it."""
 
-    @pytest.mark.parametrize("name", BLOCK_OPS)
+    @pytest.mark.parametrize("name", PER_SEQUENCE_OPS)
     def test_each_segment_as_if_alone(self, name):
         check_each_segment_as_if_alone(LONG_OPS, name, LONG_BATCH_ROWS, LONG_BATCH_COLS)
 
-    @pytest.mark.parametrize("name", BLOCK_OPS)
+    @pytest.mark.parametrize("name", PER_SEQUENCE_OPS)
     def test_padding_takes_no_gradient_and_gives_finite_ones(self, name):
         check_padding_takes_no_gradient(LONG_OPS, name, LONG_BATCH_ROWS, LONG_BATCH_COLS)
 
-    @pytest.mark.parametrize("name", BLOCK_OPS)
+    @pytest.mark.parametrize("name", ["self_attention"])
     def test_gradients_are_each_blocks_own_and_shared_ones_summed(self, name):
-        # Bit for bit: a split input's gradient block is its batch of one's, and
-        # a shared weight's gradient is the batch-of-one gradients added in order.
-        layouts, op = ALONE[name]
-        shapes, batched, _, out_layout = LONG_OPS[name]
+        # Bit for bit: e's gradient block is its batch of one's, and each weight's
+        # gradient is the batch-of-one gradients added in order.
+        shapes, batched, _, _ = LONG_OPS[name]
         rng = np.random.default_rng(65)
-        values = [rand(rng, *shape).array for shape in shapes]
-        leaves = [dc.parameter(v) for v in values]
+        e, *weights = [rand(rng, *shape).array for shape in shapes]
+        leaves = [dc.parameter(v) for v in (e, *weights)]
         out = batched(*leaves)
         r = rng.normal(size=out.value.shape)
         dc.backward(readout(out, r))
-        shared = [None] * len(values)
+        shared = [None] * len(weights)
         for i in range(LONG_BATCH_ROWS.count):
-            parts = [dc.parameter(piece(v, at, i)) for v, at in zip(values, layouts)]
-            dc.backward(readout(op(*parts), piece(r, out_layout, i)))
-            for k, (leaf, part, at) in enumerate(zip(leaves, parts, layouts)):
-                if at is None:
-                    g = part.grad.array
-                    shared[k] = g if shared[k] is None else shared[k] + g
-                else:
-                    assert np.array_equal(piece(leaf.grad.array, at, i), part.grad.array)
-        for leaf, total in zip(leaves, shared):
-            if total is not None:
-                assert np.array_equal(leaf.grad.array, total)
+            parts = [dc.parameter(v) for v in (block(e, LONG_BATCH_ROWS, i), *weights)]
+            dc.backward(readout(dc.self_attention(*parts), block(r, LONG_BATCH_ROWS, i)))
+            assert np.array_equal(block(leaves[0].grad.array, LONG_BATCH_ROWS, i),
+                                  parts[0].grad.array)
+            for k, part in enumerate(parts[1:]):
+                g = part.grad.array
+                shared[k] = g if shared[k] is None else shared[k] + g
+        for leaf, total in zip(leaves[1:], shared):
+            assert np.array_equal(leaf.grad.array, total)
 
-    @pytest.mark.parametrize("name", BLOCK_OPS)
+    @pytest.mark.parametrize("name", ["self_attention"])
     def test_63_rows_run_padded_and_64_run_in_blocks(self, name, monkeypatch):
         rng = np.random.default_rng(68)
         for longest, is_long in ((dc.LONG_ROWS - 1, False), (dc.LONG_ROWS, True)):
             lengths = (3, longest, 1)
             rows, cols = dc.Segments(lengths), dc.Segments((2, 5, 1))
             assert rows.long is is_long
-            shapes, batched, alone, layout = segment_ops(rows, cols)[name]
+            shapes, batched, alone, _ = segment_ops(rows, cols)[name]
             values = [rand(rng, *shape) for shape in shapes]
             got_value, got_grads = run_with_grads(batched, values)
             # The padded path, on segments built while no batch counts as long.
@@ -798,11 +772,22 @@ class TestLongBatches:
                 continue
             for i in range(rows.count):  # the per-block bits: each block's batch of one
                 want = alone(i, *[v.array for v in values]).value.array
-                got = got_value.array
-                got = got[i : i + 1] if layout == "one" else block(got, rows, i)
-                assert np.array_equal(got[:, : want.shape[1]], want), (name, i)
+                assert np.array_equal(block(got_value.array, rows, i), want), (name, i)
             for got, want in zip(got_grads, want_grads):
                 assert got.allclose(want, atol=1e-12)
+
+    @pytest.mark.parametrize("name", PADDED_OPS)
+    def test_pads_a_long_batch(self, name, monkeypatch):
+        # Bit for bit the values and gradients of segments built while no batch is long.
+        rng = np.random.default_rng(69)
+        shapes, batched, _, _ = LONG_OPS[name]
+        values = [rand(rng, *shape) for shape in shapes]
+        got_value, got_grads = run_with_grads(batched, values)
+        pad_rows = padded(monkeypatch, LONG_BATCH_ROWS.lengths)
+        pad_cols = padded(monkeypatch, LONG_BATCH_COLS.lengths)
+        want_value, want_grads = run_with_grads(segment_ops(pad_rows, pad_cols)[name][1], values)
+        assert got_value == want_value
+        assert got_grads == want_grads
 
 
 # (op, input shapes) that do not fit rows (2, dc.LONG_ROWS, 1) and columns (3, 1, 5):
@@ -829,6 +814,8 @@ MISFITS = [
 
 
 class TestLongMisfits:
+    """A long batch raises the DimensionError of a padded one, whatever the op."""
+
     @pytest.mark.parametrize("name, shapes", MISFITS)
     def test_same_dimension_error_on_both_paths(self, name, shapes, monkeypatch):
         lengths, col_lengths = (2, dc.LONG_ROWS, 1), (3, 1, 5)
