@@ -4,12 +4,12 @@ Subcommands: gen-corpus, extract-labels, train, evaluate, ablate, sweep-k,
 score-fusion, export-attention, grad-check.
 
 Defaults live in the dataclasses: each `TrainConfig`/`CorpusSpec` field is
-an option with the field's name (or metadata "key"), type, default and help;
-a (min, max) range field is the two options <name>_min and <name>_max.
+an option with the field's name (or metadata "key"), type, default, help and
+domain; a (min, max) range field is the options <name>_min and <name>_max.
 Option precedence is flags > config file (--config, JSON) > defaults; a
 config file with a key the subcommand does not know is a usage error. Every
-value, from a flag or the config file, passes the one type rule of
-`valuetypes`, and the typed configs are built and validated before any work.
+value, from a flag or the config file, passes the type rule and its domain
+(`valuetypes`), and the typed configs are built and validated before any work.
 A rejected run writes nothing. A run with results creates the fixed
 subdirectories of the output dir (config/, checkpoints/, logs/, reports/,
 plots/), replaces its files atomically and, last, writes the resolved options
@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 validation or runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -37,9 +38,9 @@ from .atomic import write_atomic
 from .corpus import CorpusSpec
 from .diffcore import run_op_grad_suite
 from .errors import ConfigError, LabelFuseError
-from .fusion import FusionMode, attention_maps, full_loss_grad_check
+from .fusion import TOWERS, FusionMode, attention_maps, full_loss_grad_check
 from .trainer import TrainConfig
-from .valuetypes import check_value, field_types
+from .valuetypes import POSITIVE, at_least, check_value, field_types
 
 ENV_OUT_DIR = "LABELFUSE_OUT"
 DEFAULT_OUT_DIR = "runs"
@@ -69,20 +70,22 @@ def _parse_int_list(text: str) -> list[int]:
 FLAG_PARSERS = {bool: _parse_bool, list[int]: _parse_int_list}
 
 _RANGE_ENDS = (("min", "minimum"), ("max", "maximum"))
+# One option. A default of None leaves it unset; a choice option's help is its domain's values.
+Key = collections.namedtuple("Key", "key kind default help domain", defaults=(None,))
 
 
 def _field_options(cls):
-    """Yield (field name, its options) per field of `cls`; option = (key, type, default, help)."""
+    """Yield (field name, its `Key`s) per field of `cls`."""
     types = field_types(cls)
     for f in dataclasses.fields(cls):
-        key, kind, help_text = f.metadata.get("key", f.name), types[f.name], f.metadata["help"]
+        key, kind, domain = f.metadata["key"] or f.name, types[f.name], f.metadata["domain"]
         if typing.get_origin(kind) is tuple:
             yield f.name, [
-                (f"{key}_{end}", part, bound, f"{word} {help_text}")
+                Key(f"{key}_{end}", part, bound, f"{word} {f.metadata['help']}", domain)
                 for (end, word), part, bound in zip(_RANGE_ENDS, typing.get_args(kind), f.default)
             ]
         else:
-            yield f.name, [(key, kind, f.default, help_text)]
+            yield f.name, [Key(key, kind, f.default, f.metadata["help"], domain)]
 
 
 def _options(cls) -> list:
@@ -100,22 +103,23 @@ def _build(cls, resolved: dict):
 
 
 # Its default varies by machine; the reports do not depend on it.
-JOBS_KEY = ("jobs", int, None, "processes running the (seed x condition) grid "
-            "(default every usable core)")
+JOBS_KEY = Key("jobs", int, None, "processes running the (seed x condition) grid "
+               "(default every usable core)")
 
 SPLIT_KEYS = [
-    ("train_fraction", float, 0.8, "per-class fraction assigned to the train side"),
-    ("split_seed", int, 0, "seed of the stratified split"),
+    Key("train_fraction", float, 0.8, "per-class fraction assigned to the train side"),
+    Key("split_seed", int, 0, "seed of the stratified split", at_least(0)),
 ]
 # evaluate and a resumed train read the split the checkpoint was trained on; a
 # flag may only repeat it (`_resolve_split`).
 RECORDED_SPLIT_KEYS = [
-    (key, kind, None, f"{help_text} (default the checkpoint's, else {default})")
-    for key, kind, default, help_text in SPLIT_KEYS
+    opt._replace(default=None, help=f"{opt.help} (default the checkpoint's, else {opt.default})")
+    for opt in SPLIT_KEYS
 ]
 
-CORPUS_FILE_KEY = ("corpus_file", str, None, "corpus file to read")
-CHECKPOINT_KEY = ("checkpoint", str, None, "checkpoint file")
+CORPUS_FILE_KEY = Key("corpus_file", str, None, "corpus file to read")
+CHECKPOINT_KEY = Key("checkpoint", str, None, "checkpoint file")
+SPLITS = ("train", "heldout", "all")  # evaluate's --split
 
 
 class Subcommand:
@@ -138,8 +142,9 @@ class Subcommand:
         parser = subparsers.add_parser(self.name, help=self.help_text)
         parser.add_argument("--config", help="JSON file with option keys")
         parser.add_argument("--out-dir", dest="out_dir", help="output directory root")
-        for key, kind, default, help_text in self.keys:
+        for key, kind, default, help_text, domain in self.keys:
             flag = "--" + key.replace("_", "-")
+            help_text = help_text or " | ".join(domain)
             if default is not None:
                 help_text = f"{help_text} (default {default})"
             parser.add_argument(flag, dest=key, type=FLAG_PARSERS.get(kind, kind), default=None,
@@ -148,9 +153,9 @@ class Subcommand:
 
     def resolve(self, args: argparse.Namespace) -> tuple[dict, dict]:
         """The typed option values and the built configs, or a LabelFuseError."""
-        table = {key: (kind, default) for key, kind, default, _ in self.keys}
-        table["out_dir"] = (str, os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR))
-        resolved = {key: default for key, (_, default) in table.items()}
+        table = {opt.key: opt for opt in self.keys}
+        table["out_dir"] = Key("out_dir", str, os.environ.get(ENV_OUT_DIR, DEFAULT_OUT_DIR), None)
+        resolved = {key: opt.default for key, opt in table.items()}
         if args.config:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -170,9 +175,9 @@ class Subcommand:
             value = getattr(args, key, None)
             if value is not None:
                 resolved[key] = value
-        for key, (kind, default) in table.items():
-            if resolved[key] is not None or default is not None:  # None means unset
-                resolved[key] = check_value(key, kind, resolved[key])
+        for key, opt in table.items():
+            if resolved[key] is not None or opt.default is not None:  # None means unset
+                resolved[key] = check_value(key, opt.kind, resolved[key], opt.domain)
         for key in self.required:
             if resolved[key] is None:
                 raise ConfigError(f"{self.name} requires --{key.replace('_', '-')}")
@@ -205,7 +210,7 @@ def _resolve_split(resolved: dict, recorded: dict | None) -> None:
     A given key that differs from the recorded one is a ConfigError.
     """
     recorded = recorded or {}
-    for key, _, default, _ in SPLIT_KEYS:
+    for key, _, default, *_ in SPLIT_KEYS:
         given = resolved[key]
         if key in recorded and given is not None and given != recorded[key]:
             raise ConfigError(
@@ -240,7 +245,7 @@ def _cmd_extract_labels(resolved: dict) -> int:
     corpus = corpus_mod.load(resolved["corpus_file"])
     ranked = {
         m: labelkit.tfidf_topk(labelkit.class_sequences(corpus, m), resolved[f"top_k_{m}"])
-        for m in ("text", "speech")
+        for m in TOWERS
     }
     reports = _out_layout(resolved)["reports"]
     for m, desc in ranked.items():
@@ -278,10 +283,7 @@ def _cmd_evaluate(resolved: dict) -> int:
     model = trainer.model_from_checkpoint(checkpoint)
     corpus, train_c, heldout_c = _load_split(resolved)
     trainer.check_fit(model, corpus, checkpoint.config)
-    parts = {"train": train_c, "heldout": heldout_c, "all": corpus}
-    if resolved["split"] not in parts:
-        raise ConfigError(f"split must be one of {sorted(parts)}, got {resolved['split']!r}")
-    part = parts[resolved["split"]]
+    part = dict(zip(SPLITS, (train_c, heldout_c, corpus)))[resolved["split"]]
     result = evalkit.evaluate(trainer.model_predictor(model, checkpoint.config), part)
     lines = [
         "metric,value",
@@ -305,8 +307,6 @@ SUITES = {
 
 
 def _cmd_ablate(resolved: dict, spec: CorpusSpec, config: TrainConfig) -> int:
-    if resolved["suite"] not in SUITES:
-        raise ConfigError(f"unknown ablation suite {resolved['suite']!r}")
     conditions = SUITES[resolved["suite"]](config)
     report = evalkit.run_ablation(
         conditions, spec, resolved["n"], resolved["train_fraction"], resolved["seeds"],
@@ -328,11 +328,7 @@ DEFAULT_K_GRID = {"text": [3, 6, 9, 15, 30], "speech": [25, 50, 100, 200]}
 
 def _cmd_sweep_k(resolved: dict, spec: CorpusSpec, config: TrainConfig) -> int:
     if resolved["k_values"] is None:
-        resolved["k_values"] = DEFAULT_K_GRID.get(resolved["sweep_modality"])
-        if resolved["k_values"] is None:
-            raise ConfigError(
-                f"sweep modality must be 'text' or 'speech', got {resolved['sweep_modality']!r}"
-            )
+        resolved["k_values"] = DEFAULT_K_GRID[resolved["sweep_modality"]]
     points = evalkit.sweep_k(
         resolved["k_values"], resolved["sweep_modality"], config, spec, resolved["n"],
         resolved["train_fraction"], resolved["seeds"], resolved["jobs"],
@@ -352,7 +348,7 @@ def _cmd_score_fusion(resolved: dict, config: TrainConfig) -> int:
     if config.epochs < 1:  # an untrained tower's score says nothing about training
         raise ConfigError(f"score-fusion needs epochs >= 1, got {config.epochs}")
     _, train_c, heldout_c = _load_split(resolved)
-    towers = [replace(config, modality=modality) for modality in ("text", "speech")]
+    towers = [replace(config, modality=modality) for modality in TOWERS]
     models = [trainer.fit(train_c, tower) for tower in towers]
     results = [(tower.modality, trainer.evaluate_final(model, heldout_c, tower))
                for tower, model in zip(towers, models)]
@@ -413,15 +409,15 @@ SUBCOMMANDS = [
         "generate a synthetic paired corpus and write it to a file",
         _cmd_gen_corpus, {"spec": CorpusSpec},
         [
-            ("n", int, 1000, "number of utterances"),
-            ("corpus_file", str, None, "output corpus path (default <out-dir>/corpus.txt)"),
+            Key("n", int, 1000, "number of utterances"),
+            Key("corpus_file", str, None, "output corpus path (default <out-dir>/corpus.txt)"),
         ],
     ),
     Subcommand(
         "extract-labels",
         "write per-class tf-idf keyword tables for both modalities",
         _cmd_extract_labels, {},
-        [CORPUS_FILE_KEY, *(o for o in _options(TrainConfig) if o[0].startswith("top_k_"))],
+        [CORPUS_FILE_KEY, *(o for o in _options(TrainConfig) if o.key.startswith("top_k_"))],
         required=["corpus_file"],
     ),
     Subcommand(
@@ -429,7 +425,7 @@ SUBCOMMANDS = [
         "train a model on a stratified split of a corpus file",
         _cmd_train, {"config": TrainConfig},
         RECORDED_SPLIT_KEYS + [CORPUS_FILE_KEY,
-                               ("resume_from", str, None, "checkpoint to resume from")],
+                               Key("resume_from", str, None, "checkpoint to resume from")],
         required=["corpus_file"],
     ),
     Subcommand(
@@ -437,7 +433,7 @@ SUBCOMMANDS = [
         "evaluate a checkpoint on a corpus split",
         _cmd_evaluate, {},
         RECORDED_SPLIT_KEYS + [CHECKPOINT_KEY, CORPUS_FILE_KEY,
-                               ("split", str, "heldout", "train | heldout | all")],
+                               Key("split", str, "heldout", None, SPLITS)],
         required=["checkpoint", "corpus_file"],
     ),
     Subcommand(
@@ -445,9 +441,9 @@ SUBCOMMANDS = [
         "train and evaluate a named condition suite across seeds",
         _cmd_ablate, {"spec": CorpusSpec, "config": TrainConfig},
         SPLIT_KEYS + [
-            ("suite", str, "fusion-modes", "fusion-modes | label-inits | guidance"),
-            ("n", int, 400, "corpus size per seed"),
-            ("seeds", list[int], [0, 1, 2, 3, 4], "comma-separated seeds"),
+            Key("suite", str, "fusion-modes", None, tuple(SUITES)),
+            Key("n", int, 400, "corpus size per seed"),
+            Key("seeds", list[int], [0, 1, 2, 3, 4], "comma-separated seeds", at_least(0)),
             JOBS_KEY,
         ],
     ),
@@ -456,11 +452,11 @@ SUBCOMMANDS = [
         "sweep the top-k label description size for one modality",
         _cmd_sweep_k, {"spec": CorpusSpec, "config": TrainConfig},
         SPLIT_KEYS + [
-            ("sweep_modality", str, "speech", "text | speech"),
-            ("k_values", list[int], None,
-             "comma-separated k values (default 3,6,9,15,30 text / 25,50,100,200 speech)"),
-            ("n", int, 400, "corpus size per seed"),
-            ("seeds", list[int], [0], "comma-separated seeds"),
+            Key("sweep_modality", str, "speech", None, TOWERS),
+            Key("k_values", list[int], None,
+                "comma-separated k values (default 3,6,9,15,30 text / 25,50,100,200 speech)"),
+            Key("n", int, 400, "corpus size per seed"),
+            Key("seeds", list[int], [0], "comma-separated seeds", at_least(0)),
             JOBS_KEY,
         ],
     ),
@@ -475,7 +471,8 @@ SUBCOMMANDS = [
         "export-attention",
         "export class-averaged attention tables and an SVG plot",
         _cmd_export_attention, {},
-        [CHECKPOINT_KEY, CORPUS_FILE_KEY, ("index", int, 0, "utterance index within the corpus")],
+        [CHECKPOINT_KEY, CORPUS_FILE_KEY,
+         Key("index", int, 0, "utterance index within the corpus")],
         required=["checkpoint", "corpus_file"],
     ),
     Subcommand(
@@ -483,9 +480,9 @@ SUBCOMMANDS = [
         "finite-difference check of every op and the full objective",
         _cmd_grad_check, {},
         [
-            ("probes_per_op", int, 100, "random instances per op"),
-            ("tolerance", float, 1e-4, "maximum relative error accepted"),
-            ("seed", int, 0, "probe seed"),
+            Key("probes_per_op", int, 100, "random instances per op"),
+            Key("tolerance", float, 1e-4, "maximum relative error accepted", POSITIVE),
+            Key("seed", int, 0, "probe seed"),
         ],
     ),
 ]

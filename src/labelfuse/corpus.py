@@ -30,7 +30,7 @@ from .errors import (
     CorpusValidationError,
     StratificationError,
 )
-from .valuetypes import check_fields, check_type, option, store_floats
+from .valuetypes import at_least, check_fields, check_value, option, store_floats, within
 
 
 @dataclass(frozen=True)
@@ -44,45 +44,36 @@ class Utterance:
 class CorpusSpec:
     """Knobs that fully determine a generated corpus (together with n)."""
 
-    classes: int = option(4, "number of classes")
-    vocab_text: int = option(120, "text vocabulary size")
-    vocab_speech: int = option(240, "speech code vocabulary size")
+    classes: int = option(4, "number of classes", domain=at_least(1))
+    vocab_text: int = option(120, "text vocabulary size", domain=at_least(1))
+    vocab_speech: int = option(240, "speech code vocabulary size", domain=at_least(1))
     # A (min, max) range is the two options <name>_min and <name>_max.
-    text_len: tuple[int, int] = option((10, 30), "token sequence length")
-    speech_len: tuple[int, int] = option((40, 120), "frame sequence length")
-    salient_per_class: int = option(6, "planted symbols per class per modality")
-    salience_prob: float = option(0.3, "probability a position carries a planted symbol")
-    seed: int = option(0, "corpus generation seed", key="corpus_seed")
+    text_len: tuple[int, int] = option((10, 30), "token sequence length", domain=at_least(1))
+    speech_len: tuple[int, int] = option((40, 120), "frame sequence length", domain=at_least(1))
+    salient_per_class: int = option(6, "planted symbols per class per modality", domain=at_least(1))
+    salience_prob: float = option(0.3, "probability a position carries a planted symbol",
+                                  domain=within(0, 1))
+    seed: int = option(0, "corpus generation seed", key="corpus_seed", domain=at_least(0))
     # When > 0, tokens of up to this many earlier same-class utterances are
     # prepended to the text side, imitating spliced dialog history.
     context_utterances: int = option(
-        0, "same-class history utterances spliced into the text side"
+        0, "same-class history utterances spliced into the text side", domain=at_least(0)
     )
 
     def __post_init__(self) -> None:
         store_floats(self)
 
     def validate(self) -> None:
-        check_fields(self)
-        if self.classes < 1:
-            raise CorpusSpecError("classes must be >= 1")
-        if self.salient_per_class < 1:
-            raise CorpusSpecError("salient_per_class must be >= 1")
+        check_fields(self, CorpusSpecError)
         for name, vocab in (("vocab_text", self.vocab_text), ("vocab_speech", self.vocab_speech)):
-            if vocab < 1:
-                raise CorpusSpecError(f"{name} must be >= 1")
             if self.salient_per_class * self.classes > vocab:
                 raise CorpusSpecError(
                     f"salient_per_class * classes exceeds {name} "
                     f"({self.salient_per_class} * {self.classes} > {vocab})"
                 )
         for name, (lo, hi) in (("text_len", self.text_len), ("speech_len", self.speech_len)):
-            if lo < 1 or hi < lo:
+            if hi < lo:
                 raise CorpusSpecError(f"{name} range must satisfy 1 <= min <= max, got {lo}..{hi}")
-        if not 0.0 <= self.salience_prob <= 1.0:
-            raise CorpusSpecError("salience_prob must be within [0, 1]")
-        if self.context_utterances < 0:
-            raise CorpusSpecError("context_utterances must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,7 @@ def _draw_sequence(
     use_planted = rng.random(length) < salience_prob
     planted_arr = np.array(planted, dtype=np.int64)
     out = np.empty(length, dtype=np.int64)
-    n_planted = int(use_planted.sum())
+    n_planted = int(np.count_nonzero(use_planted))
     out[use_planted] = planted_arr[rng.integers(0, len(planted_arr), size=n_planted)]
     n_background = length - n_planted
     if n_background:
@@ -132,7 +123,7 @@ def _draw_sequence(
                 "no background symbols left: salient_per_class * classes fills the vocabulary"
             )
         out[~use_planted] = background[rng.integers(0, background.size, size=n_background)]
-    return tuple(int(v) for v in out)
+    return tuple(out.tolist())
 
 
 def generate(spec: CorpusSpec, n: int) -> Corpus:
@@ -243,15 +234,13 @@ def load(path) -> Corpus:
             f"line 1: header field missing, unknown or malformed ({exc})"
         ) from None
     try:
-        check_fields(spec, check_type)  # e.g. "classes": "2"
         for name, groups in planted.items():
-            check_type(name, list[list[int]], groups)
-    except ConfigError as exc:
-        raise CorpusParseError(f"line 1: header field of the wrong type ({exc})") from None
-    try:
-        spec.validate()  # a non-finite or out-of-range field, e.g. "salience_prob": 2.0
-    except (ConfigError, CorpusSpecError) as exc:
+            check_value(name, list[list[int]], groups)
+        spec.validate()
+    except CorpusSpecError as exc:  # a non-finite or out-of-range field, e.g. "salience_prob": 2.0
         raise CorpusValidationError(f"line 1: {exc}") from None
+    except ConfigError as exc:  # e.g. "classes": "2"
+        raise CorpusParseError(f"line 1: header field of the wrong type ({exc})") from None
     for (name, groups), vocab in zip(planted.items(), (spec.vocab_text, spec.vocab_speech)):
         if len(groups) != spec.classes:
             raise CorpusValidationError(
@@ -307,6 +296,8 @@ def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Cor
     """
     if not 0.0 < train_fraction < 1.0:
         raise CorpusSpecError(f"train_fraction must lie strictly in (0, 1), got {train_fraction}")
+    if seed < 0:
+        raise CorpusSpecError(f"split seed must be >= 0, got {seed}")
     by_class: dict[int, list[int]] = {}
     for idx, utt in enumerate(corpus.utterances):
         by_class.setdefault(utt.label, []).append(idx)

@@ -1027,10 +1027,12 @@ def run_op_grad_suite(
     input entry of the scalar <op(inputs), R>; R is never probed, so an
     entry's error is its op's alone. The report per entry carries the worst
     error and the total probe count. Fewer than one probe per op would check
-    nothing, so it is a ConfigError.
+    nothing, so it is a ConfigError, as is a negative seed.
     """
     if probes_per_op < 1:
         raise ConfigError(f"probes_per_op must be >= 1, got {probes_per_op}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     reports: list[GradCheckReport] = []
 

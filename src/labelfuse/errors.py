@@ -26,10 +26,6 @@ class ContractError(LabelFuseError, ValueError):
     """A caller violated an interface contract (e.g. non-scalar objective)."""
 
 
-class CorpusSpecError(LabelFuseError, ValueError):
-    """A corpus specification violates one of its invariants."""
-
-
 class CorpusParseError(LabelFuseError, ValueError):
     """A corpus file line could not be parsed."""
 
@@ -48,6 +44,10 @@ class ExtractionError(LabelFuseError, ValueError):
 
 class ConfigError(LabelFuseError, ValueError):
     """A configuration value or key is invalid."""
+
+
+class CorpusSpecError(ConfigError):
+    """A corpus specification violates one of its invariants."""
 
 
 class DivergenceError(LabelFuseError, RuntimeError):

@@ -20,7 +20,15 @@ import numpy as np
 from .atomic import write_atomic
 from .corpus import Corpus, CorpusSpec, Utterance, generate, split
 from .errors import ConfigError, DivergenceError, EvaluationError
-from .fusion import AttentionBundle, class_averaged_attention, score_fusion, unimodal_logits
+from .fusion import (
+    TOWERS,
+    AttentionBundle,
+    FusionMode,
+    class_averaged_attention,
+    score_fusion,
+    unimodal_logits,
+)
+from .labelkit import SPEECH_INIT_MODES, TEXT_INIT_MODES
 
 
 @dataclass(frozen=True)
@@ -238,17 +246,17 @@ def _run_tasks(tasks: list, jobs: int) -> list:
 def fusion_mode_conditions(base: "TrainConfig") -> dict[str, "TrainConfig"]:
     """The four alignment variants, everything else held at the base config."""
     return {
-        mode: replace(base, modality="multimodal", fusion_mode=mode)
-        for mode in ("constraint", "sum", "only-label", "only-vanilla")
+        mode.value: replace(base, modality="multimodal", fusion_mode=mode.value)
+        for mode in FusionMode
     }
 
 
 def label_init_conditions(base: "TrainConfig") -> dict[str, "TrainConfig"]:
     """Label-embedding init variants, one knob moved at a time."""
     conditions = {}
-    for mode in ("random", "label-words", "tfidf"):
+    for mode in TEXT_INIT_MODES:
         conditions[f"text-init-{mode}"] = replace(base, text_label_init=mode)
-    for mode in ("random", "text-embedding", "codebook"):
+    for mode in SPEECH_INIT_MODES:
         conditions[f"speech-init-{mode}"] = replace(base, speech_label_init=mode)
     return conditions
 
@@ -289,8 +297,8 @@ def sweep_k(
     """
     if not values:
         raise ConfigError("sweep needs at least one k value")
-    if modality not in ("text", "speech"):
-        raise ConfigError(f"sweep modality must be 'text' or 'speech', got {modality!r}")
+    if modality not in TOWERS:
+        raise ConfigError(f"sweep modality {modality!r} is not one of {' | '.join(TOWERS)}")
     vocab = corpus_spec.vocab_text if modality == "text" else corpus_spec.vocab_speech
     for k in values:
         if not 1 <= k <= vocab:

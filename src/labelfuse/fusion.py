@@ -103,6 +103,7 @@ from .errors import DimensionError, NonFiniteError
 
 DEFAULT_LOSS_WEIGHTS = (1.0, 0.5, 0.2, 0.2)
 EMBED_INIT_STD = 0.02
+TOWERS = ("text", "speech")  # the modalities of a single tower (`unimodal_forward`)
 
 
 class FusionMode(Enum):

@@ -64,6 +64,7 @@ from .errors import (
 from .fusion import (
     DEFAULT_LOSS_WEIGHTS,
     PARAMETERS,
+    TOWERS,
     ForwardResult,
     FusionMode,
     _shapes,
@@ -75,37 +76,40 @@ from .fusion import (
     unimodal_logits,
 )
 from .labelkit import SPEECH_INIT_MODES, TEXT_INIT_MODES, label_rows
-from .valuetypes import check_fields, check_value, option, store_floats
+from .valuetypes import POSITIVE, at_least, check_fields, check_value, option, store_floats, within
 
 CHECKPOINT_VERSION = 1
 _CHECKPOINT_MAGIC = b"LABELFUSE-CKPT\n"
 
-MODALITIES = ("multimodal", "text", "speech")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = option(50, "training epochs")
-    batch_size: int = option(8, "utterances per optimizer step")
-    learning_rate: float = option(3e-4, "Adam learning rate")
-    adam_beta1: float = option(0.9, "Adam first-moment decay")
-    adam_beta2: float = option(0.999, "Adam second-moment decay")
-    adam_epsilon: float = option(1e-8, "Adam denominator epsilon")
-    mu_main: float = option(DEFAULT_LOSS_WEIGHTS[0], "weight of the fused classification loss")
-    mu_constraint: float = option(DEFAULT_LOSS_WEIGHTS[1], "weight of the alignment constraint loss")
-    mu_guide_text: float = option(DEFAULT_LOSS_WEIGHTS[2], "weight of the text guidance loss")
-    mu_guide_speech: float = option(DEFAULT_LOSS_WEIGHTS[3], "weight of the speech guidance loss")
-    fusion_mode: str = option("constraint", "constraint | sum | only-label | only-vanilla")
-    modality: str = option("multimodal", "multimodal | text | speech")
-    text_label_init: str = option("tfidf", "random | label-words | tfidf")
-    speech_label_init: str = option("codebook", "random | text-embedding | codebook")
-    top_k_text: int = option(9, "keywords per class for text labels")
-    top_k_speech: int = option(100, "key frames per class for speech labels")
+    epochs: int = option(50, "training epochs", domain=at_least(0))
+    batch_size: int = option(8, "utterances per optimizer step", domain=at_least(1))
+    learning_rate: float = option(3e-4, "Adam learning rate", domain=POSITIVE)
+    adam_beta1: float = option(0.9, "Adam first-moment decay", domain=within(0, 1, high_open=True))
+    adam_beta2: float = option(0.999, "Adam second-moment decay",
+                               domain=within(0, 1, high_open=True))
+    adam_epsilon: float = option(1e-8, "Adam denominator epsilon", domain=POSITIVE)
+    mu_main: float = option(DEFAULT_LOSS_WEIGHTS[0], "weight of the fused classification loss",
+                            domain=at_least(0))
+    mu_constraint: float = option(DEFAULT_LOSS_WEIGHTS[1],
+                                  "weight of the alignment constraint loss", domain=at_least(0))
+    mu_guide_text: float = option(DEFAULT_LOSS_WEIGHTS[2], "weight of the text guidance loss",
+                                  domain=at_least(0))
+    mu_guide_speech: float = option(DEFAULT_LOSS_WEIGHTS[3], "weight of the speech guidance loss",
+                                    domain=at_least(0))
+    fusion_mode: str = option("constraint", domain=tuple(mode.value for mode in FusionMode))
+    modality: str = option("multimodal", domain=("multimodal", *TOWERS))
+    text_label_init: str = option("tfidf", domain=TEXT_INIT_MODES)
+    speech_label_init: str = option("codebook", domain=SPEECH_INIT_MODES)
+    top_k_text: int = option(9, "keywords per class for text labels", domain=at_least(1))
+    top_k_speech: int = option(100, "key frames per class for speech labels", domain=at_least(1))
     labels_trainable: bool = option(False, "whether label rows receive updates")
     normalize_label_attention: bool = option(False, "row-softmax the label-guided alignment")
-    text_dim: int = option(DEFAULT_DIM, "text representation width")
-    speech_dim: int = option(DEFAULT_DIM, "speech representation width")
-    seed: int = option(0, "model init / shuffling seed")
+    text_dim: int = option(DEFAULT_DIM, "text representation width", domain=at_least(1))
+    speech_dim: int = option(DEFAULT_DIM, "speech representation width", domain=at_least(1))
+    seed: int = option(0, "model init / shuffling seed", domain=at_least(0))
 
     def __post_init__(self) -> None:
         store_floats(self)
@@ -116,31 +120,6 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_fields(self)
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not self.adam_epsilon > 0:
-            raise ConfigError("adam_epsilon must be positive")
-        if min(self.loss_weights) < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.fusion_mode not in {m.value for m in FusionMode}:
-            raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
-        if self.modality not in MODALITIES:
-            raise ConfigError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.text_label_init not in TEXT_INIT_MODES:
-            raise ConfigError(f"unknown text_label_init {self.text_label_init!r}")
-        if self.speech_label_init not in SPEECH_INIT_MODES:
-            raise ConfigError(f"unknown speech_label_init {self.speech_label_init!r}")
-        if self.top_k_text < 1 or self.top_k_speech < 1:
-            raise ConfigError("top-k values must be >= 1")
-        if self.text_dim < 1 or self.speech_dim < 1:
-            raise ConfigError("dims must be >= 1")
         if self.speech_label_init == "text-embedding" and self.text_dim != self.speech_dim:
             raise DimensionError(
                 f"text-embedding speech label init needs text_dim == speech_dim "

@@ -1,4 +1,4 @@
-"""The one type rule for config values.
+"""The one type rule and the declared domains of config values.
 
 Every value that sets a `TrainConfig` or `CorpusSpec` field, or a CLI
 option, passes the same rule, whether it came from a flag, a `--config`
@@ -13,8 +13,10 @@ file, a checkpoint manifest or a corpus header:
 
 Anything else is a `ConfigError`.
 
-Fields are declared with `option`, so each default and help text lives in
-one place and the CLI derives its flags from `dataclasses.fields`.
+Fields are declared with `option`, so each default, help text and domain
+(the values a field allows: `at_least(n)`, `POSITIVE`, `within(low, high)`
+or a tuple of choices) lives in one place, and the CLI derives its flags
+from `dataclasses.fields`. A domain holds for each item of a tuple or list.
 """
 
 from __future__ import annotations
@@ -28,31 +30,50 @@ import typing
 from .errors import ConfigError
 
 
-def option(default, help_text: str, key: str | None = None):
+@dataclasses.dataclass(frozen=True)
+class Bounds:
+    """A numeric domain: `holds` tests a value, `text` describes the domain in an error."""
+
+    text: str
+    holds: typing.Callable[[float], bool]
+
+
+def at_least(low) -> Bounds:
+    return Bounds(f">= {low}", lambda value: value >= low)
+
+
+POSITIVE = Bounds("> 0", lambda value: value > 0)
+
+
+def within(low, high, high_open: bool = False) -> Bounds:
+    """[low, high], or [low, high) if `high_open`."""
+    return Bounds(f"within [{low}, {high}{')' if high_open else ']'}",
+                  lambda value: low <= value and (value < high if high_open else value <= high))
+
+
+def option(default, help_text: str | None = None, key: str | None = None, domain=None):
     """A dataclass field that is also a CLI option; `key` renames its flag and snapshot key."""
-    metadata = {"help": help_text} if key is None else {"help": help_text, "key": key}
+    metadata = {"help": help_text, "key": key, "domain": domain}
     return dataclasses.field(default=default, metadata=metadata)
 
 
-def check_type(name: str, kind, value) -> None:
-    """ConfigError unless `value` has the type a field of type `kind` takes."""
+def check_value(name: str, kind, value, domain=None, error=ConfigError):
+    """Return `value` as a field of type `kind` stores it.
+
+    ConfigError if it has another type; `error`, a ConfigError type, if it is
+    a float field's NaN or infinity or lies outside `domain`.
+    """
     if not _fits(kind, value):
         kind_name = kind.__name__ if isinstance(kind, type) else str(kind)
         raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
-
-
-def check_value(name: str, kind, value):
-    """Return `value` as a field of type `kind` stores it.
-
-    ConfigError if it has another type (`check_type`), or is a float field's
-    NaN or infinity.
-    """
-    check_type(name, kind, value)
-    if kind is not float:
-        return value
-    stored = _as_float(value)
-    if not math.isfinite(stored):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+    stored = _as_float(value) if kind is float else value
+    if kind is float and not math.isfinite(stored):
+        raise error(f"{name} must be finite, got {value!r}")
+    for item in stored if isinstance(stored, (tuple, list)) else (stored,):
+        if isinstance(domain, Bounds) and not domain.holds(item):
+            raise error(f"{name} must be {domain.text}")
+        if isinstance(domain, tuple) and item not in domain:
+            raise error(f"{name} {item!r} is not one of {' | '.join(domain)}")
     return stored
 
 
@@ -76,11 +97,11 @@ def store_floats(config) -> None:
             object.__setattr__(config, f.name, _as_float(value))
 
 
-def check_fields(config, check=check_value) -> None:
-    """Apply `check` (`check_value` or `check_type`) to every field of the dataclass `config`."""
+def check_fields(config, error=ConfigError) -> None:
+    """`check_value` every field of the dataclass `config`; `error` is its owner's error type."""
     types = field_types(type(config))
     for f in dataclasses.fields(config):
-        check(f.name, types[f.name], getattr(config, f.name))
+        check_value(f.name, types[f.name], getattr(config, f.name), f.metadata["domain"], error)
 
 
 def _as_float(value) -> float:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +15,7 @@ from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
 from labelfuse.errors import ConfigError, LabelFuseError
+from labelfuse.valuetypes import field_types
 
 SMALL_CORPUS = [
     "--classes", "3", "--vocab-text", "30", "--vocab-speech", "40",
@@ -475,16 +477,25 @@ class TestGradCheckCommand:
 
     def test_exits_one_under_impossible_tolerance(self, out):
         rc = cli.main([
-            "grad-check", "--out-dir", str(out), "--probes-per-op", "1", "--tolerance", "0",
+            "grad-check", "--out-dir", str(out), "--probes-per-op", "1", "--tolerance", "1e-300",
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0"])
+    def test_rejects_tolerance_that_is_not_positive(self, out, capsys, tolerance):
+        # Once every op was checked and reported FAIL, and the snapshot was written.
+        assert cli.main(["grad-check", "--out-dir", str(out), f"--tolerance={tolerance}"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == ("error: tolerance must be > 0\n", "")
+        assert not out.exists()
 
     @pytest.mark.parametrize("probes", ["0", "-3"])
     def test_rejects_fewer_than_one_probe(self, out, capsys, probes):
         # A check that checks nothing would pass every op.
         assert cli.main(["grad-check", "--out-dir", str(out), "--probes-per-op", probes]) == 1
-        assert "probes_per_op" in one_error_line(capsys)
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: probes_per_op ") and captured.err.count("\n") == 1
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -528,7 +539,7 @@ class TestTypedOptions:
 
     @pytest.mark.parametrize("name, key, kind, default", [
         (sub.name, key, kind, default)
-        for sub in cli.SUBCOMMANDS for key, kind, default, _ in sub.keys
+        for sub in cli.SUBCOMMANDS for key, kind, default, *_ in sub.keys
     ])
     def test_wrong_typed_config_value_exits_1(self, tmp_path, capsys, name, key, kind, default):
         out = tmp_path / "out"
@@ -555,7 +566,7 @@ class TestTypedOptions:
 
     @pytest.mark.parametrize("name, key", [
         (sub.name, key) for sub in cli.SUBCOMMANDS
-        for key, _, default, _ in sub.keys if default is None
+        for key, _, default, *_ in sub.keys if default is None
     ])
     def test_null_is_unset_where_default_is_none(self, tmp_path, name, key):
         def outcome(values):
@@ -601,7 +612,7 @@ class TestTypedOptions:
             assert f"(default {f.default})" in text, f.name
 
     def test_range_field_is_two_options(self):
-        keys = {key: default for key, _, default, _ in subcommand("gen-corpus").keys}
+        keys = {key: default for key, _, default, *_ in subcommand("gen-corpus").keys}
         spec = cp.CorpusSpec()
         assert (keys["text_len_min"], keys["text_len_max"]) == spec.text_len
         assert (keys["speech_len_min"], keys["speech_len_max"]) == spec.speech_len
@@ -740,6 +751,82 @@ class TestRejectedRunWritesNothing:
         assert cli.main(args) == 1
         assert flag[2:].replace("-", "_") in one_error_line(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, flag", [
+        ("gen-corpus", "--corpus-seed=-1"), ("train", "--seed=-3"), ("train", "--split-seed=-3"),
+        ("ablate", "--seeds=-1"), ("grad-check", "--seed=-1"),
+    ])
+    def test_negative_seed(self, trained, tmp_path, capsys, name, flag):
+        # Each once escaped as a numpy ValueError traceback.
+        corpus, _ = trained
+        capsys.readouterr()
+        args = {
+            "gen-corpus": SMALL_CORPUS,
+            "train": ["--corpus-file", corpus, *SMALL_TRAIN],
+            "ablate": [*SMALL_CORPUS, *SMALL_TRAIN, "--jobs", "1"],
+            "grad-check": ["--probes-per-op", "1"],
+        }[name]
+        out = tmp_path / "rejected"
+        assert cli.main([name, "--out-dir", str(out), *args, flag]) == 1
+        assert flag[2:].split("=")[0].replace("-", "_") in one_error_line(capsys)
+        assert not out.exists()
+
+
+# A value just outside each declared domain, as JSON; the keys are every option that has one.
+OUTSIDE = {
+    "epochs": -1, "batch_size": 0, "learning_rate": 0.0, "adam_beta1": 1.0,
+    "adam_beta2": -1e-9, "adam_epsilon": 0.0, "mu_main": -1e-9, "mu_constraint": -1e-9,
+    "mu_guide_text": -1e-9, "mu_guide_speech": -1e-9, "fusion_mode": "bogus",
+    "modality": "bogus", "text_label_init": "bogus", "speech_label_init": "bogus",
+    "top_k_text": 0, "top_k_speech": 0, "text_dim": 0, "speech_dim": 0, "seed": -1,
+    "classes": 0, "vocab_text": 0, "vocab_speech": 0, "text_len_min": 0, "text_len_max": 0,
+    "speech_len_min": 0, "speech_len_max": 0, "salient_per_class": 0,
+    "salience_prob": 1.000000001, "corpus_seed": -1, "context_utterances": -1,
+    "split_seed": -1, "seeds": [-1], "split": "bogus", "suite": "bogus",
+    "sweep_modality": "bogus", "tolerance": 0.0,
+}
+
+
+class TestDomains:
+    """A value outside its option's domain is refused before any file is read."""
+
+    def test_every_option_with_a_domain_is_drawn(self):
+        declared = {opt.key for sub in cli.SUBCOMMANDS for opt in sub.keys if opt.domain}
+        assert declared == set(OUTSIDE)
+        for cls in (tr.TrainConfig, cp.CorpusSpec):
+            for f in dataclasses.fields(cls):
+                assert (f.metadata["domain"] is None) == (field_types(cls)[f.name] is bool), f.name
+
+    @pytest.mark.parametrize("key", sorted(OUTSIDE))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_value_outside_domain_exits_1(self, tmp_path, capsys, key, source):
+        sub = next(sub for sub in cli.SUBCOMMANDS
+                   if any(opt.key == key and opt.domain for opt in sub.keys))
+        value = OUTSIDE[key]
+        # The required files do not exist: the domain is checked before they are read.
+        args = [sub.name, "--out-dir", str(tmp_path / "out")]
+        for required in sub.required:
+            args.append(f"--{required.replace('_', '-')}={tmp_path / 'missing'}")
+        if source == "flag":
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            args.append(f"--{key.replace('_', '-')}={text}")
+        else:
+            (tmp_path / "conf.json").write_text(json.dumps({key: value}))
+            args += ["--config", str(tmp_path / "conf.json")]
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        assert one_error_line(capsys).startswith(f"error: {key} ")
+        assert [p.name for p in tmp_path.iterdir()] == (["conf.json"] if source == "config" else [])
+
+
+HELP_DIR = Path(__file__).parent / "data" / "help"
+
+
+@pytest.mark.parametrize("name", [sub.name for sub in cli.SUBCOMMANDS])
+def test_help_is_unchanged(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main([name, "--help"]) == 0
+    assert capsys.readouterr().out.encode() == (HELP_DIR / f"{name}.txt").read_bytes()
 
 
 JSON_VALUES = st.recursive(

@@ -1,5 +1,6 @@
 """Tests for synthetic corpus generation, persistence and splitting."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -40,6 +41,16 @@ class TestGenerate:
     def test_deterministic_in_seed(self):
         spec = small_spec()
         assert cp.generate(spec, 40) == cp.generate(spec, 40)
+
+    @pytest.mark.parametrize("seed, sha256", [
+        (7, "b5ce53b14cc79351a020e38362e4dad2bf2de2a6f91ee9cef60ff89a805a2e6f"),
+        (0, "2a211d168032083e645baf831ae9122153c521c56c305e827d7be1cc76b3fe21"),
+    ])
+    def test_default_corpus_bytes_are_pinned(self, tmp_path, seed, sha256):
+        # The saved default corpora; a faster generator must keep its draws, byte for byte.
+        path = tmp_path / "corpus.txt"
+        cp.save(cp.generate(cp.CorpusSpec(seed=seed), 1000), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_different_seed_differs(self):
         a = cp.generate(small_spec(seed=1), 40)
@@ -366,3 +377,7 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(CorpusSpecError):
                 cp.split(corpus, bad, seed=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(CorpusSpecError, match="^split seed must be >= 0, got -1$"):
+            cp.split(cp.generate(small_spec(), 10), 0.5, seed=-1)

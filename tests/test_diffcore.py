@@ -923,6 +923,10 @@ class TestOpSuite:
         with pytest.raises(ConfigError, match="probes_per_op"):
             dc.run_op_grad_suite(probes_per_op=probes)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            dc.run_op_grad_suite(probes_per_op=1, seed=-1)
+
     def test_suite_covers_gather(self):
         reports = dc.run_op_grad_suite(probes_per_op=10, seed=0)
         gather = [rep for rep in reports if rep.op_name == "gather"]
