@@ -106,10 +106,7 @@ def _build(cls, resolved: dict):
 JOBS_KEY = Key("jobs", int, None, "processes running the (seed x condition) grid "
                "(default every usable core)")
 
-SPLIT_KEYS = [
-    Key("train_fraction", float, 0.8, "per-class fraction assigned to the train side"),
-    Key("split_seed", int, 0, "seed of the stratified split", at_least(0)),
-]
+SPLIT_KEYS = [Key(key, *spec) for key, spec in corpus_mod.SPLIT_OPTIONS.items()]
 # evaluate and a resumed train read the split the checkpoint was trained on; a
 # flag may only repeat it (`_resolve_split`).
 RECORDED_SPLIT_KEYS = [
@@ -261,7 +258,7 @@ def _cmd_train(resolved: dict, config: TrainConfig) -> int:
     _resolve_split(resolved, resume.split if resume else None)
     _, train_c, heldout_c = _load_split(resolved)
     _, log, checkpoint = trainer.train(train_c, heldout_c, config, resume_from=resume)
-    checkpoint.split = {key: resolved[key] for key in trainer.SPLIT_FIELDS}
+    checkpoint.split = {key: resolved[key] for key in corpus_mod.SPLIT_OPTIONS}
     layout = _out_layout(resolved)
     ckpt_path = layout["checkpoints"] / "model.ckpt"
     trainer.save_checkpoint(ckpt_path, checkpoint)
@@ -299,6 +296,13 @@ def _cmd_evaluate(resolved: dict) -> int:
     return 0
 
 
+def _print_means(conditions, path) -> None:
+    for cond in conditions:
+        print(f"{cond.name}: mean WA {evalkit.format_mean(cond.mean_wa, '.4f')} "
+              f"UA {evalkit.format_mean(cond.mean_ua, '.4f')}")
+    print(f"wrote {path}")
+
+
 SUITES = {
     "fusion-modes": evalkit.fusion_mode_conditions,
     "label-inits": evalkit.label_init_conditions,
@@ -314,12 +318,7 @@ def _cmd_ablate(resolved: dict, spec: CorpusSpec, config: TrainConfig) -> int:
     )
     path = _out_layout(resolved)["reports"] / f"ablation_{resolved['suite']}.csv"
     write_atomic(path, "\n".join(report.to_lines()) + "\n")
-    for cond in report.conditions:
-        print(
-            f"{cond.name}: mean WA {evalkit.format_mean(cond.mean_wa, '.4f')} "
-            f"UA {evalkit.format_mean(cond.mean_ua, '.4f')}"
-        )
-    print(f"wrote {path}")
+    _print_means(report.conditions, path)
     return 0
 
 
@@ -335,12 +334,7 @@ def _cmd_sweep_k(resolved: dict, spec: CorpusSpec, config: TrainConfig) -> int:
     )
     path = _out_layout(resolved)["reports"] / f"sweep_{resolved['sweep_modality']}.csv"
     write_atomic(path, "\n".join(evalkit.sweep_to_lines(points)) + "\n")
-    for p in points:
-        print(
-            f"k={p.k}: mean WA {evalkit.format_mean(p.mean_wa, '.4f')} "
-            f"UA {evalkit.format_mean(p.mean_ua, '.4f')}"
-        )
-    print(f"wrote {path}")
+    _print_means([cond for _, cond in points], path)  # a sweep's condition is named k=<k>
     return 0
 
 
@@ -376,7 +370,7 @@ def _cmd_export_attention(resolved: dict) -> int:
     corpus = corpus_mod.load(resolved["corpus_file"])
     trainer.check_fit(model, corpus, checkpoint.config)
     index = resolved["index"]
-    if not 0 <= index < len(corpus):
+    if index >= len(corpus):
         raise ConfigError(f"utterance index {index} outside corpus of size {len(corpus)}")
     utt = corpus.utterances[index]
     cfg = checkpoint.config
@@ -472,7 +466,7 @@ SUBCOMMANDS = [
         "export class-averaged attention tables and an SVG plot",
         _cmd_export_attention, {},
         [CHECKPOINT_KEY, CORPUS_FILE_KEY,
-         Key("index", int, 0, "utterance index within the corpus")],
+         Key("index", int, 0, "utterance index within the corpus", at_least(0))],
         required=["checkpoint", "corpus_file"],
     ),
     Subcommand(

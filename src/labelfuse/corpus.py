@@ -287,12 +287,21 @@ def load(path) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
+# The options that choose a split, as the CLI and a checkpoint's manifest name
+# them: name -> (type, default, help, domain).
+SPLIT_OPTIONS = {
+    "train_fraction": (float, 0.8, "per-class fraction assigned to the train side",
+                       within(0, 1, low_open=True, high_open=True)),
+    "split_seed": (int, 0, "seed of the stratified split", at_least(0)),
+}
+
+
 def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     """Stratified, exact partition into (train, heldout).
 
     Per class the train side receives ceil(fraction * class_size) items;
     the selection is deterministic in the seed and both sides preserve the
-    original utterance order.
+    original utterance order. It checks both arguments itself, for library callers.
     """
     if not 0.0 < train_fraction < 1.0:
         raise CorpusSpecError(f"train_fraction must lie strictly in (0, 1), got {train_fraction}")

@@ -115,7 +115,6 @@ def format_mean(value: float | None, spec: str = ".12g") -> str:
 @dataclass(frozen=True)
 class AblationReport:
     conditions: tuple[ConditionResult, ...]
-    seeds: tuple[int, ...]
 
     def condition(self, name: str) -> ConditionResult:
         for cond in self.conditions:
@@ -196,13 +195,10 @@ def run_ablation(
         else:
             per_condition[name].append((seed, result))
 
-    return AblationReport(
-        conditions=tuple(
-            ConditionResult(name, tuple(per_condition[name]), tuple(per_failures[name]))
-            for name in conditions
-        ),
-        seeds=tuple(seeds),
-    )
+    return AblationReport(tuple(
+        ConditionResult(name, tuple(per_condition[name]), tuple(per_failures[name]))
+        for name in conditions
+    ))
 
 
 def _run_one(train_split: Corpus, heldout_split: Corpus, config: "TrainConfig"):
@@ -272,14 +268,6 @@ def guidance_conditions(base: "TrainConfig") -> dict[str, "TrainConfig"]:
     }
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    k: int
-    mean_wa: float | None  # None when every seed failed
-    mean_ua: float | None
-    per_seed: tuple[tuple[int, EvalResult], ...]
-
-
 def sweep_k(
     values: Sequence[int],
     modality: str,
@@ -289,11 +277,13 @@ def sweep_k(
     train_fraction: float,
     seeds: Sequence[int],
     jobs: int | None = None,
-) -> list[SweepPoint]:
-    """One train/eval per (top-k value, seed), run as one ablation grid; the mean curve.
+) -> list[tuple[int, ConditionResult]]:
+    """One train/eval per (top-k value, seed), run as one ablation grid.
 
-    `jobs` is passed to `run_ablation`. A repeated k value is trained once and
-    reported at each of its positions.
+    Returns a (k, its ablation condition) pair per value, in the order given;
+    the condition's `mean_wa` and `mean_ua` are the curve. `jobs` is passed
+    to `run_ablation`. A repeated k value is trained once and reported at
+    each of its positions.
     """
     if not values:
         raise ConfigError("sweep needs at least one k value")
@@ -313,18 +303,13 @@ def sweep_k(
         seeds,
         jobs,
     )
-    points = []
-    for k in values:
-        cond = report.condition(f"k={k}")
-        points.append(SweepPoint(k=k, mean_wa=cond.mean_wa, mean_ua=cond.mean_ua,
-                                 per_seed=cond.per_seed))
-    return points
+    return [(k, report.condition(f"k={k}")) for k in values]
 
 
-def sweep_to_lines(points: Sequence[SweepPoint]) -> list[str]:
+def sweep_to_lines(points: Sequence[tuple[int, ConditionResult]]) -> list[str]:
     lines = ["k,mean_wa,mean_ua"]
-    for p in points:
-        lines.append(f"{p.k},{format_mean(p.mean_wa)},{format_mean(p.mean_ua)}")
+    for k, cond in points:
+        lines.append(f"{k},{format_mean(cond.mean_wa)},{format_mean(cond.mean_ua)}")
     return lines
 
 

@@ -30,9 +30,13 @@ checkpoint, and `evaluate_final` scores its model once; the ablation and
 sweep harnesses and `score-fusion` use that pair, so a run evaluates
 nothing but its final model on the heldout split.
 
-A loaded model must fit its corpus: `check_fit` compares every array's
-shape with the corpus and config before resuming, evaluating or exporting
-attention.
+A checkpoint stores the config, the arrays (parameters and Adam moments),
+Adam's step count, the log records and the split; its epoch is the number
+of records. Its manifest's `format_version`, `epoch` and `metrics` (the last
+record's heldout WA/UA) are derived on save, and `load_checkpoint` checks
+every manifest field. A loaded model must fit its corpus: `check_fit`
+compares every array's shape with the corpus and config before resuming,
+evaluating or exporting attention.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 
 from . import evalkit
 from .atomic import write_atomic
-from .corpus import Corpus
+from .corpus import SPLIT_OPTIONS, Corpus
 from .diffcore import Matrix, Node, backward
 from .encoders import DEFAULT_DIM
 from .errors import (
@@ -76,7 +80,9 @@ from .fusion import (
     unimodal_logits,
 )
 from .labelkit import SPEECH_INIT_MODES, TEXT_INIT_MODES, label_rows
-from .valuetypes import POSITIVE, at_least, check_fields, check_value, option, store_floats, within
+from .valuetypes import (
+    POSITIVE, at_least, check_fields, check_value, field_types, option, store_floats, within,
+)
 
 CHECKPOINT_VERSION = 1
 _CHECKPOINT_MAGIC = b"LABELFUSE-CKPT\n"
@@ -148,17 +154,10 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_lines(self) -> list[str]:
-        lines = [
-            "epoch,loss_main,loss_constraint,loss_guide_text,loss_guide_speech,"
-            "loss_total,train_wa,train_ua,heldout_wa,heldout_ua"
-        ]
-        for r in self.records:
-            lines.append(
-                f"{r.epoch},{r.loss_main:.12g},{r.loss_constraint:.12g},"
-                f"{r.loss_guide_text:.12g},{r.loss_guide_speech:.12g},{r.loss_total:.12g},"
-                f"{r.train_wa:.12g},{r.train_ua:.12g},{r.heldout_wa:.12g},{r.heldout_ua:.12g}"
-            )
-        return lines
+        """A CSV header of `EpochRecord`'s fields, then one row per record."""
+        header = ",".join(field_types(EpochRecord))
+        return [header] + [",".join(format(v, ".12g") for v in dataclasses.astuple(r))
+                           for r in self.records]
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +406,7 @@ def train(
             heldout_eval.weighted_accuracy, heldout_eval.unweighted_accuracy,
         ))
 
-    final_metrics = {}
-    if log.records:
-        final_metrics = {
-            "heldout_wa": log.records[-1].heldout_wa,
-            "heldout_ua": log.records[-1].heldout_ua,
-        }
-    checkpoint = make_checkpoint(model, optimizer, config, config.epochs, log, final_metrics)
-    return model, log, checkpoint
+    return model, log, make_checkpoint(model, optimizer, config, log)
 
 
 def model_predictor(model: dict[str, Node], config: TrainConfig):
@@ -440,43 +432,36 @@ def model_predictor(model: dict[str, Node], config: TrainConfig):
 
 @dataclass
 class Checkpoint:
-    format_version: int
     config: TrainConfig
-    epoch: int
     arrays: dict[str, Matrix]  # parameters and optimizer moments
     adam_step_count: int
     log_records: tuple[EpochRecord, ...]
-    metrics: dict[str, float]
-    # The corpus split the model was trained on ({"train_fraction", "split_seed"}),
+    # The corpus split the model was trained on (`corpus.SPLIT_OPTIONS`' keys),
     # when the caller split a corpus file; `evaluate --split` scores that split.
     split: dict[str, float | int] | None = None
 
-
-SPLIT_FIELDS = {"train_fraction": float, "split_seed": int}
+    @property
+    def epoch(self) -> int:
+        """The epochs trained: one log record each."""
+        return len(self.log_records)
 
 
 def make_checkpoint(
-    model: dict[str, Node],
-    optimizer: Adam,
-    config: TrainConfig,
-    epoch: int,
-    log: TrainLog,
-    metrics: dict[str, float],
+    model: dict[str, Node], optimizer: Adam, config: TrainConfig, log: TrainLog
 ) -> Checkpoint:
     arrays: dict[str, Matrix] = {name: node.value for name, node in model.items()}
     for name, m in optimizer.m.items():
         arrays[f"adam.m.{name}"] = Matrix(m)
     for name, v in optimizer.v.items():
         arrays[f"adam.v.{name}"] = Matrix(v)
-    return Checkpoint(
-        format_version=CHECKPOINT_VERSION,
-        config=config,
-        epoch=epoch,
-        arrays=arrays,
-        adam_step_count=optimizer.t,
-        log_records=tuple(log.records),
-        metrics=dict(metrics),
-    )
+    return Checkpoint(config, arrays, optimizer.t, tuple(log.records))
+
+
+def _final_metrics(records) -> dict[str, float]:
+    """The manifest's `metrics`: the last record's heldout WA/UA, {} when there is none."""
+    if not records:
+        return {}
+    return {"heldout_wa": records[-1].heldout_wa, "heldout_ua": records[-1].heldout_ua}
 
 
 def restore_into_optimizer(checkpoint: Checkpoint, optimizer: Adam) -> None:
@@ -515,12 +500,12 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         )
         blob.extend(raw)
     manifest = {
-        "format_version": checkpoint.format_version,
+        "format_version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(checkpoint.config),
         "epoch": checkpoint.epoch,
         "adam_step_count": checkpoint.adam_step_count,
         "log_records": [dataclasses.asdict(r) for r in checkpoint.log_records],
-        "metrics": checkpoint.metrics,
+        "metrics": _final_metrics(checkpoint.log_records),
         "split": checkpoint.split,
         "arrays": entries,
     }
@@ -551,7 +536,7 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(manifest, dict):
         raise CheckpointIntegrityError("corrupted manifest: not a JSON object")
     version = manifest.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version != CHECKPOINT_VERSION or type(version) is not int:
         raise UnsupportedVersionError(
             f"checkpoint format version {version} is not supported (expected {CHECKPOINT_VERSION})"
         )
@@ -568,44 +553,61 @@ def load_checkpoint(path) -> Checkpoint:
 def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
     arrays: dict[str, Matrix] = {}
     for entry in manifest["arrays"]:
+        name = check_value("array name", str, entry["name"])
+        if name in arrays:
+            raise CheckpointIntegrityError(f"array {name!r} is listed twice")
         size = entry["rows"] * entry["cols"] * 8
         chunk = blob[entry["offset"] : entry["offset"] + size]
         if len(chunk) != size:
-            raise CheckpointIntegrityError(f"truncated array {entry['name']!r}")
+            raise CheckpointIntegrityError(f"truncated array {name!r}")
         if zlib.crc32(chunk) != entry["crc32"]:
-            raise CheckpointIntegrityError(f"checksum mismatch for array {entry['name']!r}")
+            raise CheckpointIntegrityError(f"checksum mismatch for array {name!r}")
         values = np.frombuffer(chunk, dtype="<f8").reshape(entry["rows"], entry["cols"])
-        arrays[entry["name"]] = Matrix(values)
+        arrays[name] = Matrix(values)
 
     config = TrainConfig(**manifest["config"])
     config.validate()
-    records = tuple(EpochRecord(**r) for r in manifest["log_records"])
-    if manifest["epoch"] != len(records):
+    records = tuple(_record(i, fields) for i, fields in enumerate(manifest["log_records"]))
+    if check_value("epoch", int, manifest["epoch"]) != len(records):
         raise CheckpointIntegrityError(
             f"manifest epoch {manifest['epoch']!r} disagrees with its {len(records)} log records"
+        )
+    metrics = _final_metrics(records)
+    if manifest["metrics"] != metrics:
+        raise CheckpointIntegrityError(
+            f"manifest metrics {manifest['metrics']!r} disagree with the last log record's "
+            f"{metrics!r}"
         )
     _check_moments(arrays)
     split = manifest.get("split")
     if split is not None:
-        if not isinstance(split, dict) or split.keys() != SPLIT_FIELDS.keys():
-            raise CheckpointIntegrityError(f"split must name {sorted(SPLIT_FIELDS)}, got {split!r}")
-        split = {key: check_value(key, kind, split[key]) for key, kind in SPLIT_FIELDS.items()}
-    return Checkpoint(
-        format_version=manifest["format_version"],
-        config=config,
-        epoch=manifest["epoch"],
-        arrays=arrays,
-        adam_step_count=manifest["adam_step_count"],
-        log_records=records,
-        metrics=dict(manifest["metrics"]),
-        split=split,
-    )
+        if not isinstance(split, dict) or split.keys() != SPLIT_OPTIONS.keys():
+            raise CheckpointIntegrityError(
+                f"split must name {sorted(SPLIT_OPTIONS)}, got {split!r}")
+        split = {key: check_value(key, kind, split[key], domain)
+                 for key, (kind, _, _, domain) in SPLIT_OPTIONS.items()}
+    adam_step_count = check_value("adam_step_count", int, manifest["adam_step_count"], at_least(0))
+    return Checkpoint(config, arrays, adam_step_count, records, split)
+
+
+def _record(index: int, fields: dict) -> EpochRecord:
+    """Log record `index` of a manifest; its fields pass the type rule, and its epoch is `index`."""
+    record = EpochRecord(**fields)  # a TypeError names a missing or unknown field
+    record = EpochRecord(**{name: check_value(name, kind, getattr(record, name))
+                            for name, kind in field_types(EpochRecord).items()})
+    if record.epoch != index:
+        raise CheckpointIntegrityError(f"log record {index} has epoch {record.epoch}")
+    return record
 
 
 def _check_moments(arrays: dict[str, Matrix]) -> None:
-    """Adam moments come in m/v pairs, each for a model array and of its shape."""
+    """Each array is a model array or an Adam moment; moments come in m/v pairs, for a model
+    array and of its shape.
+    """
     for name, moment in arrays.items():
         if not name.startswith(("adam.m.", "adam.v.")):
+            if name not in PARAMETERS:
+                raise CheckpointIntegrityError(f"array {name!r} is not a model array")
             continue
         param = name[len("adam.m.") :]
         if param not in PARAMETERS:

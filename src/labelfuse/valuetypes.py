@@ -45,10 +45,11 @@ def at_least(low) -> Bounds:
 POSITIVE = Bounds("> 0", lambda value: value > 0)
 
 
-def within(low, high, high_open: bool = False) -> Bounds:
-    """[low, high], or [low, high) if `high_open`."""
-    return Bounds(f"within [{low}, {high}{')' if high_open else ']'}",
-                  lambda value: low <= value and (value < high if high_open else value <= high))
+def within(low, high, low_open: bool = False, high_open: bool = False) -> Bounds:
+    """[low, high]; `low_open` and `high_open` leave out that end."""
+    return Bounds(f"within {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}",
+                  lambda value: (low < value if low_open else low <= value)
+                  and (value < high if high_open else value <= high))
 
 
 def option(default, help_text: str | None = None, key: str | None = None, domain=None):

@@ -16,6 +16,7 @@ from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
 from labelfuse.errors import ConfigError, LabelFuseError
 from labelfuse.valuetypes import field_types
+from test_trainer import rewrite_manifest
 
 SMALL_CORPUS = [
     "--classes", "3", "--vocab-text", "30", "--vocab-speech", "40",
@@ -172,6 +173,16 @@ class TestTrainEvaluate:
         assert ckpt.epoch == 1
         log_lines = (out / "logs" / "train_log.csv").read_text().splitlines()
         assert len(log_lines) == 2
+
+    def test_checkpoint_with_a_recorded_split_round_trips_byte_for_byte(self, out, corpus_file,
+                                                                          tmp_path):
+        assert cli.main(["train", "--out-dir", str(out), "--corpus-file", str(corpus_file),
+                         *SMALL_TRAIN, "--split-seed", "7"]) == 0
+        path, again = out / "checkpoints" / "model.ckpt", tmp_path / "again.ckpt"
+        loaded = tr.load_checkpoint(path)
+        assert loaded.split == {"train_fraction": 0.8, "split_seed": 7}
+        tr.save_checkpoint(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_zero_epoch_train_writes_init_checkpoint(self, out, corpus_file):
         rc = cli.main([
@@ -752,6 +763,27 @@ class TestRejectedRunWritesNothing:
         assert flag[2:].replace("-", "_") in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m["log_records"][0].update(loss_main="x"),
+        lambda m: m.update(adam_step_count="x"),
+        lambda m: m.update(adam_step_count=-5),
+        lambda m: m["log_records"][0].update(epoch=0.5),
+        lambda m: m["metrics"].update(heldout_wa=m["metrics"]["heldout_wa"] + 0.25),
+    ], ids=["string-in-record", "string-step-count", "negative-step-count", "float-record-epoch",
+            "metrics-off-log"])
+    def test_resume_from_malformed_manifest(self, trained, tmp_path, capsys, mutate):
+        # Each once resumed: the first wrote a checkpoint and then died with a traceback,
+        # the second died with one, the third read as a divergence, the last two exited 0.
+        corpus, ckpt = trained
+        rewrite_manifest(Path(ckpt), mutate)
+        capsys.readouterr()
+        out = tmp_path / "rejected"
+        assert cli.main(["train", "--out-dir", str(out), "--corpus-file", corpus, *SMALL_TRAIN[2:],
+                         "--epochs", "2", "--resume-from", ckpt]) == 1
+        assert one_error_line(capsys).startswith(
+            ("error: invalid checkpoint content: ", "error: manifest metrics "))
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, flag", [
         ("gen-corpus", "--corpus-seed=-1"), ("train", "--seed=-3"), ("train", "--split-seed=-3"),
         ("ablate", "--seeds=-1"), ("grad-check", "--seed=-1"),
@@ -783,7 +815,7 @@ OUTSIDE = {
     "speech_len_min": 0, "speech_len_max": 0, "salient_per_class": 0,
     "salience_prob": 1.000000001, "corpus_seed": -1, "context_utterances": -1,
     "split_seed": -1, "seeds": [-1], "split": "bogus", "suite": "bogus",
-    "sweep_modality": "bogus", "tolerance": 0.0,
+    "sweep_modality": "bogus", "tolerance": 0.0, "train_fraction": 1.0, "index": -1,
 }
 
 

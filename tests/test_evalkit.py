@@ -326,17 +326,17 @@ class TestParallelGrid:
 class TestSweepK:
     def test_single_value_matches_ablation(self):
         spec, config = tiny_setup()
-        points = ev.sweep_k([3], "text", config, spec, 40, 0.7, seeds=[2])
+        (_, cond), = ev.sweep_k([3], "text", config, spec, 40, 0.7, seeds=[2])
         report = ev.run_ablation(
             {"k": replace(config, top_k_text=3)}, spec, 40, 0.7, seeds=[2]
         )
-        assert points[0].mean_wa == report.condition("k").mean_wa
-        assert points[0].mean_ua == report.condition("k").mean_ua
+        assert cond.mean_wa == report.condition("k").mean_wa
+        assert cond.mean_ua == report.condition("k").mean_ua
 
     def test_row_count_matches_values(self):
         spec, config = tiny_setup()
         points = ev.sweep_k([2, 3, 4], "text", config, spec, 40, 0.7, seeds=[1])
-        assert [p.k for p in points] == [2, 3, 4]
+        assert [k for k, _ in points] == [2, 3, 4]
         lines = ev.sweep_to_lines(points)
         assert len(lines) == 4
 
@@ -354,13 +354,13 @@ class TestSweepK:
     def test_matches_one_run_per_value(self):
         spec, config = tiny_setup()
         points = ev.sweep_k([2, 4], "text", config, spec, 40, 0.7, seeds=[1, 2])
-        for point in points:
-            report = ev.run_ablation({"k": replace(config, top_k_text=point.k)}, spec, 40, 0.7,
+        for k, cond in points:
+            report = ev.run_ablation({"k": replace(config, top_k_text=k)}, spec, 40, 0.7,
                                      seeds=[1, 2], jobs=1)
-            assert point.per_seed == report.condition("k").per_seed
+            assert cond.per_seed == report.condition("k").per_seed
 
     def test_all_failed_point_reported_explicitly(self):
-        point = ev.SweepPoint(k=3, mean_wa=None, mean_ua=None, per_seed=())
+        point = (3, ev.ConditionResult("k=3", per_seed=(), failures=()))
         assert ev.sweep_to_lines([point])[1] == "3,all-failed,all-failed"
 
     def test_k_beyond_vocabulary_rejected(self):

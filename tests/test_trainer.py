@@ -297,7 +297,7 @@ class TestRegistry:
         for _, node in trainable:
             node.grad = Matrix(np.zeros(node.value.shape))
         optimizer.step(trainable)  # a zero-gradient step fills the moments, values stay
-        ckpt = tr.make_checkpoint(model, optimizer, config, 0, tr.TrainLog(), {})
+        ckpt = tr.make_checkpoint(model, optimizer, config, tr.TrainLog())
 
         names = [name for name, _ in model.items()]
         moments = [f"adam.{k}.{name}" for name, _ in trainable for k in ("m", "v")]
@@ -368,12 +368,13 @@ class TestCheckpointing:
         with pytest.raises(CheckpointIntegrityError, match="truncated"):
             tr.load_checkpoint(path)
 
-    def test_version_mismatch_detected(self, tmp_path):
+    def test_version_mismatch_detected(self, tmp_path, monkeypatch):
         train_c, held_c = tiny_corpus()
         _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1))
-        ckpt.format_version = 99
         path = tmp_path / "model.ckpt"
-        tr.save_checkpoint(path, ckpt)
+        with monkeypatch.context() as patch:
+            patch.setattr(tr, "CHECKPOINT_VERSION", 99)
+            tr.save_checkpoint(path, ckpt)
         with pytest.raises(UnsupportedVersionError, match="99"):
             tr.load_checkpoint(path)
 
@@ -430,15 +431,30 @@ class TestCheckpointing:
             lambda m: m.update(split=[0.8, 7]),
             lambda m: m["config"].update(learning_rate=math.inf),
             lambda m: m.update(split={"train_fraction": math.nan, "split_seed": 7}),
+            lambda m: m["log_records"][0].update(loss_main="x"),
+            lambda m: m["log_records"][1].update(epoch=1.0),
+            lambda m: m["log_records"].reverse(),
+            lambda m: m.update(adam_step_count="x"),
+            lambda m: m.update(adam_step_count=-1),
+            lambda m: m["metrics"].update(heldout_wa=m["metrics"]["heldout_wa"] + 0.25),
+            lambda m: m.update(split={"train_fraction": 0.0, "split_seed": 7}),
+            lambda m: m.update(split={"train_fraction": 1.5, "split_seed": 7}),
+            lambda m: m.update(split={"train_fraction": 0.8, "split_seed": -1}),
+            lambda m: m["arrays"][0].update(name=5),
+            lambda m: m["arrays"].append(dict(m["arrays"][0], name="fusion.nothing")),
+            lambda m: m["arrays"].append(dict(m["arrays"][0])),
         ],
         ids=["unknown-config-key", "missing-epoch", "invalid-fusion-mode",
              "string-for-bool", "bool-for-int", "float-for-int", "unpaired-moment",
              "epoch-beyond-log", "split-missing-seed", "split-string-seed", "split-not-object",
-             "infinite-float", "nan-split-fraction"],
+             "infinite-float", "nan-split-fraction", "string-in-record", "float-record-epoch",
+             "records-swapped", "string-step-count", "negative-step-count", "metrics-off-log",
+             "split-fraction-zero", "split-fraction-above-one", "split-negative-seed",
+             "array-name-not-string", "unknown-array", "array-listed-twice"],
     )
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         train_c, held_c = tiny_corpus()
-        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1))
+        _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=2))
         path = tmp_path / "model.ckpt"
         tr.save_checkpoint(path, ckpt)
         rewrite_manifest(path, mutate)
@@ -459,14 +475,21 @@ class TestCheckpointing:
             tr.load_checkpoint(path)
 
     def test_written_checkpoints_pass_the_load_checks(self, tmp_path):
-        # Every moment pairs with a model array, and epoch counts the log's records.
+        # Every moment pairs with a model array, epoch counts the log's records, and
+        # what a load reads saves to the same bytes, with and without a recorded split.
         train_c, held_c = tiny_corpus()
-        path = tmp_path / "model.ckpt"
-        for overrides in ({"epochs": 0}, {"epochs": 2, "labels_trainable": True},
+        path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+        for overrides in ({"epochs": 0}, {"epochs": 1}, {"epochs": 2, "labels_trainable": True},
                           {"epochs": 1, "modality": "speech"}):
             _, log, ckpt = tr.train(train_c, held_c, tiny_config(**overrides))
-            tr.save_checkpoint(path, ckpt)
-            assert tr.load_checkpoint(path).epoch == len(log.records) == overrides["epochs"]
+            for split in (None, {"train_fraction": 0.7, "split_seed": 5}):
+                ckpt.split = split
+                tr.save_checkpoint(path, ckpt)
+                loaded = tr.load_checkpoint(path)
+                assert loaded.epoch == len(log.records) == overrides["epochs"]
+                assert (loaded.log_records, loaded.split) == (ckpt.log_records, split)
+                tr.save_checkpoint(again, loaded)
+                assert again.read_bytes() == path.read_bytes()
 
     def test_resume_equals_uninterrupted(self, tmp_path):
         train_c, held_c = tiny_corpus()
@@ -556,7 +579,8 @@ class TestTrainLogExport:
         train_c, held_c = tiny_corpus()
         _, log, _ = tr.train(train_c, held_c, tiny_config(epochs=2))
         lines = log.to_lines()
-        assert lines[0].startswith("epoch,loss_main")
+        assert lines[0] == ("epoch,loss_main,loss_constraint,loss_guide_text,loss_guide_speech,"
+                            "loss_total,train_wa,train_ua,heldout_wa,heldout_ua")
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "0"
