@@ -45,13 +45,15 @@ thread.
 
 An op is its checks and a kernel. The kernel (`_self_attention`,
 `_gather`, ...) maps the parents' arrays to the output array and its
-backward closure; the public op runs the checks, calls the kernel (per
-sequence on a long self-attention batch) and wraps the result in a node.
-Self-attention's checks run once per batch, before any sequence, so they
-are a function of their own (`_check_self_attention`); the other kernels a
-parameter's shape can fail hold their checks. The kernels are also the
-inference path: `fusion`'s prediction calls them, with those checks, on one
-sequence's arrays (`_alone` segments) and builds no node.
+backward closure; the public op runs the checks, calls the kernel and wraps
+the result in a node. The kernels a parameter's shape can fail hold their
+checks; self-attention's run once per batch, in `_attend`, before the
+kernel runs on the batch or on each sequence of a long one.
+
+The model is wired once, with its ops as an argument. Given this module,
+the wiring builds a graph, for training; given `on_arrays`, it runs the
+same kernels, with every check a model matrix can fail, on arrays, drops
+the backward closures and builds no node, for `fusion`'s prediction.
 
 Finiteness is checked at the boundaries, not inside every op: the public
 `Matrix(...)` constructor (parameters, corpora, checkpoints, tests) rejects
@@ -68,6 +70,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -519,12 +522,11 @@ def pool(a: Node, kind: str, segments: Segments | None = None) -> Node:
     segments x cols. The max backward routes the whole gradient to the first
     (lowest-index) argmax of each segment's column.
     """
-    if kind not in ("mean", "max"):
+    if kind not in _POOLS:
         raise ContractError(f"pool kind must be 'mean' or 'max', got {kind!r}")
     x = a.value.array
     seg = _segments("pool", segments, x.shape[0])
-    kernel = _pool_mean if kind == "mean" else _pool_max
-    out, backward_fn = kernel(x, seg, (a,))
+    out, backward_fn = _POOLS[kind](x, seg, (a,))
     return _op(out, f"pool_{kind}", (a,), backward_fn)
 
 
@@ -551,6 +553,9 @@ def _pool_max(x, seg, parents):
         return (gx,)
 
     return out, backward_fn
+
+
+_POOLS = {"mean": _pool_mean, "max": _pool_max}
 
 
 def concat_cols(a: Node, b: Node) -> Node:
@@ -650,18 +655,26 @@ def self_attention(
     e's rows (all of them when segments is None); d = e's width. A row
     attends only to the rows of its own segment.
     """
-    arrays = e.value.array, wq.value.array, wk.value.array, wv.value.array
-    seg = _check_self_attention(*arrays, segments)
     parents = (e, wq, wk, wv)
+    out, backward_fn = _attend(*[p.value.array for p in parents], segments, parents)
+    return _op(out, "self_attention", parents, backward_fn)
+
+
+def _attend(x, wqa, wka, wva, segments: Segments | None, parents):
+    """Self-attention's checks, once per batch, then its kernel on the batch or on each sequence."""
+    for wa in (wqa, wka, wva):
+        _check_product("matmul", x.shape, wa.shape)
+    seg = _segments("self_attention", segments, x.shape[0])
+    _check_product("matmul", (seg.width, wqa.shape[1]), (wka.shape[1], seg.width))
+    _check_same("add", x.shape, (x.shape[0], wva.shape[1]))
     if seg.count == 1 or not seg.long:
-        out, backward_fn = _self_attention(*arrays, seg, parents)
-        return _op(out, "self_attention", parents, backward_fn)
+        return _self_attention(x, wqa, wka, wva, seg, parents)
     # A long batch: each sequence's rows run as a batch of one (see LONG_ROWS).
     # A block is taken in C order, as a batch of one holds it.
     take = np.ascontiguousarray
     blocks = [slice(o, o + n) for o, n in zip(seg.offsets, seg.lengths)]
     outs, backs = zip(*[
-        _self_attention(take(arrays[0][rows]), *arrays[1:], _alone(n), parents)
+        _self_attention(take(x[rows]), wqa, wka, wva, _alone(n), parents)
         for rows, n in zip(blocks, seg.lengths)
     ])
 
@@ -669,21 +682,12 @@ def self_attention(
         ge, *gw = zip(*[back(take(g[rows])) for back, rows in zip(backs, blocks)])
         # Each shared weight's gradient is its blocks' summed in batch order.
         return (
-            np.concatenate(ge) if e.requires_grad else None,
+            np.concatenate(ge) if parents[0].requires_grad else None,
             *(functools.reduce(np.add, gs) if p.requires_grad else None
               for p, gs in zip(parents[1:], gw)),
         )
 
-    return _op(np.concatenate(outs), "self_attention", parents, backward_fn)
-
-
-def _check_self_attention(x, wqa, wka, wva, segments: Segments | None) -> Segments:
-    for wa in (wqa, wka, wva):
-        _check_product("matmul", x.shape, wa.shape)
-    seg = _segments("self_attention", segments, x.shape[0])
-    _check_product("matmul", (seg.width, wqa.shape[1]), (wka.shape[1], seg.width))
-    _check_same("add", x.shape, (x.shape[0], wva.shape[1]))
-    return seg
+    return np.concatenate(outs), backward_fn
 
 
 def _self_attention(x, wqa, wka, wva, seg, parents):
@@ -901,6 +905,28 @@ def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:
         return tuple(np.full(shape, g[0, 0] * f) for f in factors)
 
     return _op(_sum(total, axis=0, keepdims=True), "weighted_sum", tuple(terms), backward_fn)
+
+
+# The model's ops on arrays (see the module docstring). Each entry takes its
+# op's arguments in order, an intermediate as an array and a model matrix as its
+# node, with the segments given, and returns its kernel's output array. The op
+# checks an entry skips concern intermediates, whose shapes earlier kernels fix.
+on_arrays = SimpleNamespace(
+    gather=lambda table, ids, what="id": _gather(table.value.array, ids, what)[0],
+    self_attention=lambda e, wq, wk, wv, segments: _attend(
+        e, wq.value.array, wk.value.array, wv.value.array, segments, ())[0],
+    residual_linear=lambda x, w: _residual_linear(x, w.value.array, ())[0],
+    cosine_scores=lambda seq, labels: _cosine_scores(seq, labels.value.array, ())[0],
+    paired_scores=lambda a, b, rows, cols: _paired_scores(a, b, rows, cols, ())[0],
+    row_softmax=lambda a, rows, cols: _row_softmax(a, rows, cols, ())[0],
+    bilinear_softmax=lambda a, b, bilinear, rows, cols: _bilinear_softmax(
+        a, b, bilinear.value.array, rows, cols, ())[0],
+    add=lambda a, b: a + b,
+    paired_mix=lambda w, b, rows, cols: _paired_mix(w, b, rows, cols, ())[0],
+    concat_cols=lambda a, b: np.concatenate([a, b], axis=1),
+    pool=lambda a, kind, segments: _POOLS[kind](a, segments, ())[0],
+    affine=lambda x, w, b: _affine(x, w.value.array, b.value.array, ())[0],
+)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ concatenated, and their `diffcore.Segments`. The lookup and the projections
 are row-wise; only the attention needs the segments, so that a row attends
 to its own sequence. With no segments the ids are one sequence.
 
+An encoder takes its ops as an argument, `ops`: the `diffcore` module
+(the default) builds graph nodes, and `diffcore.on_arrays` runs the same ops
+on arrays and returns an array, as prediction does (it passes segments).
+
 The encoders own no parameters: they read their matrices from the model, a
 dict keyed by the names of `fusion.PARAMETERS` ("text.query_w", ...), which
 `fusion.init_model` draws.
@@ -23,28 +27,29 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diffcore import Node, Segments, gather, residual_linear, self_attention
+from . import diffcore
+from .diffcore import Node, Segments
 
 DEFAULT_DIM = 16
 
 
 def text_encode(
-    tokens: Sequence[int], params: dict[str, Node], segments: Segments | None = None
-) -> Node:
+    tokens: Sequence[int], params: dict[str, Node], segments: Segments | None = None, ops=diffcore
+):
     """Sequence representation, one row per token."""
-    embedded = gather(params["text.embedding"], tokens, "token id")
-    return self_attention(
+    embedded = ops.gather(params["text.embedding"], tokens, "token id")
+    return ops.self_attention(
         embedded, params["text.query_w"], params["text.key_w"], params["text.value_w"], segments
     )
 
 
 def speech_encode(
-    codes: Sequence[int], params: dict[str, Node], segments: Segments | None = None
-) -> Node:
+    codes: Sequence[int], params: dict[str, Node], segments: Segments | None = None, ops=diffcore
+):
     """Frame representation, one row per code, from the frozen codebook."""
-    embedded = gather(params["speech.codebook"], codes, "code id")
-    mixed = self_attention(
+    embedded = ops.gather(params["speech.codebook"], codes, "code id")
+    mixed = ops.self_attention(
         embedded, params["speech.query_w"], params["speech.key_w"], params["speech.value_w"],
         segments,
     )
-    return residual_linear(mixed, params["speech.post_w"])
+    return ops.residual_linear(mixed, params["speech.post_w"])

@@ -156,8 +156,9 @@ def run_ablation(
 
     A run is `trainer.fit` and one heldout evaluation of its final model
     (`trainer.evaluate_final`); it evaluates nothing else. Every config
-    needs epochs >= 1 (else ConfigError, before any run starts). A diverging
-    run is recorded for its condition and the harness continues.
+    needs epochs >= 1 and no seed may repeat (else ConfigError, before any
+    run starts). A diverging run is recorded for its condition and the
+    harness continues.
     Runs are spread over `jobs` processes (default: every usable core; 1 runs
     them in this process). Each run is a pure function of its split and
     seeded config and results are merged in serial order (seed, then
@@ -168,6 +169,8 @@ def run_ablation(
         raise ConfigError("need at least one ablation condition")
     if not seeds:
         raise ConfigError("need at least one seed")
+    if len(set(seeds)) < len(seeds):  # a repeated seed's run would count twice in every mean
+        raise ConfigError(f"seeds must not repeat, got {','.join(map(str, seeds))}")
     if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1):
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     runs = [(seed, name, replace(config, seed=seed))

@@ -28,18 +28,16 @@ weight from `default_rng([seed, 2])`, in table order; biases are zero and
 the label rows come from the caller, built on the two drawn tables.
 Checkpoints, the optimizer and the grad check loop over the dict.
 
-There is one forward path, and it takes a mini-batch. `forward`
-(multimodal) and `unimodal_forward` (one tower) build one graph for the
-whole batch and return a `ForwardResult`: batch x classes logits, the loss
-root (the sum of the utterances' weighted totals) and each utterance's loss
-terms. `attention_maps` gives each utterance's four maps without a label or
-a loss.
-
-`predict_logits` and `unimodal_logits` give the logits of that pass on a
-batch of one, bit for bit, without a graph: they call the kernels of
-diffcore's ops on the model's arrays, with each op's checks, so a
-prediction raises what the op would. They build only the maps the mode's
-alignment uses.
+There is one wiring of the model, and it takes a mini-batch and its ops.
+Run on `diffcore`'s graph ops, `forward` (multimodal) and
+`unimodal_forward` (one tower) build one graph for the whole batch and
+return a `ForwardResult`: batch x classes logits, the loss root (the sum of
+the utterances' weighted totals) and each utterance's loss terms.
+`attention_maps` gives each utterance's four maps without a label or a
+loss. Run on `diffcore.on_arrays`, the same pass gives `predict_logits` and
+`unimodal_logits` the logits of a batch of one, bit for bit, with no graph
+but every check a model matrix can fail, so a prediction raises what the
+graph would; it builds only the maps the mode's alignment uses.
 
 The pass is built from `diffcore`'s fused ops where a step is one, on the
 batch's stacked rows and their `diffcore.Segments`: label attention is
@@ -64,38 +62,22 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Utterance
+from . import diffcore
 from .diffcore import (
     Matrix,
     Node,
     Segments,
-    _affine,
     _alone,
-    _bilinear_softmax,
-    _check_self_attention,
-    _cosine_scores,
-    _gather,
-    _paired_mix,
-    _paired_scores,
-    _pool_max,
-    _residual_linear,
-    _row_softmax,
-    _self_attention,
     _wrap,
-    add,
-    affine,
     backward,
-    bilinear_softmax,
-    concat_cols,
     constant,
     cosine_scores,
     cross_entropy,
     grad_check,
     mse,
-    paired_mix,
-    paired_scores,
+    on_arrays,
     parameter,
     pool,
-    row_softmax,
     weighted_sum,
 )
 from .encoders import speech_encode, text_encode
@@ -270,18 +252,20 @@ def score_fusion(logits_text: Matrix, logits_speech: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _encode(utterances: Sequence[Utterance], modality: str, params: dict[str, Node]):
+def _encode(utterances: Sequence[Utterance], modality: str, params: dict[str, Node], ops):
     """One modality's rows for the whole batch, stacked, and their segments."""
     if modality == "text":
-        seqs = [u.text_tokens for u in utterances]
+        seqs, encode = [u.text_tokens for u in utterances], text_encode
     elif modality == "speech":
-        seqs = [u.frame_codes for u in utterances]
+        seqs, encode = [u.frame_codes for u in utterances], speech_encode
     else:
         raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-    segments = Segments([len(seq) for seq in seqs])
-    ids = seqs[0] if len(seqs) == 1 else list(itertools.chain.from_iterable(seqs))
-    encode = text_encode if modality == "text" else speech_encode
-    return encode(ids, params, segments), segments
+    if len(seqs) == 1:  # cached segments, so a prediction builds none
+        ids, segments = seqs[0], _alone(len(seqs[0]))
+    else:
+        ids = list(itertools.chain.from_iterable(seqs))
+        segments = Segments([len(seq) for seq in seqs])
+    return encode(ids, params, segments, ops), segments
 
 
 def _fused_pass(
@@ -289,35 +273,50 @@ def _fused_pass(
     params: dict[str, Node],
     mode: FusionMode,
     normalize_label_attention: bool,
+    ops=diffcore,
 ):
-    """Encoders, every map and the fused logits of a batch.
+    """Encoders, the maps and the fused logits of a batch, as nodes or (ops=on_arrays) arrays.
 
     Returns (logits, profiles, vanilla, guided, text segments, speech
-    segments); the alignments are stacks of per-utterance maps. Every map is
-    built whatever the mode, because the guidance losses read the class
-    profiles and the constraint reads both alignments.
+    segments); the alignments are stacks of per-utterance maps. A graph
+    builds every map whatever the mode, because the guidance losses read the
+    class profiles, the constraint reads both alignments and
+    `attention_maps` all four. On arrays only the maps the mode's alignment
+    uses are built, in the same order, and the others are None.
     """
-    h_text, text = _encode(utterances, "text", params)
-    h_speech, speech = _encode(utterances, "speech", params)
-    profiles = (
-        cosine_scores(h_text, params["labels.text"]),
-        cosine_scores(h_speech, params["labels.speech"]),
-    )
-    guided = paired_scores(*profiles, text, speech)
-    if normalize_label_attention:
-        guided = row_softmax(guided, text, speech)
-    vanilla = bilinear_softmax(h_text, h_speech, params["fusion.cross_map"], text, speech)
+    every = ops is not on_arrays
+    h_text, text = _encode(utterances, "text", params, ops)
+    h_speech, speech = _encode(utterances, "speech", params, ops)
+    profiles = vanilla = guided = None
+    if every or mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
+        profiles = (
+            ops.cosine_scores(h_text, params["labels.text"]),
+            ops.cosine_scores(h_speech, params["labels.speech"]),
+        )
+        guided = ops.paired_scores(*profiles, text, speech)
+        if normalize_label_attention:
+            guided = ops.row_softmax(guided, text, speech)
+    if every or mode is not FusionMode.ONLY_LABEL:
+        vanilla = ops.bilinear_softmax(h_text, h_speech, params["fusion.cross_map"], text, speech)
 
     if mode is FusionMode.SUM:
-        align = add(vanilla, guided)
+        align = ops.add(vanilla, guided)
     elif mode is FusionMode.ONLY_LABEL:
         align = guided
     else:
         align = vanilla
-    merged = concat_cols(h_text, paired_mix(align, h_speech, text, speech))
-    pooled = pool(merged, "max", text)
-    logits = affine(pooled, params["fusion.classifier_w"], params["fusion.classifier_b"])
+    merged = ops.concat_cols(h_text, ops.paired_mix(align, h_speech, text, speech))
+    pooled = ops.pool(merged, "max", text)
+    logits = ops.affine(pooled, params["fusion.classifier_w"], params["fusion.classifier_b"])
     return logits, profiles, vanilla, guided, text, speech
+
+
+def _tower(utterances: Sequence[Utterance], modality: str, params: dict[str, Node], ops=diffcore):
+    """One tower's logits of a batch, its rows and their segments, as nodes or arrays."""
+    h, segments = _encode(utterances, modality, params, ops)
+    logits = ops.affine(ops.pool(h, "max", segments), params[f"fusion.{modality}_head_w"],
+                        params[f"fusion.{modality}_head_b"])
+    return logits, h, segments
 
 
 @dataclass
@@ -411,9 +410,7 @@ def unimodal_forward(
     The classifier loss has weight 1, and each breakdown has 0.0 for the
     constraint and the other tower's guidance.
     """
-    h, segments = _encode(utterances, modality, params)
-    logits = affine(pool(h, "max", segments), params[f"fusion.{modality}_head_w"],
-                    params[f"fusion.{modality}_head_b"])
+    logits, h, segments = _tower(utterances, modality, params)
     labels = [u.label for u in utterances]
     guide = guidance_loss(cosine_scores(h, params[f"labels.{modality}"]), labels, segments)
     zeros = _zeros(utterances)
@@ -425,33 +422,13 @@ def unimodal_forward(
 # Prediction
 #
 # A prediction is the pass of a batch of one, run on the model's arrays
-# through the kernels of diffcore's ops: it builds no Node, no intermediate
-# Matrix and no Segments (one sequence is `_alone(n)`), and raises what the
-# ops raise. Each kernel also returns its backward closure, which is dropped.
+# (`ops=on_arrays`): it builds no Node, no intermediate Matrix and no Segments
+# (one sequence is `_alone(n)`), and raises what the ops raise.
 # ---------------------------------------------------------------------------
 
 
-def _encode_alone(utterance: Utterance, modality: str, params: dict[str, Node]):
-    """One modality's rows of one utterance and their segments: the encoder's ops on arrays."""
-    if modality == "text":
-        ids, table, what = utterance.text_tokens, "text.embedding", "token id"
-    elif modality == "speech":
-        ids, table, what = utterance.frame_codes, "speech.codebook", "code id"
-    else:
-        raise ValueError(f"modality must be 'text' or 'speech', got {modality!r}")
-    segments = _alone(len(ids))
-    x, _ = _gather(params[table].value.array, ids, what)
-    weights = [params[f"{modality}.{w}_w"].value.array for w in ("query", "key", "value")]
-    x, _ = _self_attention(x, *weights, _check_self_attention(x, *weights, segments), ())
-    if modality == "speech":
-        x, _ = _residual_linear(x, params["speech.post_w"].value.array, ())
-    return x, segments
-
-
-def _head_logits(rows: np.ndarray, segments: Segments, params: dict[str, Node], head: str):
-    """The 1 x c logits of a max-pooled head; NonFiniteError when they are not finite."""
-    pooled, _ = _pool_max(rows, segments, ())
-    logits, _ = _affine(pooled, params[f"{head}_w"].value.array, params[f"{head}_b"].value.array, ())
+def _checked(logits: np.ndarray) -> Matrix:
+    """Predicted logits as a Matrix; NonFiniteError when they are not finite."""
     if not np.isfinite(logits).all():
         raise NonFiniteError("predicted logits are not finite")
     return _wrap(logits)
@@ -468,23 +445,9 @@ def predict_logits(
     Builds only the maps the mode's alignment uses. Raises NonFiniteError
     when the logits are not finite.
     """
-    h_text, text = _encode_alone(utterance, "text", params)
-    h_speech, speech = _encode_alone(utterance, "speech", params)
-    align = None
-    if mode in (FusionMode.SUM, FusionMode.ONLY_LABEL):
-        profiles = (
-            _cosine_scores(h_text, params["labels.text"].value.array, ())[0],
-            _cosine_scores(h_speech, params["labels.speech"].value.array, ())[0],
-        )
-        align, _ = _paired_scores(*profiles, text, speech, ())
-        if normalize_label_attention:
-            align, _ = _row_softmax(align, text, speech, ())
-    if mode is not FusionMode.ONLY_LABEL:
-        cross_map = params["fusion.cross_map"].value.array
-        vanilla, _ = _bilinear_softmax(h_text, h_speech, cross_map, text, speech, ())
-        align = vanilla if align is None else vanilla + align
-    mixed, _ = _paired_mix(align, h_speech, text, speech, ())
-    return _head_logits(np.concatenate([h_text, mixed], axis=1), text, params, "fusion.classifier")
+    return _checked(
+        _fused_pass([utterance], params, mode, normalize_label_attention, on_arrays)[0]
+    )
 
 
 def unimodal_logits(utterance: Utterance, modality: str, params: dict[str, Node]) -> Matrix:
@@ -492,8 +455,7 @@ def unimodal_logits(utterance: Utterance, modality: str, params: dict[str, Node]
 
     Raises NonFiniteError when the logits are not finite.
     """
-    rows, segments = _encode_alone(utterance, modality, params)
-    return _head_logits(rows, segments, params, f"fusion.{modality}_head")
+    return _checked(_tower([utterance], modality, params, on_arrays)[0])
 
 
 # ---------------------------------------------------------------------------

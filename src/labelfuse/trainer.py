@@ -21,8 +21,9 @@ sum of the utterances' weighted totals, so a weight's gradient is one
 product over the batch. The result's `terms` hold each utterance's five
 loss columns for the log. Evaluation predicts one utterance at a time
 (`model_predictor`): a prediction is the argmax of the logits of
-`fusion.predict_logits` or `fusion.unimodal_logits`, which run the forward
-pass of a batch of one on the model's arrays and build no graph.
+`fusion.predict_logits` or `fusion.unimodal_logits`, which run the same
+pass as training on a batch of one, on the model's arrays
+(`diffcore.on_arrays`), and build no graph.
 
 `train` evaluates both splits after every epoch for its log and
 checkpoint. `fit` runs the same epochs with no evaluation, log or

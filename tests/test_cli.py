@@ -338,6 +338,17 @@ class TestHarnessCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "jobs" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("subcommand", ["ablate", "sweep-k"])
+    def test_repeated_seed_exits_1(self, out, capsys, subcommand):
+        # Each once trained seed 0 twice and wrote two identical rows.
+        args = [subcommand, "--out-dir", str(out), *SMALL_CORPUS, *SMALL_TRAIN, "--seeds", "0,0"]
+        if subcommand == "sweep-k":
+            args += ["--sweep-modality", "text", "--k-values", "2"]
+        capsys.readouterr()
+        assert cli.main([*args, "--jobs", "1"]) == 1
+        assert one_error_line(capsys) == "error: seeds must not repeat, got 0,0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["ablate", "score-fusion"])
     def test_zero_epochs_exits_1(self, out, corpus_file, capsys, subcommand):
         capsys.readouterr()

@@ -231,6 +231,13 @@ class TestRunAblation:
         with pytest.raises(ConfigError, match="epochs"):
             ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1])
 
+    def test_repeated_seed_rejected_before_first_run(self, monkeypatch):
+        # `--seeds 0,0,1` once trained seed 0 twice and counted it twice in each mean.
+        monkeypatch.setattr(tr, "fit", lambda *args: pytest.fail("a run started"))
+        spec, config = tiny_setup()
+        with pytest.raises(ConfigError, match="^seeds must not repeat, got 0,1,0$"):
+            ev.run_ablation({"base": config}, spec, 40, 0.7, seeds=[0, 1, 0], jobs=1)
+
     def test_requires_conditions_and_seeds(self):
         spec, config = tiny_setup()
         with pytest.raises(ConfigError):

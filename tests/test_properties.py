@@ -7,10 +7,15 @@ reduction over a sequence is a sum or a mean. So at any shape:
 (a) reordering an utterance's tokens, and separately its frames, leaves the
     logits, the five loss terms and every parameter gradient unchanged;
 (b) each utterance's logits and loss terms in a batch, in any order, are
-    those of its batch of one.
+    those of its batch of one;
+(c) a prediction (`predict_logits`, `unimodal_logits`), the pass run on
+    arrays, gives the logits of the graph pass on its batch of one, bit for
+    bit;
+(d) a batch of an utterance twice gives that utterance's loss terms twice
+    and twice its gradient for every parameter.
 
-Both hold up to rounding, so values are compared within 1e-12 of the
-larger of 1 and the largest value compared. A batch whose speech reaches
+All but (c) hold up to rounding, so values are compared within 1e-12 of
+the larger of 1 and the largest value compared. A batch whose speech reaches
 `diffcore.LONG_ROWS` frames runs self-attention one utterance at a time and
 pads every other op, so such batches are drawn as well as short ones.
 """
@@ -22,7 +27,8 @@ from hypothesis import strategies as st
 from labelfuse.corpus import Utterance
 from labelfuse.diffcore import LONG_ROWS, Matrix, backward
 from labelfuse.fusion import (
-    TOWERS, FusionMode, _shapes, forward, model_from_arrays, unimodal_forward,
+    TOWERS, FusionMode, _shapes, forward, model_from_arrays, predict_logits, unimodal_forward,
+    unimodal_logits,
 )
 
 TOLERANCE = 1e-12
@@ -114,3 +120,26 @@ class TestSymmetries:
             alone_logits, alone_terms, _ = run(model, [utt], mode, normalize)
             assert_close(logits[row : row + 1], alone_logits, f"logits of utterance {row}")
             assert_close(terms[row : row + 1], alone_terms, f"loss terms of utterance {row}")
+
+    @PROPERTY_SETTINGS
+    @given(case=cases())
+    def test_a_prediction_is_the_graph_pass_of_its_batch_of_one(self, case):
+        model, batch, mode, normalize, _ = case
+        for row, utt in enumerate(batch):
+            if mode in TOWERS:
+                predicted = unimodal_logits(utt, mode, model)
+            else:
+                predicted = predict_logits(utt, model, FusionMode(mode), normalize)
+            logits, _, _ = run(model, [utt], mode, normalize)
+            assert np.array_equal(predicted.array, logits), f"logits of utterance {row}"
+
+    @PROPERTY_SETTINGS
+    @given(case=cases())
+    def test_an_utterance_twice_counts_twice(self, case):
+        model, batch, mode, normalize, _ = case
+        _, terms, grads = run(model, batch[:1], mode, normalize)
+        _, twice_terms, twice_grads = run(model, batch[:1] * 2, mode, normalize)
+        assert_close(twice_terms, np.vstack([terms, terms]), "loss terms")
+        assert twice_grads.keys() == grads.keys()
+        for param, grad in grads.items():
+            assert_close(twice_grads[param], 2 * grad, f"gradient of {param}")
