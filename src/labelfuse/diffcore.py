@@ -37,11 +37,11 @@ one sequence at a time through the expressions of a batch of one, so its
 padding; its backward sums each shared weight's gradient over the
 sequences in batch order. Either way the op is one graph node.
 
-Graphs are built eagerly. Each operation returns a `Node` holding the
-computed `Matrix` plus a closure that maps the gradient arriving at the node
-to one gradient array per parent. Matrices are immutable after construction
-and may be shared freely; graphs are built and differentiated on a single
-thread.
+Graphs are built eagerly. Each operation returns a `Node` holding its value,
+a read-only C-ordered 2-D float64 array, plus a closure that maps the
+gradient arriving at the node to one gradient array per parent. Values are
+never written after construction and may be shared freely; graphs are built
+and differentiated on a single thread.
 
 An op is its checks and a kernel. The kernel (`_self_attention`,
 `_gather`, ...) maps the parents' arrays to the output array and its
@@ -55,13 +55,14 @@ the wiring builds a graph, for training; given `on_arrays`, it runs the
 same kernels, with every check a model matrix can fail, on arrays, drops
 the backward closures and builds no node, for `fusion`'s prediction.
 
-Finiteness is checked at the boundaries, not inside every op: the public
-`Matrix(...)` constructor (parameters, corpora, checkpoints, tests) rejects
-NaN and infinity, and so does every leaf gradient `backward` stores. Op
-outputs take their freshly computed arrays without a copy or a scan; the
-trainer checks the loss root before `backward` and every Adam-updated
-parameter, and prediction checks its logits, so a non-finite intermediate
-surfaces as a `NonFiniteError` at one of those points.
+Finiteness is checked at the boundaries, not inside every op. `checked`
+makes a value that comes from outside an op a read-only copy and rejects
+NaN and infinity: every leaf (`constant`, `parameter`), every leaf gradient
+`backward` stores, every Adam update and every checkpoint array (`Matrix`)
+passes it. Op outputs take their freshly computed arrays without a copy or a
+scan; the trainer checks the loss root before `backward`, and prediction
+checks its logits, so a non-finite intermediate surfaces as a
+`NonFiniteError` at one of those points.
 """
 
 from __future__ import annotations
@@ -81,57 +82,36 @@ from .errors import ConfigError, ContractError, DegenerateRowError, DimensionErr
 _NORM_FLOOR = 1e-12
 
 
-class Matrix:
-    """Immutable dense 2-D matrix of 64-bit floats, stored row-major."""
+def checked(values) -> np.ndarray:
+    """`values` as a read-only, C-ordered 2-D float64 copy.
 
-    __slots__ = ("_a",)
+    DimensionError unless 2-D, NonFiniteError on NaN or infinity. Every value
+    the package takes from outside an op passes here.
+    """
+    a = np.array(values, dtype=np.float64, order="C")
+    if a.ndim != 2:
+        raise DimensionError(f"matrix must be 2-D, got {a.ndim} dimension(s)")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix entries must be finite")
+    a.setflags(write=False)
+    return a
+
+
+class Matrix:
+    """A checkpoint's array, `checked` on construction."""
+
+    __slots__ = ("array",)
 
     def __init__(self, values) -> None:
-        a = np.array(values, dtype=np.float64, order="C")
-        if a.ndim != 2:
-            raise DimensionError(f"matrix must be 2-D, got {a.ndim} dimension(s)")
-        if not np.isfinite(a).all():
-            raise NonFiniteError("matrix entries must be finite")
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
+        self.array = checked(values)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only 2-D view of the entries."""
-        return self._a
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self._a, other._a))
-
-    def allclose(self, other: "Matrix", atol: float = 1e-12) -> bool:
-        return self.shape == other.shape and bool(
-            np.allclose(self._a, other.array, rtol=0.0, atol=atol)
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
+        return self.array.shape
 
 
 class Node:
-    """A value in the computation graph.
+    """A value in the computation graph: a read-only 2-D float64 array.
 
     `backward_fn` receives the gradient of the scalar objective with respect
     to this node's value (an ndarray) and returns one gradient array (or
@@ -144,7 +124,7 @@ class Node:
 
     def __init__(
         self,
-        value: Matrix,
+        value: np.ndarray,
         op: str = "leaf",
         parents: tuple["Node", ...] = (),
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None,
@@ -160,25 +140,23 @@ class Node:
                     requires_grad = True
                     break
         self.requires_grad = requires_grad
-        self.grad: Matrix | None = None
+        self.grad: np.ndarray | None = None
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Node(op={self.op!r}, value={self.value!r})"
+        return f"Node(op={self.op!r}, shape={self.value.shape})"
 
 
 def constant(values) -> Node:
     """Leaf node that never receives gradients."""
-    m = values if isinstance(values, Matrix) else Matrix(values)
-    return Node(m, op="constant")
+    return Node(checked(values), op="constant")
 
 
 def parameter(values) -> Node:
     """Leaf node that accumulates gradients during backward passes."""
-    m = values if isinstance(values, Matrix) else Matrix(values)
-    return Node(m, op="parameter", requires_grad=True)
+    return Node(checked(values), op="parameter", requires_grad=True)
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -210,7 +188,7 @@ def backward(root: Node) -> None:
     """
     if root.value.shape != (1, 1):
         raise ContractError(
-            f"backward requires a 1x1 scalar root, got {root.value.rows}x{root.value.cols}"
+            "backward requires a 1x1 scalar root, got {}x{}".format(*root.value.shape)
         )
     pending: dict[Node, np.ndarray] = {root: np.ones((1, 1))}
     for node in reversed(_topo_order(root)):
@@ -218,7 +196,7 @@ def backward(root: Node) -> None:
         if g is None:
             continue
         if node.backward_fn is None:
-            node.grad = Matrix(g) if node.grad is None else Matrix(node.grad.array + g)
+            node.grad = checked(g if node.grad is None else node.grad + g)
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             if not parent.requires_grad or pg is None:
@@ -347,21 +325,14 @@ def _flat(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _wrap(out: np.ndarray) -> Matrix:
-    """A C-ordered 2-D float64 array nothing else writes to, as a Matrix.
-
-    The Matrix takes the array without a copy or a finiteness scan; the
-    array is only made read-only.
-    """
-    value = Matrix.__new__(Matrix)
-    out.setflags(write=False)
-    value._a = out
-    return value
-
-
 def _op(out: np.ndarray, op: str, parents: tuple[Node, ...], backward_fn) -> Node:
-    """The node of an op's output (see `_wrap`)."""
-    return Node(_wrap(out), op, parents, backward_fn)
+    """The node of an op's output, a C-ordered 2-D float64 array nothing else writes to.
+
+    The node takes the array without a copy or a finiteness scan; the array
+    is only made read-only.
+    """
+    out.setflags(write=False)
+    return Node(out, op, parents, backward_fn)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -382,7 +353,7 @@ def _check_same(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
 
 def matmul(a: Node, b: Node) -> Node:
     _check_product("matmul", a.value.shape, b.value.shape)
-    av, bv = a.value.array, b.value.array
+    av, bv = a.value, b.value
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward_fn(g: np.ndarray):
@@ -395,7 +366,7 @@ def transpose(a: Node) -> Node:
     def backward_fn(g: np.ndarray):
         return (g.T,)
 
-    return _op(np.ascontiguousarray(a.value.array.T), "transpose", (a,), backward_fn)
+    return _op(np.ascontiguousarray(a.value.T), "transpose", (a,), backward_fn)
 
 
 def gather(table: Node, ids: Sequence[int], what: str = "id") -> Node:
@@ -404,7 +375,7 @@ def gather(table: Node, ids: Sequence[int], what: str = "id") -> Node:
     Ids must lie in [0, rows); `what` names them in the IndexError. The
     backward scatter-adds each output row's gradient into its table row.
     """
-    out, backward_fn = _gather(table.value.array, ids, what)
+    out, backward_fn = _gather(table.value, ids, what)
     return _op(out, "gather", (table,), backward_fn)
 
 
@@ -429,7 +400,7 @@ def add(a: Node, b: Node) -> Node:
     def backward_fn(g: np.ndarray):
         return g, g
 
-    return _op(a.value.array + b.value.array, "add", (a, b), backward_fn)
+    return _op(a.value + b.value, "add", (a, b), backward_fn)
 
 
 def scale(a: Node, factor: float) -> Node:
@@ -438,7 +409,7 @@ def scale(a: Node, factor: float) -> Node:
     def backward_fn(g: np.ndarray):
         return (g * factor,)
 
-    return _op(a.value.array * factor, "scale", (a,), backward_fn)
+    return _op(a.value * factor, "scale", (a,), backward_fn)
 
 
 # The ufunc reductions are what ndarray.max/.sum call, without their Python wrappers.
@@ -471,7 +442,7 @@ def row_softmax(a: Node, rows: Segments | None = None, cols: Segments | None = N
     and each row's softmax runs over its block's columns only; the columns
     past the block's width come out 0.
     """
-    x = a.value.array
+    x = a.value
     n_rows, n_cols = x.shape
     rows, cols = _pairs("row_softmax", rows, cols, n_rows, n_cols if cols is None else cols.total)
     _check_same("row_softmax", x.shape, (rows.total, cols.width))
@@ -507,7 +478,7 @@ def _unit_rows_backward(g: np.ndarray, y: np.ndarray, norms: np.ndarray) -> np.n
 
 def row_l2_normalize(a: Node) -> Node:
     """Rescale each row to unit L2 norm."""
-    y, norms = _unit_rows(a.value.array)
+    y, norms = _unit_rows(a.value)
 
     def backward_fn(g: np.ndarray):
         return (_unit_rows_backward(g, y, norms),)
@@ -524,7 +495,7 @@ def pool(a: Node, kind: str, segments: Segments | None = None) -> Node:
     """
     if kind not in _POOLS:
         raise ContractError(f"pool kind must be 'mean' or 'max', got {kind!r}")
-    x = a.value.array
+    x = a.value
     seg = _segments("pool", segments, x.shape[0])
     out, backward_fn = _POOLS[kind](x, seg, (a,))
     return _op(out, f"pool_{kind}", (a,), backward_fn)
@@ -560,16 +531,16 @@ _POOLS = {"mean": _pool_mean, "max": _pool_max}
 
 def concat_cols(a: Node, b: Node) -> Node:
     """Place b's columns to the right of a's."""
-    if a.value.rows != b.value.rows:
+    if a.value.shape[0] != b.value.shape[0]:
         raise DimensionError(
-            f"concat_cols: row counts differ ({a.value.rows} vs {b.value.rows})"
+            f"concat_cols: row counts differ ({a.value.shape[0]} vs {b.value.shape[0]})"
         )
-    split = a.value.cols
+    split = a.value.shape[1]
 
     def backward_fn(g: np.ndarray):
         return g[:, :split], g[:, split:]
 
-    merged = np.concatenate([a.value.array, b.value.array], axis=1)
+    merged = np.concatenate([a.value, b.value], axis=1)
     return _op(merged, "concat_cols", (a, b), backward_fn)
 
 
@@ -578,7 +549,7 @@ def cross_entropy(logits: Node, targets: int | Sequence[int]) -> Node:
 
     `targets` holds one class per logit row; an int is the target of 1xc logits.
     """
-    x = logits.value.array
+    x = logits.value
     n_rows, n_classes = x.shape
     idx = np.atleast_1d(np.asarray(targets, dtype=np.intp))
     if idx.shape != (n_rows,):
@@ -608,7 +579,7 @@ def mse(a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = 
     (`paired_scores`) and columns past a block's width are not counted.
     With neither, the one block is the whole matrix and the result is 1x1.
     """
-    aa, ba = a.value.array, b.value.array
+    aa, ba = a.value, b.value
     _check_same("mse", aa.shape, ba.shape)
     n_rows, n_cols = aa.shape
     rows, cols = _pairs("mse", rows, cols, n_rows, n_cols if cols is None else cols.total)
@@ -656,7 +627,7 @@ def self_attention(
     attends only to the rows of its own segment.
     """
     parents = (e, wq, wk, wv)
-    out, backward_fn = _attend(*[p.value.array for p in parents], segments, parents)
+    out, backward_fn = _attend(*[p.value for p in parents], segments, parents)
     return _op(out, "self_attention", parents, backward_fn)
 
 
@@ -726,7 +697,7 @@ def _self_attention(x, wqa, wka, wva, seg, parents):
 
 def residual_linear(x: Node, w: Node) -> Node:
     """x + x w."""
-    out, backward_fn = _residual_linear(x.value.array, w.value.array, (x, w))
+    out, backward_fn = _residual_linear(x.value, w.value, (x, w))
     return _op(out, "residual_linear", (x, w), backward_fn)
 
 
@@ -750,7 +721,7 @@ def cosine_scores(seq: Node, labels: Node) -> Node:
     Both sides are normalised here, so a zero-norm row of either raises
     DegenerateRowError.
     """
-    out, backward_fn = _cosine_scores(seq.value.array, labels.value.array, (seq, labels))
+    out, backward_fn = _cosine_scores(seq.value, labels.value, (seq, labels))
     return _op(out, "cosine_scores", (seq, labels), backward_fn)
 
 
@@ -783,7 +754,7 @@ def bilinear_softmax(
     a's rows are split by `rows`, b's by `cols`; the result is a stack of maps.
     """
     parents = (a, b, bilinear)
-    out, backward_fn = _bilinear_softmax(*[p.value.array for p in parents], rows, cols, parents)
+    out, backward_fn = _bilinear_softmax(*[p.value for p in parents], rows, cols, parents)
     return _op(out, "bilinear_softmax", parents, backward_fn)
 
 
@@ -818,7 +789,7 @@ def paired_scores(
 
     A stack of maps; one segment pair is matmul(a, transpose(b)).
     """
-    out, backward_fn = _paired_scores(a.value.array, b.value.array, rows, cols, (a, b))
+    out, backward_fn = _paired_scores(a.value, b.value, rows, cols, (a, b))
     return _op(out, "paired_scores", (a, b), backward_fn)
 
 
@@ -845,7 +816,7 @@ def paired_mix(
 
     w is a stack of maps; one segment pair is matmul(w, b).
     """
-    wa, ba = w.value.array, b.value.array
+    wa, ba = w.value, b.value
     rows, cols = _pairs("paired_mix", rows, cols, wa.shape[0], ba.shape[0])
     _check_product("matmul", wa.shape, (cols.width, ba.shape[1]))
     out, backward_fn = _paired_mix(wa, ba, rows, cols, (w, b))
@@ -865,7 +836,7 @@ def _paired_mix(wa, ba, rows, cols, parents):
 
 def affine(x: Node, w: Node, b: Node) -> Node:
     """x w + b, with b one row added to every row of the product."""
-    out, backward_fn = _affine(x.value.array, w.value.array, b.value.array, (x, w, b))
+    out, backward_fn = _affine(x.value, w.value, b.value, (x, w, b))
     return _op(out, "affine", (x, w, b), backward_fn)
 
 
@@ -897,9 +868,9 @@ def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:
     if shape[1] != 1:
         raise DimensionError(f"weighted_sum: terms must be one column, got {shape[0]}x{shape[1]}")
     factors = [float(w) for w in weights]
-    total = terms[0].value.array * factors[0]
+    total = terms[0].value * factors[0]
     for t, f in zip(terms[1:], factors[1:]):
-        total = total + t.value.array * f
+        total = total + t.value * f
 
     def backward_fn(g: np.ndarray):
         return tuple(np.full(shape, g[0, 0] * f) for f in factors)
@@ -912,20 +883,20 @@ def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:
 # node, with the segments given, and returns its kernel's output array. The op
 # checks an entry skips concern intermediates, whose shapes earlier kernels fix.
 on_arrays = SimpleNamespace(
-    gather=lambda table, ids, what="id": _gather(table.value.array, ids, what)[0],
+    gather=lambda table, ids, what="id": _gather(table.value, ids, what)[0],
     self_attention=lambda e, wq, wk, wv, segments: _attend(
-        e, wq.value.array, wk.value.array, wv.value.array, segments, ())[0],
-    residual_linear=lambda x, w: _residual_linear(x, w.value.array, ())[0],
-    cosine_scores=lambda seq, labels: _cosine_scores(seq, labels.value.array, ())[0],
+        e, wq.value, wk.value, wv.value, segments, ())[0],
+    residual_linear=lambda x, w: _residual_linear(x, w.value, ())[0],
+    cosine_scores=lambda seq, labels: _cosine_scores(seq, labels.value, ())[0],
     paired_scores=lambda a, b, rows, cols: _paired_scores(a, b, rows, cols, ())[0],
     row_softmax=lambda a, rows, cols: _row_softmax(a, rows, cols, ())[0],
     bilinear_softmax=lambda a, b, bilinear, rows, cols: _bilinear_softmax(
-        a, b, bilinear.value.array, rows, cols, ())[0],
+        a, b, bilinear.value, rows, cols, ())[0],
     add=lambda a, b: a + b,
     paired_mix=lambda w, b, rows, cols: _paired_mix(w, b, rows, cols, ())[0],
     concat_cols=lambda a, b: np.concatenate([a, b], axis=1),
     pool=lambda a, kind, segments: _POOLS[kind](a, segments, ())[0],
-    affine=lambda x, w, b: _affine(x, w.value.array, b.value.array, ())[0],
+    affine=lambda x, w, b: _affine(x, w.value, b.value, ())[0],
 )
 
 
@@ -961,16 +932,12 @@ def _readout(x: Node, r: np.ndarray) -> Node:
     def backward_fn(g: np.ndarray):
         return (g * r,)
 
-    return _op(np.array([[_sum(x.value.array * r, axis=None)]]), "readout", (x,), backward_fn)
-
-
-def _scalar_eval(builder: Callable[..., Node], inputs: Sequence[Matrix]) -> float:
-    return float(builder(*[constant(m) for m in inputs]).value.array[0, 0])
+    return _op(np.array([[_sum(x.value * r, axis=None)]]), "readout", (x,), backward_fn)
 
 
 def grad_check(
     builder: Callable[..., Node],
-    inputs: Sequence[Matrix],
+    inputs: Sequence[np.ndarray],
     step: float = 1e-5,
     op_name: str = "graph",
 ) -> GradCheckReport:
@@ -986,45 +953,41 @@ def grad_check(
     root = builder(*leaves)
     if root.value.shape != (1, 1):
         raise ContractError(
-            f"grad_check builder must produce a 1x1 scalar, got "
-            f"{root.value.rows}x{root.value.cols}"
+            "grad_check builder must produce a 1x1 scalar, got {}x{}".format(*root.value.shape)
         )
     backward(root)
-    analytic = [
-        leaf.grad.array if leaf.grad is not None else np.zeros(m.shape)
-        for leaf, m in zip(leaves, inputs)
-    ]
 
     max_rel = 0.0
     probes = 0
-    # Matrices are immutable, so the unprobed inputs go in as given; only the
-    # probed one is rebuilt.
-    shifted = list(inputs)
-    for i, m in enumerate(inputs):
-        probed = m.array.copy()
-        for r in range(m.rows):
-            for c in range(m.cols):
-                saved = probed[r, c]
-                probed[r, c] = saved + step
-                shifted[i] = Matrix(probed)
-                plus = _scalar_eval(builder, shifted)
-                probed[r, c] = saved - step
-                shifted[i] = Matrix(probed)
-                minus = _scalar_eval(builder, shifted)
-                probed[r, c] = saved
-                numeric = (plus - minus) / (2.0 * step)
-                rounding = _ROUNDING * (abs(plus) + abs(minus)) / (2.0 * step)
-                a_val = analytic[i][r, c]
-                rel = (abs(a_val - numeric) - rounding) / max(abs(a_val), abs(numeric), 1e-8)
-                if rel > max_rel:
-                    max_rel = rel
-                probes += 1
-        shifted[i] = m
+    # Each input's leaf is built once and goes in as it is; only the probed
+    # one is rebuilt.
+    constants = [constant(leaf.value) for leaf in leaves]
+    shifted = list(constants)
+    for i, leaf in enumerate(leaves):
+        analytic = leaf.grad if leaf.grad is not None else np.zeros(leaf.value.shape)
+        probed = leaf.value.copy()
+        for r, c in np.ndindex(probed.shape):
+            saved = probed[r, c]
+            probed[r, c] = saved + step
+            shifted[i] = constant(probed)
+            plus = float(builder(*shifted).value[0, 0])
+            probed[r, c] = saved - step
+            shifted[i] = constant(probed)
+            minus = float(builder(*shifted).value[0, 0])
+            probed[r, c] = saved
+            numeric = (plus - minus) / (2.0 * step)
+            rounding = _ROUNDING * (abs(plus) + abs(minus)) / (2.0 * step)
+            a_val = analytic[r, c]
+            rel = (abs(a_val - numeric) - rounding) / max(abs(a_val), abs(numeric), 1e-8)
+            if rel > max_rel:
+                max_rel = rel
+            probes += 1
+        shifted[i] = constants[i]
     return GradCheckReport(op_name, max_rel, probes)
 
 
-def _random_matrix(rng: np.random.Generator, rows: int, cols: int, std: float = 1.0) -> Matrix:
-    return Matrix(rng.normal(0.0, std, size=(rows, cols)))
+def _random_matrix(rng: np.random.Generator, rows: int, cols: int, std: float = 1.0) -> np.ndarray:
+    return rng.normal(0.0, std, size=(rows, cols))
 
 
 def _tie_free_segments(rng: np.random.Generator, segments: Segments, cols: int, gap: float):
@@ -1040,7 +1003,7 @@ def _tie_free_segments(rng: np.random.Generator, segments: Segments, cols: int, 
             if n == 1 or (top2[-1] - top2[-2] > gap).all():
                 break
         blocks.append(x)
-    return Matrix(np.vstack(blocks))
+    return np.vstack(blocks)
 
 
 def run_op_grad_suite(

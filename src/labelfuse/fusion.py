@@ -34,10 +34,12 @@ Run on `diffcore`'s graph ops, `forward` (multimodal) and
 return a `ForwardResult`: batch x classes logits, the loss root (the sum of
 the utterances' weighted totals) and each utterance's loss terms.
 `attention_maps` gives each utterance's four maps without a label or a
-loss. Run on `diffcore.on_arrays`, the same pass gives `predict_logits` and
-`unimodal_logits` the logits of a batch of one, bit for bit, with no graph
-but every check a model matrix can fail, so a prediction raises what the
-graph would; it builds only the maps the mode's alignment uses.
+loss, as read-only views of the pass's node values. Run on
+`diffcore.on_arrays`, the same pass gives `predict_logits` and
+`unimodal_logits` the logits of a batch of one, bit for bit, as a read-only
+1 x classes array, with no graph but every check a model matrix can fail, so
+a prediction raises what the graph would; it builds only the maps the mode's
+alignment uses.
 
 The pass is built from `diffcore`'s fused ops where a step is one, on the
 batch's stacked rows and their `diffcore.Segments`: label attention is
@@ -64,11 +66,9 @@ import numpy as np
 from .corpus import Utterance
 from . import diffcore
 from .diffcore import (
-    Matrix,
     Node,
     Segments,
     _alone,
-    _wrap,
     backward,
     constant,
     cosine_scores,
@@ -114,20 +114,19 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class AttentionBundle:
-    """The four attention maps of one utterance (`attention_maps`), as plain matrices."""
+    """The four attention maps of one utterance (`attention_maps`), as read-only arrays."""
 
-    label_token: Matrix  # seq_len_text x classes, cosine profile
-    label_frame: Matrix  # seq_len_speech x classes
-    vanilla: Matrix  # text x speech alignment, rows are distributions
-    label_guided: Matrix  # text x speech alignment from class profiles
+    label_token: np.ndarray  # seq_len_text x classes, cosine profile
+    label_frame: np.ndarray  # seq_len_speech x classes
+    vanilla: np.ndarray  # text x speech alignment, rows are distributions
+    label_guided: np.ndarray  # text x speech alignment from class profiles
 
     def to_lines(self) -> list[str]:
         """Long-form table of every map: matrix,row,col,value."""
         lines = ["matrix,row,col,value"]
         for name, matrix in vars(self).items():  # the fields, in declaration order
-            for r in range(matrix.rows):
-                for c in range(matrix.cols):
-                    lines.append(f"{name},{r},{c},{matrix.array[r, c]:.12g}")
+            for (r, c), value in np.ndenumerate(matrix):
+                lines.append(f"{name},{r},{c},{value:.12g}")
         return lines
 
 
@@ -169,7 +168,7 @@ def _shapes(dims: Mapping[str, int]) -> dict[str, tuple[int, int]]:
     return {name: (sizes[rows], sizes[cols]) for name, (rows, cols, _) in PARAMETERS.items()}
 
 
-def model_from_arrays(arrays: Mapping[str, Matrix], labels_trainable: bool) -> dict[str, Node]:
+def model_from_arrays(arrays: Mapping[str, np.ndarray], labels_trainable: bool) -> dict[str, Node]:
     """The model: each matrix of `PARAMETERS`, in table order, as a parameter or a constant.
 
     The codebook is always frozen, the label rows unless labels_trainable.
@@ -185,7 +184,7 @@ def model_from_arrays(arrays: Mapping[str, Matrix], labels_trainable: bool) -> d
 def init_model(
     dims: Mapping[str, int],
     seed: int,
-    label_rows: Callable[[Matrix, Matrix], tuple[Matrix, Matrix]],
+    label_rows: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     labels_trainable: bool,
 ) -> dict[str, Node]:
     """The seeded model: every matrix of `PARAMETERS`, drawn in table order.
@@ -197,15 +196,15 @@ def init_model(
     """
     table_rng = np.random.default_rng([seed, 3])
     weight_rng = np.random.default_rng([seed, 2])
-    arrays: dict[str, Matrix] = {}
+    arrays: dict[str, np.ndarray] = {}
     for name, shape in _shapes(dims).items():
         rule = PARAMETERS[name][2]
         if rule.endswith("table"):
-            arrays[name] = Matrix(table_rng.normal(0.0, EMBED_INIT_STD, size=shape))
+            arrays[name] = table_rng.normal(0.0, EMBED_INIT_STD, size=shape)
         elif rule == "weight":
-            arrays[name] = Matrix(weight_rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape))
+            arrays[name] = weight_rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
         elif rule == "zeros":
-            arrays[name] = Matrix.zeros(*shape)
+            arrays[name] = np.zeros(shape)
     arrays["labels.text"], arrays["labels.speech"] = label_rows(
         arrays["text.embedding"], arrays["speech.codebook"]
     )
@@ -229,21 +228,21 @@ def guidance_loss(
     return cross_entropy(pool(profile, "mean", segments), labels)
 
 
-def class_averaged_attention(profile: Matrix) -> tuple[float, ...]:
+def class_averaged_attention(profile: np.ndarray) -> tuple[float, ...]:
     """Per-position mean over the class dimension of a cosine profile."""
-    return tuple(float(v) for v in profile.array.mean(axis=1))
+    return tuple(float(v) for v in profile.mean(axis=1))
 
 
-def score_fusion(logits_text: Matrix, logits_speech: Matrix) -> int:
-    """Predicted class from summed unimodal logits; ties pick the lowest id."""
+def score_fusion(logits_text: np.ndarray, logits_speech: np.ndarray) -> int:
+    """Predicted class from summed 1xc unimodal logits; ties pick the lowest id."""
     for name, logits in (("text", logits_text), ("speech", logits_speech)):
-        if logits.rows != 1:
-            raise DimensionError(f"{name} logits must be 1xc, got {logits.rows}x{logits.cols}")
-    if logits_text.cols != logits_speech.cols:
+        if logits.shape[0] != 1:
+            raise DimensionError("{} logits must be 1xc, got {}x{}".format(name, *logits.shape))
+    if logits_text.shape[1] != logits_speech.shape[1]:
         raise DimensionError(
-            f"logit widths differ ({logits_text.cols} vs {logits_speech.cols})"
+            f"logit widths differ ({logits_text.shape[1]} vs {logits_speech.shape[1]})"
         )
-    summed = logits_text.array[0] + logits_speech.array[0]
+    summed = logits_text[0] + logits_speech[0]
     return int(np.argmax(summed))
 
 
@@ -337,7 +336,7 @@ def _result(logits: Node, terms: Sequence[Node], weights: Sequence[float]) -> Fo
     Each utterance's total repeats weighted_sum's per-row arithmetic, so a
     batch of one reports its root's value as its total.
     """
-    columns = [t.value.array[:, 0] for t in terms]
+    columns = [t.value[:, 0] for t in terms]
     totals = columns[0] * float(weights[0])
     for column, weight in zip(columns[1:], weights[1:]):
         totals = totals + column * float(weight)
@@ -389,10 +388,10 @@ def attention_maps(
     for t0, n_text, s0, n_speech in zip(text.offsets, text.lengths, speech.offsets, speech.lengths):
         tokens = slice(t0, t0 + n_text)
         bundles.append(AttentionBundle(
-            Matrix(profile_text.value.array[tokens]),
-            Matrix(profile_speech.value.array[s0 : s0 + n_speech]),
-            Matrix(vanilla.value.array[tokens, :n_speech]),
-            Matrix(guided.value.array[tokens, :n_speech]),
+            profile_text.value[tokens],
+            profile_speech.value[s0 : s0 + n_speech],
+            vanilla.value[tokens, :n_speech],
+            guided.value[tokens, :n_speech],
         ))
     return tuple(bundles)
 
@@ -422,16 +421,17 @@ def unimodal_forward(
 # Prediction
 #
 # A prediction is the pass of a batch of one, run on the model's arrays
-# (`ops=on_arrays`): it builds no Node, no intermediate Matrix and no Segments
-# (one sequence is `_alone(n)`), and raises what the ops raise.
+# (`ops=on_arrays`): it builds no Node and no Segments (one sequence is
+# `_alone(n)`), and raises what the ops raise.
 # ---------------------------------------------------------------------------
 
 
-def _checked(logits: np.ndarray) -> Matrix:
-    """Predicted logits as a Matrix; NonFiniteError when they are not finite."""
+def _finite(logits: np.ndarray) -> np.ndarray:
+    """Predicted logits, made read-only; NonFiniteError when they are not finite."""
     if not np.isfinite(logits).all():
         raise NonFiniteError("predicted logits are not finite")
-    return _wrap(logits)
+    logits.setflags(write=False)
+    return logits
 
 
 def predict_logits(
@@ -439,23 +439,23 @@ def predict_logits(
     params: dict[str, Node],
     mode: FusionMode,
     normalize_label_attention: bool = False,
-) -> Matrix:
-    """Label-free logits of one utterance: forward's pass on a batch of one, bit for bit.
+) -> np.ndarray:
+    """Label-free 1xc logits of one utterance: forward's pass on a batch of one, bit for bit.
 
     Builds only the maps the mode's alignment uses. Raises NonFiniteError
     when the logits are not finite.
     """
-    return _checked(
+    return _finite(
         _fused_pass([utterance], params, mode, normalize_label_attention, on_arrays)[0]
     )
 
 
-def unimodal_logits(utterance: Utterance, modality: str, params: dict[str, Node]) -> Matrix:
-    """Single-tower logits of one utterance, unimodal_forward's on a batch of one, bit for bit.
+def unimodal_logits(utterance: Utterance, modality: str, params: dict[str, Node]) -> np.ndarray:
+    """Single-tower 1xc logits of one utterance, unimodal_forward's on a batch of one, bit for bit.
 
     Raises NonFiniteError when the logits are not finite.
     """
-    return _checked(_tower([utterance], modality, params, on_arrays)[0])
+    return _finite(_tower([utterance], modality, params, on_arrays)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +492,7 @@ def full_loss_grad_check(
     shapes = _shapes(dims)
     order = sorted(shapes, key=lambda name: PARAMETERS[name][2] != "frozen table")
     model = model_from_arrays(
-        {name: Matrix(rng.normal(0.0, 0.5, size=shapes[name])) for name in order},
+        {name: rng.normal(0.0, 0.5, size=shapes[name]) for name in order},
         labels_trainable=True,
     )
     # The constraint objective sends a gradient to every matrix any mode reads.

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .diffcore import Matrix
 from .errors import ExtractionError
 
 TEXT_INIT_MODES = ("random", "label-words", "tfidf")
@@ -93,12 +92,12 @@ def label_rows(
     corpus: Corpus,
     modality: str,
     mode: str,
-    table: Matrix,
+    table: np.ndarray,
     *,
     top_k: int,
     seed: int,
-    text_rows: Matrix | None = None,
-) -> Matrix:
+    text_rows: np.ndarray | None = None,
+) -> np.ndarray:
     """One label row per class of `corpus` for `modality`, from its init mode.
 
     `table` is the modality's embedding table or codebook.
@@ -111,11 +110,11 @@ def label_rows(
     classes = corpus.spec.classes
     if mode in ("tfidf", "codebook"):
         desc = tfidf_topk(class_sequences(corpus, modality), top_k)
-        means = [table.array[list(desc.symbols(c))].mean(axis=0) for c in range(classes)]
-        return Matrix(np.stack(means))
+        means = [table[list(desc.symbols(c))].mean(axis=0) for c in range(classes)]
+        return np.stack(means)
     if mode == "random":
         rng = np.random.default_rng(seed)
-        return Matrix(rng.normal(0.0, RANDOM_INIT_STD, size=(classes, table.cols)))
+        return rng.normal(0.0, RANDOM_INIT_STD, size=(classes, table.shape[1]))
     if mode == "label-words":
-        return Matrix(table.array[:classes])
-    return Matrix(text_rows.array)
+        return table[:classes].copy()
+    return text_rows.copy()

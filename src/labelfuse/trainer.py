@@ -31,7 +31,8 @@ checkpoint, and `evaluate_final` scores its model once; the ablation and
 sweep harnesses and `score-fusion` use that pair, so a run evaluates
 nothing but its final model on the heldout split.
 
-A checkpoint stores the config, the arrays (parameters and Adam moments),
+A checkpoint stores the config, the arrays (parameters and Adam moments,
+each a `diffcore.Matrix`, the one holder of an array left in the package),
 Adam's step count, the log records and the split; its epoch is the number
 of records. Its manifest's `format_version`, `epoch` and `metrics` (the last
 record's heldout WA/UA) are derived on save, and `load_checkpoint` checks
@@ -54,7 +55,7 @@ import numpy as np
 from . import evalkit
 from .atomic import write_atomic
 from .corpus import SPLIT_OPTIONS, Corpus
-from .diffcore import Matrix, Node, backward
+from .diffcore import Matrix, Node, backward, checked
 from .encoders import DEFAULT_DIM
 from .errors import (
     CheckpointIntegrityError,
@@ -206,38 +207,41 @@ class Adam:
         """One update of every parameter with a grad, as one `adam_update` over all of them.
 
         The rule is elementwise, so updating the concatenated arrays gives each
-        array the bits a separate update would.
+        array the bits a separate update would. The update is `checked` whole
+        before anything is written, so a non-finite one raises NonFiniteError
+        and leaves every parameter, moment and the step count as they were.
         """
-        self.t += 1
+        t = self.t + 1
         live = [(name, node) for name, node in named_params if node.grad is not None]
-        if not live:
-            return
-        for name, node in live:
-            if name not in self.m:
-                self.m[name] = np.zeros(node.grad.shape)
-                self.v[name] = np.zeros(node.grad.shape)
 
         def flat(arrays) -> np.ndarray:
             return np.concatenate([a.ravel() for a in arrays])
 
-        values, m, v = adam_update(
-            flat(node.value.array for _, node in live),
-            flat(node.grad.array for _, node in live) * grad_scale,
-            flat(self.m[name] for name, _ in live),
-            flat(self.v[name] for name, _ in live),
-            self.t,
-            self.learning_rate,
-            self.beta1,
-            self.beta2,
-            self.epsilon,
-        )
-        start = 0
-        for name, node in live:
-            shape = node.value.shape
-            part = slice(start, start + node.value.rows * node.value.cols)
-            node.value = Matrix(values[part].reshape(shape))
-            self.m[name], self.v[name] = m[part].reshape(shape), v[part].reshape(shape)
-            start = part.stop
+        def moments(state) -> np.ndarray:  # a parameter's first step starts from zeros
+            return flat(state[name] if name in state else np.zeros(node.grad.shape)
+                        for name, node in live)
+
+        if live:
+            values, m, v = adam_update(
+                flat(node.value for _, node in live),
+                flat(node.grad for _, node in live) * grad_scale,
+                moments(self.m),
+                moments(self.v),
+                t,
+                self.learning_rate,
+                self.beta1,
+                self.beta2,
+                self.epsilon,
+            )
+            values = checked(values[None])[0]
+            start = 0
+            for name, node in live:
+                shape = node.value.shape
+                part = slice(start, start + node.value.size)
+                node.value = values[part].reshape(shape)
+                self.m[name], self.v[name] = m[part].reshape(shape), v[part].reshape(shape)
+                start = part.stop
+        self.t = t
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +265,7 @@ def build_model(train_corpus: Corpus, config: TrainConfig) -> dict[str, Node]:
     """Seeded model (`fusion.init_model`) with label rows from the train split."""
     config.validate()
 
-    def labels(embedding: Matrix, codebook: Matrix) -> tuple[Matrix, Matrix]:
+    def labels(embedding: np.ndarray, codebook: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         text = label_rows(train_corpus, "text", config.text_label_init, embedding,
                           top_k=config.top_k_text, seed=config.seed + 101)
         speech = label_rows(train_corpus, "speech", config.speech_label_init, codebook,
@@ -296,7 +300,7 @@ def _train_step(batch, model: dict[str, Node], config: TrainConfig, optimizer: A
     for node in model.values():
         node.zero_grad()
     result = _batch_loss(batch, model, config)
-    if not np.isfinite(result.loss.value.array[0, 0]):
+    if not np.isfinite(result.loss.value[0, 0]):
         raise NonFiniteError("loss is not finite")
     backward(result.loss)
     optimizer.step(model.items(), grad_scale=1.0 / len(batch))
@@ -423,7 +427,7 @@ def model_predictor(model: dict[str, Node], config: TrainConfig):
         def logits(utt):
             return unimodal_logits(utt, config.modality, model)
 
-    return lambda utt: int(np.argmax(logits(utt).array[0]))
+    return lambda utt: int(np.argmax(logits(utt)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +454,7 @@ class Checkpoint:
 def make_checkpoint(
     model: dict[str, Node], optimizer: Adam, config: TrainConfig, log: TrainLog
 ) -> Checkpoint:
-    arrays: dict[str, Matrix] = {name: node.value for name, node in model.items()}
+    arrays = {name: Matrix(node.value) for name, node in model.items()}
     for name, m in optimizer.m.items():
         arrays[f"adam.m.{name}"] = Matrix(m)
     for name, v in optimizer.v.items():
@@ -477,7 +481,8 @@ def restore_into_optimizer(checkpoint: Checkpoint, optimizer: Adam) -> None:
 def model_from_checkpoint(checkpoint: Checkpoint) -> dict[str, Node]:
     """Self-contained model rebuild; shapes and values come from the arrays."""
     try:
-        return model_from_arrays(checkpoint.arrays, checkpoint.config.labels_trainable)
+        return model_from_arrays({name: m.array for name, m in checkpoint.arrays.items()},
+                                 checkpoint.config.labels_trainable)
     except KeyError as exc:
         raise CheckpointIntegrityError(f"checkpoint is missing array {exc.args[0]!r}") from None
 
@@ -490,11 +495,12 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     for name in names:
         matrix = checkpoint.arrays[name]
         raw = matrix.array.astype("<f8").tobytes(order="C")
+        rows, cols = matrix.shape
         entries.append(
             {
                 "name": name,
-                "rows": matrix.rows,
-                "cols": matrix.cols,
+                "rows": rows,
+                "cols": cols,
                 "offset": len(blob),
                 "crc32": zlib.crc32(raw),
             }

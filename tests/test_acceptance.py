@@ -20,7 +20,6 @@ from labelfuse import evalkit as ev
 from labelfuse import fusion as fu
 from labelfuse import labelkit as lk
 from labelfuse import trainer as tr
-from labelfuse.diffcore import Matrix
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "reports" / "acceptance"
 
@@ -114,28 +113,28 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(100):
         l_t, l_s, c, d = (int(rng.integers(2, 7)) for _ in range(4))
         d += 1  # width >= 3, keeps random rows safely away from zero norm
-        h_t = Matrix(rng.normal(size=(l_t, d)))
-        h_s = Matrix(rng.normal(size=(l_s, d)))
-        cmap = Matrix(rng.normal(size=(d, d)))
+        h_t = rng.normal(size=(l_t, d))
+        h_s = rng.normal(size=(l_s, d))
+        cmap = rng.normal(size=(d, d))
 
-        got_cos = dc.cosine_scores(dc.constant(h_t), dc.constant(h_s)).value.array
+        got_cos = dc.cosine_scores(dc.constant(h_t), dc.constant(h_s)).value
         for i in range(l_t):
             for j in range(l_s):
-                dot = sum(h_t.array[i, e] * h_s.array[j, e] for e in range(d))
-                na = math.sqrt(sum(h_t.array[i, e] ** 2 for e in range(d)))
-                nb = math.sqrt(sum(h_s.array[j, e] ** 2 for e in range(d)))
+                dot = sum(h_t[i, e] * h_s[j, e] for e in range(d))
+                na = math.sqrt(sum(h_t[i, e] ** 2 for e in range(d)))
+                nb = math.sqrt(sum(h_s[j, e] ** 2 for e in range(d)))
                 assert abs(got_cos[i, j] - dot / (na * nb)) <= ORACLE_TOL
 
         got_vanilla = dc.bilinear_softmax(
             dc.constant(h_t), dc.constant(h_s), dc.constant(cmap)
-        ).value.array
+        ).value
         projected = [
-            [sum(h_s.array[j, e] * cmap.array[e, f] for e in range(d)) for f in range(d)]
+            [sum(h_s[j, e] * cmap[e, f] for e in range(d)) for f in range(d)]
             for j in range(l_s)
         ]
         for i in range(l_t):
             scores = [
-                sum(h_t.array[i, f] * projected[j][f] for f in range(d)) for j in range(l_s)
+                sum(h_t[i, f] * projected[j][f] for f in range(d)) for j in range(l_s)
             ]
             m = max(scores)
             exps = [math.exp(s - m) for s in scores]
@@ -143,17 +142,17 @@ def test_criterion_2_oracle_equivalence():
             for j in range(l_s):
                 assert abs(got_vanilla[i, j] - exps[j] / total) <= ORACLE_TOL
 
-        g_t = Matrix(rng.normal(size=(l_t, c)))
-        g_s = Matrix(rng.normal(size=(l_s, c)))
-        got_guided = dc.paired_scores(dc.constant(g_t), dc.constant(g_s)).value.array
-        weights = Matrix(rng.normal(size=(l_t, l_s)))
-        got_aligned = dc.paired_mix(dc.constant(weights), dc.constant(h_s)).value.array
+        g_t = rng.normal(size=(l_t, c))
+        g_s = rng.normal(size=(l_s, c))
+        got_guided = dc.paired_scores(dc.constant(g_t), dc.constant(g_s)).value
+        weights = rng.normal(size=(l_t, l_s))
+        got_aligned = dc.paired_mix(dc.constant(weights), dc.constant(h_s)).value
         for i in range(l_t):
             for j in range(l_s):
-                acc = sum(g_t.array[i, k] * g_s.array[j, k] for k in range(c))
+                acc = sum(g_t[i, k] * g_s[j, k] for k in range(c))
                 assert abs(got_guided[i, j] - acc) <= ORACLE_TOL
             for e in range(d):
-                acc = sum(weights.array[i, j] * h_s.array[j, e] for j in range(l_s))
+                acc = sum(weights[i, j] * h_s[j, e] for j in range(l_s))
                 assert abs(got_aligned[i, e] - acc) <= ORACLE_TOL
 
     # WA/UA against scalar loops on 100 random prediction vectors.
@@ -194,8 +193,8 @@ def test_criterion_3_structural_invariants():
         dim = int(rng.integers(3, 9))
         vocab_text, vocab_speech = 12, 14
         labels = (
-            Matrix(rng.normal(0, 0.5, size=(c, dim))),
-            Matrix(rng.normal(0, 0.5, size=(c, dim))),
+            rng.normal(0, 0.5, size=(c, dim)),
+            rng.normal(0, 0.5, size=(c, dim)),
         )
         dims = {
             "vocab_text": vocab_text,
@@ -215,10 +214,10 @@ def test_criterion_3_structural_invariants():
         result = fu.forward([utt], model, mode, PAPER_WEIGHTS)
         (bundle,) = fu.attention_maps([utt], model, mode)
 
-        assert np.abs(bundle.label_token.array).max() <= 1.0 + 1e-12
-        assert np.abs(bundle.label_frame.array).max() <= 1.0 + 1e-12
-        assert np.abs(bundle.vanilla.array.sum(axis=1) - 1.0).max() <= 1e-9
-        assert np.abs(bundle.label_guided.array).max() <= c + 1e-9
+        assert np.abs(bundle.label_token).max() <= 1.0 + 1e-12
+        assert np.abs(bundle.label_frame).max() <= 1.0 + 1e-12
+        assert np.abs(bundle.vanilla.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(bundle.label_guided).max() <= c + 1e-9
 
         (b,) = result.breakdowns
         recomputed = ((1.0 * b.main + 0.5 * b.constraint) + 0.2 * b.guide_text) + 0.2 * b.guide_speech
@@ -226,7 +225,7 @@ def test_criterion_3_structural_invariants():
 
         substituted = dc.mse(
             dc.constant(bundle.label_guided), dc.constant(bundle.label_guided)
-        ).value.array[0, 0]
+        ).value[0, 0]
         assert substituted == 0.0
     report(3, "attention bounds, row sums, substitution zero, and weighted totals on 1000 forwards")
 
@@ -388,7 +387,7 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
     mode = fu.FusionMode(config.fusion_mode)
     logits_before = fu.forward([probe], model_a, mode, config.loss_weights).logits.value
     logits_after = fu.forward([probe], restored, mode, config.loss_weights).logits.value
-    assert logits_before == logits_after
+    assert np.array_equal(logits_before, logits_after)
 
     half = replace(config, epochs=2)
     _, _, ckpt_half = tr.train(train_c, held_c, half)
@@ -413,10 +412,10 @@ def test_criterion_7_score_fusion_oracle():
     rng = np.random.default_rng(9)
     for _ in range(200):
         c = int(rng.integers(2, 6))
-        a = Matrix(rng.normal(size=(1, c)))
-        b = Matrix(rng.normal(size=(1, c)))
+        a = rng.normal(size=(1, c))
+        b = rng.normal(size=(1, c))
         got = fu.score_fusion(a, b)
-        sums = [a.array[0, k] + b.array[0, k] for k in range(c)]
+        sums = [a[0, k] + b[0, k] for k in range(c)]
         best = 0
         for k in range(1, c):
             if sums[k] > sums[best]:
@@ -437,8 +436,8 @@ def test_criterion_7_score_fusion_oracle():
     predictor = ev.score_fusion_predictor(text_model, speech_model)
     for utt in held_c.utterances:
         summed = (
-            fu.unimodal_logits(utt, "text", text_model).array[0]
-            + fu.unimodal_logits(utt, "speech", speech_model).array[0]
+            fu.unimodal_logits(utt, "text", text_model)[0]
+            + fu.unimodal_logits(utt, "speech", speech_model)[0]
         )
         assert predictor(utt) == int(np.argmax(summed))
     report(7, "score-fusion predictions equal argmax of summed unimodal logits")

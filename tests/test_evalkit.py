@@ -10,7 +10,6 @@ from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import fusion as fu
 from labelfuse import trainer as tr
-from labelfuse.diffcore import Matrix
 from labelfuse.errors import ConfigError, EvaluationError, ExtractionError, NonFiniteError
 
 
@@ -45,10 +44,10 @@ def zero_text_label_row_for_random_init(monkeypatch):
     original = tr.label_rows
 
     def patched(corpus, modality, mode, table, **kwargs):
-        rows = original(corpus, modality, mode, table, **kwargs).array.copy()
+        rows = original(corpus, modality, mode, table, **kwargs).copy()
         if modality == "text" and mode == "random":
             rows[0] = 0.0
-        return Matrix(rows)
+        return rows
 
     monkeypatch.setattr(tr, "label_rows", patched)
 
@@ -400,8 +399,8 @@ class TestScoreFusionPredictor:
 
         for utt in held_c.utterances:
             summed = (
-                unimodal_logits(utt, "text", text_model).array[0]
-                + unimodal_logits(utt, "speech", speech_model).array[0]
+                unimodal_logits(utt, "text", text_model)[0]
+                + unimodal_logits(utt, "speech", speech_model)[0]
             )
             assert predictor(utt) == int(np.argmax(summed))
 
@@ -422,7 +421,7 @@ class TestExportAttention:
             tmp_path / "attn",
         )
         assert len(paths) == 4
-        avg_text = bundle.label_token.array.mean(axis=1)
+        avg_text = bundle.label_token.mean(axis=1)
 
         text_lines = (tmp_path / "attn_text.csv").read_text().splitlines()
         assert text_lines[0] == "position,symbol,attention,planted"
@@ -452,13 +451,13 @@ class TestExportAttention:
         lines = (tmp_path / "full_bundle.csv").read_text().splitlines()
         assert lines[0] == "matrix,row,col,value"
         expected_rows = sum(
-            m.rows * m.cols
+            m.size
             for m in (bundle.label_token, bundle.label_frame, bundle.vanilla, bundle.label_guided)
         )
         assert len(lines) == 1 + expected_rows
         name, r, c, value = lines[1].split(",")
         assert name == "label_token" and (r, c) == ("0", "0")
-        assert float(value) == pytest.approx(bundle.label_token.array[0, 0], abs=1e-9)
+        assert float(value) == pytest.approx(bundle.label_token[0, 0], abs=1e-9)
 
     def test_flat_profile_exports_flat_curve(self, tmp_path):
         # A model with identical label rows gives a constant-per-position

@@ -9,7 +9,6 @@ import pytest
 from labelfuse import corpus as cp
 from labelfuse import labelkit as lk
 from labelfuse import trainer as tr
-from labelfuse.diffcore import Matrix
 from labelfuse.errors import ExtractionError
 
 
@@ -127,55 +126,55 @@ class TestBuildTextLabels:
     """`label_rows` for the text modes."""
 
     def test_mean_of_two_embeddings(self):
-        table = Matrix([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
+        table = np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
         labels = rows(corpus_of("text", [[0, 1]]), "text", "tfidf", table, top_k=2)
-        assert labels == Matrix([[0.5, 0.5]])
+        assert np.array_equal(labels, np.array([[0.5, 0.5]]))
 
     def test_single_symbol_is_verbatim(self):
-        table = Matrix([[3.0, 4.0], [1.0, 2.0]])
+        table = np.array([[3.0, 4.0], [1.0, 2.0]])
         labels = rows(corpus_of("text", [[1]]), "text", "tfidf", table)
-        assert labels == Matrix([[1.0, 2.0]])
+        assert np.array_equal(labels, np.array([[1.0, 2.0]]))
 
     def test_label_words_mode_selects_rows(self):
         # Class c's name token is id c, so the rows are table rows 0..C-1.
-        table = Matrix([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        table = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         labels = rows(corpus_of("text", [[2]], [[2]]), "text", "label-words", table)
-        assert labels == Matrix([[1.0, 1.0], [2.0, 2.0]])
+        assert np.array_equal(labels, np.array([[1.0, 1.0], [2.0, 2.0]]))
 
     def test_random_mode_is_seeded(self):
-        table = Matrix(np.zeros((4, 3)))
+        table = np.zeros((4, 3))
         corpus = corpus_of("text", [[1]], [[2]])
         a = rows(corpus, "text", "random", table, seed=5)
         b = rows(corpus, "text", "random", table, seed=5)
         c = rows(corpus, "text", "random", table, seed=6)
-        assert a == b
-        assert a != c
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
         assert a.shape == (2, 3)
-        assert np.array_equal(a.array, np.random.default_rng(5).normal(0.0, 0.02, size=(2, 3)))
+        assert np.array_equal(a, np.random.default_rng(5).normal(0.0, 0.02, size=(2, 3)))
 
     def test_rows_in_convex_hull(self):
         rng = np.random.default_rng(8)
-        table = Matrix(rng.normal(size=(10, 4)))
+        table = rng.normal(size=(10, 4))
         corpus = corpus_of("text", [[1, 2, 3, 2]], [[4, 5, 6]])
         desc = lk.tfidf_topk(lk.class_sequences(corpus, "text"), k=3)
         labels = rows(corpus, "text", "tfidf", table, top_k=3)
         for cls in range(2):
-            contributors = table.array[list(desc.symbols(cls))]
-            assert (labels.array[cls] >= contributors.min(axis=0) - 1e-12).all()
-            assert (labels.array[cls] <= contributors.max(axis=0) + 1e-12).all()
+            contributors = table[list(desc.symbols(cls))]
+            assert (labels[cls] >= contributors.min(axis=0) - 1e-12).all()
+            assert (labels[cls] <= contributors.max(axis=0) + 1e-12).all()
 
 
 class TestBuildSpeechLabels:
     """`label_rows` for the speech modes."""
 
     def test_mean_of_codebook_rows(self):
-        codebook = Matrix([[2.0, 0.0], [0.0, 2.0]])
+        codebook = np.array([[2.0, 0.0], [0.0, 2.0]])
         labels = rows(corpus_of("speech", [[0, 1]]), "speech", "codebook", codebook, top_k=2)
-        assert labels == Matrix([[1.0, 1.0]])
+        assert np.array_equal(labels, np.array([[1.0, 1.0]]))
 
     def test_codebook_mode_matches_scalar_oracle(self):
         rng = np.random.default_rng(9)
-        codebook = Matrix(rng.normal(size=(12, 5)))
+        codebook = rng.normal(size=(12, 5))
         corpus = corpus_of("speech", [[0, 1, 2, 2]], [[3, 4]], [[5, 6, 7]])
         labels = rows(corpus, "speech", "codebook", codebook, top_k=3)
         for cls, ranked in enumerate(brute_force_tfidf(lk.class_sequences(corpus, "speech"), 3)):
@@ -183,19 +182,19 @@ class TestBuildSpeechLabels:
             for d in range(5):
                 acc = 0.0
                 for sym in ids:
-                    acc += codebook.array[sym, d]
-                assert labels.array[cls, d] == pytest.approx(acc / len(ids), abs=1e-12)
+                    acc += codebook[sym, d]
+                assert labels[cls, d] == pytest.approx(acc / len(ids), abs=1e-12)
 
     def test_text_embedding_mode_copies(self):
-        text_labels = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        codebook = Matrix(np.zeros((5, 2)))
+        text_labels = np.array([[1.0, 2.0], [3.0, 4.0]])
+        codebook = np.zeros((5, 2))
         corpus = corpus_of("speech", [[1]], [[2]])
         labels = rows(corpus, "speech", "text-embedding", codebook, text_rows=text_labels)
-        assert labels == text_labels
+        assert np.array_equal(labels, text_labels)
 
     def test_random_mode_shape(self):
         corpus = corpus_of("speech", [[1]], [[2]], [[3]])
-        labels = rows(corpus, "speech", "random", Matrix(np.zeros((4, 6))), seed=1)
+        labels = rows(corpus, "speech", "random", np.zeros((4, 6)), seed=1)
         assert labels.shape == (3, 6)
 
 
@@ -236,15 +235,15 @@ class TestBuildModelLabelRows:
             table_rng = np.random.default_rng([4, 3])
             embedding = table_rng.normal(0.0, 0.02, size=(30, 8))
             codebook = table_rng.normal(0.0, 0.02, size=(40, 8))
-            assert np.array_equal(model["text.embedding"].value.array, embedding)
-            assert np.array_equal(model["speech.codebook"].value.array, codebook)
+            assert np.array_equal(model["text.embedding"].value, embedding)
+            assert np.array_equal(model["speech.codebook"].value, codebook)
 
             text = independent_label_rows(train, "text_tokens", text_mode, embedding, 3, 105, None)
             speech = independent_label_rows(
                 train, "frame_codes", speech_mode, codebook, 5, 206, text
             )
-            assert np.allclose(model["labels.text"].value.array, text, rtol=0, atol=1e-15)
-            assert np.allclose(model["labels.speech"].value.array, speech, rtol=0, atol=1e-15)
+            assert np.allclose(model["labels.text"].value, text, rtol=0, atol=1e-15)
+            assert np.allclose(model["labels.speech"].value, speech, rtol=0, atol=1e-15)
             assert model["labels.text"].requires_grad is trainable
             assert model["labels.speech"].requires_grad is trainable
             assert not model["speech.codebook"].requires_grad

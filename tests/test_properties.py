@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelfuse.corpus import Utterance
-from labelfuse.diffcore import LONG_ROWS, Matrix, backward
+from labelfuse.diffcore import LONG_ROWS, backward
 from labelfuse.fusion import (
     TOWERS, FusionMode, _shapes, forward, model_from_arrays, predict_logits, unimodal_forward,
     unimodal_logits,
@@ -49,7 +49,7 @@ def cases(draw):
     }
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = model_from_arrays(
-        {name: Matrix(rng.normal(0.0, 0.5, size=shape)) for name, shape in _shapes(dims).items()},
+        {name: rng.normal(0.0, 0.5, size=shape) for name, shape in _shapes(dims).items()},
         labels_trainable=True,
     )
     text_lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
@@ -75,8 +75,8 @@ def run(model, batch, mode, normalize):
     else:
         result = forward(batch, model, FusionMode(mode), normalize_label_attention=normalize)
     backward(result.loss)
-    grads = {name: node.grad.array for name, node in model.items() if node.grad is not None}
-    return result.logits.value.array, result.terms, grads
+    grads = {name: node.grad for name, node in model.items() if node.grad is not None}
+    return result.logits.value, result.terms, grads
 
 
 def assert_close(got, want, what):
@@ -131,7 +131,7 @@ class TestSymmetries:
             else:
                 predicted = predict_logits(utt, model, FusionMode(mode), normalize)
             logits, _, _ = run(model, [utt], mode, normalize)
-            assert np.array_equal(predicted.array, logits), f"logits of utterance {row}"
+            assert np.array_equal(predicted, logits), f"logits of utterance {row}"
 
     @PROPERTY_SETTINGS
     @given(case=cases())

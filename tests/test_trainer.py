@@ -11,7 +11,7 @@ import pytest
 from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
-from labelfuse.diffcore import Matrix, backward, mse, parameter, constant
+from labelfuse.diffcore import Matrix, backward, checked, constant, mse, parameter
 from labelfuse.errors import (
     CheckpointIntegrityError,
     ConfigError,
@@ -21,7 +21,9 @@ from labelfuse.errors import (
     NonFiniteError,
     UnsupportedVersionError,
 )
-from labelfuse.fusion import FusionMode, forward, predict_logits, unimodal_logits
+from labelfuse.fusion import (
+    TOWERS, FusionMode, attention_maps, forward, predict_logits, unimodal_logits,
+)
 from labelfuse.valuetypes import field_types
 
 
@@ -59,10 +61,10 @@ def zero_first_text_label(monkeypatch):
     original = tr.label_rows
 
     def patched(corpus, modality, mode, table, **kwargs):
-        rows = original(corpus, modality, mode, table, **kwargs).array.copy()
+        rows = original(corpus, modality, mode, table, **kwargs).copy()
         if modality == "text":
             rows[0] = 0.0
-        return Matrix(rows)
+        return rows
 
     monkeypatch.setattr(tr, "label_rows", patched)
 
@@ -128,15 +130,53 @@ class TestAdamUpdate:
             x.zero_grad()
             backward(mse(x, target))
             optimizer.step([("x", x)])
-        assert abs(x.value.array[0, 0] - 1.25) <= 1e-3
+        assert abs(x.value[0, 0] - 1.25) <= 1e-3
 
     def test_optimizer_skips_parameters_without_gradient(self):
         config = tr.TrainConfig(learning_rate=0.5)
         optimizer = tr.Adam(config)
         untouched = parameter([[3.0]])
         optimizer.step([("idle", untouched)])
-        assert untouched.value == Matrix([[3.0]])
+        assert np.array_equal(untouched.value, [[3.0]])
         assert "idle" not in optimizer.m
+
+    def test_a_non_finite_update_writes_nothing(self):
+        # b's update overflows to -inf; a's alone would be finite, and it must not move either.
+        optimizer = tr.Adam(tr.TrainConfig(learning_rate=1e308))
+        a, b = parameter([[1.0]]), parameter([[-1.7e308]])
+        for node in (a, b):
+            node.grad = checked([[1.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match="^matrix entries must be finite$"
+        ):
+            optimizer.step([("a", a), ("b", b)])
+        assert np.array_equal(a.value, [[1.0]])
+        assert np.array_equal(b.value, [[-1.7e308]])
+        assert (optimizer.t, optimizer.m, optimizer.v) == (0, {}, {})
+
+
+class TestReadOnlyValues:
+    def test_values_handed_out_are_read_only_2d_float64(self):
+        # Leaf gradients, Adam updates, predicted logits and attention maps, as op outputs are.
+        train_c, held_c = tiny_corpus()
+        config = tiny_config()
+        model = tr.build_model(train_c, config)
+        backward(tr._batch_loss(list(train_c.utterances[:3]), model, config).loss)
+        trainable = [(name, node) for name, node in model.items() if node.grad is not None]
+        values = {f"{name} grad": node.grad for name, node in trainable}
+        tr.Adam(config).step(trainable)
+        values.update({f"{name} after Adam": node.value for name, node in trainable})
+        utt = held_c.utterances[0]
+        mode = FusionMode(config.fusion_mode)
+        values["predict_logits"] = predict_logits(utt, model, mode)
+        for modality in TOWERS:
+            values[f"unimodal_logits {modality}"] = unimodal_logits(utt, modality, model)
+        (bundle,) = attention_maps([utt], model, mode)
+        values.update(vars(bundle))
+        for name, value in values.items():
+            assert isinstance(value, np.ndarray) and value.ndim == 2, name
+            assert value.dtype == np.float64, name
+            assert not value.flags.writeable, name
 
 
 class TestTrain:
@@ -147,7 +187,7 @@ class TestTrain:
         fresh = tr.build_model(train_c, config)
         for (name_a, node_a), (name_b, node_b) in zip(model.items(), fresh.items()):
             assert name_a == name_b
-            assert node_a.value == node_b.value
+            assert np.array_equal(node_a.value, node_b.value)
         assert log.records == []
 
     def test_same_seed_bitwise_identical_log(self):
@@ -161,7 +201,7 @@ class TestTrain:
         model_a, _, _ = tr.train(train_c, held_c, tiny_config())
         model_b, _, _ = tr.train(train_c, held_c, tiny_config())
         for (_, node_a), (_, node_b) in zip(model_a.items(), model_b.items()):
-            assert node_a.value == node_b.value
+            assert np.array_equal(node_a.value, node_b.value)
 
     def test_loss_components_finite_every_epoch(self):
         train_c, held_c = tiny_corpus()
@@ -177,14 +217,14 @@ class TestTrain:
         config = tiny_config(labels_trainable=False)
         model, _, _ = tr.train(train_c, held_c, config)
         fresh = tr.build_model(train_c, config)
-        assert model["labels.text"].value == fresh["labels.text"].value
-        assert model["labels.speech"].value == fresh["labels.speech"].value
+        assert np.array_equal(model["labels.text"].value, fresh["labels.text"].value)
+        assert np.array_equal(model["labels.speech"].value, fresh["labels.speech"].value)
 
     def test_codebook_stays_constant(self):
         train_c, held_c = tiny_corpus()
         model, _, _ = tr.train(train_c, held_c, tiny_config())
         fresh = tr.build_model(train_c, tiny_config())
-        assert model["speech.codebook"].value == fresh["speech.codebook"].value
+        assert np.array_equal(model["speech.codebook"].value, fresh["speech.codebook"].value)
 
     def test_unimodal_modalities_train(self):
         train_c, held_c = tiny_corpus()
@@ -295,7 +335,7 @@ class TestRegistry:
         optimizer = tr.Adam(config)
         trainable = [(name, node) for name, node in model.items() if node.requires_grad]
         for _, node in trainable:
-            node.grad = Matrix(np.zeros(node.value.shape))
+            node.grad = checked(np.zeros(node.value.shape))
         optimizer.step(trainable)  # a zero-gradient step fills the moments, values stay
         ckpt = tr.make_checkpoint(model, optimizer, config, tr.TrainLog())
 
@@ -312,7 +352,7 @@ class TestRegistry:
         restored = tr.model_from_checkpoint(ckpt)
         assert [name for name, _ in restored.items()] == names
         for (name, node), (_, want) in zip(restored.items(), fresh.items()):
-            assert node.value == want.value, name
+            assert np.array_equal(node.value, want.value), name
             assert node.requires_grad == want.requires_grad, name
 
     def test_missing_array_is_integrity_error(self):
@@ -336,7 +376,7 @@ class TestCheckpointing:
         mode = FusionMode(config.fusion_mode)
         original = forward([probe], model, mode, config.loss_weights).logits.value
         recovered = forward([probe], restored, mode, config.loss_weights).logits.value
-        assert original == recovered
+        assert np.array_equal(original, recovered)
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         train_c, held_c = tiny_corpus()
@@ -507,7 +547,7 @@ class TestCheckpointing:
 
         assert log_res.records == log_full.records
         for (_, node_a), (_, node_b) in zip(model_full.items(), model_res.items()):
-            assert node_a.value == node_b.value
+            assert np.array_equal(node_a.value, node_b.value)
         path_full, path_res = tmp_path / "full.ckpt", tmp_path / "res.ckpt"
         tr.save_checkpoint(path_full, ckpt_full)
         tr.save_checkpoint(path_res, ckpt_res)
@@ -540,7 +580,7 @@ class TestCheckpointing:
 
 def same_arrays(model, other):
     return model.keys() == other.keys() and all(
-        model[name].value.array.tobytes() == other[name].value.array.tobytes() for name in model
+        model[name].value.tobytes() == other[name].value.tobytes() for name in model
     )
 
 
