@@ -14,7 +14,6 @@ from .fusion import (
     AttentionBundle,
     ForwardResult,
     FusionMode,
-    LossBreakdown,
     forward,
     score_fusion,
     unimodal_forward,
@@ -34,7 +33,6 @@ __all__ = [
     "FusionMode",
     "GradCheckReport",
     "LabelDescriptions",
-    "LossBreakdown",
     "Matrix",
     "Node",
     "TrainConfig",

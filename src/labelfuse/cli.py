@@ -15,7 +15,9 @@ subdirectories of the output dir (config/, checkpoints/, logs/, reports/,
 plots/), replaces its files atomically and, last, writes the resolved options
 to <out-dir>/config/<subcommand>.json, which replays the run through --config.
 
-Exit codes: 0 success, 1 validation or runtime error, 2 usage error.
+Exit codes: 0 success, 1 validation or runtime error, 2 usage error. A
+failed run's stderr is its one `error:` or `usage error:` line: numpy's
+floating-point warnings are silenced, ablation workers included.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import sys
 import typing
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import evalkit
@@ -161,6 +165,8 @@ class Subcommand:
                 raise ConfigError(f"config file not found: {args.config}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc.msg}") from None
+            except RecursionError:
+                raise ConfigError("config file is not valid JSON: nested too deeply") from None
             if not isinstance(from_file, dict):
                 raise ConfigError("config file must hold a JSON object")
             from_file.pop("subcommand", None)  # snapshots carry their subcommand
@@ -501,9 +507,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     sub: Subcommand = args._subcommand
     try:
-        resolved, configs = sub.resolve(args)
-        status = sub.handler(resolved, **configs)
-        _write_snapshot(resolved, sub.name)
+        # A non-finite loss or logit raises a typed error, so numpy's
+        # floating-point warnings would only bury the one-line message.
+        with np.errstate(all="ignore"):
+            resolved, configs = sub.resolve(args)
+            status = sub.handler(resolved, **configs)
+            _write_snapshot(resolved, sub.name)
         return status
     except UnknownKeyError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -221,6 +221,8 @@ def load(path) -> Corpus:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise CorpusParseError(f"line 1: malformed header ({exc.msg})") from None
+    except RecursionError:
+        raise CorpusParseError("line 1: malformed header (nested too deeply)") from None
     if not isinstance(header, dict):
         raise CorpusParseError(f"line 1: header must be a JSON object, got {type(header).__name__}")
 

@@ -32,7 +32,8 @@ There is one wiring of the model, and it takes a mini-batch and its ops.
 Run on `diffcore`'s graph ops, `forward` (multimodal) and
 `unimodal_forward` (one tower) build one graph for the whole batch and
 return a `ForwardResult`: batch x classes logits, the loss root (the sum of
-the utterances' weighted totals) and each utterance's loss terms.
+the utterances' weighted totals of the terms the pass computes) and each
+utterance's loss terms, with 0.0 for a term it lacks.
 `attention_maps` gives each utterance's four maps without a label or a
 loss, as read-only views of the pass's node values. Run on
 `diffcore.on_arrays`, the same pass gives `predict_logits` and
@@ -95,21 +96,6 @@ class FusionMode(Enum):
     SUM = "sum"  # vanilla + label-guided, no penalty
     ONLY_LABEL = "only-label"  # label-guided weights alone
     ONLY_VANILLA = "only-vanilla"  # vanilla weights alone
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """The component losses and their weighted total, in train-log column order.
-
-    A single tower has no constraint and one guidance term; it reports 0.0
-    for the terms it lacks.
-    """
-
-    main: float
-    constraint: float
-    guide_text: float
-    guide_speech: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -322,29 +308,25 @@ def _tower(utterances: Sequence[Utterance], modality: str, params: dict[str, Nod
 class ForwardResult:
     logits: Node  # batch x classes
     loss: Node  # 1 x 1, the root for backward: the sum of the utterances' weighted totals
-    terms: np.ndarray  # batch x 5: each utterance's `LossBreakdown` fields, in field order
-
-    @property
-    def breakdowns(self) -> tuple[LossBreakdown, ...]:
-        """One breakdown per utterance, in batch order."""
-        return tuple(LossBreakdown(*row) for row in self.terms.tolist())
+    # batch x 5: each utterance's main, constraint, guide_text and guide_speech
+    # losses and its weighted total, the train log's loss columns; 0.0 for a
+    # term the pass lacks
+    terms: np.ndarray
 
 
-def _result(logits: Node, terms: Sequence[Node], weights: Sequence[float]) -> ForwardResult:
-    """The loss root of the four batch x 1 terms (main, constraint, guide_text, guide_speech).
+def _result(logits: Node, terms: Sequence[Node | None], weights: Sequence[float]) -> ForwardResult:
+    """The loss root of the batch x 1 terms (main, constraint, guide_text, guide_speech).
 
-    Each utterance's total repeats weighted_sum's per-row arithmetic, so a
-    batch of one reports its root's value as its total.
+    A term the pass lacks is None: the root sums only the others. Each
+    utterance's total repeats weighted_sum's per-row arithmetic, so a batch
+    of one reports its root's value as its total.
     """
-    columns = [t.value[:, 0] for t in terms]
-    totals = columns[0] * float(weights[0])
-    for column, weight in zip(columns[1:], weights[1:]):
-        totals = totals + column * float(weight)
-    return ForwardResult(logits, weighted_sum(terms, weights), np.column_stack(columns + [totals]))
-
-
-def _zeros(utterances: Sequence[Utterance]) -> Node:
-    return constant(np.zeros((len(utterances), 1)))
+    kept, factors = zip(*((t, float(w)) for t, w in zip(terms, weights) if t is not None))
+    totals = kept[0].value[:, 0] * factors[0]
+    for term, factor in zip(kept[1:], factors[1:]):
+        totals = totals + term.value[:, 0] * factor
+    columns = [np.zeros(len(totals)) if t is None else t.value[:, 0] for t in terms]
+    return ForwardResult(logits, weighted_sum(kept, factors), np.column_stack(columns + [totals]))
 
 
 def forward(
@@ -354,7 +336,7 @@ def forward(
     weights: tuple[float, float, float, float] = DEFAULT_LOSS_WEIGHTS,
     normalize_label_attention: bool = False,
 ) -> ForwardResult:
-    """Full multimodal pass over a batch: logits and the weighted loss with its breakdowns.
+    """Full multimodal pass over a batch: logits, the weighted loss and its terms.
 
     normalize_label_attention applies a row softmax to the label-guided
     alignment before use; off by default, documented as an extension.
@@ -365,10 +347,7 @@ def forward(
     labels = [u.label for u in utterances]
     loss_guide_text = guidance_loss(profile_text, labels, text)
     loss_guide_speech = guidance_loss(profile_speech, labels, speech)
-    if mode is FusionMode.CONSTRAINT:
-        loss_constraint = mse(guided, vanilla, text, speech)
-    else:
-        loss_constraint = _zeros(utterances)
+    loss_constraint = mse(guided, vanilla, text, speech) if mode is FusionMode.CONSTRAINT else None
     loss_main = cross_entropy(logits, labels)
     return _result(logits, (loss_main, loss_constraint, loss_guide_text, loss_guide_speech),
                    weights)
@@ -406,15 +385,14 @@ def unimodal_forward(
 
     The guidance weight is the text one for the text tower and the speech
     one for the speech tower; zero reduces to a plain encoder + classifier.
-    The classifier loss has weight 1, and each breakdown has 0.0 for the
-    constraint and the other tower's guidance.
+    The classifier loss has weight 1; the pass has no constraint and no
+    guidance for the other tower.
     """
     logits, h, segments = _tower(utterances, modality, params)
     labels = [u.label for u in utterances]
     guide = guidance_loss(cosine_scores(h, params[f"labels.{modality}"]), labels, segments)
-    zeros = _zeros(utterances)
-    guides = (guide, zeros) if modality == "text" else (zeros, guide)
-    return _result(logits, (cross_entropy(logits, labels), zeros, *guides), (1.0, *weights[1:]))
+    guides = (guide, None) if modality == "text" else (None, guide)
+    return _result(logits, (cross_entropy(logits, labels), None, *guides), (1.0, *weights[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -539,6 +539,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointIntegrityError("corrupted manifest: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise CheckpointIntegrityError(f"corrupted manifest: {exc.msg}") from None
+    except RecursionError:
+        raise CheckpointIntegrityError("corrupted manifest: nested too deeply") from None
 
     if not isinstance(manifest, dict):
         raise CheckpointIntegrityError("corrupted manifest: not a JSON object")

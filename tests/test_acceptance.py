@@ -219,9 +219,9 @@ def test_criterion_3_structural_invariants():
         assert np.abs(bundle.vanilla.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(bundle.label_guided).max() <= c + 1e-9
 
-        (b,) = result.breakdowns
-        recomputed = ((1.0 * b.main + 0.5 * b.constraint) + 0.2 * b.guide_text) + 0.2 * b.guide_speech
-        assert abs(b.total - recomputed) <= 1e-12
+        main, constraint, guide_text, guide_speech, total = result.terms[0]
+        recomputed = ((1.0 * main + 0.5 * constraint) + 0.2 * guide_text) + 0.2 * guide_speech
+        assert abs(total - recomputed) <= 1e-12
 
         substituted = dc.mse(
             dc.constant(bundle.label_guided), dc.constant(bundle.label_guided)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,14 @@ class TestUsage:
         assert capsys.readouterr().err == f"error: line 1: {message}\n"
         assert not run.exists()
 
+    def test_config_nested_too_deeply_exits_1_and_writes_nothing(self, out, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100000 + "]" * 100000)
+        rc = cli.main(["gen-corpus", "--out-dir", str(out), "--config", str(config)])
+        assert rc == 1
+        assert one_error_line(capsys) == "error: config file is not valid JSON: nested too deeply\n"
+        assert not out.exists()
+
     def test_validation_failure_exits_1(self, out, capsys):
         rc = cli.main(["gen-corpus", "--out-dir", str(out), "--salience-prob", "2.0"])
         assert rc == 1
@@ -127,6 +136,33 @@ class TestFilesystemErrors:
         ])
         assert rc == 1
         self.assert_one_line_error(capsys)
+
+
+class TestFloatingPointWarnings:
+    """A run whose values overflow raises no numpy warning; stderr holds at most its error."""
+
+    DIVERGING = [*SMALL_TRAIN, "--learning-rate", "1e300"]
+
+    def test_diverging_train_prints_only_its_error(self, corpus_file, tmp_path, capsys):
+        capsys.readouterr()
+        run = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--out-dir", str(run), "--corpus-file", str(corpus_file),
+                           *self.DIVERGING])
+        assert rc == 1
+        assert caught == []
+        assert one_error_line(capsys).startswith("error: training diverged at epoch 0")
+        assert not run.exists()
+
+    def test_diverging_ablate_prints_nothing(self, out, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["ablate", "--out-dir", str(out), "--seeds", "0,1", *SMALL_CORPUS,
+                           *self.DIVERGING])
+        assert rc == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
 
 
 class TestGenCorpus:

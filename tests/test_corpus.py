@@ -238,6 +238,11 @@ class TestSaveLoad:
         with pytest.raises(CorpusParseError, match="line 1: header must be a JSON object"):
             cp.load(path)
 
+    def test_header_nested_too_deeply(self, tmp_path):
+        path = self.rewrite_header(tmp_path, "[" * 100000 + "]" * 100000)
+        with pytest.raises(CorpusParseError, match="line 1: malformed header .nested too deeply"):
+            cp.load(path)
+
     def test_header_field_of_wrong_type(self, tmp_path):
         path = tmp_path / "corpus.txt"
         cp.save(cp.generate(small_spec(), 5), path)

@@ -298,28 +298,29 @@ class TestForward:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         result = fu.forward([utt], model, fu.FusionMode.ONLY_VANILLA, weights=(0.0, 0.0, 0.0, 0.0))
-        assert result.breakdowns[0].total == 0.0
+        assert result.terms[0, 4] == 0.0
 
     def test_breakdown_total_is_weighted_sum(self):
         rng = np.random.default_rng(34)
         for mode in fu.FusionMode:
             model = tiny_model(rng)
             utt = tiny_utterance(rng, model)
-            (b,) = fu.forward([utt], model, mode).breakdowns
-            recomputed = ((1.0 * b.main + 0.5 * b.constraint) + 0.2 * b.guide_text) + 0.2 * b.guide_speech
-            assert abs(b.total - recomputed) <= 1e-12
-            assert min(b.main, b.constraint, b.guide_text, b.guide_speech) >= 0.0
+            result = fu.forward([utt], model, mode)
+            main, constraint, guide_text, guide_speech, total = result.terms[0]
+            recomputed = ((1.0 * main + 0.5 * constraint) + 0.2 * guide_text) + 0.2 * guide_speech
+            assert abs(total - recomputed) <= 1e-12
+            assert min(main, constraint, guide_text, guide_speech) >= 0.0
 
     def test_constraint_mode_only_one_with_nonzero_penalty(self):
         rng = np.random.default_rng(35)
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         for mode in fu.FusionMode:
-            (b,) = fu.forward([utt], model, mode).breakdowns
+            _, constraint, _, _, _ = fu.forward([utt], model, mode).terms[0]
             if mode is fu.FusionMode.CONSTRAINT:
-                assert b.constraint > 0.0
+                assert constraint > 0.0
             else:
-                assert b.constraint == 0.0
+                assert constraint == 0.0
 
     def test_constraint_is_zero_when_alignments_match(self):
         rng = np.random.default_rng(36)
@@ -349,13 +350,14 @@ class TestForward:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         mode = fu.FusionMode.CONSTRAINT
-        (b,) = fu.forward([utt], model, mode, normalize_label_attention=normalize).breakdowns
+        result = fu.forward([utt], model, mode, normalize_label_attention=normalize)
+        _, constraint, guide_text, guide_speech, _ = result.terms[0]
         (maps,) = fu.attention_maps([utt], model, mode, normalize_label_attention=normalize)
-        constraint = dc.mse(dc.constant(maps.label_guided), dc.constant(maps.vanilla))
+        penalty = dc.mse(dc.constant(maps.label_guided), dc.constant(maps.vanilla))
         guides = [fu.guidance_loss(dc.constant(profile), utt.label)
                   for profile in (maps.label_token, maps.label_frame)]
-        recomputed = [_scalar(node) for node in (constraint, *guides)]
-        assert recomputed == [b.constraint, b.guide_text, b.guide_speech]
+        recomputed = [_scalar(node) for node in (penalty, *guides)]
+        assert recomputed == [constraint, guide_text, guide_speech]
 
     def test_only_vanilla_reduces_to_label_free_pass(self):
         # Separately coded pass with no label machinery at all.
@@ -376,7 +378,7 @@ class TestForward:
         plain_loss = dc.cross_entropy(logits, utt.label).value[0, 0]
 
         result = fu.forward([utt], model, fu.FusionMode.ONLY_VANILLA, weights=(1.0, 0.0, 0.0, 0.0))
-        assert abs(result.breakdowns[0].total - plain_loss) <= 1e-12
+        assert abs(result.terms[0, 4] - plain_loss) <= 1e-12
         assert np.allclose(result.logits.value, logits.value, rtol=0, atol=1e-12)
 
     def test_normalize_label_attention_switch(self):
@@ -410,11 +412,28 @@ class TestForward:
 class TestBreakdown:
     """Both passes report the five train-log loss columns; the root is their total."""
 
-    def test_fields_are_the_log_columns(self):
-        names = [f.name for f in dataclasses.fields(fu.LossBreakdown)]
-        assert ["loss_" + name for name in names] == [
-            f.name for f in dataclasses.fields(EpochRecord) if f.name.startswith("loss_")
-        ]
+    def test_terms_have_one_column_per_log_column(self):
+        rng = np.random.default_rng(46)
+        model = tiny_model(rng)
+        batch = [tiny_utterance(rng, model) for _ in range(3)]
+        columns = [f.name for f in dataclasses.fields(EpochRecord) if f.name.startswith("loss_")]
+        for result in (fu.forward(batch, model, fu.FusionMode.CONSTRAINT),
+                       *(fu.unimodal_forward(batch, modality, model) for modality in fu.TOWERS)):
+            assert result.terms.shape == (len(batch), len(columns))
+
+    @pytest.mark.parametrize("modality", [*fu.FusionMode, "text", "speech"], ids=str)
+    def test_root_sums_only_the_computed_terms(self, modality):
+        rng = np.random.default_rng(45)
+        model = tiny_model(rng)
+        utt = tiny_utterance(rng, model)
+        if isinstance(modality, fu.FusionMode):
+            result = fu.forward([utt], model, modality)
+            present = 4 if modality is fu.FusionMode.CONSTRAINT else 3
+        else:
+            result = fu.unimodal_forward([utt], modality, model)
+            present = 2
+        assert len(result.loss.parents) == present
+        assert all(parent.requires_grad for parent in result.loss.parents)
 
     @pytest.mark.parametrize("modality", ["text", "speech"])
     def test_tower_reports_zero_for_missing_terms(self, modality):
@@ -422,14 +441,14 @@ class TestBreakdown:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         result = fu.unimodal_forward([utt], modality, model)
-        (b,) = result.breakdowns
-        own, other = (b.guide_text, b.guide_speech) if modality == "text" else (
-            b.guide_speech, b.guide_text)
-        assert b.constraint == 0.0
+        main, constraint, guide_text, guide_speech, total = result.terms[0]
+        own, other = (guide_text, guide_speech) if modality == "text" else (
+            guide_speech, guide_text)
+        assert constraint == 0.0
         assert other == 0.0
         assert own > 0.0
-        assert b.total == result.loss.value[0, 0]
-        assert abs(b.total - (b.main + 0.2 * own)) <= 1e-12
+        assert total == result.loss.value[0, 0]
+        assert abs(total - (main + 0.2 * own)) <= 1e-12
 
     @pytest.mark.parametrize("mode", list(fu.FusionMode))
     def test_multimodal_total_is_the_loss_node(self, mode):
@@ -437,9 +456,9 @@ class TestBreakdown:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         result = fu.forward([utt], model, mode)
-        (b,) = result.breakdowns
-        assert b.total == result.loss.value[0, 0]
-        assert min(b.main, b.guide_text, b.guide_speech) > 0.0
+        main, _, guide_text, guide_speech, total = result.terms[0]
+        assert total == result.loss.value[0, 0]
+        assert min(main, guide_text, guide_speech) > 0.0
 
 
 class TestUnimodalForward:
@@ -448,7 +467,7 @@ class TestUnimodalForward:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         result = fu.unimodal_forward([utt], "text", model, weights=(1.0, 0.5, 0.0, 0.0))
-        assert abs(result.loss.value[0, 0] - result.breakdowns[0].main) <= 1e-12
+        assert abs(result.loss.value[0, 0] - result.terms[0, 0]) <= 1e-12
 
     def test_logits_shape(self):
         rng = np.random.default_rng(42)
@@ -688,11 +707,6 @@ def batch_setup():
     return cp.generate(spec, 12), configs
 
 
-def terms(result):
-    assert result.terms.tolist() == [list(dataclasses.astuple(b)) for b in result.breakdowns]
-    return result.terms
-
-
 def relative_gap(got, want):
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
@@ -711,10 +725,10 @@ def check_sum_of_batches_of_one(batch, model, config):
     for utt in batch:  # leaf gradients accumulate over the backward passes
         single = tr._batch_loss([utt], model, config)
         dc.backward(single.loss)
-        singles.append(terms(single)[0])
+        singles.append(single.terms[0])
     summed_grads = {n: node.grad for n, node in model.items() if node.grad is not None}
 
-    assert relative_gap(terms(whole), np.array(singles)) <= 1e-12
+    assert relative_gap(whole.terms, np.array(singles)) <= 1e-12
     total = whole.loss.value[0, 0]
     assert abs(total - sum(row[-1] for row in singles)) <= 1e-12 * abs(total)
     assert batch_grads.keys() == summed_grads.keys()
@@ -730,7 +744,7 @@ class TestBatch:
         corpus, configs = batch_setup()
         model = tr.build_model(corpus, configs[name])
         for utt, want in zip(corpus.utterances, PARENT_BREAKDOWNS[name]):
-            got = terms(tr._batch_loss([utt], model, configs[name]))[0]
+            got = tr._batch_loss([utt], model, configs[name]).terms[0]
             assert np.abs(got - np.array(want)).max() <= 1e-12
 
     @pytest.mark.parametrize("name", list(PARENT_BREAKDOWNS))
@@ -784,7 +798,7 @@ class TestBatch:
         longer = Utterance(longest.text_tokens * 2, widest.frame_codes * 2, 1)
         before = tr._batch_loss(batch, model, configs[name])
         after = tr._batch_loss(batch + [longer], model, configs[name])
-        assert relative_gap(terms(after)[:4], terms(before)) <= 1e-12
+        assert relative_gap(after.terms[:4], before.terms) <= 1e-12
         assert relative_gap(after.logits.value[:4], before.logits.value) <= 1e-12
 
     @pytest.mark.parametrize("normalize", [False, True])
@@ -799,7 +813,7 @@ class TestBatch:
                 node.zero_grad()
             result = fu.forward(batch, model, mode, normalize_label_attention=normalize)
             dc.backward(result.loss)
-            assert np.isfinite(terms(result)).all()
+            assert np.isfinite(result.terms).all()
             assert all(np.isfinite(node.grad).all() for node in model.values()
                        if node.grad is not None)
             bundles = fu.attention_maps(batch, model, mode, normalize_label_attention=normalize)

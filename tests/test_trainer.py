@@ -429,6 +429,13 @@ class TestCheckpointing:
         with pytest.raises(CheckpointIntegrityError, match="not UTF-8"):
             tr.load_checkpoint(path)
 
+    def test_manifest_nested_too_deeply(self, tmp_path):
+        payload = ("[" * 100000 + "]" * 100000).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(tr._CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload)
+        with pytest.raises(CheckpointIntegrityError, match="corrupted manifest: nested too deeply"):
+            tr.load_checkpoint(path)
+
     def test_byte_mutations_and_truncations_raise_only_typed_errors(self, tmp_path):
         train_c, held_c = tiny_corpus()
         _, _, ckpt = tr.train(train_c, held_c, tiny_config(epochs=1, text_dim=4, speech_dim=4))
