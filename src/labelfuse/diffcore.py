@@ -25,8 +25,9 @@ per batch. Ops whose work is per sequence take the segments:
 `self_attention`, the two alignments and the aligned-speech product, the
 masked `row_softmax`, the per-sequence `mse` and `pool` over rows. An
 alignment between two batches of sequences is a stack of maps: the rows of
-sequence i's map, cols.width wide and 0 past its own width. One segment, or
-none, is the plain 2-D op.
+sequence i's map, cols.width wide and 0 past its own width. A batch of one
+sequence of n rows is `Segments((n,))`, on which a segment op is the plain
+2-D op.
 
 A segment op pads the batch to a 3-D stack inside the op, with the padding
 masked (-inf before a softmax or a max, zero weight in a mean or a count),
@@ -293,21 +294,18 @@ class Segments:
         return None if self.valid is None else np.repeat(self.valid, rows.lengths, axis=0)
 
 
-def _segments(op: str, segments: Segments | None, rows: int) -> Segments:
-    """`segments`, or one block of all `rows` rows; DimensionError when they disagree."""
-    if segments is None:
-        return Segments((rows,))
+def _segments(op: str, segments: Segments, rows: int) -> None:
+    """DimensionError unless `segments` cover the matrix's `rows` rows."""
     if segments.total != rows:
         raise DimensionError(f"{op}: segments cover {segments.total} rows, the matrix has {rows}")
-    return segments
 
 
-def _pairs(op: str, rows: Segments | None, cols: Segments | None, n_rows: int, n_cols: int):
-    """Row and column segments of a stack of maps, one pair of blocks per sequence."""
-    rows, cols = _segments(op, rows, n_rows), _segments(op, cols, n_cols)
+def _pairs(op: str, rows: Segments, cols: Segments, n_rows: int, n_cols: int) -> None:
+    """DimensionError unless `rows` and `cols` cover a stack of maps, a block pair per sequence."""
+    _segments(op, rows, n_rows)
+    _segments(op, cols, n_cols)
     if rows.count != cols.count:
         raise DimensionError(f"{op}: {rows.count} row segments but {cols.count} column segments")
-    return rows, cols
 
 
 def _t(x: np.ndarray) -> np.ndarray:
@@ -435,16 +433,15 @@ def _softmax_backward(g: np.ndarray, s: np.ndarray, in_place: bool = False) -> n
     return out
 
 
-def row_softmax(a: Node, rows: Segments | None = None, cols: Segments | None = None) -> Node:
+def row_softmax(a: Node, rows: Segments, cols: Segments) -> Node:
     """Softmax within each row; the rows become probability vectors.
 
-    With `rows` and `cols`, a is a stack of per-segment maps (`paired_scores`)
-    and each row's softmax runs over its block's columns only; the columns
-    past the block's width come out 0.
+    a is a stack of per-segment maps (`paired_scores`) and each row's softmax
+    runs over its block's columns only; the columns past the block's width
+    come out 0.
     """
     x = a.value
-    n_rows, n_cols = x.shape
-    rows, cols = _pairs("row_softmax", rows, cols, n_rows, n_cols if cols is None else cols.total)
+    _pairs("row_softmax", rows, cols, x.shape[0], cols.total)
     _check_same("row_softmax", x.shape, (rows.total, cols.width))
     out, backward_fn = _row_softmax(x, rows, cols, (a,))
     return _op(out, "row_softmax", (a,), backward_fn)
@@ -486,8 +483,8 @@ def row_l2_normalize(a: Node) -> Node:
     return _op(y, "row_l2_normalize", (a,), backward_fn)
 
 
-def pool(a: Node, kind: str, segments: Segments | None = None) -> Node:
-    """Collapse the rows of each segment (all rows when segments is None) to one row.
+def pool(a: Node, kind: str, segments: Segments) -> Node:
+    """Collapse the rows of each segment to one row.
 
     `kind` is the arithmetic mean or the elementwise maximum; the result is
     segments x cols. The max backward routes the whole gradient to the first
@@ -496,8 +493,8 @@ def pool(a: Node, kind: str, segments: Segments | None = None) -> Node:
     if kind not in _POOLS:
         raise ContractError(f"pool kind must be 'mean' or 'max', got {kind!r}")
     x = a.value
-    seg = _segments("pool", segments, x.shape[0])
-    out, backward_fn = _POOLS[kind](x, seg, (a,))
+    _segments("pool", segments, x.shape[0])
+    out, backward_fn = _POOLS[kind](x, segments, (a,))
     return _op(out, f"pool_{kind}", (a,), backward_fn)
 
 
@@ -544,17 +541,17 @@ def concat_cols(a: Node, b: Node) -> Node:
     return _op(merged, "concat_cols", (a, b), backward_fn)
 
 
-def cross_entropy(logits: Node, targets: int | Sequence[int]) -> Node:
+def cross_entropy(logits: Node, targets: Sequence[int]) -> Node:
     """Negative log softmax probability of each row's target class, as a rows x 1 node.
 
-    `targets` holds one class per logit row; an int is the target of 1xc logits.
+    `targets` holds one class per logit row.
     """
     x = logits.value
     n_rows, n_classes = x.shape
-    idx = np.atleast_1d(np.asarray(targets, dtype=np.intp))
+    idx = np.asarray(targets, dtype=np.intp)
     if idx.shape != (n_rows,):
         raise DimensionError(
-            f"cross_entropy: {idx.size} target(s) for {n_rows}x{n_classes} logits"
+            f"cross_entropy: targets of shape {idx.shape} for {n_rows}x{n_classes} logits"
         )
     if idx.min() < 0 or idx.max() >= n_classes:
         bad = np.flatnonzero((idx < 0) | (idx >= n_classes))
@@ -572,17 +569,15 @@ def cross_entropy(logits: Node, targets: int | Sequence[int]) -> Node:
     return _op(log_norm - x[row, idx][:, None], "cross_entropy", (logits,), backward_fn)
 
 
-def mse(a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = None) -> Node:
+def mse(a: Node, b: Node, rows: Segments, cols: Segments) -> Node:
     """Mean of the squared difference over each segment's block, as a segments x 1 node.
 
-    With `rows` and `cols`, a and b are stacks of per-segment maps
-    (`paired_scores`) and columns past a block's width are not counted.
-    With neither, the one block is the whole matrix and the result is 1x1.
+    a and b are stacks of per-segment maps (`paired_scores`); columns past a
+    block's width are not counted.
     """
     aa, ba = a.value, b.value
     _check_same("mse", aa.shape, ba.shape)
-    n_rows, n_cols = aa.shape
-    rows, cols = _pairs("mse", rows, cols, n_rows, n_cols if cols is None else cols.total)
+    _pairs("mse", rows, cols, aa.shape[0], cols.total)
     _check_same("mse", aa.shape, (rows.total, cols.width))
     out, backward_fn = _mse(aa, ba, rows, cols, (a, b))
     return _op(out, "mse", (a, b), backward_fn)
@@ -607,35 +602,32 @@ def _mse(aa, ba, rows, cols, parents):
 # ---------------------------------------------------------------------------
 # Fused operations
 #
-# Each is one node for a chain of the ops above. Given one segment (or none),
-# it has the chain's forward and backward array expressions, operand layouts
-# (a transpose is a contiguous copy going forward and a view coming back) and
-# fan-out summation order, so values and gradients are bitwise those of the
-# chain; on a batch the same expressions run on the padded 3-D stack, and on
+# Each is one node for a chain of the ops above. Given one segment, it has the
+# chain's forward and backward array expressions, operand layouts (a transpose
+# is a contiguous copy going forward and a view coming back) and fan-out
+# summation order, so values and gradients are bitwise those of the chain; on
+# a batch the same expressions run on the padded 3-D stack, and on
 # a long self-attention batch on each sequence's rows. A gradient is
 # computed only for a parent that requires one, as matmul does.
 # ---------------------------------------------------------------------------
 
 
-def self_attention(
-    e: Node, wq: Node, wk: Node, wv: Node, segments: Segments | None = None
-) -> Node:
+def self_attention(e: Node, wq: Node, wk: Node, wv: Node, segments: Segments) -> Node:
     """One-head scaled dot-product self-attention with a residual connection.
 
     e + row_softmax((e wq)(e wk)^T / sqrt(d)) (e wv) within each segment of
-    e's rows (all of them when segments is None); d = e's width. A row
-    attends only to the rows of its own segment.
+    e's rows; d = e's width. A row attends only to the rows of its own segment.
     """
     parents = (e, wq, wk, wv)
     out, backward_fn = _attend(*[p.value for p in parents], segments, parents)
     return _op(out, "self_attention", parents, backward_fn)
 
 
-def _attend(x, wqa, wka, wva, segments: Segments | None, parents):
+def _attend(x, wqa, wka, wva, seg: Segments, parents):
     """Self-attention's checks, once per batch, then its kernel on the batch or on each sequence."""
     for wa in (wqa, wka, wva):
         _check_product("matmul", x.shape, wa.shape)
-    seg = _segments("self_attention", segments, x.shape[0])
+    _segments("self_attention", seg, x.shape[0])
     _check_product("matmul", (seg.width, wqa.shape[1]), (wka.shape[1], seg.width))
     _check_same("add", x.shape, (x.shape[0], wva.shape[1]))
     if seg.count == 1 or not seg.long:
@@ -743,12 +735,10 @@ def _cosine_scores(sa, la, parents):
 # A stack of maps pairs the row segments of one matrix with the column segments
 # of another: segment i's map is rows.lengths[i] x cols.lengths[i], its rows are
 # stacked in segment order and every map is cols.width wide, 0 past its own
-# width. With no segments the map is the plain product.
+# width. A batch of one sequence is one map, the plain product.
 
 
-def bilinear_softmax(
-    a: Node, b: Node, bilinear: Node, rows: Segments | None = None, cols: Segments | None = None
-) -> Node:
+def bilinear_softmax(a: Node, b: Node, bilinear: Node, rows: Segments, cols: Segments) -> Node:
     """row_softmax(a (b bilinear)^T) per segment pair: each a row's distribution over b's rows.
 
     a's rows are split by `rows`, b's by `cols`; the result is a stack of maps.
@@ -760,7 +750,7 @@ def bilinear_softmax(
 
 def _bilinear_softmax(aa, ba, wa, rows, cols, parents):
     _check_product("matmul", ba.shape, wa.shape)
-    rows, cols = _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
+    _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
     _check_product("matmul", (rows.width, aa.shape[1]), (wa.shape[1], cols.width))
     ap = rows.pad(aa)
     mapped_t = np.ascontiguousarray(_t(cols.pad(ba @ wa)))
@@ -782,9 +772,7 @@ def _bilinear_softmax(aa, ba, wa, rows, cols, parents):
     return out, backward_fn
 
 
-def paired_scores(
-    a: Node, b: Node, rows: Segments | None = None, cols: Segments | None = None
-) -> Node:
+def paired_scores(a: Node, b: Node, rows: Segments, cols: Segments) -> Node:
     """a_i b_i^T for each segment pair i: every a row's dot product with every b row of its pair.
 
     A stack of maps; one segment pair is matmul(a, transpose(b)).
@@ -794,7 +782,7 @@ def paired_scores(
 
 
 def _paired_scores(aa, ba, rows, cols, parents):
-    rows, cols = _pairs("paired_scores", rows, cols, aa.shape[0], ba.shape[0])
+    _pairs("paired_scores", rows, cols, aa.shape[0], ba.shape[0])
     _check_product("matmul", (rows.width, aa.shape[1]), (ba.shape[1], cols.width))
     ap = rows.pad(aa)
     bt = np.ascontiguousarray(_t(cols.pad(ba)))
@@ -809,15 +797,13 @@ def _paired_scores(aa, ba, rows, cols, parents):
     return rows.unpad(ap @ bt), backward_fn
 
 
-def paired_mix(
-    w: Node, b: Node, rows: Segments | None = None, cols: Segments | None = None
-) -> Node:
+def paired_mix(w: Node, b: Node, rows: Segments, cols: Segments) -> Node:
     """w_i b_i for each segment pair i: every row of map w_i weighs the b rows of its pair.
 
     w is a stack of maps; one segment pair is matmul(w, b).
     """
     wa, ba = w.value, b.value
-    rows, cols = _pairs("paired_mix", rows, cols, wa.shape[0], ba.shape[0])
+    _pairs("paired_mix", rows, cols, wa.shape[0], ba.shape[0])
     _check_product("matmul", wa.shape, (cols.width, ba.shape[1]))
     out, backward_fn = _paired_mix(wa, ba, rows, cols, (w, b))
     return _op(out, "paired_mix", (w, b), backward_fn)
@@ -1040,22 +1026,24 @@ def run_op_grad_suite(
     run("transpose", lambda: [_random_matrix(rng, 3, 4)], transpose)
     run("add", lambda: [_random_matrix(rng, 3, 3), _random_matrix(rng, 3, 3)], add)
     run("scale", lambda: [_random_matrix(rng, 2, 5)], lambda a: scale(a, 1.7))
-    run("row_softmax", lambda: [_random_matrix(rng, 2, 5)], row_softmax)
+    run("row_softmax", lambda: [_random_matrix(rng, 2, 5)],
+        lambda a: row_softmax(a, _alone(2), _alone(5)))
     run("row_l2_normalize", lambda: [_random_matrix(rng, 4, 3)], row_l2_normalize)
-    run("pool_mean", lambda: [_random_matrix(rng, 5, 3)], lambda a: pool(a, "mean"))
+    run("pool_mean", lambda: [_random_matrix(rng, 5, 3)], lambda a: pool(a, "mean", _alone(5)))
     run(
         "pool_max",
-        lambda: [_tie_free_segments(rng, Segments((5,)), 3, 10 * step)],
-        lambda a: pool(a, "max"),
+        lambda: [_tie_free_segments(rng, _alone(5), 3, 10 * step)],
+        lambda a: pool(a, "max", _alone(5)),
     )
     run("concat_cols", lambda: [_random_matrix(rng, 3, 2), _random_matrix(rng, 3, 4)], concat_cols)
-    run("cross_entropy", lambda: [_random_matrix(rng, 1, 4)], lambda a: cross_entropy(a, 2))
-    run("mse", lambda: [_random_matrix(rng, 3, 4), _random_matrix(rng, 3, 4)], mse)
+    run("cross_entropy", lambda: [_random_matrix(rng, 1, 4)], lambda a: cross_entropy(a, [2]))
+    run("mse", lambda: [_random_matrix(rng, 3, 4), _random_matrix(rng, 3, 4)],
+        lambda a, b: mse(a, b, _alone(3), _alone(4)))
     run("gather", lambda: [_random_matrix(rng, 5, 3)], lambda a: gather(a, [3, 0, 3, 4]))
     run(
         "self_attention",
         lambda: [_random_matrix(rng, 3, 4)] + [_random_matrix(rng, 4, 4, 0.5) for _ in range(3)],
-        self_attention,
+        lambda e, wq, wk, wv: self_attention(e, wq, wk, wv, _alone(3)),
     )
     run(
         "residual_linear",
@@ -1070,7 +1058,7 @@ def run_op_grad_suite(
     run(
         "bilinear_softmax",
         lambda: [_random_matrix(rng, 2, 3), _random_matrix(rng, 4, 3), _random_matrix(rng, 3, 3, 0.5)],
-        bilinear_softmax,
+        lambda a, b, w: bilinear_softmax(a, b, w, _alone(2), _alone(4)),
     )
     run(
         "affine",

@@ -12,7 +12,7 @@ is position-agnostic anyway.
 An encoder takes a whole mini-batch at once: the ids of every sequence,
 concatenated, and their `diffcore.Segments`. The lookup and the projections
 are row-wise; only the attention needs the segments, so that a row attends
-to its own sequence. With no segments the ids are one sequence.
+to its own sequence. The ids of one sequence of n ids are `Segments((n,))`.
 
 An encoder takes its ops as an argument, `ops`: the `diffcore` module
 (the default) builds graph nodes, and `diffcore.on_arrays` runs the same ops
@@ -33,9 +33,7 @@ from .diffcore import Node, Segments
 DEFAULT_DIM = 16
 
 
-def text_encode(
-    tokens: Sequence[int], params: dict[str, Node], segments: Segments | None = None, ops=diffcore
-):
+def text_encode(tokens: Sequence[int], params: dict[str, Node], segments: Segments, ops=diffcore):
     """Sequence representation, one row per token."""
     embedded = ops.gather(params["text.embedding"], tokens, "token id")
     return ops.self_attention(
@@ -43,9 +41,7 @@ def text_encode(
     )
 
 
-def speech_encode(
-    codes: Sequence[int], params: dict[str, Node], segments: Segments | None = None, ops=diffcore
-):
+def speech_encode(codes: Sequence[int], params: dict[str, Node], segments: Segments, ops=diffcore):
     """Frame representation, one row per code, from the frozen codebook."""
     embedded = ops.gather(params["speech.codebook"], codes, "code id")
     mixed = ops.self_attention(

@@ -43,7 +43,8 @@ a prediction raises what the graph would; it builds only the maps the mode's
 alignment uses.
 
 The pass is built from `diffcore`'s fused ops where a step is one, on the
-batch's stacked rows and their `diffcore.Segments`: label attention is
+batch's stacked rows and their `diffcore.Segments` (a batch of one
+utterance of n tokens is `Segments((n,))`): label attention is
 `cosine_scores` (row-wise), the vanilla alignment `bilinear_softmax`, the
 label-guided one `paired_scores`, the aligned speech `paired_mix`, the
 classifier and tower heads `affine`, and the loss total `weighted_sum`. A
@@ -202,14 +203,12 @@ def init_model(
 # ---------------------------------------------------------------------------
 
 
-def guidance_loss(
-    profile: Node, labels: int | Sequence[int], segments: Segments | None = None
-) -> Node:
+def guidance_loss(profile: Node, labels: Sequence[int], segments: Segments) -> Node:
     """Cross entropy of each segment's pooled profile against its true class: segments x 1.
 
-    The pooled means act directly as logits; the softmax inside the cross
-    entropy is the only normalisation applied. With no segments the profile
-    is one utterance's and `labels` its class.
+    `labels` holds one class per segment. The pooled means act directly as
+    logits; the softmax inside the cross entropy is the only normalisation
+    applied. One utterance's profile is one segment, `Segments((n,))`.
     """
     return cross_entropy(pool(profile, "mean", segments), labels)
 

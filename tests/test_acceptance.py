@@ -125,8 +125,9 @@ def test_criterion_2_oracle_equivalence():
                 nb = math.sqrt(sum(h_s[j, e] ** 2 for e in range(d)))
                 assert abs(got_cos[i, j] - dot / (na * nb)) <= ORACLE_TOL
 
+        text, speech = dc.Segments((l_t,)), dc.Segments((l_s,))
         got_vanilla = dc.bilinear_softmax(
-            dc.constant(h_t), dc.constant(h_s), dc.constant(cmap)
+            dc.constant(h_t), dc.constant(h_s), dc.constant(cmap), text, speech
         ).value
         projected = [
             [sum(h_s[j, e] * cmap[e, f] for e in range(d)) for f in range(d)]
@@ -144,9 +145,9 @@ def test_criterion_2_oracle_equivalence():
 
         g_t = rng.normal(size=(l_t, c))
         g_s = rng.normal(size=(l_s, c))
-        got_guided = dc.paired_scores(dc.constant(g_t), dc.constant(g_s)).value
+        got_guided = dc.paired_scores(dc.constant(g_t), dc.constant(g_s), text, speech).value
         weights = rng.normal(size=(l_t, l_s))
-        got_aligned = dc.paired_mix(dc.constant(weights), dc.constant(h_s)).value
+        got_aligned = dc.paired_mix(dc.constant(weights), dc.constant(h_s), text, speech).value
         for i in range(l_t):
             for j in range(l_s):
                 acc = sum(g_t[i, k] * g_s[j, k] for k in range(c))
@@ -223,9 +224,9 @@ def test_criterion_3_structural_invariants():
         recomputed = ((1.0 * main + 0.5 * constraint) + 0.2 * guide_text) + 0.2 * guide_speech
         assert abs(total - recomputed) <= 1e-12
 
-        substituted = dc.mse(
-            dc.constant(bundle.label_guided), dc.constant(bundle.label_guided)
-        ).value[0, 0]
+        guided = dc.constant(bundle.label_guided)
+        rows, cols = (dc.Segments((n,)) for n in bundle.label_guided.shape)
+        substituted = dc.mse(guided, guided, rows, cols).value[0, 0]
         assert substituted == 0.0
     report(3, "attention bounds, row sums, substitution zero, and weighted totals on 1000 forwards")
 

@@ -1,11 +1,14 @@
 """Tests for the matrix autodiff core, with finite differences as the oracle."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from labelfuse import diffcore as dc
+from labelfuse import encoders as enc
+from labelfuse import fusion as fu
 from labelfuse.diffcore import Node, checked
 from labelfuse.errors import (
     ConfigError,
@@ -28,6 +31,16 @@ def same_arrays(xs, ys):
     return len(xs) == len(ys) and all(
         (x is None) == (y is None) and (x is None or np.array_equal(x, y)) for x, y in zip(xs, ys)
     )
+
+
+def one(n):
+    """The segments of a batch of one sequence of n rows."""
+    return dc.Segments((n,))
+
+
+def whole(node):
+    """A matrix as one sequence's map: the segments of all its rows and of all its columns."""
+    return one(node.value.shape[0]), one(node.value.shape[1])
 
 
 def readout(node, r=None):
@@ -89,29 +102,29 @@ class TestMatmul:
 
 class TestRowSoftmax:
     def test_uniform_row(self):
-        out = dc.row_softmax(dc.constant([[0.0, 0.0]]))
+        out = dc.row_softmax(dc.constant([[0.0, 0.0]]), one(1), one(2))
         assert np.allclose(out.value, [[0.5, 0.5]], rtol=0, atol=1e-12)
 
     def test_analytic_values(self):
-        out = dc.row_softmax(dc.constant([[math.log(2.0), 0.0]]))
+        out = dc.row_softmax(dc.constant([[math.log(2.0), 0.0]]), one(1), one(2))
         assert np.allclose(out.value, [[2.0 / 3.0, 1.0 / 3.0]], rtol=0, atol=1e-12)
 
     def test_rows_sum_to_one_and_open_interval(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            s = dc.row_softmax(dc.constant(rand(rng, 3, 6))).value
+            s = dc.row_softmax(dc.constant(rand(rng, 3, 6)), one(3), one(6)).value
             assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-12
             assert (s > 0).all() and (s < 1).all()
 
     def test_overflow_safety(self):
-        out = dc.row_softmax(dc.constant([[1e6, 0.0, -1e6]]))
+        out = dc.row_softmax(dc.constant([[1e6, 0.0, -1e6]]), one(1), one(3))
         assert np.allclose(out.value, [[1.0, 0.0, 0.0]], rtol=0, atol=1e-12)
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(3)
         r = rng.normal(size=(2, 5))  # a softmax row's plain sum is constant
         rep = dc.grad_check(
-            lambda a: readout(dc.row_softmax(a), r),
+            lambda a: readout(dc.row_softmax(a, one(2), one(5)), r),
             [rand(rng, 2, 5)],
             step=STEP,
         )
@@ -144,38 +157,37 @@ class TestRowL2Normalize:
 
 class TestPool:
     def test_mean_over_rows(self):
-        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "mean")
+        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "mean", one(2))
         assert np.array_equal(out.value, [[2.0, 4.0]])
 
     def test_max_over_rows(self):
-        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "max")
+        out = dc.pool(dc.constant([[1.0, 3.0], [3.0, 5.0]]), "max", one(2))
         assert np.array_equal(out.value, [[3.0, 5.0]])
 
     def test_max_tie_routes_to_lowest_index(self):
         x = dc.parameter([[2.0, 1.0], [2.0, 5.0]])
-        out = dc.pool(x, "max")
+        out = dc.pool(x, "max", one(2))
         dc.backward(readout(out))
         assert np.array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_bad_axis_or_kind(self):
         # pool reduces rows only: an axis where the kind goes is refused, not misread.
         with pytest.raises(ContractError):
-            dc.pool(dc.constant([[1.0]]), "rows")
+            dc.pool(dc.constant([[1.0]]), "rows", one(1))
         with pytest.raises(ContractError):
-            dc.pool(dc.constant([[1.0]]), "median")
+            dc.pool(dc.constant([[1.0]]), "median", one(1))
 
     @pytest.mark.parametrize("layout", ["rows", "segments"])
     @pytest.mark.parametrize("kind", ["mean", "max"])
     def test_gradient_vs_fd(self, layout, kind):
         rng = np.random.default_rng(5)
-        blocks = ROWS if layout == "segments" else dc.Segments((5,))
+        blocks = ROWS if layout == "segments" else one(5)
         if kind == "max":
             m = dc._tie_free_segments(rng, blocks, 3, 10 * STEP)
         else:
             m = rand(rng, blocks.total, 3)
         r = rng.normal(size=(blocks.count, 3))
-        segments = ROWS if layout == "segments" else None
-        rep = dc.grad_check(lambda a: readout(dc.pool(a, kind, segments), r), [m], step=STEP)
+        rep = dc.grad_check(lambda a: readout(dc.pool(a, kind, blocks), r), [m], step=STEP)
         assert rep.max_relative_error <= FD_TOL
 
 
@@ -218,6 +230,12 @@ class TestGather:
         with pytest.raises(IndexError, match=rf"token id {bad} out of range for vocabulary of size 3"):
             dc.gather(table, [0, bad, 1], "token id")
 
+    @pytest.mark.parametrize("ids, first", [([0, 5, -1], 5), ([0, -1, 5], -1)])
+    def test_names_the_first_bad_id_of_a_negative_and_a_too_large_one(self, ids, first):
+        table = dc.constant(np.zeros((3, 2)))
+        with pytest.raises(IndexError, match=rf"^id {first} out of range for vocabulary of size 3$"):
+            dc.gather(table, ids)
+
     def test_repeated_ids_scatter_add(self):
         x = dc.parameter([[1.0, 2.0], [3.0, 4.0]])
         dc.backward(readout(dc.gather(x, [1, 1, 1])))
@@ -248,26 +266,30 @@ class TestGather:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        out = dc.cross_entropy(dc.constant([[0.0, 0.0, 0.0, 0.0]]), 1)
+        out = dc.cross_entropy(dc.constant([[0.0, 0.0, 0.0, 0.0]]), [1])
         assert abs(out.value[0, 0] - math.log(4.0)) <= 1e-12
 
     def test_confident_correct(self):
-        out = dc.cross_entropy(dc.constant([[1e6, 0.0, 0.0, 0.0]]), 0)
+        out = dc.cross_entropy(dc.constant([[1e6, 0.0, 0.0, 0.0]]), [0])
         assert out.value[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            dc.cross_entropy(dc.constant([[0.0, 0.0]]), 2)
+            dc.cross_entropy(dc.constant([[0.0, 0.0]]), [2])
         with pytest.raises(IndexError):
-            dc.cross_entropy(dc.constant([[0.0, 0.0]]), -1)
+            dc.cross_entropy(dc.constant([[0.0, 0.0]]), [-1])
+
+    def test_targets_are_a_sequence_one_per_row(self):
+        with pytest.raises(DimensionError, match=r"targets of shape \(\) for 1x2 logits"):
+            dc.cross_entropy(dc.constant([[0.0, 0.0]]), 1)
 
     def test_non_row_logits(self):
         with pytest.raises(DimensionError):
-            dc.cross_entropy(dc.constant(np.zeros((2, 2))), 0)
+            dc.cross_entropy(dc.constant(np.zeros((2, 2))), [0])
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(7)
-        rep = dc.grad_check(lambda a: dc.cross_entropy(a, 2), [rand(rng, 1, 5)], step=STEP)
+        rep = dc.grad_check(lambda a: dc.cross_entropy(a, [2]), [rand(rng, 1, 5)], step=STEP)
         assert rep.max_relative_error <= FD_TOL
 
 
@@ -275,20 +297,20 @@ class TestMse:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(8)
         m = rand(rng, 3, 3)
-        assert np.array_equal(dc.mse(dc.constant(m), dc.constant(m)).value, [[0.0]])
+        assert np.array_equal(dc.mse(dc.constant(m), dc.constant(m), one(3), one(3)).value, [[0.0]])
 
     def test_analytic(self):
-        out = dc.mse(dc.constant([[0.5]]), dc.constant([[1.0]]))
+        out = dc.mse(dc.constant([[0.5]]), dc.constant([[1.0]]), one(1), one(1))
         assert out.value[0, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            dc.mse(dc.constant(np.zeros((1, 2))), dc.constant(np.zeros((2, 1))))
+            dc.mse(dc.constant(np.zeros((1, 2))), dc.constant(np.zeros((2, 1))), one(1), one(2))
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(9)
         rep = dc.grad_check(
-            lambda a, b: dc.mse(a, b), [rand(rng, 3, 4), rand(rng, 3, 4)], step=STEP
+            lambda a, b: dc.mse(a, b, *whole(a)), [rand(rng, 3, 4), rand(rng, 3, 4)], step=STEP
         )
         assert rep.max_relative_error <= FD_TOL
 
@@ -351,8 +373,8 @@ class TestBackwardMechanics:
         first = dc.matmul(dc.constant(a), dc.constant(b)).value
         second = dc.matmul(dc.constant(a), dc.constant(b)).value
         assert np.array_equal(first, second)
-        s1 = dc.row_softmax(dc.constant(a)).value
-        s2 = dc.row_softmax(dc.constant(a)).value
+        s1 = dc.row_softmax(dc.constant(a), one(3), one(4)).value
+        s2 = dc.row_softmax(dc.constant(a), one(3), one(4)).value
         assert np.array_equal(s1, s2)
 
 
@@ -370,20 +392,22 @@ class TestLeanTape:
             "gather": dc.gather(a, [2, 0, 2]),
             "add": dc.add(a, b),
             "scale": dc.scale(a, 0.5),
-            "row_softmax": dc.row_softmax(a),
+            "row_softmax": dc.row_softmax(a, *whole(a)),
             "row_l2_normalize": dc.row_l2_normalize(a),
-            "pool_mean": dc.pool(a, "mean"),
+            "pool_mean": dc.pool(a, "mean", one(3)),
             "concat_cols": dc.concat_cols(a, b),
-            "cross_entropy": dc.cross_entropy(row, 1),
-            "mse": dc.mse(a, b),
-            "self_attention": dc.self_attention(a, w, w, w),
+            "cross_entropy": dc.cross_entropy(row, [1]),
+            "mse": dc.mse(a, b, *whole(a)),
+            "self_attention": dc.self_attention(a, w, w, w, one(3)),
             "residual_linear": dc.residual_linear(a, w),
             "cosine_scores": dc.cosine_scores(a, b),
-            "bilinear_softmax": dc.bilinear_softmax(a, b, w),
+            "bilinear_softmax": dc.bilinear_softmax(a, b, w, one(3), one(3)),
             "affine": dc.affine(row, w, row),
-            "weighted_sum": dc.weighted_sum((dc.mse(a, b), dc.mse(b, a)), (1.0, 0.5)),
-            "paired_scores": dc.paired_scores(a, b),
-            "paired_mix": dc.paired_mix(dc.transpose(a), b),
+            "weighted_sum": dc.weighted_sum(
+                (dc.mse(a, b, *whole(a)), dc.mse(b, a, *whole(a))), (1.0, 0.5)
+            ),
+            "paired_scores": dc.paired_scores(a, b, one(3), one(3)),
+            "paired_mix": dc.paired_mix(dc.transpose(a), b, one(4), one(3)),
             "self_attention_segments": dc.self_attention(a, w, w, w, dc.Segments((2, 1))),
             "pool_max_segments": dc.pool(a, "max", dc.Segments((1, 2))),
             "row_softmax_segments": dc.row_softmax(
@@ -402,7 +426,7 @@ class TestLeanTape:
         a = dc.parameter([[1.0, 2.0], [3.0, -1.0]])
         c = dc.constant([[0.5, 0.25], [1.0, 2.0]])
         product = dc.matmul(a, c)
-        soft = dc.row_softmax(product)
+        soft = dc.row_softmax(product, *whole(product))
         root = readout(dc.add(soft, dc.transpose(product)))
         dc.backward(root)
         assert a.grad is not None
@@ -428,12 +452,12 @@ class TestLeanTape:
     def test_non_finite_leaf_gradient_rejected(self):
         x = dc.parameter([[1e200]])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            dc.backward(dc.mse(dc.scale(x, 1e200), dc.constant([[0.0]])))
+            dc.backward(dc.mse(dc.scale(x, 1e200), dc.constant([[0.0]]), one(1), one(1)))
 
 
 def chain_self_attention(e, wq, wk, wv):
     scores = dc.matmul(dc.matmul(e, wq), dc.transpose(dc.matmul(e, wk)))
-    weights = dc.row_softmax(dc.scale(scores, 1.0 / math.sqrt(e.value.shape[1])))
+    weights = dc.row_softmax(dc.scale(scores, 1.0 / math.sqrt(e.value.shape[1])), *whole(scores))
     return dc.add(e, dc.matmul(weights, dc.matmul(e, wv)))
 
 
@@ -447,7 +471,7 @@ def chain_weighted_sum(a, b, c):
 # contiguous array, so an op that changes an operand layout changes bits.
 FUSED = {
     "self_attention": (
-        dc.self_attention,
+        lambda e, wq, wk, wv: dc.self_attention(e, wq, wk, wv, one(e.value.shape[0])),
         chain_self_attention,
         [(40, 16), (16, 16), (16, 16), (16, 16)],
     ),
@@ -462,8 +486,9 @@ FUSED = {
         [(40, 16), (4, 16)],
     ),
     "bilinear_softmax": (
-        dc.bilinear_softmax,
-        lambda a, b, w: dc.row_softmax(dc.matmul(a, dc.transpose(dc.matmul(b, w)))),
+        lambda a, b, w: dc.bilinear_softmax(a, b, w, one(a.value.shape[0]), one(b.value.shape[0])),
+        lambda a, b, w: dc.row_softmax(dc.matmul(a, dc.transpose(dc.matmul(b, w))),
+                                       one(a.value.shape[0]), one(b.value.shape[0])),
         [(12, 16), (40, 16), (16, 16)],
     ),
     "affine": (
@@ -553,6 +578,11 @@ def leaves(*arrays):
     return [dc.constant(a) for a in arrays]
 
 
+def alone(rows, cols, i):
+    """The row and column segments of segment pair i as a batch of one."""
+    return one(rows.lengths[i]), one(cols.lengths[i])
+
+
 def segment_ops(rows, cols):
     """name -> (input shapes, the op on the whole batch, the op on the arrays of
     segment i alone, and whether the output is a stack of maps, one row per
@@ -562,35 +592,42 @@ def segment_ops(rows, cols):
         "self_attention": (
             [(n, 4), (4, 4), (4, 4), (4, 4)],
             lambda e, wq, wk, wv: dc.self_attention(e, wq, wk, wv, rows),
-            lambda i, e, wq, wk, wv: dc.self_attention(*leaves(block(e, rows, i), wq, wk, wv)),
+            lambda i, e, wq, wk, wv: dc.self_attention(
+                *leaves(block(e, rows, i), wq, wk, wv), one(rows.lengths[i])
+            ),
             "rows",
         ),
         "bilinear_softmax": (
             [(n, 3), (m, 3), (3, 3)],
             lambda a, b, w: dc.bilinear_softmax(a, b, w, rows, cols),
             lambda i, a, b, w: dc.bilinear_softmax(
-                *leaves(block(a, rows, i), block(b, cols, i), w)
+                *leaves(block(a, rows, i), block(b, cols, i), w), *alone(rows, cols, i)
             ),
             "map",
         ),
         "paired_scores": (
             [(n, 3), (m, 3)],
             lambda a, b: dc.paired_scores(a, b, rows, cols),
-            lambda i, a, b: dc.paired_scores(*leaves(block(a, rows, i), block(b, cols, i))),
+            lambda i, a, b: dc.paired_scores(
+                *leaves(block(a, rows, i), block(b, cols, i)), *alone(rows, cols, i)
+            ),
             "map",
         ),
         "paired_mix": (
             [(n, width), (m, 3)],
             lambda w, b: dc.paired_mix(w, b, rows, cols),
             lambda i, w, b: dc.paired_mix(
-                *leaves(block(w, rows, i)[:, : cols.lengths[i]], block(b, cols, i))
+                *leaves(block(w, rows, i)[:, : cols.lengths[i]], block(b, cols, i)),
+                *alone(rows, cols, i),
             ),
             "rows",
         ),
         "row_softmax": (
             [(n, width)],
             lambda a: dc.row_softmax(a, rows, cols),
-            lambda i, a: dc.row_softmax(*leaves(block(a, rows, i)[:, : cols.lengths[i]])),
+            lambda i, a: dc.row_softmax(
+                *leaves(block(a, rows, i)[:, : cols.lengths[i]]), *alone(rows, cols, i)
+            ),
             "map",
         ),
         "mse": (
@@ -598,25 +635,25 @@ def segment_ops(rows, cols):
             lambda a, b: dc.mse(a, b, rows, cols),
             lambda i, a, b: dc.mse(*leaves(
                 block(a, rows, i)[:, : cols.lengths[i]], block(b, rows, i)[:, : cols.lengths[i]]
-            )),
+            ), *alone(rows, cols, i)),
             "one",
         ),
         "pool_mean": (
             [(n, 3)],
             lambda a: dc.pool(a, "mean", rows),
-            lambda i, a: dc.pool(*leaves(block(a, rows, i)), "mean"),
+            lambda i, a: dc.pool(*leaves(block(a, rows, i)), "mean", one(rows.lengths[i])),
             "one",
         ),
         "pool_max": (
             [(n, 3)],
             lambda a: dc.pool(a, "max", rows),
-            lambda i, a: dc.pool(*leaves(block(a, rows, i)), "max"),
+            lambda i, a: dc.pool(*leaves(block(a, rows, i)), "max", one(rows.lengths[i])),
             "one",
         ),
         "cross_entropy": (
             [(3, 4)],
             lambda a: dc.cross_entropy(a, (2, 0, 3)),
-            lambda i, a: dc.cross_entropy(*leaves(a[i : i + 1]), (2, 0, 3)[i]),
+            lambda i, a: dc.cross_entropy(*leaves(a[i : i + 1]), (2, 0, 3)[i : i + 1]),
             "one",
         ),
     }
@@ -661,6 +698,23 @@ class TestSegments:
                              ROWS, dc.Segments((7,)))
         with pytest.raises(DimensionError):
             dc.pool(e, "max", ROWS)
+
+    @pytest.mark.parametrize("op, names", [
+        (dc.self_attention, ["segments"]),
+        (dc.pool, ["segments"]),
+        (dc.row_softmax, ["rows", "cols"]),
+        (dc.mse, ["rows", "cols"]),
+        (dc.bilinear_softmax, ["rows", "cols"]),
+        (dc.paired_scores, ["rows", "cols"]),
+        (dc.paired_mix, ["rows", "cols"]),
+        (enc.text_encode, ["segments"]),
+        (enc.speech_encode, ["segments"]),
+        (fu.guidance_loss, ["segments"]),
+    ])
+    def test_segments_have_no_default(self, op, names):
+        params = inspect.signature(op).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, name
 
     def test_a_batch_is_long_from_its_longest_sequence(self):
         assert dc.LONG_ROWS == 64
@@ -754,7 +808,8 @@ class TestLongBatches:
         shared = [None] * len(weights)
         for i in range(LONG_BATCH_ROWS.count):
             parts = [dc.parameter(v) for v in (block(e, LONG_BATCH_ROWS, i), *weights)]
-            dc.backward(readout(dc.self_attention(*parts), block(r, LONG_BATCH_ROWS, i)))
+            blocks = one(LONG_BATCH_ROWS.lengths[i])
+            dc.backward(readout(dc.self_attention(*parts, blocks), block(r, LONG_BATCH_ROWS, i)))
             assert np.array_equal(block(leaves[0].grad, LONG_BATCH_ROWS, i),
                                   parts[0].grad)
             for k, part in enumerate(parts[1:]):

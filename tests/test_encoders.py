@@ -20,6 +20,16 @@ def total(node):
     return dc._readout(node, np.ones(node.value.shape))
 
 
+def encode_text(tokens, params):
+    """The text encoder on one sequence, a batch of one."""
+    return enc.text_encode(tokens, params, dc.Segments((len(tokens),)))
+
+
+def encode_speech(codes, params):
+    """The speech encoder on one sequence, a batch of one."""
+    return enc.speech_encode(codes, params, dc.Segments((len(codes),)))
+
+
 def make_model(vocab_text=10, vocab_speech=12, text_dim=4, speech_dim=4, seed=0):
     dims = {
         "vocab_text": vocab_text,
@@ -59,20 +69,20 @@ class TestTextEncode:
     def test_output_shape(self):
         model = make_model(seed=0)
         for length in (1, 2, 7):
-            out = enc.text_encode(list(range(length)), model)
+            out = encode_text(list(range(length)), model)
             assert out.value.shape == (length, 4)
 
     def test_zero_mix_weights_reduce_to_embeddings(self):
         model = make_model(seed=0)
         zeroed([model["text.query_w"], model["text.key_w"], model["text.value_w"]])
-        out = enc.text_encode([3, 1, 4], model)
+        out = encode_text([3, 1, 4], model)
         assert np.array_equal(out.value, model["text.embedding"].value[[3, 1, 4]])
 
     def test_single_token_hand_oracle(self):
         # With one token the attention weight is exactly 1, so the output is
         # e + (e @ value_w), independent of query/key weights.
         model = make_model(seed=5)
-        out = enc.text_encode([7], model)
+        out = encode_text([7], model)
         e = model["text.embedding"].value[7]
         expected = e + e @ model["text.value_w"].value
         assert np.allclose(out.value[0], expected, atol=1e-15)
@@ -80,45 +90,45 @@ class TestTextEncode:
     def test_out_of_vocabulary_token(self):
         model = make_model(seed=0)
         with pytest.raises(IndexError, match="token id 10"):
-            enc.text_encode([10], model)
+            encode_text([10], model)
         with pytest.raises(IndexError, match="token id -1 out of range"):
-            enc.text_encode([3, -1], model)
+            encode_text([3, -1], model)
 
     def test_deterministic(self):
         model = make_model(seed=0)
-        assert np.array_equal(enc.text_encode([1, 2, 3], model).value,
-                              enc.text_encode([1, 2, 3], model).value)
+        assert np.array_equal(encode_text([1, 2, 3], model).value,
+                              encode_text([1, 2, 3], model).value)
 
     def test_permutation_equivariant(self):
         model = make_model(seed=4)
-        out = enc.text_encode([2, 5, 9], model).value
-        permuted = enc.text_encode([9, 2, 5], model).value
+        out = encode_text([2, 5, 9], model).value
+        permuted = encode_text([9, 2, 5], model).value
         assert np.allclose(permuted, out[[2, 0, 1]], atol=1e-12)
 
 
 class TestSpeechEncode:
     def test_output_shape(self):
         model = make_model(seed=0)
-        out = enc.speech_encode([0, 5, 11, 3], model)
+        out = encode_speech([0, 5, 11, 3], model)
         assert out.value.shape == (4, 4)
 
     def test_zero_weights_reduce_to_codebook_rows(self):
         model = make_model(seed=0)
         zeroed([model["speech.query_w"], model["speech.key_w"], model["speech.value_w"],
                 model["speech.post_w"]])
-        out = enc.speech_encode([2, 8], model)
+        out = encode_speech([2, 8], model)
         assert np.array_equal(out.value, model["speech.codebook"].value[[2, 8]])
 
     def test_out_of_vocabulary_code(self):
         model = make_model(seed=0)
         with pytest.raises(IndexError, match="code id 12"):
-            enc.speech_encode([12], model)
+            encode_speech([12], model)
         with pytest.raises(IndexError, match="code id -1 out of range"):
-            enc.speech_encode([-1], model)
+            encode_speech([-1], model)
 
     def test_codebook_gets_no_gradient(self):
         model = make_model(seed=1)
-        out = enc.speech_encode([1, 2, 3], model)
+        out = encode_speech([1, 2, 3], model)
         dc.backward(total(out))
         assert model["speech.codebook"].grad is None
         assert model["speech.query_w"].grad is not None
@@ -136,7 +146,7 @@ class TestSpeechEncode:
                 "speech.value_w": vw,
                 "speech.post_w": pw,
             }
-            return total(enc.speech_encode(codes, params))
+            return total(encode_speech(codes, params))
 
         rep = dc.grad_check(
             builder,
@@ -154,7 +164,7 @@ class TestSpeechEncode:
             params = {
                 "text.embedding": table, "text.query_w": qw, "text.key_w": kw, "text.value_w": vw
             }
-            return total(enc.text_encode(tokens, params))
+            return total(encode_text(tokens, params))
 
         rep = dc.grad_check(
             builder,

@@ -23,6 +23,16 @@ def rand(rng, r, c, std=1.0):
     return rng.normal(0.0, std, size=(r, c))
 
 
+def one(n):
+    """The segments of a batch of one sequence of n rows."""
+    return dc.Segments((n,))
+
+
+def guide(profile, label):
+    """The guidance loss of one utterance's profile node against its class."""
+    return fu.guidance_loss(profile, [label], one(profile.value.shape[0]))
+
+
 def cosine_oracle(a, b):
     """Scalar-loop cosine similarity of every a-row against every b-row."""
     out = np.zeros((a.shape[0], b.shape[0]))
@@ -101,13 +111,13 @@ class TestGuidance:
         # Every class gets probability 1/4, so every label costs log 4.
         g = dc.constant(np.full((5, 4), 0.3))
         for label in range(4):
-            loss = fu.guidance_loss(g, label).value[0, 0]
+            loss = guide(g, label).value[0, 0]
             assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_single_row_is_softmax_of_row(self):
         g = dc.constant([[math.log(2.0), 0.0]])
         for label, prob in ((0, 2.0 / 3.0), (1, 1.0 / 3.0)):
-            loss = fu.guidance_loss(g, label).value[0, 0]
+            loss = guide(g, label).value[0, 0]
             assert loss == pytest.approx(-math.log(prob), abs=1e-12)
 
     def test_matches_mean_then_softmax_oracle(self):
@@ -116,29 +126,29 @@ class TestGuidance:
         means = [sum(g[i, k] for i in range(5)) / 5 for k in range(4)]
         exps = [math.exp(v - max(means)) for v in means]
         for label in range(4):
-            got = fu.guidance_loss(dc.constant(g), label).value[0, 0]
+            got = guide(dc.constant(g), label).value[0, 0]
             assert abs(got + math.log(exps[label] / sum(exps))) <= 1e-12
 
     def test_constant_profile_loss_is_log_classes(self):
         g = dc.constant(np.full((6, 4), 0.9))
-        loss = fu.guidance_loss(g, 2)
+        loss = guide(g, 2)
         assert loss.value[0, 0] == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_strongly_peaked_profile_loss_near_zero(self):
         profile = np.full((3, 4), -30.0)
         profile[:, 1] = 30.0
-        loss = fu.guidance_loss(dc.constant(profile), 1)
+        loss = guide(dc.constant(profile), 1)
         assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            fu.guidance_loss(dc.constant(np.zeros((2, 3))), 3)
+            guide(dc.constant(np.zeros((2, 3))), 3)
 
     def test_gradient_through_profile_vs_fd(self):
         rng = np.random.default_rng(24)
         h, labels = rand(rng, 4, 5), rand(rng, 3, 5)
         rep = dc.grad_check(
-            lambda a, b: fu.guidance_loss(dc.cosine_scores(a, b), 1),
+            lambda a, b: guide(dc.cosine_scores(a, b), 1),
             [h, labels],
             step=1e-5,
         )
@@ -150,7 +160,7 @@ class TestVanillaCrossAttention:
         rng = np.random.default_rng(25)
         out = dc.bilinear_softmax(
             dc.constant(rand(rng, 4, 3)), dc.constant(rand(rng, 1, 5)),
-            dc.constant(rand(rng, 5, 3)),
+            dc.constant(rand(rng, 5, 3)), one(4), one(1),
         )
         assert np.allclose(out.value, np.ones((4, 1)), rtol=0, atol=1e-12)
 
@@ -158,7 +168,7 @@ class TestVanillaCrossAttention:
         rng = np.random.default_rng(26)
         out = dc.bilinear_softmax(
             dc.constant(rand(rng, 3, 4)), dc.constant(rand(rng, 6, 5)),
-            dc.constant(np.zeros((5, 4))),
+            dc.constant(np.zeros((5, 4))), one(3), one(6),
         )
         assert np.allclose(out.value, np.full((3, 6), 1.0 / 6.0), rtol=0, atol=1e-12)
 
@@ -166,7 +176,7 @@ class TestVanillaCrossAttention:
         rng = np.random.default_rng(27)
         h_text, h_speech, cmap = rand(rng, 3, 4), rand(rng, 5, 6), rand(rng, 6, 4)
         got = dc.bilinear_softmax(
-            dc.constant(h_text), dc.constant(h_speech), dc.constant(cmap)
+            dc.constant(h_text), dc.constant(h_speech), dc.constant(cmap), one(3), one(5)
         ).value
         projected = [[sum(h_speech[j, e] * cmap[e, d] for e in range(6)) for d in range(4)]
                      for j in range(5)]
@@ -182,7 +192,7 @@ class TestVanillaCrossAttention:
         with pytest.raises(DimensionError):
             dc.bilinear_softmax(
                 dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((5, 6))),
-                dc.constant(np.zeros((4, 4))),
+                dc.constant(np.zeros((4, 4))), one(3), one(5),
             )
 
 
@@ -192,21 +202,21 @@ class TestAlignedSpeech:
     def test_one_hot_rows_select_frames(self):
         h = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         weights = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = dc.paired_mix(dc.constant(weights), dc.constant(h))
+        out = dc.paired_mix(dc.constant(weights), dc.constant(h), one(3), one(3))
         assert np.array_equal(out.value, np.array([[5.0, 6.0], [1.0, 2.0], [3.0, 4.0]]))
 
     def test_uniform_rows_give_frame_mean(self):
         rng = np.random.default_rng(28)
         h = rand(rng, 5, 3)
         weights = dc.constant(np.full((2, 5), 0.2))
-        out = dc.paired_mix(weights, dc.constant(h))
+        out = dc.paired_mix(weights, dc.constant(h), one(2), one(5))
         mean = h.mean(axis=0)
         assert np.abs(out.value - mean).max() <= 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(29)
         weights, h = rand(rng, 3, 5), rand(rng, 5, 4)
-        got = dc.paired_mix(dc.constant(weights), dc.constant(h)).value
+        got = dc.paired_mix(dc.constant(weights), dc.constant(h), one(3), one(5)).value
         for i in range(3):
             for d in range(4):
                 acc = sum(weights[i, j] * h[j, d] for j in range(5))
@@ -218,18 +228,18 @@ class TestLabelGuidedAttention:
 
     def test_zero_profile_gives_zero(self):
         out = dc.paired_scores(
-            dc.constant(np.zeros((3, 2))), dc.constant(np.ones((4, 2)))
+            dc.constant(np.zeros((3, 2))), dc.constant(np.ones((4, 2))), one(3), one(4)
         )
         assert np.array_equal(out.value, np.zeros((3, 4)))
 
     def test_single_class_identity(self):
-        out = dc.paired_scores(dc.constant([[1.0]]), dc.constant([[1.0]]))
+        out = dc.paired_scores(dc.constant([[1.0]]), dc.constant([[1.0]]), one(1), one(1))
         assert np.array_equal(out.value, np.array([[1.0]]))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(30)
         pt, ps = rand(rng, 3, 4), rand(rng, 5, 4)
-        got = dc.paired_scores(dc.constant(pt), dc.constant(ps)).value
+        got = dc.paired_scores(dc.constant(pt), dc.constant(ps), one(3), one(5)).value
         for i in range(3):
             for j in range(5):
                 acc = sum(pt[i, k] * ps[j, k] for k in range(4))
@@ -238,7 +248,7 @@ class TestLabelGuidedAttention:
     def test_class_count_mismatch(self):
         with pytest.raises(DimensionError):
             dc.paired_scores(
-                dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((5, 2)))
+                dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((5, 2))), one(3), one(5)
             )
 
 
@@ -327,9 +337,8 @@ class TestForward:
         model = tiny_model(rng)
         utt = tiny_utterance(rng, model)
         (bundle,) = fu.attention_maps([utt], model, fu.FusionMode.CONSTRAINT)
-        substituted = dc.mse(
-            dc.constant(bundle.label_guided), dc.constant(bundle.label_guided)
-        )
+        guided = dc.constant(bundle.label_guided)
+        substituted = dc.mse(guided, guided, *map(one, bundle.label_guided.shape))
         assert substituted.value[0, 0] == 0.0
 
     def test_bundle_invariants_on_random_forwards(self):
@@ -353,8 +362,9 @@ class TestForward:
         result = fu.forward([utt], model, mode, normalize_label_attention=normalize)
         _, constraint, guide_text, guide_speech, _ = result.terms[0]
         (maps,) = fu.attention_maps([utt], model, mode, normalize_label_attention=normalize)
-        penalty = dc.mse(dc.constant(maps.label_guided), dc.constant(maps.vanilla))
-        guides = [fu.guidance_loss(dc.constant(profile), utt.label)
+        penalty = dc.mse(dc.constant(maps.label_guided), dc.constant(maps.vanilla),
+                         *map(one, maps.vanilla.shape))
+        guides = [guide(dc.constant(profile), utt.label)
                   for profile in (maps.label_token, maps.label_frame)]
         recomputed = [_scalar(node) for node in (penalty, *guides)]
         assert recomputed == [constraint, guide_text, guide_speech]
@@ -367,15 +377,16 @@ class TestForward:
 
         from labelfuse.encoders import speech_encode, text_encode
 
-        h_text = text_encode(utt.text_tokens, model)
-        h_speech = speech_encode(utt.frame_codes, model)
+        text, speech = one(len(utt.text_tokens)), one(len(utt.frame_codes))
+        h_text = text_encode(utt.text_tokens, model, text)
+        h_speech = speech_encode(utt.frame_codes, model, speech)
         scores = dc.matmul(h_text, dc.transpose(dc.matmul(h_speech, model["fusion.cross_map"])))
-        align = dc.row_softmax(scores)
+        align = dc.row_softmax(scores, text, speech)
         merged = dc.concat_cols(h_text, dc.matmul(align, h_speech))
-        pooled = dc.pool(merged, "max")
+        pooled = dc.pool(merged, "max", text)
         logits = dc.add(dc.matmul(pooled, model["fusion.classifier_w"]),
                         model["fusion.classifier_b"])
-        plain_loss = dc.cross_entropy(logits, utt.label).value[0, 0]
+        plain_loss = dc.cross_entropy(logits, [utt.label]).value[0, 0]
 
         result = fu.forward([utt], model, fu.FusionMode.ONLY_VANILLA, weights=(1.0, 0.0, 0.0, 0.0))
         assert abs(result.terms[0, 4] - plain_loss) <= 1e-12

@@ -11,7 +11,7 @@ import pytest
 from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
-from labelfuse.diffcore import Matrix, backward, checked, constant, mse, parameter
+from labelfuse.diffcore import Matrix, Segments, backward, checked, constant, mse, parameter
 from labelfuse.errors import (
     CheckpointIntegrityError,
     ConfigError,
@@ -128,7 +128,7 @@ class TestAdamUpdate:
         x = parameter([[0.0]])
         for _ in range(500):
             x.zero_grad()
-            backward(mse(x, target))
+            backward(mse(x, target, Segments((1,)), Segments((1,))))
             optimizer.step([("x", x)])
         assert abs(x.value[0, 0] - 1.25) <= 1e-3
 
