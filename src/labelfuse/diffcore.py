@@ -4,30 +4,32 @@ The op set is closed and small: matrix product, transpose, row gather,
 elementwise add, scalar scale, row softmax, row L2 normalisation, mean/max
 row pooling, column concatenation, cross entropy and mean squared error. Fused
 ops each stand for a chain of those in one node with a hand-written
-backward: `self_attention` and `residual_linear` (the encoders),
-`cosine_scores` (label attention), `bilinear_softmax` (the vanilla
-alignment), `paired_scores` (the label-guided alignment), `paired_mix` (the
-aligned speech), `affine` (the classifier and tower heads) and
+backward: `self_attention` (the encoders), `cosine_scores` (label
+attention), `paired_scores` (the scores of both alignments), `paired_mix`
+(the aligned speech), `affine` (the classifier and tower heads) and
 `weighted_sum` (the loss totals). On one sequence a fused op repeats its
 chain's array expressions, operand layouts and fan-out summation order, so
-it gives the chain's bits forward and backward. The package no longer calls
-`matmul`, `transpose`, `scale` or `row_l2_normalize`; all ten primitives stay
-because the benchmark tracer looks up each of its op kinds by name in this
-module. Every objective in the package composes from these, so a single
-central finite-difference checker (`grad_check`, and `run_op_grad_suite`
-over every op) can certify the whole backward implementation.
+it gives the chain's bits forward and backward. The model also calls
+`matmul`, `add` and `row_softmax` directly: the vanilla alignment is
+`row_softmax(paired_scores(h_text, matmul(h_speech, W)))` and the speech
+post-projection `add(x, matmul(x, W))`. The package never calls
+`transpose`, `scale` or `row_l2_normalize`; all ten primitives stay because
+the benchmark tracer looks up each of its op kinds by name in this module.
+Every objective in the package composes from these, so a single central
+finite-difference checker (`grad_check`, and `run_op_grad_suite` over every
+op) can certify the whole backward implementation.
 
 A mini-batch is one graph. Its sequences' rows are stacked into one
 (total x d) matrix, and a `Segments` beside it holds each sequence's length.
-Row-wise ops (`gather`, `residual_linear`, `cosine_scores`, `affine`,
+Row-wise ops (`gather`, `matmul`, `add`, `cosine_scores`, `affine`,
 `concat_cols`, the per-row `cross_entropy`) need no segments and run once
 per batch. Ops whose work is per sequence take the segments:
-`self_attention`, the two alignments and the aligned-speech product, the
-masked `row_softmax`, the per-sequence `mse` and `pool` over rows. An
-alignment between two batches of sequences is a stack of maps: the rows of
-sequence i's map, cols.width wide and 0 past its own width. A batch of one
-sequence of n rows is `Segments((n,))`, on which a segment op is the plain
-2-D op.
+`self_attention`, the alignments' `paired_scores` and the aligned-speech
+`paired_mix`, the masked `row_softmax`, the per-sequence `mse` and `pool`
+over rows. An alignment between two batches of sequences is a stack of
+maps: the rows of sequence i's map, cols.width wide and 0 past its own
+width. A batch of one sequence of n rows is `Segments((n,))`, on which a
+segment op is the plain 2-D op.
 
 A segment op pads the batch to a 3-D stack inside the op, with the padding
 masked (-inf before a softmax or a max, zero weight in a mean or a count),
@@ -350,14 +352,20 @@ def _check_same(op: str, a: tuple[int, int], b: tuple[int, int]) -> None:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    _check_product("matmul", a.value.shape, b.value.shape)
-    av, bv = a.value, b.value
-    need_a, need_b = a.requires_grad, b.requires_grad
+    out, backward_fn = _matmul(a.value, b.value, (a, b))
+    return _op(out, "matmul", (a, b), backward_fn)
+
+
+def _matmul(av, bv, parents):
+    _check_product("matmul", av.shape, bv.shape)
 
     def backward_fn(g: np.ndarray):
-        return (g @ bv.T if need_a else None, av.T @ g if need_b else None)
+        return (
+            g @ bv.T if parents[0].requires_grad else None,
+            av.T @ g if parents[1].requires_grad else None,
+        )
 
-    return _op(av @ bv, "matmul", (a, b), backward_fn)
+    return av @ bv, backward_fn
 
 
 def transpose(a: Node) -> Node:
@@ -393,12 +401,17 @@ def _gather(t, ids, what):
 
 
 def add(a: Node, b: Node) -> Node:
-    _check_same("add", a.value.shape, b.value.shape)
+    out, backward_fn = _add(a.value, b.value)
+    return _op(out, "add", (a, b), backward_fn)
+
+
+def _add(av, bv):
+    _check_same("add", av.shape, bv.shape)
 
     def backward_fn(g: np.ndarray):
         return g, g
 
-    return _op(a.value + b.value, "add", (a, b), backward_fn)
+    return av + bv, backward_fn
 
 
 def scale(a: Node, factor: float) -> Node:
@@ -687,26 +700,6 @@ def _self_attention(x, wqa, wka, wva, seg, parents):
     return x + mixed, backward_fn
 
 
-def residual_linear(x: Node, w: Node) -> Node:
-    """x + x w."""
-    out, backward_fn = _residual_linear(x.value, w.value, (x, w))
-    return _op(out, "residual_linear", (x, w), backward_fn)
-
-
-def _residual_linear(xa, wa, parents):
-    _check_product("matmul", xa.shape, wa.shape)
-    projected = xa @ wa
-    _check_same("add", xa.shape, projected.shape)
-
-    def backward_fn(g: np.ndarray):
-        return (
-            g + g @ wa.T if parents[0].requires_grad else None,
-            xa.T @ g if parents[1].requires_grad else None,
-        )
-
-    return xa + projected, backward_fn
-
-
 def cosine_scores(seq: Node, labels: Node) -> Node:
     """Cosine similarity of every seq row against every label row.
 
@@ -736,40 +729,6 @@ def _cosine_scores(sa, la, parents):
 # of another: segment i's map is rows.lengths[i] x cols.lengths[i], its rows are
 # stacked in segment order and every map is cols.width wide, 0 past its own
 # width. A batch of one sequence is one map, the plain product.
-
-
-def bilinear_softmax(a: Node, b: Node, bilinear: Node, rows: Segments, cols: Segments) -> Node:
-    """row_softmax(a (b bilinear)^T) per segment pair: each a row's distribution over b's rows.
-
-    a's rows are split by `rows`, b's by `cols`; the result is a stack of maps.
-    """
-    parents = (a, b, bilinear)
-    out, backward_fn = _bilinear_softmax(*[p.value for p in parents], rows, cols, parents)
-    return _op(out, "bilinear_softmax", parents, backward_fn)
-
-
-def _bilinear_softmax(aa, ba, wa, rows, cols, parents):
-    _check_product("matmul", ba.shape, wa.shape)
-    _pairs("bilinear_softmax", rows, cols, aa.shape[0], ba.shape[0])
-    _check_product("matmul", (rows.width, aa.shape[1]), (wa.shape[1], cols.width))
-    ap = rows.pad(aa)
-    mapped_t = np.ascontiguousarray(_t(cols.pad(ba @ wa)))
-    scores = ap @ mapped_t
-    cols.mask(scores)
-    out = rows.unpad(_softmax(scores, in_place=True))
-
-    def backward_fn(g: np.ndarray):
-        # Padded rows of the re-padded output are 0, where the softmax had spread
-        # them evenly; their gradient rows are 0 either way.
-        gs = _softmax_backward(rows.pad(g), rows.pad(out))
-        gm = cols.unpad(_t(_t(ap) @ gs))
-        return (
-            rows.unpad(gs @ _t(mapped_t)) if parents[0].requires_grad else None,
-            gm @ wa.T if parents[1].requires_grad else None,
-            ba.T @ gm if parents[2].requires_grad else None,
-        )
-
-    return out, backward_fn
 
 
 def paired_scores(a: Node, b: Node, rows: Segments, cols: Segments) -> Node:
@@ -872,13 +831,11 @@ on_arrays = SimpleNamespace(
     gather=lambda table, ids, what="id": _gather(table.value, ids, what)[0],
     self_attention=lambda e, wq, wk, wv, segments: _attend(
         e, wq.value, wk.value, wv.value, segments, ())[0],
-    residual_linear=lambda x, w: _residual_linear(x, w.value, ())[0],
+    matmul=lambda a, b: _matmul(a, b.value, ())[0],
+    add=lambda a, b: _add(a, b)[0],
     cosine_scores=lambda seq, labels: _cosine_scores(seq, labels.value, ())[0],
     paired_scores=lambda a, b, rows, cols: _paired_scores(a, b, rows, cols, ())[0],
     row_softmax=lambda a, rows, cols: _row_softmax(a, rows, cols, ())[0],
-    bilinear_softmax=lambda a, b, bilinear, rows, cols: _bilinear_softmax(
-        a, b, bilinear.value, rows, cols, ())[0],
-    add=lambda a, b: a + b,
     paired_mix=lambda w, b, rows, cols: _paired_mix(w, b, rows, cols, ())[0],
     concat_cols=lambda a, b: np.concatenate([a, b], axis=1),
     pool=lambda a, kind, segments: _POOLS[kind](a, segments, ())[0],
@@ -1046,19 +1003,9 @@ def run_op_grad_suite(
         lambda e, wq, wk, wv: self_attention(e, wq, wk, wv, _alone(3)),
     )
     run(
-        "residual_linear",
-        lambda: [_random_matrix(rng, 3, 4), _random_matrix(rng, 4, 4)],
-        residual_linear,
-    )
-    run(
         "cosine_scores",
         lambda: [_random_matrix(rng, 4, 3), _random_matrix(rng, 2, 3)],
         cosine_scores,
-    )
-    run(
-        "bilinear_softmax",
-        lambda: [_random_matrix(rng, 2, 3), _random_matrix(rng, 4, 3), _random_matrix(rng, 3, 3, 0.5)],
-        lambda a, b, w: bilinear_softmax(a, b, w, _alone(2), _alone(4)),
     )
     run(
         "affine",
@@ -1079,11 +1026,6 @@ def run_op_grad_suite(
         "self_attention[segments]",
         lambda: [_random_matrix(rng, 6, 4)] + [_random_matrix(rng, 4, 4, 0.5) for _ in range(3)],
         lambda e, wq, wk, wv: self_attention(e, wq, wk, wv, rows),
-    )
-    run(
-        "bilinear_softmax[segments]",
-        lambda: [_random_matrix(rng, 6, 3), _random_matrix(rng, 7, 3), _random_matrix(rng, 3, 3, 0.5)],
-        lambda a, b, w: bilinear_softmax(a, b, w, rows, cols),
     )
     run(
         "paired_scores",

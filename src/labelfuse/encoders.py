@@ -4,10 +4,10 @@ Deliberately minimal stand-ins for large pretrained encoders. Each modality
 embeds its discrete ids (`gather`) and applies a single-head scaled
 dot-product self-attention layer with a residual connection
 (`diffcore.self_attention`); the speech side adds a residual linear
-post-projection (`diffcore.residual_linear`) on top of a frozen codebook, so
-an encoder is two or three graph nodes. There is no positional encoding, so
-the encoders are permutation equivariant; the attention machinery downstream
-is position-agnostic anyway.
+post-projection, `add(x, matmul(x, speech.post_w))`, on top of a frozen
+codebook, so an encoder is two or four graph nodes. There is no positional
+encoding, so the encoders are permutation equivariant; the attention
+machinery downstream is position-agnostic anyway.
 
 An encoder takes a whole mini-batch at once: the ids of every sequence,
 concatenated, and their `diffcore.Segments`. The lookup and the projections
@@ -48,4 +48,4 @@ def speech_encode(codes: Sequence[int], params: dict[str, Node], segments: Segme
         embedded, params["speech.query_w"], params["speech.key_w"], params["speech.value_w"],
         segments,
     )
-    return ops.residual_linear(mixed, params["speech.post_w"])
+    return ops.add(mixed, ops.matmul(mixed, params["speech.post_w"]))

@@ -45,10 +45,12 @@ alignment uses.
 The pass is built from `diffcore`'s fused ops where a step is one, on the
 batch's stacked rows and their `diffcore.Segments` (a batch of one
 utterance of n tokens is `Segments((n,))`): label attention is
-`cosine_scores` (row-wise), the vanilla alignment `bilinear_softmax`, the
-label-guided one `paired_scores`, the aligned speech `paired_mix`, the
-classifier and tower heads `affine`, and the loss total `weighted_sum`. A
-`constraint` training graph is 20 nodes for any batch size; a prediction
+`cosine_scores` (row-wise), the label-guided alignment `paired_scores`, the
+aligned speech `paired_mix`, the classifier and tower heads `affine`, and the
+loss total `weighted_sum`. The vanilla alignment is built from primitives
+around `paired_scores`, as
+`row_softmax(paired_scores(h_text, matmul(h_speech, fusion.cross_map)))`.
+A `constraint` training graph is 23 nodes for any batch size; a prediction
 builds none. Each per-sequence op pads the batch inside the op (see
 `diffcore`), except that self-attention runs a modality whose longest
 sequence reaches `diffcore.LONG_ROWS` rows one sequence at a time. At the
@@ -281,7 +283,9 @@ def _fused_pass(
         if normalize_label_attention:
             guided = ops.row_softmax(guided, text, speech)
     if every or mode is not FusionMode.ONLY_LABEL:
-        vanilla = ops.bilinear_softmax(h_text, h_speech, params["fusion.cross_map"], text, speech)
+        vanilla = ops.row_softmax(ops.paired_scores(
+            h_text, ops.matmul(h_speech, params["fusion.cross_map"]), text, speech
+        ), text, speech)
 
     if mode is FusionMode.SUM:
         align = ops.add(vanilla, guided)

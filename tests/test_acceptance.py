@@ -126,9 +126,9 @@ def test_criterion_2_oracle_equivalence():
                 assert abs(got_cos[i, j] - dot / (na * nb)) <= ORACLE_TOL
 
         text, speech = dc.Segments((l_t,)), dc.Segments((l_s,))
-        got_vanilla = dc.bilinear_softmax(
-            dc.constant(h_t), dc.constant(h_s), dc.constant(cmap), text, speech
-        ).value
+        got_vanilla = dc.row_softmax(dc.paired_scores(
+            dc.constant(h_t), dc.matmul(dc.constant(h_s), dc.constant(cmap)), text, speech
+        ), text, speech).value
         projected = [
             [sum(h_s[j, e] * cmap[e, f] for e in range(d)) for f in range(d)]
             for j in range(l_s)

@@ -43,6 +43,16 @@ def whole(node):
     return one(node.value.shape[0]), one(node.value.shape[1])
 
 
+def numbered(cases, arg):
+    """pytest params of (number, name, value) cases, each with the id `<name>-<arg><number>`.
+
+    A case's number is its own, not its place in the list, so its id holds
+    when another case is removed.
+    """
+    return [pytest.param(name, value, id=f"{getattr(name, '__name__', name)}-{arg}{i}")
+            for i, name, value in cases]
+
+
 def readout(node, r=None):
     """<node, r> as a 1x1 node; r defaults to ones, which sums node's entries."""
     return dc._readout(node, np.ones(node.value.shape) if r is None else r)
@@ -399,9 +409,7 @@ class TestLeanTape:
             "cross_entropy": dc.cross_entropy(row, [1]),
             "mse": dc.mse(a, b, *whole(a)),
             "self_attention": dc.self_attention(a, w, w, w, one(3)),
-            "residual_linear": dc.residual_linear(a, w),
             "cosine_scores": dc.cosine_scores(a, b),
-            "bilinear_softmax": dc.bilinear_softmax(a, b, w, one(3), one(3)),
             "affine": dc.affine(row, w, row),
             "weighted_sum": dc.weighted_sum(
                 (dc.mse(a, b, *whole(a)), dc.mse(b, a, *whole(a))), (1.0, 0.5)
@@ -475,21 +483,10 @@ FUSED = {
         chain_self_attention,
         [(40, 16), (16, 16), (16, 16), (16, 16)],
     ),
-    "residual_linear": (
-        dc.residual_linear,
-        lambda x, w: dc.add(x, dc.matmul(x, w)),
-        [(40, 16), (16, 16)],
-    ),
     "cosine_scores": (
         dc.cosine_scores,
         lambda s, lab: dc.matmul(dc.row_l2_normalize(s), dc.transpose(dc.row_l2_normalize(lab))),
         [(40, 16), (4, 16)],
-    ),
-    "bilinear_softmax": (
-        lambda a, b, w: dc.bilinear_softmax(a, b, w, one(a.value.shape[0]), one(b.value.shape[0])),
-        lambda a, b, w: dc.row_softmax(dc.matmul(a, dc.transpose(dc.matmul(b, w))),
-                                       one(a.value.shape[0]), one(b.value.shape[0])),
-        [(12, 16), (40, 16), (16, 16)],
     ),
     "affine": (
         dc.affine,
@@ -530,18 +527,15 @@ class TestFusedOps:
             assert same_arrays(fused_grads, chain_grads)
             assert (fused_grads[0] is None) == frozen_first
 
-    @pytest.mark.parametrize("name, shapes", [
-        ("self_attention", [(5, 4), (3, 4), (4, 4), (4, 4)]),
-        ("self_attention", [(5, 4), (4, 4), (4, 3), (4, 4)]),
-        ("self_attention", [(5, 4), (4, 4), (4, 4), (4, 3)]),
-        ("residual_linear", [(5, 4), (4, 3)]),
-        ("cosine_scores", [(5, 4), (3, 5)]),
-        ("bilinear_softmax", [(3, 4), (6, 5), (4, 4)]),
-        ("bilinear_softmax", [(3, 3), (6, 5), (5, 4)]),
-        ("affine", [(1, 4), (3, 3), (1, 3)]),
-        ("affine", [(1, 4), (4, 3), (1, 2)]),
-        ("weighted_sum", [(1, 1), (2, 1), (1, 1)]),
-    ])
+    @pytest.mark.parametrize("name, shapes", numbered([
+        (0, "self_attention", [(5, 4), (3, 4), (4, 4), (4, 4)]),
+        (1, "self_attention", [(5, 4), (4, 4), (4, 3), (4, 4)]),
+        (2, "self_attention", [(5, 4), (4, 4), (4, 4), (4, 3)]),
+        (4, "cosine_scores", [(5, 4), (3, 5)]),
+        (7, "affine", [(1, 4), (3, 3), (1, 3)]),
+        (8, "affine", [(1, 4), (4, 3), (1, 2)]),
+        (9, "weighted_sum", [(1, 1), (2, 1), (1, 1)]),
+    ], "shapes"))
     def test_shape_mismatch_raises_the_chains_error(self, name, shapes):
         fused, chain, _ = FUSED[name]
         rng = np.random.default_rng(62)
@@ -596,14 +590,6 @@ def segment_ops(rows, cols):
                 *leaves(block(e, rows, i), wq, wk, wv), one(rows.lengths[i])
             ),
             "rows",
-        ),
-        "bilinear_softmax": (
-            [(n, 3), (m, 3), (3, 3)],
-            lambda a, b, w: dc.bilinear_softmax(a, b, w, rows, cols),
-            lambda i, a, b, w: dc.bilinear_softmax(
-                *leaves(block(a, rows, i), block(b, cols, i), w), *alone(rows, cols, i)
-            ),
-            "map",
         ),
         "paired_scores": (
             [(n, 3), (m, 3)],
@@ -699,18 +685,17 @@ class TestSegments:
         with pytest.raises(DimensionError):
             dc.pool(e, "max", ROWS)
 
-    @pytest.mark.parametrize("op, names", [
-        (dc.self_attention, ["segments"]),
-        (dc.pool, ["segments"]),
-        (dc.row_softmax, ["rows", "cols"]),
-        (dc.mse, ["rows", "cols"]),
-        (dc.bilinear_softmax, ["rows", "cols"]),
-        (dc.paired_scores, ["rows", "cols"]),
-        (dc.paired_mix, ["rows", "cols"]),
-        (enc.text_encode, ["segments"]),
-        (enc.speech_encode, ["segments"]),
-        (fu.guidance_loss, ["segments"]),
-    ])
+    @pytest.mark.parametrize("op, names", numbered([
+        (0, dc.self_attention, ["segments"]),
+        (1, dc.pool, ["segments"]),
+        (2, dc.row_softmax, ["rows", "cols"]),
+        (3, dc.mse, ["rows", "cols"]),
+        (5, dc.paired_scores, ["rows", "cols"]),
+        (6, dc.paired_mix, ["rows", "cols"]),
+        (7, enc.text_encode, ["segments"]),
+        (8, enc.speech_encode, ["segments"]),
+        (9, fu.guidance_loss, ["segments"]),
+    ], "names"))
     def test_segments_have_no_default(self, op, names):
         params = inspect.signature(op).parameters
         for name in names:
@@ -856,27 +841,24 @@ class TestLongBatches:
         assert same_arrays(got_grads, want_grads)
 
 
-# (op, input shapes) that do not fit rows (2, dc.LONG_ROWS, 1) and columns (3, 1, 5):
+# (number, op, input shapes) that do not fit rows (2, dc.LONG_ROWS, 1) and columns (3, 1, 5):
 # a product, a residual, a segment total or a map width is off.
-MISFITS = [
-    ("self_attention", [(67, 4), (3, 4), (4, 4), (4, 4)]),
-    ("self_attention", [(67, 4), (4, 4), (4, 3), (4, 4)]),
-    ("self_attention", [(67, 4), (4, 4), (4, 4), (4, 3)]),
-    ("self_attention", [(66, 4), (4, 4), (4, 4), (4, 4)]),
-    ("bilinear_softmax", [(67, 3), (9, 4), (3, 3)]),
-    ("bilinear_softmax", [(67, 4), (9, 3), (3, 3)]),
-    ("bilinear_softmax", [(67, 3), (8, 3), (3, 3)]),
-    ("paired_scores", [(67, 3), (9, 4)]),
-    ("paired_scores", [(67, 3), (10, 3)]),
-    ("paired_mix", [(67, 4), (9, 3)]),
-    ("paired_mix", [(66, 5), (9, 3)]),
-    ("row_softmax", [(67, 4)]),
-    ("row_softmax", [(66, 5)]),
-    ("mse", [(67, 5), (67, 4)]),
-    ("mse", [(67, 4), (67, 4)]),
-    ("pool_mean", [(66, 3)]),
-    ("pool_max", [(66, 3)]),
-]
+MISFITS = numbered([
+    (0, "self_attention", [(67, 4), (3, 4), (4, 4), (4, 4)]),
+    (1, "self_attention", [(67, 4), (4, 4), (4, 3), (4, 4)]),
+    (2, "self_attention", [(67, 4), (4, 4), (4, 4), (4, 3)]),
+    (3, "self_attention", [(66, 4), (4, 4), (4, 4), (4, 4)]),
+    (7, "paired_scores", [(67, 3), (9, 4)]),
+    (8, "paired_scores", [(67, 3), (10, 3)]),
+    (9, "paired_mix", [(67, 4), (9, 3)]),
+    (10, "paired_mix", [(66, 5), (9, 3)]),
+    (11, "row_softmax", [(67, 4)]),
+    (12, "row_softmax", [(66, 5)]),
+    (13, "mse", [(67, 5), (67, 4)]),
+    (14, "mse", [(67, 4), (67, 4)]),
+    (15, "pool_mean", [(66, 3)]),
+    (16, "pool_max", [(66, 3)]),
+], "shapes")
 
 
 class TestLongMisfits:
@@ -941,8 +923,7 @@ class TestGradCheck:
 OP_KINDS = (
     "matmul", "transpose", "gather", "add", "scale", "row_softmax", "row_l2_normalize",
     "pool_mean", "pool_max", "concat_cols", "cross_entropy", "mse", "self_attention",
-    "residual_linear", "cosine_scores", "bilinear_softmax", "paired_scores", "paired_mix",
-    "affine", "weighted_sum",
+    "cosine_scores", "paired_scores", "paired_mix", "affine", "weighted_sum",
 )
 
 

@@ -6,6 +6,7 @@ they share no code path with the matrix implementation they check.
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -155,10 +156,17 @@ class TestGuidance:
         assert rep.max_relative_error <= 1e-4
 
 
+def vanilla(h_text, h_speech, cross_map, text, speech):
+    """The vanilla alignment as the fused pass composes it."""
+    return dc.row_softmax(
+        dc.paired_scores(h_text, dc.matmul(h_speech, cross_map), text, speech), text, speech
+    )
+
+
 class TestVanillaCrossAttention:
     def test_single_frame_gives_all_ones(self):
         rng = np.random.default_rng(25)
-        out = dc.bilinear_softmax(
+        out = vanilla(
             dc.constant(rand(rng, 4, 3)), dc.constant(rand(rng, 1, 5)),
             dc.constant(rand(rng, 5, 3)), one(4), one(1),
         )
@@ -166,7 +174,7 @@ class TestVanillaCrossAttention:
 
     def test_zero_map_gives_uniform_rows(self):
         rng = np.random.default_rng(26)
-        out = dc.bilinear_softmax(
+        out = vanilla(
             dc.constant(rand(rng, 3, 4)), dc.constant(rand(rng, 6, 5)),
             dc.constant(np.zeros((5, 4))), one(3), one(6),
         )
@@ -175,7 +183,7 @@ class TestVanillaCrossAttention:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(27)
         h_text, h_speech, cmap = rand(rng, 3, 4), rand(rng, 5, 6), rand(rng, 6, 4)
-        got = dc.bilinear_softmax(
+        got = vanilla(
             dc.constant(h_text), dc.constant(h_speech), dc.constant(cmap), one(3), one(5)
         ).value
         projected = [[sum(h_speech[j, e] * cmap[e, d] for e in range(6)) for d in range(4)]
@@ -190,7 +198,7 @@ class TestVanillaCrossAttention:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            dc.bilinear_softmax(
+            vanilla(
                 dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((5, 6))),
                 dc.constant(np.zeros((4, 4))), one(3), one(5),
             )
@@ -535,18 +543,45 @@ class TestFullLossGradCheck:
         assert rep.probe_count > 100
 
 
-def non_leaf_nodes(root):
-    """Nodes with parents in the graph under root, each counted once."""
+def op_kinds(root):
+    """How many nodes of each op kind the root reaches, leaves not counted."""
     seen, stack = {id(root)}, [root]
-    count = 0
+    kinds = Counter()
     while stack:
         node = stack.pop()
-        count += bool(node.parents)
+        if node.parents:
+            kinds[node.op] += 1
         for parent in node.parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    return count
+    return kinds
+
+
+def non_leaf_nodes(root):
+    """Nodes with parents in the graph under root, each counted once."""
+    return sum(op_kinds(root).values())
+
+
+# The op kinds a batch's loss reaches, per pass: the encoders (speech's
+# post-projection is add(x, matmul(x, W))), label attention and the guidance
+# losses, the fused head and loss total, and the alignments the loss reads
+# (the vanilla one is row_softmax(paired_scores(h_text, matmul(h_speech, W)))).
+ENCODERS = Counter(gather=2, self_attention=2, matmul=1, add=1)
+GUIDANCE = Counter(cosine_scores=2, pool_mean=2, cross_entropy=2)
+HEAD = Counter(paired_mix=1, concat_cols=1, pool_max=1, affine=1, cross_entropy=1, weighted_sum=1)
+VANILLA = Counter(matmul=1, paired_scores=1, row_softmax=1)
+GUIDED = Counter(paired_scores=1)
+TEXT_TOWER = Counter(gather=1, self_attention=1, cosine_scores=1, pool_mean=1, cross_entropy=2,
+                     pool_max=1, affine=1, weighted_sum=1)
+PASS_OPS = {
+    "constraint": ENCODERS + GUIDANCE + HEAD + VANILLA + GUIDED + Counter(mse=1),
+    "sum": ENCODERS + GUIDANCE + HEAD + VANILLA + GUIDED + Counter(add=1),
+    "only-label": ENCODERS + GUIDANCE + HEAD + GUIDED,
+    "only-vanilla": ENCODERS + GUIDANCE + HEAD + VANILLA,
+    "text": TEXT_TOWER,
+    "speech": TEXT_TOWER + Counter(matmul=1, add=1),
+}
 
 
 class TestNodeBudget:
@@ -584,6 +619,22 @@ class TestNodeBudget:
         one, eight = (non_leaf_nodes(fu.unimodal_forward(utts, modality, model).loss)
                       for utts in (batch[:1], batch))
         assert one == eight <= 25
+
+    @pytest.mark.parametrize("name", list(PASS_OPS))
+    def test_op_kinds_of_each_pass(self, name):
+        rng = np.random.default_rng(52)
+        model = tiny_model(rng)
+        batch = self.batch(rng, model, 8)
+        for utts in (batch[:1], batch):
+            if name in fu.TOWERS:
+                loss = fu.unimodal_forward(utts, name, model).loss
+            else:
+                loss = fu.forward(utts, model, fu.FusionMode(name)).loss
+            assert op_kinds(loss) == PASS_OPS[name]
+
+    def test_constraint_graph_is_the_documented_size(self):
+        assert sum(PASS_OPS["constraint"].values()) == 23
+        assert "A `constraint` training graph is 23 nodes" in " ".join(fu.__doc__.split())
 
 
 def record_inits(monkeypatch, cls, built: list) -> None:
