@@ -1,10 +1,8 @@
 """Label-guided multimodal fusion for emotion classification at desk scale.
 
-The package pairs a tiny reverse-mode matrix autodiff core with a complete
-label-enhanced fusion pipeline: per-class keyword extraction over discrete
-token/frame sequences, label-aware attention encoders, label-guided
-cross-attention fusion, a composite training objective, and a training /
-evaluation CLI over synthetic paired corpora with a planted class signal.
+README.md gives the user contract: the CLI, the file formats, the defaults,
+the parameters and determinism. Each module's docstring describes how that
+module works.
 """
 
 from .corpus import Corpus, CorpusSpec, Utterance, generate, load, save, split

@@ -1,9 +1,7 @@
 """The one file writer of the package.
 
 Every file the package writes (corpora, checkpoints, attention exports, the
-CLI's reports, logs and config snapshots) goes through `write_atomic`, so a
-crash or a failed write leaves the old file or no file at the final path,
-never a partial one.
+CLI's reports, logs and config snapshots) goes through `write_atomic`.
 """
 
 from __future__ import annotations

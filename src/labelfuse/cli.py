@@ -1,23 +1,12 @@
-"""Command-line entry point.
+"""Command-line entry point: the `labelfuse` command and its subcommands.
 
-Subcommands: gen-corpus, extract-labels, train, evaluate, ablate, sweep-k,
-score-fusion, export-attention, grad-check.
-
-Defaults live in the dataclasses: each `TrainConfig`/`CorpusSpec` field is
-an option with the field's name (or metadata "key"), type, default, help and
-domain; a (min, max) range field is the options <name>_min and <name>_max.
-Option precedence is flags > config file (--config, JSON) > defaults; a
-config file with a key the subcommand does not know is a usage error. Every
-value, from a flag or the config file, passes the type rule and its domain
-(`valuetypes`), and the typed configs are built and validated before any work.
-A rejected run writes nothing. A run with results creates the fixed
-subdirectories of the output dir (config/, checkpoints/, logs/, reports/,
-plots/), replaces its files atomically and, last, writes the resolved options
-to <out-dir>/config/<subcommand>.json, which replays the run through --config.
-
-Exit codes: 0 success, 1 validation or runtime error, 2 usage error. A
-failed run's stderr is its one `error:` or `usage error:` line: numpy's
-floating-point warnings are silenced, ablation workers included.
+Each subcommand is a `Subcommand`. Its options are its own `Key`s and the
+fields of the config dataclasses it builds, where a field's metadata "key"
+renames its option. `Subcommand.resolve` merges flags, the `--config` file
+and the defaults, passes every value through `valuetypes`, and builds and
+validates the typed configs before the handler runs. `main` turns an
+unknown key into a `usage error:` line and any other `LabelFuseError` into
+an `error:` line. README's CLI section is the contract these keep.
 """
 
 from __future__ import annotations
@@ -453,8 +442,8 @@ SUBCOMMANDS = [
         _cmd_sweep_k, {"spec": CorpusSpec, "config": TrainConfig},
         SPLIT_KEYS + [
             Key("sweep_modality", str, "speech", None, TOWERS),
-            Key("k_values", list[int], None,
-                "comma-separated k values (default 3,6,9,15,30 text / 25,50,100,200 speech)"),
+            Key("k_values", list[int], None, "comma-separated k values (default {})".format(
+                " / ".join(f"{','.join(map(str, ks))} {m}" for m, ks in DEFAULT_K_GRID.items()))),
             Key("n", int, 400, "corpus size per seed"),
             Key("seeds", list[int], [0], "comma-separated seeds", at_least(0)),
             JOBS_KEY,

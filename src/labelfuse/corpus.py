@@ -7,11 +7,8 @@ at generation time every position carries a planted symbol of the
 utterance's class with probability `salience_prob`, otherwise a background
 symbol that is planted for no class. The planted map travels with the
 corpus as ground truth, so attention tests can check whether trained models
-actually find the signal.
-
-File format (UTF-8, line oriented):
-  line 1    JSON header holding the generating spec and the planted map
-  line 2..  one utterance per line: ``label|tok,tok,...|code,code,...``
+actually find the signal. `save` and `load` write and read the file format
+that README describes.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ attention), `paired_scores` (the scores of both alignments), `paired_mix`
 `weighted_sum` (the loss totals). On one sequence a fused op repeats its
 chain's array expressions, operand layouts and fan-out summation order, so
 it gives the chain's bits forward and backward. The model also calls
-`matmul`, `add` and `row_softmax` directly: the vanilla alignment is
-`row_softmax(paired_scores(h_text, matmul(h_speech, W)))` and the speech
-post-projection `add(x, matmul(x, W))`. The package never calls
+`matmul`, `add` and `row_softmax` directly (`fusion`'s vanilla alignment,
+`encoders`' speech post-projection). The package never calls
 `transpose`, `scale` or `row_l2_normalize`; all ten primitives stay because
 the benchmark tracer looks up each of its op kinds by name in this module.
 Every objective in the package composes from these, so a single central
@@ -38,7 +37,10 @@ runs a long batch, one whose longest sequence has LONG_ROWS rows or more,
 one sequence at a time through the expressions of a batch of one, so its
 (count x width x width) score stack costs neither FLOPs nor memory on
 padding; its backward sums each shared weight's gradient over the
-sequences in batch order. Either way the op is one graph node.
+sequences in batch order. At the default corpus lengths (10-30 tokens,
+40-120 frames) that is the speech encoder, while the text encoder and every
+other op stay padded. Either way the op is one graph node, and a padded
+batch's bits are those of the padded stack.
 
 Graphs are built eagerly. Each operation returns a `Node` holding its value,
 a read-only C-ordered 2-D float64 array, plus a closure that maps the

@@ -12,15 +12,12 @@ machinery downstream is position-agnostic anyway.
 An encoder takes a whole mini-batch at once: the ids of every sequence,
 concatenated, and their `diffcore.Segments`. The lookup and the projections
 are row-wise; only the attention needs the segments, so that a row attends
-to its own sequence. The ids of one sequence of n ids are `Segments((n,))`.
+to its own sequence. It also takes its ops, `ops`: the `diffcore` module
+(the default) builds graph nodes, and `diffcore.on_arrays` returns an array,
+as prediction does.
 
-An encoder takes its ops as an argument, `ops`: the `diffcore` module
-(the default) builds graph nodes, and `diffcore.on_arrays` runs the same ops
-on arrays and returns an array, as prediction does (it passes segments).
-
-The encoders own no parameters: they read their matrices from the model, a
-dict keyed by the names of `fusion.PARAMETERS` ("text.query_w", ...), which
-`fusion.init_model` draws.
+The encoders own no parameters: they read their matrices from the model
+(see `fusion`), by name ("text.query_w", ...).
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Weighted accuracy is the overall correct rate (confusion trace over n);
 unweighted accuracy is the mean per-class recall, with zero-support classes
 excluded from the mean. The ablation harness trains every named condition
 on identical generated splits per seed, so conditions differ only in their
-config, and scores each run by one heldout evaluation of its final model;
-it may spread the runs over processes, and its report is the same for any
-number of them.
+config, and scores each run on the heldout split with its final model
+(`run_ablation`).
 """
 
 from __future__ import annotations

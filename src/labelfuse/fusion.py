@@ -4,58 +4,45 @@ The pieces, per utterance:
 
 * label-token / label-frame attention: cosine similarity between every
   sequence row and every label-embedding row, giving per-position class
-  profiles for each modality;
+  profiles for each modality (`cosine_scores`);
 * guidance losses: cross entropy on the sequence-mean of a class profile,
   rewarding positions that agree with the true class;
 * vanilla cross attention: softmax-normalised token-to-frame alignment
-  from a trainable bilinear map;
+  from a trainable bilinear map,
+  `row_softmax(paired_scores(h_text, matmul(h_speech, fusion.cross_map)))`;
 * label-guided attention: token-to-frame alignment from the agreement of
-  the two class profiles;
+  the two class profiles, their `paired_scores`;
 * an alignment-constraint penalty (mean squared error) pulling the vanilla
   alignment toward the label-guided one;
-* a fused classifier over the concatenation of the text rows with the
-  aligned speech rows, max-pooled into a fixed-length vector.
+* a fused classifier (`affine`) over the concatenation of the text rows with
+  the aligned speech rows (`paired_mix`), max-pooled into a fixed-length
+  vector.
 
-The total objective is the weighted sum of the fused classification loss,
-the constraint penalty, and the two guidance losses.
+`FusionMode` chooses the alignment the classifier uses. The total
+objective, summed by `weighted_sum` over the terms a pass computes, is
+`mu_main * main + mu_constraint * constraint +
+mu_guide_text * guide_text + mu_guide_speech * guide_speech`. Only
+`constraint` mode computes the constraint term, and a single tower
+(`unimodal_forward`) computes its own classifier loss, at weight 1, and its
+own modality's guidance.
 
 Every matrix of the model is named once, in `PARAMETERS`, with its shape
 and init rule. A model is a plain dict from those names to nodes, in table
 order: `model_from_arrays` builds one from named matrices and holds the
-freeze rule, and `init_model` is the only place a model is drawn: the
-embedding table and the codebook come from `default_rng([seed, 3])`, every
-weight from `default_rng([seed, 2])`, in table order; biases are zero and
-the label rows come from the caller, built on the two drawn tables.
+freeze rule, and `init_model` is the only place a model is drawn.
 Checkpoints, the optimizer and the grad check loop over the dict.
 
 There is one wiring of the model, and it takes a mini-batch and its ops.
 Run on `diffcore`'s graph ops, `forward` (multimodal) and
-`unimodal_forward` (one tower) build one graph for the whole batch and
-return a `ForwardResult`: batch x classes logits, the loss root (the sum of
-the utterances' weighted totals of the terms the pass computes) and each
-utterance's loss terms, with 0.0 for a term it lacks.
-`attention_maps` gives each utterance's four maps without a label or a
-loss, as read-only views of the pass's node values. Run on
+`unimodal_forward` build one graph for the whole batch and return a
+`ForwardResult`: batch x classes logits, the loss root (the sum of the
+utterances' weighted totals) and each utterance's loss terms, with 0.0 for
+a term the pass lacks. A `constraint` training graph is 23 nodes for any
+batch size. `attention_maps` gives each utterance's four maps without a
+label or a loss, as read-only views of the pass's node values. Run on
 `diffcore.on_arrays`, the same pass gives `predict_logits` and
 `unimodal_logits` the logits of a batch of one, bit for bit, as a read-only
-1 x classes array, with no graph but every check a model matrix can fail, so
-a prediction raises what the graph would; it builds only the maps the mode's
-alignment uses.
-
-The pass is built from `diffcore`'s fused ops where a step is one, on the
-batch's stacked rows and their `diffcore.Segments` (a batch of one
-utterance of n tokens is `Segments((n,))`): label attention is
-`cosine_scores` (row-wise), the label-guided alignment `paired_scores`, the
-aligned speech `paired_mix`, the classifier and tower heads `affine`, and the
-loss total `weighted_sum`. The vanilla alignment is built from primitives
-around `paired_scores`, as
-`row_softmax(paired_scores(h_text, matmul(h_speech, fusion.cross_map)))`.
-A `constraint` training graph is 23 nodes for any batch size; a prediction
-builds none. Each per-sequence op pads the batch inside the op (see
-`diffcore`), except that self-attention runs a modality whose longest
-sequence reaches `diffcore.LONG_ROWS` rows one sequence at a time. At the
-reference shape (10-30 tokens, 40-120 frames) that runs the speech
-encoder's self-attention per utterance and pads everything else.
+1 x classes array; it builds only the maps the mode's alignment uses.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ inverse class-document frequency ln((1+C)/(1+df)) + 1. The same machinery
 serves both modalities, since tokens and frame codes are both just discrete
 symbols. `label_rows` turns a modality's init mode into one label-embedding
 row per class; the top-k symbols of a class seed its row in the tfidf and
-codebook modes. The rows stay frozen unless `labels_trainable` is set.
+codebook modes.
 """
 
 from __future__ import annotations

@@ -1,44 +1,29 @@
 """Deterministic training loop with Adam and versioned checkpoints.
 
-Everything is a pure function of (config, corpus): parameter init, label
-construction, per-epoch shuffling and the optimizer state all derive from
-the config seed, so identical inputs reproduce identical logs, parameters
-and checkpoint bytes. Batch gradients are averaged, not summed, keeping
-the learning rate insensitive to batch size.
-
-Parameter names live in one table, `fusion.PARAMETERS`, and a model is a
-plain dict keyed by them; the optimizer state, checkpoints and
-`model_from_checkpoint` all loop over that dict. RNG streams, each a
-`default_rng([config.seed, n])`: n = 3 draws the embedding table and the
-codebook, n = 2 the weights (both in `fusion.init_model`), n = 1000 + epoch
-shuffles each epoch; the random label modes use seed + 101 (text) and
-seed + 202 (speech). `build_model` hands `init_model` both label matrices,
-each from `labelkit.label_rows` on the train split and the drawn table.
+Parameter init, label construction, per-epoch shuffling and the optimizer
+state all derive from the config seed (README's Parameters section lists the
+streams). `build_model` hands `fusion.init_model` both label matrices, each
+from `labelkit.label_rows` on the train split and the drawn table.
 
 Each mini-batch is one graph: one forward (`fusion.forward` or
 `fusion.unimodal_forward`) and one `backward` per batch, whose root is the
 sum of the utterances' weighted totals, so a weight's gradient is one
-product over the batch. The result's `terms` hold each utterance's five
-loss columns for the log. Evaluation predicts one utterance at a time
-(`model_predictor`): a prediction is the argmax of the logits of
-`fusion.predict_logits` or `fusion.unimodal_logits`, which run the same
-pass as training on a batch of one, on the model's arrays
-(`diffcore.on_arrays`), and build no graph.
+product over the batch. Batch gradients are averaged, not summed, keeping
+the learning rate insensitive to batch size. The result's `terms` hold each
+utterance's five loss columns for the log. Evaluation predicts one
+utterance at a time (`model_predictor`): a prediction is the argmax of
+`fusion.predict_logits` or `fusion.unimodal_logits`.
 
 `train` evaluates both splits after every epoch for its log and
 checkpoint. `fit` runs the same epochs with no evaluation, log or
 checkpoint, and `evaluate_final` scores its model once; the ablation and
-sweep harnesses and `score-fusion` use that pair, so a run evaluates
-nothing but its final model on the heldout split.
+sweep harnesses and `score-fusion` use that pair.
 
 A checkpoint stores the config, the arrays (parameters and Adam moments,
 each a `diffcore.Matrix`, the one holder of an array left in the package),
-Adam's step count, the log records and the split; its epoch is the number
-of records. Its manifest's `format_version`, `epoch` and `metrics` (the last
-record's heldout WA/UA) are derived on save, and `load_checkpoint` checks
-every manifest field. A loaded model must fit its corpus: `check_fit`
-compares every array's shape with the corpus and config before resuming,
-evaluating or exporting attention.
+Adam's step count, the log records and the split; README's Checkpoint
+format section gives the file layout, the fields derived on save and the
+checks `load_checkpoint` and `check_fit` make.
 """
 
 from __future__ import annotations

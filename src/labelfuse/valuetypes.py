@@ -1,17 +1,10 @@
 """The one type rule and the declared domains of config values.
 
 Every value that sets a `TrainConfig` or `CorpusSpec` field, or a CLI
-option, passes the same rule, whether it came from a flag, a `--config`
-file, a checkpoint manifest or a corpus header:
-
-- a bool field takes only a bool, and a bool is valid nowhere else;
-- an int field takes an int;
-- a float field takes a finite int or float, and stores it as a float,
-  also when the dataclass is built directly (`store_floats`);
-- a str field takes a str;
-- `tuple[...]` and `list[...]` take a tuple or list of such values.
-
-Anything else is a `ConfigError`.
+option, passes `check_value`: first the one type rule (`_fits`; README's CLI
+section states it in JSON terms), then the field's domain. A value that
+fails either is a `ConfigError`. A float field stores a float, also when the
+dataclass is built directly (`store_floats`).
 
 Fields are declared with `option`, so each default, help text and domain
 (the values a field allows: `at_least(n)`, `POSITIVE`, `within(low, high)`
