@@ -16,13 +16,17 @@ def write_atomic(path, data: str | bytes) -> None:
 
     The bytes go to a temp file in the target's directory, are flushed to
     disk, and `os.replace` then renames the temp file over the target. On
-    any failure the temp file is removed and the target is left as it was.
+    any failure the temp file is removed and the target is left as it was;
+    a temp file that cannot be created is an OSError naming `path`.
     """
     target = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
     temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
-    fh = open(temp, "xb")
+    try:
+        fh = open(temp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             fh.write(data)

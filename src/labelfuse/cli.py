@@ -3,8 +3,8 @@
 Each subcommand is a `Subcommand`. Its options are its own `Key`s and the
 fields of the config dataclasses it builds, where a field's metadata "key"
 renames its option. `Subcommand.resolve` merges flags, the `--config` file
-and the defaults, passes every value through `valuetypes`, and builds and
-validates the typed configs before the handler runs. `main` turns an
+and the defaults, passes every value through `valuetypes`, and builds the
+typed configs, which checks them, before the handler runs. `main` turns an
 unknown key into a `usage error:` line and any other `LabelFuseError` into
 an `error:` line. README's CLI section is the contract these keep.
 """
@@ -90,16 +90,14 @@ def _build(cls, resolved: dict):
     for name, opts in _field_options(cls):
         parts = tuple(resolved[key] for key, *_ in opts)
         values[name] = parts if len(parts) > 1 else parts[0]  # a range field takes (min, max)
-    config = cls(**values)
-    config.validate()
-    return config
+    return cls(**values)
 
 
 # Its default varies by machine; the reports do not depend on it.
 JOBS_KEY = Key("jobs", int, None, "processes running the (seed x condition) grid "
-               "(default every usable core)")
+               "(default every usable core)", at_least(1))
 
-SPLIT_KEYS = [Key(key, *spec) for key, spec in corpus_mod.SPLIT_OPTIONS.items()]
+SPLIT_KEYS = _options(corpus_mod.SplitSpec)
 # evaluate and a resumed train read the split the checkpoint was trained on; a
 # flag may only repeat it (`_resolve_split`).
 RECORDED_SPLIT_KEYS = [
@@ -117,7 +115,7 @@ class Subcommand:
 
     `configs` maps a handler keyword to a config dataclass; the options of
     its fields come before `keys`, and `resolve` hands the handler the
-    built, validated instance under that keyword.
+    built instance under that keyword.
     """
 
     def __init__(self, name, help_text, handler, configs, keys, required=()):
@@ -226,8 +224,10 @@ def _load_split(resolved: dict):
 
 def _cmd_gen_corpus(resolved: dict, spec: CorpusSpec) -> int:
     corpus = corpus_mod.generate(spec, resolved["n"])
-    _out_layout(resolved)
-    target = resolved["corpus_file"] or str(Path(resolved["out_dir"]) / "corpus.txt")
+    root = Path(resolved["out_dir"])
+    target = resolved["corpus_file"] or str(root / "corpus.txt")
+    if root in Path(target).parents:  # a run makes directories in its out dir and nowhere else
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
     corpus_mod.save(corpus, target)
     print(f"wrote {len(corpus)} utterances to {target}")
     return 0
@@ -253,7 +253,7 @@ def _cmd_train(resolved: dict, config: TrainConfig) -> int:
     _resolve_split(resolved, resume.split if resume else None)
     _, train_c, heldout_c = _load_split(resolved)
     _, log, checkpoint = trainer.train(train_c, heldout_c, config, resume_from=resume)
-    checkpoint.split = {key: resolved[key] for key in corpus_mod.SPLIT_OPTIONS}
+    checkpoint.split = {key: resolved[key] for key, *_ in SPLIT_KEYS}
     layout = _out_layout(resolved)
     ckpt_path = layout["checkpoints"] / "model.ckpt"
     trainer.save_checkpoint(ckpt_path, checkpoint)
@@ -469,9 +469,9 @@ SUBCOMMANDS = [
         "finite-difference check of every op and the full objective",
         _cmd_grad_check, {},
         [
-            Key("probes_per_op", int, 100, "random instances per op"),
+            Key("probes_per_op", int, 100, "random instances per op", at_least(1)),
             Key("tolerance", float, 1e-4, "maximum relative error accepted", POSITIVE),
-            Key("seed", int, 0, "probe seed"),
+            Key("seed", int, 0, "probe seed", at_least(0)),
         ],
     ),
 ]

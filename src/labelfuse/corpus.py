@@ -27,7 +27,7 @@ from .errors import (
     CorpusValidationError,
     StratificationError,
 )
-from .valuetypes import at_least, check_fields, check_value, option, store_floats, within
+from .valuetypes import at_least, check_fields, check_value, option, within
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class CorpusSpec:
     )
 
     def __post_init__(self) -> None:
-        store_floats(self)
-
-    def validate(self) -> None:
         check_fields(self, CorpusSpecError)
         for name, vocab in (("vocab_text", self.vocab_text), ("vocab_speech", self.vocab_speech)):
             if self.salient_per_class * self.classes > vocab:
@@ -125,7 +122,6 @@ def _draw_sequence(
 
 def generate(spec: CorpusSpec, n: int) -> Corpus:
     """Draw n utterances, each class non-empty, fully determined by spec.seed."""
-    spec.validate()
     if n < spec.classes:
         raise CorpusSpecError(f"n must be at least the class count ({n} < {spec.classes})")
     rng = np.random.default_rng(spec.seed)
@@ -180,11 +176,8 @@ def _splice_history(utterances: list[Utterance], depth: int) -> list[Utterance]:
 
 
 def save(corpus: Corpus, path) -> None:
-    header = asdict(corpus.spec)
-    header["text_len"] = list(corpus.spec.text_len)
-    header["speech_len"] = list(corpus.spec.speech_len)
-    header["planted_tokens"] = [list(g) for g in corpus.planted_tokens]
-    header["planted_codes"] = [list(g) for g in corpus.planted_codes]
+    header = {**asdict(corpus.spec), "planted_tokens": corpus.planted_tokens,
+              "planted_codes": corpus.planted_codes}
     lines = [json.dumps(header, sort_keys=True)]
     for utt in corpus.utterances:
         tokens = ",".join(str(t) for t in utt.text_tokens)
@@ -225,21 +218,19 @@ def load(path) -> Corpus:
 
     try:
         planted = {name: header.pop(name) for name in ("planted_tokens", "planted_codes")}
+        for name, groups in planted.items():
+            check_value(name, list[list[int]], groups)
         header["text_len"] = tuple(header["text_len"])
         header["speech_len"] = tuple(header["speech_len"])
         spec = CorpusSpec(**header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusParseError(
-            f"line 1: header field missing, unknown or malformed ({exc})"
-        ) from None
-    try:
-        for name, groups in planted.items():
-            check_value(name, list[list[int]], groups)
-        spec.validate()
     except CorpusSpecError as exc:  # a non-finite or out-of-range field, e.g. "salience_prob": 2.0
         raise CorpusValidationError(f"line 1: {exc}") from None
     except ConfigError as exc:  # e.g. "classes": "2"
         raise CorpusParseError(f"line 1: header field of the wrong type ({exc})") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusParseError(
+            f"line 1: header field missing, unknown or malformed ({exc})"
+        ) from None
     for (name, groups), vocab in zip(planted.items(), (spec.vocab_text, spec.vocab_speech)):
         if len(groups) != spec.classes:
             raise CorpusValidationError(
@@ -286,13 +277,16 @@ def load(path) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-# The options that choose a split, as the CLI and a checkpoint's manifest name
-# them: name -> (type, default, help, domain).
-SPLIT_OPTIONS = {
-    "train_fraction": (float, 0.8, "per-class fraction assigned to the train side",
-                       within(0, 1, low_open=True, high_open=True)),
-    "split_seed": (int, 0, "seed of the stratified split", at_least(0)),
-}
+@dataclass(frozen=True)
+class SplitSpec:
+    """The options that choose a split, as the CLI and a checkpoint's manifest name them."""
+
+    train_fraction: float = option(0.8, "per-class fraction assigned to the train side",
+                                   domain=within(0, 1, low_open=True, high_open=True))
+    split_seed: int = option(0, "seed of the stratified split", domain=at_least(0))
+
+    def __post_init__(self) -> None:
+        check_fields(self, CorpusSpecError)
 
 
 def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -300,12 +294,9 @@ def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Cor
 
     Per class the train side receives ceil(fraction * class_size) items;
     the selection is deterministic in the seed and both sides preserve the
-    original utterance order. It checks both arguments itself, for library callers.
+    original utterance order. Both arguments are checked as a `SplitSpec`'s fields.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise CorpusSpecError(f"train_fraction must lie strictly in (0, 1), got {train_fraction}")
-    if seed < 0:
-        raise CorpusSpecError(f"split seed must be >= 0, got {seed}")
+    SplitSpec(train_fraction, seed)
     by_class: dict[int, list[int]] = {}
     for idx, utt in enumerate(corpus.utterances):
         by_class.setdefault(utt.label, []).append(idx)

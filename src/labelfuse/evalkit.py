@@ -175,7 +175,6 @@ def run_ablation(
     runs = [(seed, name, replace(config, seed=seed))
             for seed in seeds for name, config in conditions.items()]
     for _, _, config in runs:
-        config.validate()
         if config.epochs < 1:  # an untrained model's score says nothing about its condition
             raise ConfigError(f"ablation runs need epochs >= 1, got {config.epochs}")
     splits = {

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import evalkit
 from .atomic import write_atomic
-from .corpus import SPLIT_OPTIONS, Corpus
+from .corpus import Corpus, SplitSpec
 from .diffcore import Matrix, Node, backward, checked
 from .encoders import DEFAULT_DIM
 from .errors import (
@@ -68,7 +68,7 @@ from .fusion import (
 )
 from .labelkit import SPEECH_INIT_MODES, TEXT_INIT_MODES, label_rows
 from .valuetypes import (
-    POSITIVE, at_least, check_fields, check_value, field_types, option, store_floats, within,
+    POSITIVE, at_least, check_fields, check_value, field_types, option, within,
 )
 
 CHECKPOINT_VERSION = 1
@@ -105,19 +105,16 @@ class TrainConfig:
     seed: int = option(0, "model init / shuffling seed", domain=at_least(0))
 
     def __post_init__(self) -> None:
-        store_floats(self)
-
-    @property
-    def loss_weights(self) -> tuple[float, float, float, float]:
-        return (self.mu_main, self.mu_constraint, self.mu_guide_text, self.mu_guide_speech)
-
-    def validate(self) -> None:
         check_fields(self)
         if self.speech_label_init == "text-embedding" and self.text_dim != self.speech_dim:
             raise DimensionError(
                 f"text-embedding speech label init needs text_dim == speech_dim "
                 f"({self.text_dim} != {self.speech_dim})"
             )
+
+    @property
+    def loss_weights(self) -> tuple[float, float, float, float]:
+        return (self.mu_main, self.mu_constraint, self.mu_guide_text, self.mu_guide_speech)
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,9 @@ class EpochRecord:
     train_ua: float
     heldout_wa: float
     heldout_ua: float
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass
@@ -248,7 +248,6 @@ def _dims(train_corpus: Corpus, config: TrainConfig) -> dict[str, int]:
 
 def build_model(train_corpus: Corpus, config: TrainConfig) -> dict[str, Node]:
     """Seeded model (`fusion.init_model`) with label rows from the train split."""
-    config.validate()
 
     def labels(embedding: np.ndarray, codebook: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         text = label_rows(train_corpus, "text", config.text_label_init, embedding,
@@ -325,7 +324,6 @@ def fit(train_corpus: Corpus, config: TrainConfig) -> dict[str, Node]:
     Its arrays are bitwise those of `train`'s model: evaluation only reads
     the model. A failing batch raises `train`'s DivergenceError.
     """
-    config.validate()
     if not len(train_corpus):
         raise ConfigError("the train split must be non-empty")
     model = build_model(train_corpus, config)
@@ -364,7 +362,6 @@ def train(
     needed, raises DivergenceError naming the epoch and the batch (or
     evaluation).
     """
-    config.validate()
     if not len(train_corpus) or not len(heldout_corpus):
         raise ConfigError("both corpus splits must be non-empty")
 
@@ -426,7 +423,7 @@ class Checkpoint:
     arrays: dict[str, Matrix]  # parameters and optimizer moments
     adam_step_count: int
     log_records: tuple[EpochRecord, ...]
-    # The corpus split the model was trained on (`corpus.SPLIT_OPTIONS`' keys),
+    # The corpus split the model was trained on (`corpus.SplitSpec`'s fields),
     # when the caller split a corpus file; `evaluate --split` scores that split.
     split: dict[str, float | int] | None = None
 
@@ -560,7 +557,6 @@ def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
         arrays[name] = Matrix(values)
 
     config = TrainConfig(**manifest["config"])
-    config.validate()
     records = tuple(_record(i, fields) for i, fields in enumerate(manifest["log_records"]))
     if check_value("epoch", int, manifest["epoch"]) != len(records):
         raise CheckpointIntegrityError(
@@ -575,11 +571,10 @@ def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
     _check_moments(arrays)
     split = manifest.get("split")
     if split is not None:
-        if not isinstance(split, dict) or split.keys() != SPLIT_OPTIONS.keys():
-            raise CheckpointIntegrityError(
-                f"split must name {sorted(SPLIT_OPTIONS)}, got {split!r}")
-        split = {key: check_value(key, kind, split[key], domain)
-                 for key, (kind, _, _, domain) in SPLIT_OPTIONS.items()}
+        names = field_types(SplitSpec)
+        if not isinstance(split, dict) or split.keys() != names.keys():
+            raise CheckpointIntegrityError(f"split must name {sorted(names)}, got {split!r}")
+        split = dataclasses.asdict(SplitSpec(**split))
     adam_step_count = check_value("adam_step_count", int, manifest["adam_step_count"], at_least(0))
     return Checkpoint(config, arrays, adam_step_count, records, split)
 
@@ -587,8 +582,6 @@ def _checkpoint_from_manifest(manifest: dict, blob: bytes) -> Checkpoint:
 def _record(index: int, fields: dict) -> EpochRecord:
     """Log record `index` of a manifest; its fields pass the type rule, and its epoch is `index`."""
     record = EpochRecord(**fields)  # a TypeError names a missing or unknown field
-    record = EpochRecord(**{name: check_value(name, kind, getattr(record, name))
-                            for name, kind in field_types(EpochRecord).items()})
     if record.epoch != index:
         raise CheckpointIntegrityError(f"log record {index} has epoch {record.epoch}")
     return record

@@ -1,10 +1,12 @@
 """The one type rule and the declared domains of config values.
 
-Every value that sets a `TrainConfig` or `CorpusSpec` field, or a CLI
-option, passes `check_value`: first the one type rule (`_fits`; README's CLI
-section states it in JSON terms), then the field's domain. A value that
-fails either is a `ConfigError`. A float field stores a float, also when the
-dataclass is built directly (`store_floats`).
+Every value that sets a config field or a CLI option passes `check_value`:
+first the one type rule (`_fits`; README's CLI section states it in JSON
+terms), then the field's domain. A value that fails either is a
+`ConfigError`. Each config dataclass calls `check_fields` from its
+`__post_init__`, which stores what `check_value` returns (a float field a
+float), so a config that exists is valid, also one made by
+`dataclasses.replace`.
 
 Fields are declared with `option`, so each default, help text and domain
 (the values a field allows: `at_least(n)`, `POSITIVE`, `within(low, high)`
@@ -77,25 +79,16 @@ def field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def store_floats(config) -> None:
-    """Store each int in a float field of the frozen dataclass `config` as a float.
+def check_fields(config, error=ConfigError) -> None:
+    """`check_value` every field of the frozen dataclass `config` and store what it returns.
 
-    Called from `__post_init__`, so a float field holds what `check_value`
-    returns however the dataclass is built; a value of another type, NaN
-    or infinity is left for `check_fields` to reject.
+    `error` is its owner's error type. A field declared without `option` has no domain.
     """
     types = field_types(type(config))
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if types[f.name] is float and _fits(float, value):
-            object.__setattr__(config, f.name, _as_float(value))
-
-
-def check_fields(config, error=ConfigError) -> None:
-    """`check_value` every field of the dataclass `config`; `error` is its owner's error type."""
-    types = field_types(type(config))
-    for f in dataclasses.fields(config):
-        check_value(f.name, types[f.name], getattr(config, f.name), f.metadata["domain"], error)
+        value = check_value(f.name, types[f.name], getattr(config, f.name),
+                            f.metadata.get("domain"), error)
+        object.__setattr__(config, f.name, value)
 
 
 def _as_float(value) -> float:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import typing
 import warnings
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from labelfuse import cli
 from labelfuse import corpus as cp
 from labelfuse import evalkit as ev
 from labelfuse import trainer as tr
-from labelfuse.errors import ConfigError, LabelFuseError
-from labelfuse.valuetypes import field_types
+from labelfuse.errors import ConfigError, CorpusSpecError, LabelFuseError
+from labelfuse.valuetypes import check_value, field_types
 from test_trainer import rewrite_manifest
 
 SMALL_CORPUS = [
@@ -136,6 +137,16 @@ class TestFilesystemErrors:
         ])
         assert rc == 1
         self.assert_one_line_error(capsys)
+
+    def test_corpus_file_in_missing_dir_writes_nothing(self, tmp_path, capsys):
+        # This once left the output skeleton behind and named a temp file.
+        target = tmp_path / "no-such-dir" / "corpus.txt"
+        rc = cli.main(["gen-corpus", "--out-dir", str(tmp_path / "out"), *SMALL_CORPUS,
+                       "--corpus-file", str(target)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFloatingPointWarnings:
@@ -863,6 +874,7 @@ OUTSIDE = {
     "salience_prob": 1.000000001, "corpus_seed": -1, "context_utterances": -1,
     "split_seed": -1, "seeds": [-1], "split": "bogus", "suite": "bogus",
     "sweep_modality": "bogus", "tolerance": 0.0, "train_fraction": 1.0, "index": -1,
+    "jobs": 0, "probes_per_op": 0,
 }
 
 
@@ -872,7 +884,7 @@ class TestDomains:
     def test_every_option_with_a_domain_is_drawn(self):
         declared = {opt.key for sub in cli.SUBCOMMANDS for opt in sub.keys if opt.domain}
         assert declared == set(OUTSIDE)
-        for cls in (tr.TrainConfig, cp.CorpusSpec):
+        for cls in (tr.TrainConfig, cp.CorpusSpec, cp.SplitSpec):
             for f in dataclasses.fields(cls):
                 assert (f.metadata["domain"] is None) == (field_types(cls)[f.name] is bool), f.name
 
@@ -896,6 +908,39 @@ class TestDomains:
         assert cli.main(args) == 1
         assert one_error_line(capsys).startswith(f"error: {key} ")
         assert [p.name for p in tmp_path.iterdir()] == (["conf.json"] if source == "config" else [])
+
+
+def bad_values(cls, f):
+    """(case, value) pairs field `f` of `cls` refuses: a wrong type (a list for a range field),
+    NaN for a float, and a value just outside its domain."""
+    kind = field_types(cls)[f.name]
+    yield "type", {str: 1, bool: "true", int: 1.5, float: "0.5"}.get(kind, [1, 2])
+    if kind is float:
+        yield "nan", math.nan
+    key = f.metadata.get("key") or f.name
+    if typing.get_origin(kind) is tuple:  # a range field
+        yield "domain", (OUTSIDE[f"{key}_min"], f.default[1])
+    elif f.metadata.get("domain") is not None:
+        yield "domain", OUTSIDE[key]
+
+
+VALID = [tr.TrainConfig(), cp.CorpusSpec(), cp.SplitSpec(), tr.EpochRecord(0, *[0.5] * 9)]
+OWN_ERROR = {cp.CorpusSpec: CorpusSpecError, cp.SplitSpec: CorpusSpecError}
+
+
+@pytest.mark.parametrize("valid, f, value", [
+    pytest.param(valid, f, value, id=f"{type(valid).__name__}-{f.name}-{case}")
+    for valid in VALID for f in dataclasses.fields(valid)
+    for case, value in bad_values(type(valid), f)
+])
+def test_a_config_checks_every_field_when_built(valid, f, value):
+    cls = type(valid)
+    with pytest.raises(ConfigError) as want:
+        check_value(f.name, field_types(cls)[f.name], value, f.metadata.get("domain"),
+                    OWN_ERROR.get(cls, ConfigError))
+    with pytest.raises(ConfigError) as got:
+        dataclasses.replace(valid, **{f.name: value})
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 HELP_DIR = Path(__file__).parent / "data" / "help"

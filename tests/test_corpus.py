@@ -112,7 +112,7 @@ class TestGenerate:
     def test_rejects_more_classes_than_text_vocabulary(self):
         # label-words takes text table rows 0..classes-1, which this keeps in range.
         with pytest.raises(CorpusSpecError, match="exceeds vocab_text"):
-            small_spec(classes=21, salient_per_class=1).validate()
+            small_spec(classes=21, salient_per_class=1)
 
     def test_rejects_bad_salience(self):
         with pytest.raises(CorpusSpecError, match="salience_prob"):
@@ -123,7 +123,7 @@ class TestGenerate:
     ])
     def test_rejects_wrong_type(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            small_spec(**{field: value}).validate()
+            small_spec(**{field: value})
 
     @pytest.mark.parametrize("field", [
         name for name, kind in field_types(cp.CorpusSpec).items() if kind is float
@@ -131,7 +131,7 @@ class TestGenerate:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be finite, got"):
-            small_spec(**{field: value}).validate()
+            small_spec(**{field: value})
 
     def test_context_splices_same_class_history(self):
         plain = cp.generate(small_spec(), 30)
@@ -384,5 +384,5 @@ class TestSplit:
                 cp.split(corpus, bad, seed=0)
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(CorpusSpecError, match="^split seed must be >= 0, got -1$"):
+        with pytest.raises(CorpusSpecError, match="^split_seed must be >= 0$"):
             cp.split(cp.generate(small_spec(), 10), 0.5, seed=-1)

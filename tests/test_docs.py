@@ -38,6 +38,7 @@ ONE_HOME = [
     ("-inf before a softmax", "labelfuse.diffcore"),  # padding and masking
     ("LONG_ROWS", "labelfuse.diffcore"),
     ("Segments((n,))", "labelfuse.diffcore"),
+    ("a config that exists is valid", "labelfuse.valuetypes"),  # each config checks itself
     ("(1, 0.5, 0.2, 0.2)", "README.md"),
     ("default_rng([seed, 3])", "README.md"),
     ("1000 + epoch", "README.md"),

@@ -314,13 +314,16 @@ class TestParallelGrid:
                 ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1], jobs=jobs)
 
     def test_configs_validated_before_first_run(self, monkeypatch):
+        # A bad condition cannot be built; each run's config is built, with its
+        # seed, before any run starts.
         monkeypatch.setattr(tr, "train", lambda *args: pytest.fail("a run started"))
         monkeypatch.setattr(tr, "fit", lambda *args: pytest.fail("a run started"))
         spec, config = tiny_setup()
-        conditions = {"ok": config, "bad": replace(config, fusion_mode="bogus")}
+        with pytest.raises(ConfigError, match="bogus"):
+            replace(config, fusion_mode="bogus")
         for jobs in (1, 2):
-            with pytest.raises(ConfigError, match="bogus"):
-                ev.run_ablation(conditions, spec, 40, 0.7, seeds=[1], jobs=jobs)
+            with pytest.raises(ConfigError, match="^seed must be >= 0$"):
+                ev.run_ablation({"ok": config}, spec, 40, 0.7, seeds=[1, -1], jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, True, "2"])
     def test_invalid_jobs_rejected(self, jobs):

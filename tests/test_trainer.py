@@ -239,7 +239,7 @@ class TestTrain:
     ])
     def test_validate_rejects_wrong_type(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            tiny_config(**{field: value}).validate()
+            tiny_config(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("adam_beta1", -0.5), ("adam_beta1", 1.0), ("adam_beta2", 1.0), ("adam_beta2", 1.5),
@@ -248,7 +248,7 @@ class TestTrain:
     ])
     def test_validate_rejects_adam_settings_out_of_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            tiny_config(**{field: value}).validate()
+            tiny_config(**{field: value})
 
     @pytest.mark.parametrize("field", [
         name for name, kind in field_types(tr.TrainConfig).items() if kind is float
@@ -256,14 +256,16 @@ class TestTrain:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
     def test_validate_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be finite, got"):
-            tiny_config(**{field: value}).validate()
+            tiny_config(**{field: value})
 
     def test_validate_accepts_adam_bounds(self):
-        tiny_config(adam_beta1=0.0, adam_beta2=0.0, adam_epsilon=1e-300).validate()
-        tiny_config(adam_beta1=0.999999, adam_beta2=0.999999).validate()
+        tiny_config(adam_beta1=0.0, adam_beta2=0.0, adam_epsilon=1e-300)
+        tiny_config(adam_beta1=0.999999, adam_beta2=0.999999)
 
     def test_validate_accepts_int_in_float_field(self):
-        tiny_config(mu_main=1, learning_rate=1).validate()
+        config = tiny_config(mu_main=1, learning_rate=1)
+        assert (config.mu_main, config.learning_rate) == (1.0, 1.0)
+        assert type(config.mu_main) is type(config.learning_rate) is float
 
     @pytest.mark.parametrize("overrides, error, match", [
         ({"text_label_init": "centroid"}, ConfigError, "text_label_init 'centroid'"),
@@ -273,7 +275,7 @@ class TestTrain:
     def test_validate_rejects_label_init_inputs(self, overrides, error, match):
         # label_rows does not check its mode or the text-embedding width itself.
         with pytest.raises(error, match=match):
-            tiny_config(**overrides).validate()
+            tiny_config(**overrides)
 
     def test_int_in_float_field_gives_float_checkpoint_bytes(self, tmp_path):
         train_c, held_c = tiny_corpus()
